@@ -1,13 +1,14 @@
 """Counting box points x with f(t) = F(x): the full pipeline.
 
-Brute-force counting, the sieve prefilter (always exact, often much
-cheaper per surviving candidate), the prime-window selection rule, the
+Exact counting over the box value histogram (distinct values of F with
+their multiplicities), the sieve prefilter (always exact, rejecting most
+values before the exact test), the prime-window selection rule, the
 exceptional set, and the growth-rate scan against both the proven and
 the classical exponents.
 """
 
-from polysieve import (BoxProblem, bound_ratio_scan, brute_count,
-                       build_prime_data, discriminant_profile,
+from polysieve import (BoxProblem, bound_ratio_scan, box_histogram,
+                       build_prime_data, discriminant_profile, exact_count,
                        exceptional_set, parse_multipoly, parse_unipoly,
                        select_primes, sieve_filtered_count)
 
@@ -16,7 +17,7 @@ F = parse_multipoly("X0^2+X1^2+X2^2")
 
 print("=== exact counts ===")
 for B in (1, 5, 10, 20):
-    n = brute_count(BoxProblem(f, F, B))
+    n = exact_count(f, box_histogram(F, B))
     print(f"N(T^2, sum of three squares, B={B:>2}) = {n}")
 
 print("\n=== prime window ===")
@@ -29,15 +30,16 @@ print(f"good reduction decided exactly (diagonal form): "
 
 print("\n=== sieve-accelerated counting ===")
 data = [build_prime_data(f, p) for p in sel.primes]
-rec = sieve_filtered_count(problem, data)
-print(f"box points: {rec.total_points}")
+hist = box_histogram(F, 100)
+rec = sieve_filtered_count(f, hist, data)
+print(f"box points: {rec.total_points}, distinct values of F: {len(hist.values)}")
 print(f"rejected by residue filters: {rec.rejected_by_sieve} "
       f"({rec.rejection_ratio:.1%})")
 print(f"survivors checked exactly: {rec.verified_exactly}; "
-      f"final count {rec.count} (= brute force, guaranteed)")
+      f"final count {rec.count} (= exact count, guaranteed)")
 
 print("\n=== exceptional set ===")
-S = exceptional_set(problem, data)
+S = exceptional_set(f, data, hist.v_max)
 print(f"values hitting many critical residues: {sorted(S)}")
 print("discriminant profiles explain why S stays tiny:")
 for k in (0, 6, 48):

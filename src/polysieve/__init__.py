@@ -1,10 +1,11 @@
 """Finite-field exponential sums, a polynomial sieve with exact
 per-prime detectors, and sieve-accelerated box counting."""
 
-from .boxes import (BoxProblem, SmoothWeight, bound_ratio_scan, brute_count,
-                    complete_sum_g, complete_sum_table, crt_factor_check,
-                    discriminant_profile, exceptional_set, poisson_compare,
-                    select_primes, sieve_filtered_count)
+from .boxes import (BoxHistogram, BoxProblem, SmoothWeight, bound_ratio_scan,
+                    box_histogram, complete_sum_g, complete_sum_table,
+                    crt_factor_check, discriminant_profile, exact_count,
+                    exceptional_set, poisson_compare, select_primes,
+                    sieve_filtered_count)
 from .errors import (BudgetExceeded, InvariantViolation, PolyParseError,
                      PolysieveError)
 from .fields import (ExtField, PrimeField, additive_char, build_ext_field,

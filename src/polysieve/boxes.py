@@ -1,10 +1,12 @@
 """Box counting N(f, F, B), sieve acceleration, and the complete-sum tools.
 
 Counts integer points x in [-B, B]^(n+1) whose value F(x) is hit by f
-over Z.  The exact count uses a precomputed table of f-values; the
-sieve-accelerated count prefilters box values through per-prime image
-bitmaps and verifies survivors exactly, so the two counts agree by
-construction.
+over Z.  The box is built once per problem as a histogram: the distinct
+values of F on the box with their multiplicities.  Every count works on
+distinct values weighted by multiplicity.  The exact count tests each
+value against the table of f-values; the sieve-accelerated count
+prefilters values through per-prime image bitmaps and verifies
+survivors exactly, so the two counts agree by construction (asserted).
 """
 
 import math
@@ -12,12 +14,11 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import BudgetExceeded, InvariantViolation
-from .fields import primes_in
-from .polynomials import MultiPoly, UniPoly, discriminant_uni
-from .sieve import build_prime_data, h_image_table
+from .fields import prime_factors, primes_in
+from .polynomials import MultiPoly, UniPoly, broadcast_grid, discriminant_uni
+from .sieve import build_prime_data, in_h_image
 from .varieties import DEFAULT_BUDGET, fiber_histogram, smoothness_scan
 
 _INT64_SAFE = 2**62
@@ -62,26 +63,36 @@ def box_value_array(F, B, budget=DEFAULT_BUDGET):
     bound = sum(abs(c) * max(B, 1) ** sum(e) for e, c in F.terms.items())
     if bound >= _INT64_SAFE:
         raise OverflowError("box values would overflow 64-bit integers")
-    coords = [np.arange(-B, B + 1, dtype=np.int64).reshape(
-        (1,) * i + (2 * B + 1,) + (1,) * (m - 1 - i)) for i in range(m)]
+    coords = broadcast_grid([np.arange(-B, B + 1, dtype=np.int64)] * m)
     return np.ravel(F.eval(coords))
 
 
-def f_value_table(f, v_max):
-    """Sorted integer values of f within [-v_max, v_max]."""
-    return h_image_table(f, v_max)
+@dataclass(frozen=True)
+class BoxHistogram:
+    """Distinct values of F on the box [-B, B]^m and their multiplicities."""
+
+    values: np.ndarray     # sorted distinct int64 values
+    counts: np.ndarray     # counts[i] = #{x in the box : F(x) = values[i]}
+
+    @property
+    def total_points(self):
+        return int(self.counts.sum())
+
+    @property
+    def v_max(self):
+        """max |F(x)| over the box."""
+        return int(max(-self.values[0], self.values[-1]))
 
 
-def values_hit_by_f(f, values, table=None):
-    """Boolean mask: which entries of `values` equal f(t) for some integer t."""
-    values = np.asarray(values, dtype=np.int64)
-    if table is None:
-        v_max = int(np.abs(values).max()) if values.size else 0
-        table = f_value_table(f, v_max)
-    if table.size == 0:
-        return np.zeros(values.shape, dtype=bool)
-    idx = np.clip(np.searchsorted(table, values), 0, table.size - 1)
-    return table[idx] == values
+def box_histogram(F, B, budget=DEFAULT_BUDGET):
+    """Build the box once and reduce it to its value histogram."""
+    values, counts = np.unique(box_value_array(F, B, budget), return_counts=True)
+    return BoxHistogram(values, counts)
+
+
+def exact_count(f, hist):
+    """Exact N(f, F, B): the multiplicities of the box values in f(Z)."""
+    return int(hist.counts[in_h_image(f, hist.values)].sum())
 
 
 def integer_root_of(f, v):
@@ -101,14 +112,6 @@ def integer_root_of(f, v):
     return None
 
 
-def brute_count(problem, budget=DEFAULT_BUDGET):
-    """Exact N(f, F, B) by full box enumeration."""
-    vals = box_value_array(problem.F, problem.B, budget)
-    v_max = int(np.abs(vals).max())
-    table = f_value_table(problem.f, v_max)
-    return int(values_hit_by_f(problem.f, vals, table).sum())
-
-
 @dataclass(frozen=True)
 class FilteredCount:
     count: int
@@ -121,27 +124,28 @@ class FilteredCount:
         return self.rejected_by_sieve / self.total_points if self.total_points else 0.0
 
 
-def sieve_filtered_count(problem, prime_data, budget=DEFAULT_BUDGET):
+def sieve_filtered_count(f, hist, prime_data):
     """Count with the per-prime image prefilter, then exact verification.
 
-    The filter is conservative (values of f over Z survive every prime),
-    so the result equals brute_count; this is asserted.
+    The filter runs over the distinct box values; every tally weighs a
+    value by its multiplicity.  The filter is conservative (values of f
+    over Z survive every prime), so the result equals exact_count; this
+    is asserted.
     """
-    vals = box_value_array(problem.F, problem.B, budget)
-    keep = np.ones(len(vals), dtype=bool)
+    keep = np.ones(len(hist.values), dtype=bool)
     for data in prime_data:
-        keep &= data.image[vals % data.p]
-    survivors = vals[keep]
-    v_max = int(np.abs(vals).max()) if len(vals) else 0
-    table = f_value_table(problem.f, v_max)
-    verified = int(values_hit_by_f(problem.f, survivors, table).sum())
-    out = FilteredCount(count=verified, total_points=len(vals),
-                        rejected_by_sieve=int(len(vals) - len(survivors)),
-                        verified_exactly=int(len(survivors)))
-    exact = int(values_hit_by_f(problem.f, vals, table).sum())
+        keep &= data.image[hist.values % data.p]
+    hit = in_h_image(f, hist.values)
+    total = hist.total_points
+    survivors = int(hist.counts[keep].sum())
+    out = FilteredCount(count=int(hist.counts[keep & hit].sum()),
+                        total_points=total,
+                        rejected_by_sieve=total - survivors,
+                        verified_exactly=survivors)
+    exact = int(hist.counts[hit].sum())
     if out.count != exact:
         raise InvariantViolation(
-            f"sieve-filtered count {out.count} != brute count {exact}")
+            f"sieve-filtered count {out.count} != exact count {exact}")
     return out
 
 
@@ -196,18 +200,17 @@ def select_primes(problem, k_max=2, budget=DEFAULT_BUDGET):
     return PrimeSelection(tuple(picked), q_param, (lo, hi), semi, k_max, skipped)
 
 
-def exceptional_set(problem, prime_data, threshold_mode="lemma", v_max=None,
+def exceptional_set(f, prime_data, v_max, threshold_mode="lemma",
                     budget=DEFAULT_BUDGET):
     """Integers k in the F-value range hitting many exceptional sets.
 
     Returns {k in [-M, M] : #{p : k mod p in S_{f,p}} >= threshold} with
-    M = max over the box of |F| (or the supplied v_max).
+    M = v_max, the largest |F| over the box (BoxHistogram.v_max).
     """
-    if v_max is None:
-        vals = box_value_array(problem.F, problem.B, budget)
-        v_max = int(np.abs(vals).max()) if len(vals) else 0
+    if 2 * v_max + 1 > budget:
+        raise BudgetExceeded(f"2 * v_max + 1 = {2 * v_max + 1} exceeds budget {budget}")
     P = len(prime_data)
-    d = problem.f.degree
+    d = f.degree
     if threshold_mode == "lemma":
         threshold = P / (2 * d)
     elif threshold_mode == "logp":
@@ -224,27 +227,11 @@ def exceptional_set(problem, prime_data, threshold_mode="lemma", v_max=None,
     return set(int(k) for k in ks[counts >= threshold])
 
 
-def _omega(n):
-    """Number of distinct prime factors."""
-    n = abs(n)
-    count = 0
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            count += 1
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        count += 1
-    return count
-
-
 def discriminant_profile(f, k):
     """Exact discriminant of f(T) - k and its distinct prime factor count."""
     g = f.sub_const(int(k))
     disc = discriminant_uni(g)
-    return {"k": int(k), "disc": int(disc), "omega": _omega(disc) if disc else 0,
+    return {"k": int(k), "disc": int(disc), "omega": len(prime_factors(abs(disc))),
             "zero_disc": disc == 0}
 
 
@@ -265,13 +252,10 @@ def complete_sum_g(F, t, u, p, budget=DEFAULT_BUDGET):
         return complex(hist @ t.values)
     if p**m > budget:
         raise BudgetExceeded(f"p^m = {p**m} exceeds budget {budget}")
-    grid = [np.arange(p, dtype=np.int64).reshape(
-        (1,) * i + (p,) + (1,) * (m - 1 - i)) for i in range(m)]
-    vals = F.eval_mod(grid, p)
+    vals = F.eval_mod(broadcast_grid([np.arange(p, dtype=np.int64)] * m), p)
     acc = t.values[vals]
-    for i, ui in enumerate(u):
-        phase = np.exp(2j * np.pi * ui * np.arange(p) / p).reshape(
-            (1,) * i + (p,) + (1,) * (m - 1 - i))
+    for phase in broadcast_grid([np.exp(2j * np.pi * ui * np.arange(p) / p)
+                                 for ui in u]):
         acc = acc * phase
     return complex(acc.sum())
 
@@ -281,8 +265,7 @@ def complete_sum_table(F, t, p, budget=DEFAULT_BUDGET):
     m = F.n_vars
     if p**m > budget:
         raise BudgetExceeded(f"p^m = {p**m} exceeds budget {budget}")
-    grid = [np.arange(p, dtype=np.int64).reshape(
-        (1,) * i + (p,) + (1,) * (m - 1 - i)) for i in range(m)]
+    grid = broadcast_grid([np.arange(p, dtype=np.int64)] * m)
     vals = np.broadcast_to(F.eval_mod(grid, p), (p,) * m)
     return np.fft.ifftn(t.values[vals]) * p**m
 
@@ -302,13 +285,10 @@ def crt_factor_check(F, u, p, q, t_p, t_q, budget=DEFAULT_BUDGET):
     N = p * q
     if N**m > budget:
         raise BudgetExceeded(f"(pq)^m = {N**m} exceeds budget {budget}")
-    grid = [np.arange(N, dtype=np.int64).reshape(
-        (1,) * i + (N,) + (1,) * (m - 1 - i)) for i in range(m)]
-    vals = F.eval_mod(grid, N)
+    vals = F.eval_mod(broadcast_grid([np.arange(N, dtype=np.int64)] * m), N)
     acc = t_p.values[vals % p] * np.conj(t_q.values[vals % q])
-    for i, ui in enumerate(u):
-        phase = np.exp(2j * np.pi * (int(ui) % N) * np.arange(N) / N).reshape(
-            (1,) * i + (N,) + (1,) * (m - 1 - i))
+    for phase in broadcast_grid([np.exp(2j * np.pi * (int(ui) % N) * np.arange(N) / N)
+                                 for ui in u]):
         acc = acc * phase
     lhs = complex(acc.sum())
     qbar = pow(q, -1, p)
@@ -341,6 +321,8 @@ def _bump_scalar(s):
 
 @lru_cache(maxsize=None)
 def _bump_l1():
+    from scipy.integrate import quad
+
     val, _ = quad(_bump_scalar, -1, 1)
     return val
 
@@ -349,6 +331,7 @@ def _bump_l1():
 def _bump_derivative_l1(order):
     """L1 norm of the order-th derivative of the bump, via symbolic diff."""
     import sympy
+    from scipy.integrate import quad
 
     s = sympy.Symbol("s")
     expr = sympy.exp(-1 / (1 - s**2))
@@ -393,6 +376,8 @@ class SmoothWeight:
             if key == 0:
                 val = _bump_l1()
             else:
+                from scipy.integrate import quad
+
                 # oscillatory weight handles large frequencies accurately
                 val, _ = quad(_bump_scalar, -1, 1, weight="cos",
                               wvar=2 * math.pi * key, epsabs=1e-10, limit=400)
@@ -464,13 +449,10 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, kappa=4,
     side = np.arange(-B, B + 1, dtype=np.int64)
     if (2 * B + 1) ** m > budget:
         raise BudgetExceeded("box too large")
-    coords = [side.reshape((1,) * i + (len(side),) + (1,) * (m - 1 - i))
-              for i in range(m)]
     wvals = np.ones((1,) * m)
-    for i in range(m):
-        wvals = wvals * W.weight_1d(side).reshape(
-            (1,) * i + (len(side),) + (1,) * (m - 1 - i))
-    fvals = F.eval(coords)
+    for w in broadcast_grid([W.weight_1d(side)] * m):
+        wvals = wvals * w
+    fvals = F.eval(broadcast_grid([side] * m))
     tvals = t_p.values[fvals % p] * np.conj(t_q.values[fvals % q])
     direct = complex((wvals * tvals).sum())
 
@@ -515,9 +497,8 @@ def bound_ratio_scan(f, F, b_grid, budget=DEFAULT_BUDGET):
     """
     rows = []
     for B in b_grid:
-        problem = BoxProblem(f, F, B)
-        n = problem.n
-        count = brute_count(problem, budget)
+        n = BoxProblem(f, F, B).n
+        count = exact_count(f, box_histogram(F, B, budget))
         denom_main = B ** (n + 1 / (n + 2)) * math.log(B) ** ((n + 1) / (n + 2))
         rows.append({
             "B": B,

@@ -17,7 +17,7 @@ import numpy as np
 from . import boxes, sieve, varieties
 from .errors import InvariantViolation, PolysieveError
 from .fields import PrimeField, mult_char, primes_in
-from .polynomials import MultiPoly, parse_multipoly, parse_unipoly
+from .polynomials import MultiPoly, broadcast_grid, parse_multipoly, parse_unipoly
 from .reports import ExperimentReport, emit_report, report_json
 from .tracefn import TraceFunction, constant_trace, kloosterman
 
@@ -151,9 +151,7 @@ def _run_mixsum(cfg):
     elif o.get("G"):
         G = parse_multipoly(o["G"], n_vars=F.n_vars)
         field = PrimeField(p)
-        m = F.n_vars
-        grid = [np.arange(p, dtype=np.int64).reshape(
-            (1,) * i + (p,) + (1,) * (m - 1 - i)) for i in range(m)]
+        grid = broadcast_grid([np.arange(p, dtype=np.int64)] * F.n_vars)
         fv = F.eval_mod(grid, p)
         gv = G.eval_mod(grid, p)
         total = complex((t.values[fv] * field.psi_table[gv]).sum())
@@ -285,9 +283,10 @@ def _run_boxcount(cfg):
         primes = _resolve_primes(o["primes"], f, 10**6)
         window = [min(primes), max(primes)] if primes else []
     data = [sieve.build_prime_data(f, p) for p in primes]
-    exact = boxes.brute_count(problem, cfg.budget)
-    filtered = boxes.sieve_filtered_count(problem, data, cfg.budget)
-    exc = sorted(boxes.exceptional_set(problem, data,
+    hist = boxes.box_histogram(F, o["B"], cfg.budget)
+    exact = boxes.exact_count(f, hist)
+    filtered = boxes.sieve_filtered_count(f, hist, data)
+    exc = sorted(boxes.exceptional_set(f, data, hist.v_max,
                                        threshold_mode=o["threshold"],
                                        budget=cfg.budget))
     results = {

@@ -12,6 +12,7 @@ e.g. "X1^2 + 3*X2^2 - 1" or "2*T^3+1".
 import numpy as np
 
 from .errors import PolyParseError
+from .fields import is_prime
 
 
 def _red(c, ring):
@@ -289,6 +290,17 @@ class MultiPoly:
     def to_text(self):
         ordered = sorted(self.terms.items(), key=lambda t: (-sum(t[0]), t[0]))
         return _poly_text(ordered, names=lambda e: None)
+
+
+def broadcast_grid(sides):
+    """Open grid over a product of 1-d arrays: sides[i] runs along axis i.
+
+    The returned arrays broadcast against each other to the full product
+    shape, so a polynomial evaluated on them covers every grid point.
+    """
+    m = len(sides)
+    return [np.asarray(s).reshape((1,) * i + (-1,) + (1,) * (m - 1 - i))
+            for i, s in enumerate(sides)]
 
 
 def _poly_text(terms, names):
@@ -651,8 +663,10 @@ def critical_value_poly(h, p):
     """r(s) = Res_T(h - s, h') over F_p, by evaluation and interpolation.
 
     r vanishes exactly at the critical values of h that lie in F_p.
-    Requires deg(h mod p) >= 2 and h' != 0 mod p.
+    Requires p prime, deg(h mod p) >= 2 and h' != 0 mod p.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     hp = h.reduce_mod(p) if h.ring is None else h
     if hp.ring != p:
         raise ValueError("polynomial must live mod p")

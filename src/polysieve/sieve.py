@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .fields import PrimeField, mult_char
+from .fields import PrimeField, is_prime, mult_char
 from .polynomials import UniPoly, critical_value_poly
 
 
@@ -88,10 +88,12 @@ class SieveConfig:
 def build_prime_data(h, p):
     """Evaluate h on F_p and compute image, nu and the exceptional set.
 
-    Requires p > deg h (and the reduction must keep degree >= 2).
+    Requires p prime, p > deg h (and the reduction must keep degree >= 2).
     """
     if h.ring is not None:
         raise ValueError("h must have integer coefficients")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if p <= h.degree:
         raise ValueError(f"need p > deg h (p={p}, deg={h.degree})")
     hp = h.reduce_mod(p)
@@ -125,24 +127,13 @@ def power_decomposition_check(d, p):
         raise ValueError(f"{d} does not divide p-1={p - 1}")
     units = np.arange(1, p)
     is_power = np.zeros(p, dtype=bool)
-    is_power[np.unique(pow_mod_array(units, d, p))] = True
+    is_power[np.unique(field.pow(units, d))] = True
     lhs = is_power[units].astype(float)
     rhs = np.full(p - 1, 1.0 + 0j) / d
     for j in range(1, d):
         chi = mult_char(field, d, j)
         rhs = rhs + chi.values[units] / d
     return float(np.abs(lhs - rhs).max())
-
-
-def pow_mod_array(xs, e, p):
-    out = np.ones_like(xs)
-    base = xs % p
-    while e > 0:
-        if e & 1:
-            out = out * base % p
-        base = base * base % p
-        e >>= 1
-    return out
 
 
 def multiplicity_weight(data, n, alpha):

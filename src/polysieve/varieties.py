@@ -13,7 +13,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceeded
-from .fields import cached_field
+from .fields import cached_field, is_prime
+from .polynomials import broadcast_grid
 
 DEFAULT_BUDGET = 10**8
 
@@ -75,18 +76,14 @@ class ScanResult:
     witness: Optional[Witness] = None
 
 
-def _mod_grid(n_vars, p):
-    """Broadcastable coordinate arrays covering F_p^n_vars."""
-    return [np.arange(p, dtype=np.int64).reshape((1,) * i + (p,) + (1,) * (n_vars - 1 - i))
-            for i in range(n_vars)]
-
-
 def fiber_histogram(F, p, budget=DEFAULT_BUDGET):
     """Array h with h[a] = |{x in F_p^n : F(x) = a}|, one pass over the grid."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     n = F.n_vars
     if p**n > budget:
         raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
-    vals = F.eval_mod(_mod_grid(n, p), p)
+    vals = F.eval_mod(broadcast_grid([np.arange(p, dtype=np.int64)] * n), p)
     return np.bincount(np.ravel(vals), minlength=p)
 
 
@@ -94,10 +91,12 @@ def pair_fiber_histogram(F, G, p, budget=DEFAULT_BUDGET):
     """Matrix h with h[a, b] = |{x : F(x) = a, G(x) = b}|."""
     if F.n_vars != G.n_vars:
         raise ValueError("F and G must share arity")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     n = F.n_vars
     if 2 * p**n > budget:
         raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
-    grid = _mod_grid(n, p)
+    grid = broadcast_grid([np.arange(p, dtype=np.int64)] * n)
     fv = np.ravel(F.eval_mod(grid, p))
     gv = np.ravel(G.eval_mod(grid, p))
     return np.bincount(fv * p + gv, minlength=p * p).reshape(p, p)
@@ -120,10 +119,6 @@ def count_affine_fiber(F, a, p, G=None, b=None, budget=DEFAULT_BUDGET):
     hist = pair_fiber_histogram(F, G, p, budget)
     count = int(hist[a, b])
     return FiberCountRecord(a, b, count, count - p ** (F.n_vars - 2))
-
-
-def _field_for(p, j):
-    return cached_field(p, j)
 
 
 def _projective_classes(field, m):
@@ -172,7 +167,7 @@ def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
     partials = F.gradient()
     spent = 0
     for j in range(1, k_max + 1):
-        field = _field_for(p, j)
+        field = cached_field(p, j)
         q = field.q
         cls_points = sum(q**(m - 1 - lead) for lead in range(m))
         spent += cls_points * (1 + m)
@@ -227,7 +222,7 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     spent = 0
     for j in range(1, k_max + 1):
-        field = _field_for(p, j)
+        field = cached_field(p, j)
         q = field.q
         spent += (q ** (m - 2) * m) * (2 + len(pairs))
         if spent > budget:
@@ -306,7 +301,7 @@ def diagonal_dual_oracle(coeffs, d, u, p, max_ext=4):
             break
     if r is None:
         raise ValueError(f"witness field exceeds the degree cap {max_ext}")
-    field = _field_for(p, r)
+    field = cached_field(p, r)
     qm1 = field.q - 1
     zeta = field.exp_table[qm1 // e] if e > 1 else 1
     roots = {}
@@ -376,13 +371,12 @@ def singular_fiber_scan(f, g=None, p=None, k_max=2, budget=DEFAULT_BUDGET):
     out = {}
     spent = 0
     for j in range(1, k_max + 1):
-        field = _field_for(p, j)
+        field = cached_field(p, j)
         q = field.q
         spent += q**m * (len(conditions) + len(membership) + 1)
         if spent > budget:
             raise BudgetExceeded(f"scan would need {spent} evaluations")
-        coords = [np.arange(q, dtype=np.int64).reshape(
-            (1,) * i + (q,) + (1,) * (m - 1 - i)) for i in range(m)]
+        coords = broadcast_grid([np.arange(q, dtype=np.int64)] * m)
         shape = (q,) * m
         mask = np.ones(shape, dtype=bool)
         for poly in membership + conditions:

@@ -82,6 +82,43 @@ def box_count_direct(f_coeffs, F_terms, n_vars, B):
     return count
 
 
+def box_count_per_point(f_coeffs, F_terms, n_vars, B):
+    """Vectorized N(f, F, B) that tests every box point on its own.
+
+    F is evaluated term by term on a full meshgrid of the box; f(Z) is
+    listed by the same outward walk as box_count_direct, stopped once
+    both tails pass the largest |F| on the box.
+    """
+    import numpy as np
+
+    side = np.arange(-B, B + 1, dtype=np.int64)
+    pts = np.meshgrid(*[side] * n_vars, indexing="ij")
+    vals = np.zeros(pts[0].shape, dtype=np.int64)
+    for expo, c in F_terms.items():
+        term = np.full(vals.shape, c, dtype=np.int64)
+        for x, e in zip(pts, expo):
+            term = term * x**e
+        vals += term
+    v_max = int(np.abs(vals).max())
+
+    def f_at(t):
+        acc = 0
+        for c in reversed(f_coeffs):
+            acc = acc * t + c
+        return acc
+
+    f_values = []
+    t = 0
+    while True:
+        ft, fmt = f_at(t), f_at(-t)
+        f_values += [ft, fmt]
+        if abs(ft) > v_max and abs(fmt) > v_max and t > 2 + max(
+                abs(c) for c in f_coeffs):
+            break
+        t += 1
+    return int(np.isin(vals, f_values).sum())
+
+
 def poly_eval_in_field(coeffs, field, x):
     """Horner evaluation of an integer-coefficient UniPoly at a field element."""
     acc = 0

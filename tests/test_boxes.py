@@ -1,23 +1,26 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polysieve.boxes import (BoxProblem, SmoothWeight, bound_ratio_scan,
-                             brute_count, complete_sum_g,
+                             box_histogram, complete_sum_g,
                              complete_sum_table, crt_factor_check,
-                             discriminant_profile, exceptional_set,
-                             f_value_table, integer_root_of, poisson_compare,
-                             select_primes, sieve_filtered_count,
-                             values_hit_by_f)
+                             discriminant_profile, exact_count,
+                             exceptional_set, integer_root_of,
+                             poisson_compare, select_primes,
+                             sieve_filtered_count)
 from polysieve.errors import BudgetExceeded
 from polysieve.fields import PrimeField, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly, parse_unipoly
-from polysieve.sieve import build_prime_data
+from polysieve.sieve import build_prime_data, h_image_table, in_h_image
 from polysieve.tracefn import constant_trace, kloosterman
 from polysieve.varieties import diagonal_dual_oracle
 
-from _oracles import box_count_direct
+from _oracles import box_count_direct, box_count_per_point
 
 F_QUADRIC = parse_multipoly("X0^2+X1^2+X2^2")
 F_CUBIC = parse_multipoly("X0^3+X1^3+X2^3")
@@ -27,16 +30,20 @@ def prime_data_for(f, primes):
     return [build_prime_data(f, p) for p in primes]
 
 
+def per_point_count(f, F, B):
+    return box_count_per_point(list(f.coeffs), F.terms, F.n_vars, B)
+
+
 class TestBruteCount:
     def test_spec_examples(self):
-        assert brute_count(BoxProblem(parse_unipoly("T^2"), F_QUADRIC, 1)) == 7
-        assert brute_count(BoxProblem(parse_unipoly("T^3"), F_QUADRIC, 1)) == 7
-        assert brute_count(BoxProblem(parse_unipoly("T^2"), F_QUADRIC, 0)) == 1
+        assert exact_count(parse_unipoly("T^2"), box_histogram(F_QUADRIC, 1)) == 7
+        assert exact_count(parse_unipoly("T^3"), box_histogram(F_QUADRIC, 1)) == 7
+        assert exact_count(parse_unipoly("T^2"), box_histogram(F_QUADRIC, 0)) == 1
 
     def test_nested_loop_oracle(self):
         for f_text, B in (("T^2", 3), ("T^3", 3), ("T^3-3*T", 2)):
             f = parse_unipoly(f_text)
-            got = brute_count(BoxProblem(f, F_QUADRIC, B))
+            got = exact_count(f, box_histogram(F_QUADRIC, B))
             want = box_count_direct(list(f.coeffs), F_QUADRIC.terms, 3, B)
             assert got == want, (f_text, B)
 
@@ -46,8 +53,50 @@ class TestBruteCount:
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
-            brute_count(BoxProblem(parse_unipoly("T^2"), F_QUADRIC, 50),
-                        budget=1000)
+            box_histogram(F_QUADRIC, 50, budget=1000)
+
+
+H_PROPERTY = ["T^2", "T^3", "T^3-3*T", "T^2+T", "2*T^3+1"]
+
+
+@st.composite
+def box_inputs(draw):
+    """(f, F, B): small boxes, diagonal or general homogeneous F of degree 2, 3 or 5."""
+    f = parse_unipoly(draw(st.sampled_from(H_PROPERTY)))
+    m = draw(st.integers(2, 3))
+    d = draw(st.sampled_from([2, 3, 5]))
+    coeff = st.integers(-3, 3).filter(bool)
+    if draw(st.booleans()):
+        monos = [tuple(d * (i == j) for j in range(m)) for i in range(m)]
+    else:
+        every = [e for e in itertools.product(range(d + 1), repeat=m) if sum(e) == d]
+        monos = draw(st.lists(st.sampled_from(every), min_size=1, max_size=4,
+                              unique=True))
+    F = MultiPoly(m, {e: draw(coeff) for e in monos})
+    return f, F, draw(st.integers(0, 3))
+
+
+class TestHistogramProperty:
+    @settings(max_examples=80)
+    @given(box_inputs())
+    @example((parse_unipoly("T^3-3*T"), parse_multipoly("X0^5+3*X1^5-2*X2^5"), 3))
+    @example((parse_unipoly("T^2"), parse_multipoly("X0^2+X0*X1-X2^2"), 3))
+    def test_counts_match_nested_loops(self, inputs):
+        f, F, B = inputs
+        want = box_count_direct(list(f.coeffs), F.terms, F.n_vars, B)
+        hist = box_histogram(F, B)
+        assert hist.total_points == (2 * B + 1) ** F.n_vars
+        assert exact_count(f, hist) == want
+        primes = [p for p in primes_in(f.degree + 1, 40)
+                  if not build_prime_data(f, p).surjective][:4]
+        data = prime_data_for(f, primes)
+        rec = sieve_filtered_count(f, hist, data)
+        assert rec.count == want
+        values = [F.eval(x) for x in
+                  itertools.product(range(-B, B + 1), repeat=F.n_vars)]
+        survivors = sum(all(dd.image[v % dd.p] for dd in data) for v in values)
+        assert rec.verified_exactly == survivors
+        assert rec.rejected_by_sieve == rec.total_points - survivors
 
 
 class TestValueTable:
@@ -56,9 +105,9 @@ class TestValueTable:
         rng = np.random.default_rng(4)
         for f_text in ("T^2", "T^3", "T^3-3*T", "2*T^3+1", "T^4+T"):
             f = parse_unipoly(f_text)
-            table = f_value_table(f, 25000)
+            table = h_image_table(f, 25000)
             vals = rng.integers(-25000, 25001, size=2500)
-            mask = values_hit_by_f(f, vals, table)
+            mask = in_h_image(f, vals, table)
             for v, hit in zip(vals, mask):
                 root = integer_root_of(f, int(v))
                 assert (root is not None) == bool(hit), (f_text, v)
@@ -73,22 +122,20 @@ class TestSieveFilteredCount:
             problem = BoxProblem(f, F_QUADRIC, B)
             primes = select_primes(problem).primes if B >= 5 else (3, 7)
             data = prime_data_for(f, primes)
-            rec = sieve_filtered_count(problem, data)
-            assert rec.count == brute_count(problem)
+            rec = sieve_filtered_count(f, box_histogram(F_QUADRIC, B), data)
+            assert rec.count == per_point_count(f, F_QUADRIC, B)
 
     def test_rejection_happens(self):
         f = parse_unipoly("T^2")
-        problem = BoxProblem(f, F_QUADRIC, 10)
         data = prime_data_for(f, (13, 17, 19, 23))
-        rec = sieve_filtered_count(problem, data)
+        rec = sieve_filtered_count(f, box_histogram(F_QUADRIC, 10), data)
         assert rec.rejection_ratio > 0
 
     def test_empty_prime_set_is_pure_brute(self):
         f = parse_unipoly("T^2")
-        problem = BoxProblem(f, F_QUADRIC, 5)
-        rec = sieve_filtered_count(problem, [])
+        rec = sieve_filtered_count(f, box_histogram(F_QUADRIC, 5), [])
         assert rec.rejection_ratio == 0.0
-        assert rec.count == brute_count(problem)
+        assert rec.count == per_point_count(f, F_QUADRIC, 5)
 
 
 class TestSelectPrimes:
@@ -132,17 +179,18 @@ class TestSelectPrimes:
 
 class TestExceptionalSet:
     def test_spec_example(self):
-        problem = BoxProblem(parse_unipoly("T^2"), F_QUADRIC, 100)
-        data = prime_data_for(parse_unipoly("T^2"),
-                              select_primes(problem).primes)
-        assert exceptional_set(problem, data) == {0}
+        f = parse_unipoly("T^2")
+        problem = BoxProblem(f, F_QUADRIC, 100)
+        data = prime_data_for(f, select_primes(problem).primes)
+        v_max = box_histogram(F_QUADRIC, 100).v_max
+        assert v_max == 30000
+        assert exceptional_set(f, data, v_max) == {0}
 
     def test_matches_direct_recount(self):
         f = parse_unipoly("T^3-3*T")
-        problem = BoxProblem(f, F_QUADRIC, 30)
         primes = (7, 11, 13, 17)
         data = prime_data_for(f, primes)
-        got = exceptional_set(problem, data, v_max=500)
+        got = exceptional_set(f, data, v_max=500)
         P, d = len(primes), f.degree
         expected = set()
         for k in range(-500, 501):
@@ -153,12 +201,17 @@ class TestExceptionalSet:
 
     def test_impossible_threshold_empty(self):
         f = parse_unipoly("T^2")
-        problem = BoxProblem(f, F_QUADRIC, 20)
         data = prime_data_for(f, (13,))
         # with one prime the lemma threshold is 1/4, met whenever 13 | k;
         # against v_max < 13 only k = 0 remains, and dropping it empties S
-        got = exceptional_set(problem, data, v_max=12)
+        got = exceptional_set(f, data, v_max=12)
         assert got == {0}
+
+    def test_range_charged_to_budget(self):
+        f = parse_unipoly("T^2")
+        data = prime_data_for(f, (13,))
+        with pytest.raises(BudgetExceeded):
+            exceptional_set(f, data, v_max=10**6, budget=10**5)
 
 
 class TestDiscriminantProfile:

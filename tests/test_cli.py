@@ -1,12 +1,27 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import polysieve
 from polysieve import cli
 from polysieve.errors import InvariantViolation
 from polysieve.reports import load_report, strip_timings
 
+SRC = str(Path(polysieve.__file__).resolve().parents[1])
+
 
 def run(argv):
     return cli.main(argv)
+
+
+def run_child(args):
+    """Run python with `args` in a fresh interpreter that imports ./src."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
 
 
 class TestParsing:
@@ -174,3 +189,23 @@ class TestReports:
         monkeypatch.setitem(cli._HANDLERS, "sieve-check", boom)
         assert run(["sieve-check", "--d", "2", "--p", "5"]) == 2
         assert "invariant" in capsys.readouterr().err
+
+
+class TestProcess:
+    @pytest.mark.parametrize("argv", [
+        ["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2", "--B", "10",
+         "--primes", "list:9,15"],
+        ["sieve-detect", "--h", "T^2", "--primes", "list:9"],
+        ["fibers", "--F", "X0^2+X1^2", "--p", "221", "--a", "1"],
+    ])
+    def test_non_prime_modulus_is_input_error(self, argv):
+        # in a child process, so a modulus that never terminates a loop
+        # fails on the timeout instead of hanging the suite
+        proc = run_child(["-m", "polysieve.cli", *argv])
+        assert proc.returncode == 1
+        assert "is not prime" in proc.stderr
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = run_child(["-c", "import sys, polysieve; print('scipy' in sys.modules)"])
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
