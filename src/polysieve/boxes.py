@@ -19,9 +19,7 @@ from .errors import BudgetExceeded, InvariantViolation
 from .fields import prime_factors, primes_in
 from .polynomials import MultiPoly, UniPoly, broadcast_grid, discriminant_uni
 from .sieve import build_prime_data, in_h_image
-from .varieties import DEFAULT_BUDGET, fiber_histogram, smoothness_scan
-
-_INT64_SAFE = 2**62
+from .varieties import _INT64_SAFE, DEFAULT_BUDGET, fiber_histogram, smoothness_scan
 
 
 @dataclass(frozen=True)
@@ -238,7 +236,7 @@ def discriminant_profile(f, k):
 def complete_sum_g(F, t, u, p, budget=DEFAULT_BUDGET):
     """g(u, t) = sum over a in F_p^m of t(F(a)) e(<a, u>/p).
 
-    The u = 0 sum is grouped by fiber (one histogram pass); general u
+    The u = 0 sum is grouped by fiber (fiber_histogram); general u
     uses the separable phase over the full grid.
     """
     m = F.n_vars
@@ -446,13 +444,11 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, kappa=4,
                 - W.boxed_sum(p * q, u_cutoff) ** m)
             if tail <= 1e-4 * main_scale:
                 break
-    side = np.arange(-B, B + 1, dtype=np.int64)
-    if (2 * B + 1) ** m > budget:
-        raise BudgetExceeded("box too large")
+    fvals = box_value_array(F, B, budget)
     wvals = np.ones((1,) * m)
-    for w in broadcast_grid([W.weight_1d(side)] * m):
+    for w in broadcast_grid([W.weight_1d(np.arange(-B, B + 1))] * m):
         wvals = wvals * w
-    fvals = F.eval(broadcast_grid([side] * m))
+    wvals = np.ravel(wvals)
     tvals = t_p.values[fvals % p] * np.conj(t_q.values[fvals % q])
     direct = complex((wvals * tvals).sum())
 

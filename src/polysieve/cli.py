@@ -8,6 +8,7 @@ Reports are printed as JSON and optionally written with per-table CSVs.
 
 import argparse
 import itertools
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import boxes, sieve, varieties
 from .errors import InvariantViolation, PolysieveError
-from .fields import PrimeField, mult_char, primes_in
+from .fields import cached_field, mult_char, primes_in
 from .polynomials import MultiPoly, broadcast_grid, parse_multipoly, parse_unipoly
 from .reports import ExperimentReport, emit_report, report_json
 from .tracefn import TraceFunction, constant_trace, kloosterman
@@ -38,7 +39,7 @@ class RunConfig:
 
 def _trace_for(spec, p):
     """Build a trace table from a spec string: kl:<m>, chi:<r>:<j>, psi, one."""
-    field = PrimeField(p)
+    field = cached_field(p)
     if spec == "one":
         return constant_trace(field)
     if spec == "psi":
@@ -83,7 +84,7 @@ def _run_klsum(cfg):
     o = cfg.options
     p = o["p"]
     F = parse_multipoly(o["F"])
-    t = kloosterman(o["m"], PrimeField(p))
+    t = kloosterman(o["m"], cached_field(p))
     if o.get("dump_table"):
         t.to_csv(o["dump_table"])
     total = boxes.complete_sum_g(F, t, [0] * F.n_vars, p, cfg.budget)
@@ -150,7 +151,7 @@ def _run_mixsum(cfg):
         semi = {"k_max": o["kmax"]}
     elif o.get("G"):
         G = parse_multipoly(o["G"], n_vars=F.n_vars)
-        field = PrimeField(p)
+        field = cached_field(p)
         grid = broadcast_grid([np.arange(p, dtype=np.int64)] * F.n_vars)
         fv = F.eval_mod(grid, p)
         gv = G.eval_mod(grid, p)
@@ -364,8 +365,8 @@ def _run_crt_check(cfg):
                                (0, 2): int(rng.integers(1, 5)),
                                (1, 1): int(rng.integers(0, 4))})
             u = [int(x) for x in rng.integers(0, p * q, size=2)]
-            t_p = mult_char(PrimeField(p), 2, 1)
-            t_q = mult_char(PrimeField(q), 2, 1)
+            t_p = mult_char(cached_field(p), 2, 1)
+            t_q = mult_char(cached_field(q), 2, 1)
             rec = boxes.crt_factor_check(Fr, u, p, q, t_p, t_q, cfg.budget)
             rows.append({"p": p, "q": q, "u": ",".join(map(str, u)),
                          "F": Fr.to_text(),
@@ -518,6 +519,14 @@ def main(argv=None):
         return 2
     except (ValueError, OverflowError, PolysieveError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout; send the rest to devnull so the flush
+        # at interpreter exit does not raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

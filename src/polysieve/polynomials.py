@@ -11,7 +11,7 @@ e.g. "X1^2 + 3*X2^2 - 1" or "2*T^3+1".
 
 import numpy as np
 
-from .errors import PolyParseError
+from .errors import InvariantViolation, PolyParseError
 from .fields import is_prime
 
 
@@ -535,7 +535,12 @@ def resultant_sylvester(a, b):
 
 
 def _resultant_euclid_modp(a, b, p):
-    """Euclidean-recursion resultant over F_p, Sylvester sign convention."""
+    """Euclidean-recursion resultant over F_p, Sylvester sign convention.
+
+    Each step must drop the degree of the remainder below deg(B), so the
+    loop ends after at most deg(B) steps; a step that fails to (possible
+    only when p is not prime) raises InvariantViolation.
+    """
     A = [c % p for c in a.coeffs]
     B = [c % p for c in b.coeffs]
 
@@ -561,6 +566,9 @@ def _resultant_euclid_modp(a, b, p):
                     R[i - dB + j] = (R[i - dB + j] - c * B[j]) % p
         while len(R) > 1 and R[-1] % p == 0:
             R.pop()
+        if deg(R) >= dB:  # only when lc(B) has no inverse, i.e. p is not prime
+            raise InvariantViolation(
+                f"remainder degree {deg(R)} did not drop below {dB} mod {p}")
         if len(R) == 1 and R[0] % p == 0:
             return 0  # common factor
         res = res * pow(B[-1], deg(A) - deg(R), p) % p

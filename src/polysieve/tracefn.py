@@ -63,24 +63,17 @@ def kloosterman(m, field):
     """Hyper-Kloosterman table Kl_m on F_q, weight-0 normalization.
 
     Kl_m(a) = (-1)^(m-1) q^(-(m-1)/2) sum over unit tuples y_1...y_m = a
-    of psi(y_1 + ... + y_m); Kl_m(0) = 0 (empty sum).  Built by iterated
-    multiplicative convolution of the unit-restricted psi table, O(m q^2).
+    of psi(y_1 + ... + y_m); Kl_m(0) = 0 (empty sum).  The sum is the
+    m-fold multiplicative convolution of the unit-restricted psi table,
+    computed as one FFT power, O(q log q) on any F_q.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     q = field.q
     # work in the exponent domain: unit g^i <-> index i, so the
-    # multiplicative convolution becomes a cyclic correlation
-    n = max(q - 1, 1)
+    # multiplicative convolution becomes a cyclic convolution
     psi_units = field.psi_table[field.exp_table]
-    acc = psi_units.copy()
-    if q > 2:
-        shift = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-        kernel = psi_units[shift]
-        for _ in range(m - 1):
-            acc = kernel @ acc
-    else:
-        acc = acc**m
+    acc = np.fft.ifft(np.fft.fft(psi_units) ** m)
     table = np.zeros(q, dtype=np.complex128)
     table[field.exp_table] = acc
     table *= (-1) ** (m - 1) / float(q) ** ((m - 1) / 2)

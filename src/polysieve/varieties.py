@@ -14,9 +14,10 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .fields import cached_field, is_prime
-from .polynomials import broadcast_grid
+from .polynomials import MultiPoly, broadcast_grid
 
 DEFAULT_BUDGET = 10**8
+_INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True)
@@ -76,15 +77,69 @@ class ScanResult:
     witness: Optional[Witness] = None
 
 
+def _variable_groups(F):
+    """Sub-forms of F on classes of variables that share no monomial.
+
+    F is the sum of the returned sub-forms, and each sub-form lives on
+    the variables of its class, in order.  A variable absent from F is
+    a class of its own with the zero form; a form in no variables is
+    one empty class.  The constant term goes with the first class.
+    """
+    n = F.n_vars
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for expo in F.terms:
+        live = [i for i, e in enumerate(expo) if e]
+        for i in live[1:]:
+            parent[root(i)] = root(live[0])
+    classes = {}
+    for i in range(n):
+        classes.setdefault(root(i), []).append(i)
+    groups = sorted(classes.values()) or [[]]
+    where = {i: k for k, g in enumerate(groups) for i in g}
+    terms = [{} for _ in groups]
+    for expo, c in F.terms.items():
+        first = next((i for i, e in enumerate(expo) if e), None)
+        k = 0 if first is None else where[first]
+        terms[k][tuple(expo[i] for i in groups[k])] = c
+    return [MultiPoly(len(g), t, F.ring) for g, t in zip(groups, terms)]
+
+
+def _cyclic_convolve(a, b, p):
+    """Exact integer convolution of two histograms on Z/p."""
+    full = np.convolve(a, b)
+    out = full[:p].copy()
+    out[:p - 1] += full[p:]
+    return out
+
+
 def fiber_histogram(F, p, budget=DEFAULT_BUDGET):
-    """Array h with h[a] = |{x in F_p^n : F(x) = a}|, one pass over the grid."""
+    """Array h with h[a] = |{x in F_p^n : F(x) = a}|.
+
+    Each group of variables that shares no monomial with the others is
+    counted over its own grid; the group histograms combine by exact
+    cyclic convolution, since F is the sum of the group sub-forms.  A
+    non-separable F is one group, counted over the full grid.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = F.n_vars
     if p**n > budget:
         raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
-    vals = F.eval_mod(broadcast_grid([np.arange(p, dtype=np.int64)] * n), p)
-    return np.bincount(np.ravel(vals), minlength=p)
+    if p**n >= _INT64_SAFE:
+        raise OverflowError(f"p^n = {p**n} fiber counts would overflow 64-bit integers")
+    hist = None
+    for sub in _variable_groups(F):
+        vals = sub.eval_mod(broadcast_grid([np.arange(p, dtype=np.int64)] * sub.n_vars), p)
+        h = np.bincount(np.ravel(vals), minlength=p)
+        hist = h if hist is None else _cyclic_convolve(hist, h, p)
+    return hist
 
 
 def pair_fiber_histogram(F, G, p, budget=DEFAULT_BUDGET):

@@ -46,6 +46,42 @@ def kloosterman_direct(m, p, a):
     return (-1) ** (m - 1) * total / p ** ((m - 1) / 2)
 
 
+def kloosterman_dense(m, field):
+    """Kl_m table on any F_q by iterated products with the dense kernel.
+
+    In the exponent domain (unit g^i <-> index i) the multiplicative
+    convolution is a cyclic convolution, applied here as m - 1 products
+    with the (q-1) x (q-1) circulant matrix; O(m q^2) time and memory.
+    """
+    import numpy as np
+
+    q = field.q
+    n = q - 1
+    psi_units = field.psi_table[field.exp_table]
+    shift = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    kernel = psi_units[shift]
+    acc = psi_units.copy()
+    for _ in range(m - 1):
+        acc = kernel @ acc
+    table = np.zeros(q, dtype=np.complex128)
+    table[field.exp_table] = acc
+    return table * (-1) ** (m - 1) / float(q) ** ((m - 1) / 2)
+
+
+def fiber_histogram_direct(F_terms, n_vars, p):
+    """Nested-loop h[a] = #{x in F_p^n : F(x) = a mod p}; F_terms {expo: coeff}."""
+    hist = [0] * p
+    for pt in itertools.product(range(p), repeat=n_vars):
+        total = 0
+        for expo, c in F_terms.items():
+            term = c
+            for x, e in zip(pt, expo):
+                term *= x**e
+            total += term
+        hist[total % p] += 1
+    return hist
+
+
 def box_count_direct(f_coeffs, F_terms, n_vars, B):
     """Nested-loop N(f, F, B); f_coeffs ascending, F_terms {expo: coeff}."""
 

@@ -387,6 +387,12 @@ class TestPoissonCompare:
         assert rec["tail_bound"] <= 1e-4 * main_scale
         assert rec["error"] <= rec["tail_bound"] + 1e-6
 
+    def test_box_values_overflow_guarded(self):
+        F = parse_multipoly("2305843009213693952*X0^2+X1^2+X2^2")  # 2^61 X0^2
+        with pytest.raises(OverflowError):
+            poisson_compare(F, 3, 5, constant_trace(PrimeField(3)),
+                            constant_trace(PrimeField(5)), B=2, u_cutoff=2)
+
     def test_cutoff_zero_semantics(self):
         t3 = mult_char(PrimeField(3), 2, 1)
         t5 = mult_char(PrimeField(5), 2, 1)

@@ -182,6 +182,20 @@ class TestReports:
              "--pmax", "13"])
         assert load_report(a)["tables"] != load_report(b)["tables"]
 
+    def test_memory_error_exits_1(self, capsys, monkeypatch):
+        def boom(cfg):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setitem(cli._HANDLERS, "sieve-check", boom)
+        assert run(["sieve-check", "--d", "2", "--p", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_poisson_box_overflow_exits_1(self, capsys):
+        assert run(["poisson-check", "--F", "2305843009213693952*X0^2+X1^2+X2^2",
+                    "--p", "3", "--q", "5", "--B", "2", "--cutoff", "2"]) == 1
+        assert "overflow" in capsys.readouterr().err
+
     def test_invariant_violation_exits_2(self, capsys, monkeypatch):
         def boom(cfg):
             raise InvariantViolation("forced failure")
@@ -204,6 +218,24 @@ class TestProcess:
         proc = run_child(["-m", "polysieve.cli", *argv])
         assert proc.returncode == 1
         assert "is not prime" in proc.stderr
+
+    def test_closed_stdout_exits_without_traceback(self):
+        # the report (about 200 kB) overflows the pipe buffer, so the child
+        # is still writing when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polysieve.cli", "fibers", "--F", "X0^2+X1^2",
+             "--p", "2003"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC})
+        proc.stdout.close()
+        try:
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert code == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_import_leaves_scipy_unloaded(self):
         proc = run_child(["-c", "import sys, polysieve; print('scipy' in sys.modules)"])

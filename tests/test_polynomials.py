@@ -1,7 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import polysieve
 
 from polysieve.errors import PolyParseError
 from polysieve.fields import cached_field
@@ -125,6 +131,23 @@ class TestResultants:
             b = UniPoly([rng.randrange(p) for _ in range(db)]
                         + [rng.randrange(1, p)], ring=p)
             assert resultant_uni(a, b) == resultant_sylvester(a, b)
+
+    def test_euclid_loop_stops_on_composite_ring(self):
+        # mod 9 the leading coefficient 3 has no inverse, so no remainder
+        # step lowers the degree; run in a child so a hang fails on the
+        # timeout instead of stalling the suite
+        code = ("from polysieve.errors import InvariantViolation\n"
+                "from polysieve.polynomials import UniPoly, _resultant_euclid_modp\n"
+                "try:\n"
+                "    _resultant_euclid_modp(UniPoly([1, 0, 1], 9), UniPoly([1, 3], 9), 9)\n"
+                "except InvariantViolation as exc:\n"
+                "    print('raised:', exc)\n")
+        src = str(Path(polysieve.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src},
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("raised: remainder degree")
 
     def test_vanishes_iff_common_root_in_extensions(self):
         # spec invariant: zero resultant <=> common root over F_{p^j}, j <= 4

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysieve.fields import PrimeField, build_ext_field, mult_char
 from polysieve.tracefn import (TraceFunction, constant_trace, correlation,
@@ -9,7 +12,7 @@ from polysieve.tracefn import (TraceFunction, constant_trace, correlation,
                                pullback_power, pullback_scale, second_moment,
                                te_transform)
 
-from _oracles import kloosterman_direct
+from _oracles import kloosterman_dense, kloosterman_direct
 
 
 class TestTraceFunction:
@@ -66,6 +69,42 @@ class TestKloosterman:
         t = kloosterman(2, f9)
         assert t.values[0] == 0
         assert np.abs(t.values).max() <= 2 + 1e-9
+
+    @settings(max_examples=30)
+    @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 3))
+    def test_fft_matches_direct_on_primes(self, p, m):
+        table = kloosterman(m, PrimeField(p)).values
+        direct = [kloosterman_direct(m, p, a) for a in range(p)]
+        assert np.abs(table - direct).max() < 1e-10
+
+    @pytest.mark.parametrize("p, k", [(3, 2), (5, 2)])
+    def test_fft_matches_dense_on_extension_fields(self, p, k):
+        field = build_ext_field(p, k)
+        for m in (1, 2, 3, 4):
+            assert np.abs(kloosterman(m, field).values
+                          - kloosterman_dense(m, field)).max() < 1e-10
+
+    def test_f2_needs_no_special_case(self):
+        # one unit, so the FFT has length 1 and is the identity
+        for m in range(1, 6):
+            table = kloosterman(m, PrimeField(2)).values
+            assert table[0] == 0
+            assert table[1] == pytest.approx(kloosterman_direct(m, 2, 1), abs=1e-12)
+
+    def test_no_dense_kernel(self):
+        f = PrimeField(3001)
+        tracemalloc.start()
+        try:
+            kloosterman(3, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 3000**2 / 100  # the dense kernel needs 144 MB
+
+    def test_kl2_large_prime(self):
+        t = kloosterman(2, PrimeField(100003))
+        assert np.abs(t.values).max() <= 2
+        assert abs(second_moment(t) - 1) <= 1e-3
 
 
 class TestFourier:

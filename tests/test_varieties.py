@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polysieve.errors import BudgetExceeded
 from polysieve.fields import primes_in
@@ -10,6 +12,8 @@ from polysieve.varieties import (classify_u, count_affine_fiber,
                                  diagonal_dual_oracle, fiber_histogram,
                                  pair_fiber_histogram, singular_fiber_scan,
                                  smoothness_scan)
+
+from _oracles import fiber_histogram_direct
 
 
 class TestFiberCounts:
@@ -50,6 +54,49 @@ class TestFiberCounts:
             large = max(v for pp, v in by_prime.items() if pp > 47)
             assert large <= small + 1.0
             assert max(by_prime.values()) <= 10
+
+
+@st.composite
+def fiber_inputs(draw):
+    """(F, p) with p <= 13, at most 3 variables; diagonal or free-form F."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    m = draw(st.integers(1, 3))
+    coeff = st.integers(-4, 4).filter(bool)
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 4))
+        terms = {tuple(d if j == i else 0 for j in range(m)): draw(coeff)
+                 for i in range(m)}
+    else:
+        # free monomials: separable, partly separable or not, with
+        # absent variables and constant terms all reachable
+        every = list(itertools.product(range(4), repeat=m))
+        monos = draw(st.lists(st.sampled_from(every), min_size=1, max_size=4,
+                              unique=True))
+        terms = {e: draw(coeff) for e in monos}
+    return MultiPoly(m, terms), p
+
+
+class TestFiberHistogramProperty:
+    @settings(max_examples=120)
+    @given(fiber_inputs())
+    @example((parse_multipoly("X0^2+2*X1^2+3*X2^2"), 13))
+    @example((parse_multipoly("X0*X1+X2^2"), 7))
+    @example((parse_multipoly("X0*X1+X1*X2+X0^2*X2"), 5))
+    @example((parse_multipoly("X0^2+X2^3"), 11))  # X1 absent
+    @example((parse_multipoly("X0*X1+3"), 5))
+    @example((parse_multipoly("X0^2+X1^2+X2^2"), 2))
+    def test_grouped_matches_nested_loops(self, case):
+        F, p = case
+        hist = fiber_histogram(F, p)
+        assert hist.dtype == np.int64
+        assert hist.tolist() == fiber_histogram_direct(F.terms, F.n_vars, p)
+
+    def test_counts_past_int64_rejected(self):
+        # 2^62 points: refused before any grid is built
+        F = MultiPoly(62, {tuple(int(j == i) for j in range(62)): 1
+                           for i in range(62)})
+        with pytest.raises(OverflowError):
+            fiber_histogram(F, 2, budget=2**63)
 
 
 class TestSmoothness:
