@@ -11,13 +11,14 @@ import itertools
 import os
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import boxes, sieve, varieties
 from .errors import InvariantViolation, PolysieveError
-from .fields import cached_field, mult_char, primes_in
+from .fields import cached_field, is_prime, mult_char, primes_in
 from .polynomials import MultiPoly, broadcast_grid, parse_multipoly, parse_unipoly
 from .reports import ExperimentReport, emit_report, report_json
 from .tracefn import TraceFunction, constant_trace, kloosterman
@@ -73,6 +74,9 @@ def _resolve_primes(policy, h, pmax):
         ps = _int_list(policy[5:])
         if not ps:
             raise ValueError("empty prime list")
+        for p in ps:
+            if not is_prime(p):
+                raise ValueError(f"--primes list entry {p} is not prime")
         return ps
     raise ValueError(f"unknown prime policy {policy!r} (use auto or list:...)")
 
@@ -331,10 +335,12 @@ def _run_poisson_check(cfg):
         coeffs, d = diag
         span = range(-min(rec["u_cutoff"], 8), min(rec["u_cutoff"], 8) + 1)
         for prime in (p, q):
+            # the class depends on u mod prime only: classify each residue once
+            residues = Counter(tuple(c % prime for c in u)
+                               for u in itertools.product(span, repeat=F.n_vars))
             tally = {"zero": 0, "good": 0, "bad": 0}
-            for u in itertools.product(span, repeat=F.n_vars):
-                tally[varieties.diagonal_dual_oracle(coeffs, d, u,
-                                                     prime).kind] += 1
+            for u, mult in residues.items():
+                tally[varieties.diagonal_dual_oracle(coeffs, d, u, prime).kind] += mult
             results[f"u_class_tally_mod_{prime}"] = tally
     else:
         results["u_class_tally"] = "skipped (non-diagonal form)"

@@ -4,7 +4,10 @@ Both field classes precompute exp/log tables for the unit group (cyclic),
 so multiplication, powering and inversion vectorize as integer index
 arithmetic plus table gathers.  Elements are plain ints: residues for
 F_p, base-p digit encodings c_0 + c_1*p + ... + c_{k-1}*p^{k-1} for
-F_{p^k}.  Contexts are immutable after construction.
+F_{p^k}.  Each field also keeps a digit table (row i: base-p digit i of
+every element), so F_{p^k} addition is integer addition minus the
+carries read off the digit rows, with no division.  Contexts are
+immutable after construction.
 """
 
 import math
@@ -77,19 +80,24 @@ class PrimeField:
         self.q = p
         self.k = 1
         self.g = find_primitive_root(p)
-        exp = np.empty(max(p - 1, 1), dtype=np.int64)
-        acc = 1
-        for i in range(p - 1):
-            exp[i] = acc
-            acc = acc * self.g % p
-        if p == 2:
-            exp[0] = 1
+        # baby steps g^i (i < s) times giant steps g^(s*j): g^(s*j + i);
+        # every product stays below p^2 < 2^42
+        s = math.isqrt(p - 1) + 1
+        baby = np.ones(s, dtype=np.int64)
+        giant = np.ones(s, dtype=np.int64)
+        for i in range(1, s):
+            baby[i] = baby[i - 1] * self.g % p
+        step = pow(self.g, s, p)
+        for j in range(1, s):
+            giant[j] = giant[j - 1] * step % p
+        exp = (giant[:, None] * baby[None, :] % p).ravel()[:max(p - 1, 1)]
         self.exp_table = exp
         log = np.full(p, -1, dtype=np.int64)
         log[exp] = np.arange(len(exp))
         self.log_table = log
         self.psi_table = np.exp(2j * np.pi * np.arange(p) / p)
-        self.trace_table = np.arange(p, dtype=np.int64)
+        self.digit_table = np.arange(p, dtype=np.int64)[None, :]
+        self.trace_table = self.digit_table[0]
 
     def __repr__(self):
         return f"PrimeField(p={self.p})"
@@ -278,12 +286,11 @@ class ExtField:
             if any(acc_t[1:]):  # trace must land in the base field
                 raise RuntimeError("trace computation left the base field")
             basis_traces.append(acc_t[0])
-        digits = (np.arange(q, dtype=np.int64)[:, None]
-                  // p ** np.arange(k, dtype=np.int64)) % p
-        self.trace_table = digits @ np.array(basis_traces, dtype=np.int64) % p
+        # row i: base-p digit i of every element
+        self.digit_table = (np.arange(q, dtype=np.int64)[None, :]
+                            // p ** np.arange(k, dtype=np.int64)[:, None]) % p
+        self.trace_table = np.array(basis_traces, dtype=np.int64) @ self.digit_table % p
         self.psi_table = np.exp(2j * np.pi * self.trace_table / p)
-        # digit split/merge helpers for vectorized addition
-        self._pow_p = np.array([p**i for i in range(k)], dtype=np.int64)
 
     def _one_tup(self):
         return (1,) + (0,) * (self.k - 1)
@@ -330,16 +337,22 @@ class ExtField:
         return int(self.log_table[u])
 
     def add(self, a, b):
+        """Digitwise sum: a + b minus p^(i+1) for each carry out of digit i."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        digits = (a[..., None] // self._pow_p + b[..., None] // self._pow_p) % self.p
-        out = (digits * self._pow_p).sum(axis=-1)
+        p = self.p
+        out = a + b
+        for i, row in enumerate(self.digit_table[:-1]):
+            out -= (row[a] + row[b] >= p) * p ** (i + 1)
+        out -= (out >= self.q) * self.q
         return out if out.ndim else int(out)
 
     def neg(self, a):
+        """Digitwise negation: each nonzero digit c becomes p - c."""
         a = np.asarray(a, dtype=np.int64)
-        digits = (-(a[..., None] // self._pow_p)) % self.p
-        out = (digits * self._pow_p).sum(axis=-1)
+        out = -a
+        for i, row in enumerate(self.digit_table):
+            out += (row[a] != 0) * self.p ** (i + 1)
         return out if out.ndim else int(out)
 
     def mul(self, a, b):

@@ -218,19 +218,43 @@ class MultiPoly:
         return acc if acc.ndim else int(acc)
 
     def eval_field(self, field, point):
-        """Evaluation with coordinates given as field element indices."""
+        """Evaluation with coordinates given as field element indices in [0, q).
+
+        Works in the exponent domain: each coordinate's discrete log is
+        looked up once, and a monomial c * prod x_i^e_i is one exp-table
+        gather at dlog(c) + sum e_i * log(x_i) mod (q-1), or 0 where a
+        coordinate it uses is 0.  Terms add as per-digit integer sums
+        (via the field's digit table) that are reduced mod p once at the
+        end; every intermediate stays far below 2^62.
+        """
         if len(point) != self.n_vars:
             raise ValueError(f"expected {self.n_vars} coordinates, got {len(point)}")
         arrs = [np.asarray(x, dtype=np.int64) for x in point]
         shape = np.broadcast(*arrs).shape
-        acc = np.zeros(shape, dtype=np.int64)
+        live = {i for expo in self.terms for i, e in enumerate(expo) if e}
+        logs = {i: field.log_table[arrs[i]] for i in live}
+        zero = {i: arrs[i] == 0 for i in live}
+        acc = np.zeros((field.k,) + shape, dtype=np.int64)
         for expo, c in self.terms.items():
-            term = np.full(shape, field.embed(c), dtype=np.int64)
-            for x, e in zip(arrs, expo):
-                if e:
-                    term = field.mul(term, field.pow(x, e))
-            acc = field.add(acc, term)
-        return acc if np.ndim(acc) else int(acc)
+            c = field.embed(c)
+            if not c:
+                continue
+            used = [i for i, e in enumerate(expo) if e]
+            ex = field.log_table[c]
+            for i in used:
+                ex = ex + expo[i] * logs[i]
+            term = field.exp_table[ex % (field.q - 1)]
+            if used:
+                vanish = zero[used[0]]
+                for i in used[1:]:
+                    vanish = vanish | zero[i]
+                term = np.where(vanish, 0, term)
+            for i, row in enumerate(field.digit_table):
+                acc[i] += row[term]
+        out = acc[-1] % field.p
+        for digits in acc[-2::-1]:
+            out = out * field.p + digits % field.p
+        return out if np.ndim(out) else int(out)
 
     def gradient(self):
         """Formal partials, one polynomial per variable."""

@@ -33,6 +33,8 @@ class SievePrimeData:
     nu: np.ndarray         # nu[n] = |{x in F_p : h(x) = n}|
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not prime")
         if self.image_size != int(self.image.sum()):
             raise InvariantViolation("image_size disagrees with the bitmap")
         if not np.array_equal(self.image, self.nu >= 1):

@@ -199,19 +199,30 @@ def _projective_classes(field, m):
         yield coords
 
 
-def _first_true(mask, coords, shape):
-    idx = np.argwhere(np.broadcast_to(mask, shape))
-    if idx.size == 0:
-        return None
-    first = tuple(idx[0])
-    return tuple(int(np.broadcast_to(c, shape)[first]) for c in coords)
+def _zeros_of(poly, field, coords, shape):
+    """The points of the grid broadcast from coords where poly vanishes.
+
+    Returns one flat coordinate array per variable, in C order of the
+    grid, so the first entry is the first zero a full scan would meet.
+    """
+    hits = np.nonzero(np.broadcast_to(poly.eval_field(field, coords) == 0, shape))
+    return [np.broadcast_to(c, shape)[hits] for c in coords]
+
+
+def _keep_zeros(values, pts):
+    """Restrict flat point arrays to the entries where values == 0."""
+    keep = np.flatnonzero(values == 0)
+    return [c[keep] for c in pts]
 
 
 def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
     """Search for a projective singular point of V(F) over F_{p^j}, j <= k_max.
 
-    Returns ScanResult(smooth=True, k_max) when no witness exists up to
-    the cap; that is a semi-decision, not a certificate over the closure.
+    F is evaluated on each projective class grid; the partials are
+    evaluated only on its zeros (about 1/q of the grid), in C order, so
+    the witness is the first singular point of the full scan.  Returns
+    ScanResult(smooth=True, k_max) when no witness exists up to the cap;
+    that is a semi-decision, not a certificate over the closure.
     """
     if not F.is_homogeneous():
         raise ValueError("smoothness scan needs a homogeneous form")
@@ -229,15 +240,13 @@ def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
         if spent > budget:
             raise BudgetExceeded(f"scan would need {spent} evaluations")
         for coords in _projective_classes(field, m):
-            shape = np.broadcast(*coords).shape
-            mask = np.broadcast_to(F.eval_field(field, coords) == 0, shape).copy()
+            pts = _zeros_of(F, field, coords, np.broadcast(*coords).shape)
             for gpoly in partials:
-                if not mask.any():
+                if not pts[0].size:
                     break
-                mask &= np.broadcast_to(gpoly.eval_field(field, coords) == 0, shape)
-            pt = _first_true(mask, coords, shape)
-            if pt is not None:
-                return ScanResult(False, k_max, Witness(j, pt))
+                pts = _keep_zeros(gpoly.eval_field(field, pts), pts)
+            if pts[0].size:
+                return ScanResult(False, k_max, Witness(j, tuple(int(c[0]) for c in pts)))
     return ScanResult(True, k_max)
 
 
@@ -263,6 +272,9 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
     zero: u = 0 mod p.  bad: some projective x over F_{p^j}, j <= k_max,
     has F(x) = 0, <x, u> = 0 and grad F(x) parallel to u (all 2x2 minors
     vanish); the witness is returned.  good: no such point up to k_max.
+    The hyperplane <x, u> = 0 is scanned class by class through a basis;
+    the partials and minors are evaluated only on the zeros of F there,
+    in C order, so the witness is the first one a full scan would meet.
     """
     if not F.is_homogeneous():
         raise ValueError("classify_u needs a homogeneous form")
@@ -284,31 +296,29 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
             raise BudgetExceeded(f"scan would need {spent} evaluations")
         for scoords in _projective_classes(field, m - 1):
             shape = np.broadcast(*scoords).shape
-            # x = sum_r s_r * basis_r, coordinates in F_q
+            # x = sum_r s_r * basis_r; each s_r is scaled on its own axis
             coords = []
             for i in range(m):
-                acc = np.zeros(shape, dtype=np.int64)
+                acc = np.zeros((), dtype=np.int64)
                 for s, vec in zip(scoords, basis):
                     if vec[i]:
-                        acc = field.add(acc, field.mul(
-                            np.broadcast_to(s, shape),
-                            np.full(shape, field.embed(vec[i]), dtype=np.int64)))
+                        acc = field.add(acc, field.mul(s, field.embed(vec[i])))
                 coords.append(acc)
-            mask = F.eval_field(field, coords) == 0
-            if not mask.any():
+            pts = _zeros_of(F, field, coords, shape)
+            if not pts[0].size:
                 continue
-            grads = [gp.eval_field(field, coords) for gp in partials]
+            grads = [gp.eval_field(field, pts) for gp in partials]
             for (i1, i2) in pairs:
-                m1 = field.mul(grads[i1], np.full(shape, field.embed(ured[i2]),
-                                                  dtype=np.int64))
-                m2 = field.mul(grads[i2], np.full(shape, field.embed(ured[i1]),
-                                                  dtype=np.int64))
-                mask &= field.add(m1, field.neg(m2)) == 0
-                if not mask.any():
+                # g_i1 u_i2 - g_i2 u_i1 = 0 in F_q
+                m1 = field.mul(grads[i1], field.embed(ured[i2]))
+                m2 = field.mul(grads[i2], field.embed(ured[i1]))
+                keep = np.flatnonzero(m1 == m2)
+                pts = [c[keep] for c in pts]
+                grads = [g[keep] for g in grads]
+                if not pts[0].size:
                     break
-            pt = _first_true(mask, coords, shape)
-            if pt is not None:
-                return UClass("bad", Witness(j, pt), k_max)
+            if pts[0].size:
+                return UClass("bad", Witness(j, tuple(int(c[0]) for c in pts)), k_max)
     return UClass("good", k_max=k_max)
 
 
@@ -431,20 +441,18 @@ def singular_fiber_scan(f, g=None, p=None, k_max=2, budget=DEFAULT_BUDGET):
         spent += q**m * (len(conditions) + len(membership) + 1)
         if spent > budget:
             raise BudgetExceeded(f"scan would need {spent} evaluations")
-        coords = broadcast_grid([np.arange(q, dtype=np.int64)] * m)
-        shape = (q,) * m
-        mask = np.ones(shape, dtype=bool)
-        for poly in membership + conditions:
-            mask &= np.broadcast_to(poly.eval_field(field, coords) == 0, shape)
-            if not mask.any():
+        first, *rest = membership + conditions
+        pts = _zeros_of(first, field, broadcast_grid([np.arange(q, dtype=np.int64)] * m),
+                        (q,) * m)
+        for poly in rest:
+            if not pts[0].size:
                 break
-        if not mask.any():
+            pts = _keep_zeros(poly.eval_field(field, pts), pts)
+        if not pts[0].size:
             continue
-        lam_vals = np.broadcast_to(fp.eval_field(field, coords), shape)
-        hits = np.argwhere(mask & (lam_vals < p))  # F_p elements embed as 0..p-1
-        for hit in hits:
-            lam = int(lam_vals[tuple(hit)])
+        lam_vals = fp.eval_field(field, pts)
+        for n in np.flatnonzero(lam_vals < p):  # F_p elements embed as 0..p-1
+            lam = int(lam_vals[n])
             if lam not in out:
-                pt = tuple(int(np.broadcast_to(c, shape)[tuple(hit)]) for c in coords)
-                out[lam] = Witness(j, pt)
+                out[lam] = Witness(j, tuple(int(c[n]) for c in pts))
     return out

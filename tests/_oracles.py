@@ -172,3 +172,138 @@ def poly_eval_everywhere(coeffs, field):
     for c in reversed(coeffs):
         acc = field.add(field.mul(acc, xs), np.full(field.q, field.embed(c)))
     return acc
+
+
+class TupleField:
+    """F_{p^k} as coefficient tuples over F_p, multiplied by _poly_mul_mod.
+
+    Elements are exchanged as the same integer encodings the library
+    uses (digit i is the coefficient of T^i), but every operation decodes
+    to a tuple, works digit by digit or by schoolbook product mod the
+    given modulus, and encodes back.  Addition and multiplication tables
+    are filled once, so scans over small fields stay cheap.
+    """
+
+    def __init__(self, p, modulus):
+        from polysieve.fields import _poly_mul_mod
+
+        self.p = p
+        self.k = len(modulus) - 1
+        self.q = p**self.k
+        elems = range(self.q)
+        tups = [self.decode(x) for x in elems]
+        self.add_tab = [[self.encode(tuple((a + b) % p for a, b in zip(ta, tb)))
+                         for tb in tups] for ta in tups]
+        self.mul_tab = [[self.encode(_poly_mul_mod(ta, tb, modulus, p))
+                         for tb in tups] for ta in tups]
+        self.neg_tab = [self.encode(tuple(-a % p for a in ta)) for ta in tups]
+
+    @classmethod
+    def like(cls, field):
+        """The tuple model of a library field, on the same modulus."""
+        return cls(field.p, getattr(field, "modulus", (0, 1)))
+
+    def decode(self, x):
+        out = []
+        for _ in range(self.k):
+            x, r = divmod(x, self.p)
+            out.append(r)
+        return tuple(out)
+
+    def encode(self, tup):
+        return sum(c * self.p**i for i, c in enumerate(tup))
+
+    def add(self, a, b):
+        return self.add_tab[a][b]
+
+    def neg(self, a):
+        return self.neg_tab[a]
+
+    def mul(self, a, b):
+        return self.mul_tab[a][b]
+
+
+def eval_field_direct(F_terms, tf, point):
+    """F at one point of F_q (TupleField tf): repeated products, one by one."""
+    acc = 0
+    for expo, c in F_terms.items():
+        term = c % tf.p  # base-field constants encode as themselves
+        for x, e in zip(point, expo):
+            for _ in range(e):
+                term = tf.mul(term, x)
+        acc = tf.add(acc, term)
+    return acc
+
+
+def _partials(F_terms, n_vars):
+    out = []
+    for i in range(n_vars):
+        terms = {}
+        for expo, c in F_terms.items():
+            if expo[i]:
+                e = list(expo)
+                e[i] -= 1
+                terms[tuple(e)] = terms.get(tuple(e), 0) + c * expo[i]
+        out.append(terms)
+    return out
+
+
+def projective_points(q, m):
+    """P^(m-1)(F_q): leading nonzero coordinate 1, the rest in C order."""
+    for lead in range(m):
+        for free in itertools.product(range(q), repeat=m - 1 - lead):
+            yield (0,) * lead + (1,) + free
+
+
+def smoothness_scan_direct(F_terms, n_vars, fields):
+    """First singular projective point over fields[0], fields[1], ...
+
+    Returns (smooth, ext_degree, point); ext_degree is the 1-based index
+    of the field holding the witness.
+    """
+    grads = _partials(F_terms, n_vars)
+    for j, tf in enumerate(fields, start=1):
+        for pt in projective_points(tf.q, n_vars):
+            if (eval_field_direct(F_terms, tf, pt) == 0
+                    and all(eval_field_direct(g, tf, pt) == 0 for g in grads)):
+                return False, j, pt
+    return True, None, None
+
+
+def classify_u_direct(F_terms, n_vars, u, fields):
+    """Tangency class of u by nested loops over the hyperplane <x, u> = 0.
+
+    The hyperplane is parametrized as x = sum_r s_r b_r, where b_r runs
+    over e_j - (u_j / u_pivot) e_pivot for j != pivot (pivot: the first
+    nonzero u_i), and s over the projective points of P^(m-2) in order.
+    Returns (kind, ext_degree, point).
+    """
+    p = fields[0].p
+    ured = [c % p for c in u]
+    if not any(ured):
+        return "zero", None, None
+    pivot = next(i for i, c in enumerate(ured) if c)
+    inv = pow(ured[pivot], -1, p)
+    basis = []
+    for j in range(n_vars):
+        if j != pivot:
+            vec = [0] * n_vars
+            vec[j] = 1
+            vec[pivot] = -ured[j] * inv % p
+            basis.append(vec)
+    grads = _partials(F_terms, n_vars)
+    for j, tf in enumerate(fields, start=1):
+        for s in projective_points(tf.q, n_vars - 1):
+            x = []
+            for i in range(n_vars):
+                acc = 0
+                for sr, vec in zip(s, basis):
+                    acc = tf.add(acc, tf.mul(sr, vec[i]))
+                x.append(acc)
+            if eval_field_direct(F_terms, tf, x) != 0:
+                continue
+            g = [eval_field_direct(gt, tf, x) for gt in grads]
+            if all(tf.add(tf.mul(g[a], ured[b]), tf.neg(tf.mul(g[b], ured[a]))) == 0
+                   for a in range(n_vars) for b in range(a + 1, n_vars)):
+                return "bad", j, tuple(x)
+    return "good", None, None

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import polysieve
-from polysieve import cli
+from polysieve import cli, varieties
 from polysieve.errors import InvariantViolation
 from polysieve.reports import load_report, strip_timings
 
@@ -144,6 +145,42 @@ class TestSubcommands:
     def test_poisson_check(self, capsys):
         assert run(["poisson-check", "--F", "X0^2+X1^2+X2^2", "--p", "3",
                     "--q", "5", "--B", "8", "--cutoff", "6"]) == 0
+
+
+    @pytest.mark.parametrize("F, coeffs, d", [
+        ("X0^2+2*X1^2+3*X2^2", [1, 2, 3], 2),
+        ("X0^3+X1^3+2*X2^3", [1, 1, 2], 3),
+    ])
+    def test_poisson_tally_once_per_residue_class(self, F, coeffs, d, capsys,
+                                                  monkeypatch):
+        oracle = varieties.diagonal_dual_oracle
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return oracle(*args, **kwargs)
+
+        monkeypatch.setattr(varieties, "diagonal_dual_oracle", counted)
+        assert run(["poisson-check", "--F", F, "--p", "5", "--q", "7", "--B", "6",
+                    "--cutoff", "10"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        span = range(-8, 9)
+        for prime in (5, 7):
+            # the per-vector loop over [-8, 8]^3
+            expected = {"zero": 0, "good": 0, "bad": 0}
+            for u in itertools.product(span, repeat=3):
+                expected[oracle(coeffs, d, u, prime).kind] += 1
+            assert results[f"u_class_tally_mod_{prime}"] == expected
+        assert len(calls) == 5**3 + 7**3
+
+    @pytest.mark.parametrize("policy", ["list:4", "list:3,4"])
+    def test_prime_list_checked_up_front(self, policy, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli.sieve, "build_prime_data",
+                            lambda h, p: built.append(p))
+        assert run(["sieve-detect", "--h", "T^2", "--primes", policy]) == 1
+        assert "--primes list entry 4 is not prime" in capsys.readouterr().err
+        assert built == []
 
 
 class TestReports:

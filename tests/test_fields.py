@@ -7,7 +7,7 @@ from polysieve.fields import (PrimeField, additive_char,
                               build_ext_field, cached_field,
                               find_primitive_root, mult_char, primes_in)
 
-from _oracles import smallest_generator
+from _oracles import TupleField, smallest_generator
 
 
 class TestPrimitiveRoot:
@@ -47,6 +47,16 @@ class TestPrimeField:
         for p in (2, 3, 17, 101):
             f = PrimeField(p)
             assert np.array_equal(f.exp_table[f.log_table[f.units()]], f.units())
+
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 3001, 100003])
+    def test_exp_table_is_powers_of_g(self, p):
+        f = PrimeField(p)
+        n = len(f.exp_table)
+        assert n == max(p - 1, 1)
+        for i in sorted({0, n // 2, n - 1, *np.random.default_rng(p).integers(0, n, 40)}):
+            assert f.exp_table[i] == pow(f.g, int(i), p)
+        assert np.array_equal(f.log_table[f.exp_table], np.arange(n))
 
 
 class TestAdditiveChar:
@@ -190,3 +200,37 @@ class TestExtField:
 
     def test_cached_field_identity(self):
         assert cached_field(7, 2) is cached_field(7, 2)
+
+    def test_digit_table_rows(self):
+        assert np.array_equal(PrimeField(5).digit_table, [np.arange(5)])
+        f = build_ext_field(3, 2)
+        assert f.digit_table.shape == (2, 9)
+        assert np.array_equal(f.digit_table[0] + 3 * f.digit_table[1], np.arange(9))
+
+
+# F_4, F_8, F_9, F_16, F_25, F_27, F_81: extension degrees 2 to 4
+SMALL_EXT_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (3, 4)]
+
+
+class TestExtFieldAgainstTuples:
+    @pytest.mark.parametrize("p, k", SMALL_EXT_FIELDS)
+    def test_every_pair(self, p, k):
+        f = build_ext_field(p, k)
+        tf = TupleField.like(f)
+        xs = np.arange(f.q)
+        add = f.add(xs[:, None], xs[None, :])
+        mul = f.mul(xs[:, None], xs[None, :])
+        assert add.tolist() == tf.add_tab
+        assert mul.tolist() == tf.mul_tab
+        assert f.neg(xs).tolist() == tf.neg_tab
+
+    @pytest.mark.parametrize("p, k", SMALL_EXT_FIELDS)
+    def test_scalars(self, p, k):
+        f = build_ext_field(p, k)
+        tf = TupleField.like(f)
+        rng = np.random.default_rng(p * 10 + k)
+        for a, b in rng.integers(0, f.q, size=(20, 2)).tolist() + [[f.q - 1, f.q - 1]]:
+            assert type(f.add(a, b)) is int and f.add(a, b) == tf.add(a, b)
+            assert f.neg(a) == tf.neg(a)
+            assert f.mul(a, b) == tf.mul(a, b)
+

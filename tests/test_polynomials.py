@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import polysieve
 
@@ -16,7 +19,8 @@ from polysieve.polynomials import (MultiPoly, UniPoly, critical_value_poly,
                                    parse_unipoly, resultant_sylvester,
                                    resultant_uni)
 
-from _oracles import poly_eval_everywhere, poly_eval_in_field
+from _oracles import (TupleField, eval_field_direct, poly_eval_everywhere,
+                      poly_eval_in_field)
 
 
 class TestParsing:
@@ -77,6 +81,52 @@ class TestEvaluation:
         for i, a in enumerate(xs):
             for j, b in enumerate(xs):
                 assert grid[i, j] == F.eval((int(a), int(b)))
+
+
+# (p, k): prime fields, p = 2 included, and extensions of degree 2 and 3
+EVAL_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (5, 2), (2, 3)]
+
+
+@st.composite
+def field_eval_inputs(draw):
+    """(F, p, k, points): free monomials, coefficients that may be 0 mod p."""
+    p, k = draw(st.sampled_from(EVAL_FIELDS))
+    m = draw(st.integers(1, 4))
+    every = list(itertools.product(range(4), repeat=m))
+    monos = draw(st.lists(st.sampled_from(every), min_size=0, max_size=5, unique=True))
+    terms = {e: draw(st.integers(-10, 10).filter(bool)) for e in monos}
+    points = draw(st.lists(st.tuples(*[st.integers(0, p**k - 1)] * m),
+                           min_size=1, max_size=12))
+    return MultiPoly(m, terms), p, k, points
+
+
+class TestEvalFieldProperty:
+    @settings(max_examples=150)
+    @given(field_eval_inputs())
+    @example((parse_multipoly("X0^2+X1-3"), 3, 2, [(0, 0), (4, 7), (8, 1)]))  # constant
+    @example((parse_multipoly("5*X0*X1+X1^3"), 5, 2, [(0, 3), (7, 24)]))  # 0 mod p
+    @example((parse_multipoly("X0^3+X2", n_vars=3), 7, 1, [(0, 6, 0), (3, 2, 5)]))
+    @example((parse_multipoly("X0*X1+X0^2+1"), 2, 1, [(0, 0), (0, 1), (1, 0), (1, 1)]))
+    @example((parse_multipoly("X0*X1^2+X1+1"), 2, 3, [(x, y) for x in (0, 3, 7)
+                                                      for y in (0, 1, 6)]))
+    def test_matches_tuple_arithmetic(self, case):
+        F, p, k, points = case
+        field = cached_field(p, k)
+        tf = TupleField.like(field)
+        expected = [eval_field_direct(F.terms, tf, pt) for pt in points]
+        cols = [np.array(c, dtype=np.int64) for c in zip(*points)]
+        assert F.eval_field(field, cols).tolist() == expected
+        assert F.eval_field(field, points[0]) == expected[0]
+
+    def test_broadcast_grid(self):
+        F = parse_multipoly("X0^2*X1+2*X1^3+X0+4")
+        field = cached_field(3, 2)
+        tf = TupleField.like(field)
+        xs = np.arange(9)
+        grid = F.eval_field(field, (xs[:, None], xs[None, :]))
+        assert grid.shape == (9, 9)
+        assert grid.tolist() == [[eval_field_direct(F.terms, tf, (a, b)) for b in range(9)]
+                                 for a in range(9)]
 
 
 class TestCalculus:

@@ -5,8 +5,8 @@ import pytest
 
 from polysieve.fields import PrimeField, mult_char, primes_in
 from polysieve.polynomials import parse_unipoly
-from polysieve.sieve import (SieveConfig, build_prime_data, detector,
-                             h_image_table, in_h_image,
+from polysieve.sieve import (SieveConfig, SievePrimeData, build_prime_data,
+                             detector, h_image_table, in_h_image,
                              integer_preimage_exists, membership_filter,
                              multiplicity_weight, power_decomposition_check,
                              power_sieve_rhs, sieve_bound_eval)
@@ -41,6 +41,13 @@ class TestPrimeData:
     def test_small_prime_rejected(self):
         with pytest.raises(ValueError):
             build_prime_data(parse_unipoly("T^3"), 3)
+
+    def test_direct_construction_rejects_composite_modulus(self):
+        # T^2 on Z/9: a self-consistent table that meets every other check
+        nu = np.bincount(np.arange(9) ** 2 % 9, minlength=9)
+        with pytest.raises(ValueError, match="9 is not prime"):
+            SievePrimeData(p=9, d=2, image=nu >= 1, image_size=int((nu >= 1).sum()),
+                           exceptional=frozenset({0}), nu=nu)
 
     def test_image_bound_holds_across_bank(self):
         # |h(F_p)| <= p - (p-1)/d whenever the image is proper

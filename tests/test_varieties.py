@@ -6,14 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polysieve.errors import BudgetExceeded
-from polysieve.fields import primes_in
+from polysieve.fields import cached_field, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly
 from polysieve.varieties import (classify_u, count_affine_fiber,
                                  diagonal_dual_oracle, fiber_histogram,
                                  pair_fiber_histogram, singular_fiber_scan,
                                  smoothness_scan)
 
-from _oracles import fiber_histogram_direct
+from _oracles import (TupleField, classify_u_direct, fiber_histogram_direct,
+                      smoothness_scan_direct)
 
 
 class TestFiberCounts:
@@ -150,6 +151,71 @@ class TestClassifyU:
     def test_good(self):
         F = parse_multipoly("X0^2+X1^2+X2^2")
         assert classify_u(F, (1, 0, 0), 5).kind == "good"
+
+
+def tuple_fields(p, k_max):
+    return [TupleField.like(cached_field(p, j)) for j in range(1, k_max + 1)]
+
+
+@st.composite
+def scan_inputs(draw):
+    """(F, p, k_max, u): a form in m <= 4 variables over F_p, p <= 7.
+
+    The projective space scanned at the top level, (p^k_max)^(m-1)
+    points, is kept at most 49^2 so the nested-loop oracle stays quick.
+    Products of linear forms, and a quadric times a linear form (whose
+    common zeros may lie in F_{p^2} only), make singular and tangent
+    cases common.
+    """
+    m = draw(st.integers(2, 4))
+    k_max = draw(st.integers(1, 2))
+    p = draw(st.sampled_from([p for p in (2, 3, 5, 7) if (p**k_max)**(m - 1) <= 49**2]))
+    coeff = st.integers(-4, 4).filter(bool)
+
+    def form(d):
+        every = [e for e in itertools.product(range(d + 1), repeat=m) if sum(e) == d]
+        monos = draw(st.lists(st.sampled_from(every), min_size=1, max_size=4, unique=True))
+        return MultiPoly(m, {e: draw(coeff) for e in monos})
+
+    shape = draw(st.sampled_from(["free", "linear^2", "linear*linear", "quadric*linear"]))
+    if shape == "free":
+        F = form(draw(st.integers(1, 3)))
+    elif shape == "linear^2":
+        L = form(1)
+        F = L * L
+    else:
+        F = form(2 if shape == "quadric*linear" else 1) * form(1)
+    u = tuple(draw(st.integers(-3, 3)) for _ in range(m))
+    return F, p, k_max, u
+
+
+class TestScansAgainstNestedLoops:
+    @settings(max_examples=120)
+    @given(scan_inputs())
+    @example((parse_multipoly("X0^2+X1^2+X2^2"), 5, 2, (1, 2, 0)))
+    @example((parse_multipoly("X0^4-4*X0^2*X1^2+4*X1^4+0*X2", n_vars=3), 5, 2, (0, 0, 1)))
+    @example((parse_multipoly("X0*X1+X2*X3"), 3, 2, (1, 1, 1, 1)))
+    @example((parse_multipoly("X0^3+X1^3+X2^3"), 2, 2, (1, 1, 0)))
+    # witnesses over F_{p^2} only: a singular point, then a tangency
+    @example((parse_multipoly("X0^2*X2-2*X1^2*X2+X2^3"), 3, 2, (1, 1, 0)))
+    @example((parse_multipoly("X0^3+X1^3+X2^3+X3^3"), 5, 2, (-2, -2, -1, -1)))
+    @pytest.mark.filterwarnings("ignore:p=")
+    def test_verdicts_and_witnesses(self, case):
+        F, p, k_max, u = case
+        if F.is_zero() or not F.is_homogeneous():
+            return
+        fields = tuple_fields(p, k_max)
+        smooth, j, pt = smoothness_scan_direct(F.terms, F.n_vars, fields)
+        res = smoothness_scan(F, p, k_max=k_max)
+        assert res.smooth == smooth
+        assert (res.witness is None) == smooth
+        if not smooth:
+            assert (res.witness.ext_degree, res.witness.point) == (j, pt)
+        kind, j, pt = classify_u_direct(F.terms, F.n_vars, u, fields)
+        cls = classify_u(F, u, p, k_max=k_max)
+        assert cls.kind == kind
+        if kind == "bad":
+            assert (cls.witness.ext_degree, cls.witness.point) == (j, pt)
 
 
 class TestDiagonalOracle:
