@@ -1,12 +1,15 @@
 """Box counting N(f, F, B), sieve acceleration, and the complete-sum tools.
 
 Counts integer points x in [-B, B]^(n+1) whose value F(x) is hit by f
-over Z.  The box is built once per problem as a histogram: the distinct
-values of F on the box with their multiplicities.  Every count works on
-distinct values weighted by multiplicity.  The exact count tests each
-value against the table of f-values; the sieve-accelerated count
-prefilters values through per-prime image bitmaps and verifies
-survivors exactly, so the two counts agree by construction (asserted).
+over Z.  Each problem has one histogram: the distinct values of F on the
+box with their multiplicities.  It is folded from the histograms of the
+groups of variables that share no monomial, so the box itself is never
+enumerated when F is additively separable (every diagonal form).  Every
+count works on distinct values weighted by multiplicity.  The exact
+count tests each value against the table of f-values; the
+sieve-accelerated count prefilters values through per-prime image
+bitmaps and verifies survivors exactly, so the two counts agree by
+construction (asserted).
 """
 
 import math
@@ -19,7 +22,8 @@ from .errors import BudgetExceeded, InvariantViolation
 from .fields import prime_factors, primes_in
 from .polynomials import MultiPoly, UniPoly, broadcast_grid, discriminant_uni
 from .sieve import build_prime_data, in_h_image
-from .varieties import _INT64_SAFE, DEFAULT_BUDGET, fiber_histogram, smoothness_scan
+from .varieties import (_INT64_SAFE, DEFAULT_BUDGET, _variable_groups, fiber_histogram,
+                        smoothness_scan)
 
 
 @dataclass(frozen=True)
@@ -52,8 +56,8 @@ class BoxProblem:
         return {"f": self.f.height(), "F": self.F.height()}
 
 
-def box_value_array(F, B, budget=DEFAULT_BUDGET):
-    """F evaluated on the full integer box, flattened int64 array."""
+def _check_box(F, B, budget):
+    """Refuse a (2B+1)^m box over the budget or with values past int64."""
     m = F.n_vars
     npts = (2 * B + 1) ** m
     if npts > budget:
@@ -61,7 +65,12 @@ def box_value_array(F, B, budget=DEFAULT_BUDGET):
     bound = sum(abs(c) * max(B, 1) ** sum(e) for e, c in F.terms.items())
     if bound >= _INT64_SAFE:
         raise OverflowError("box values would overflow 64-bit integers")
-    coords = broadcast_grid([np.arange(-B, B + 1, dtype=np.int64)] * m)
+
+
+def box_value_array(F, B, budget=DEFAULT_BUDGET):
+    """F evaluated on the full integer box, flattened int64 array."""
+    _check_box(F, B, budget)
+    coords = broadcast_grid([np.arange(-B, B + 1, dtype=np.int64)] * F.n_vars)
     return np.ravel(F.eval(coords))
 
 
@@ -82,10 +91,40 @@ class BoxHistogram:
         return int(max(-self.values[0], self.values[-1]))
 
 
+def _fold(a, b):
+    """Histogram of x + y over all pairs from the (values, counts) pairs a and b.
+
+    The pairwise sums are sorted and the weights of equal runs added, so
+    the result is exact in int64 and its memory is O(pairs), whatever the
+    span of the values.
+    """
+    (va, ca), (vb, cb) = a, b
+    sums = np.add.outer(va, vb).ravel()
+    order = np.argsort(sums)
+    sums = sums[order]
+    starts = np.flatnonzero(np.r_[True, sums[1:] != sums[:-1]])
+    values = sums[starts]
+    del sums  # at most three arrays of pair length are alive at once
+    weights = np.multiply.outer(ca, cb).ravel()[order]
+    return values, np.add.reduceat(weights, starts)
+
+
 def box_histogram(F, B, budget=DEFAULT_BUDGET):
-    """Build the box once and reduce it to its value histogram."""
-    values, counts = np.unique(box_value_array(F, B, budget), return_counts=True)
-    return BoxHistogram(values, counts)
+    """The value histogram of F on the box, folded from its variable groups.
+
+    F is the sum of sub-forms on groups of variables that share no
+    monomial; each group is evaluated on its own (2B+1)^|g| grid and
+    reduced to a histogram, and the group histograms are folded together.
+    A non-separable F is one group, evaluated on the full box.  The whole
+    box is charged to the budget up front, and no fold builds more than
+    (2B+1)^m pairs.
+    """
+    _check_box(F, B, budget)
+    hist = None
+    for sub in _variable_groups(F):
+        part = np.unique(box_value_array(sub, B, budget), return_counts=True)
+        hist = part if hist is None else _fold(hist, part)
+    return BoxHistogram(*hist)
 
 
 def exact_count(f, hist):

@@ -13,6 +13,7 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -493,9 +494,18 @@ def build_parser():
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser():
+    """The parser shared by every parse_config call in this process.
+
+    Reuse is safe because no argument appends to a list or has a mutable
+    default: parse_args fills a fresh namespace on every call.
+    """
+    return build_parser()
+
+
 def parse_config(argv):
-    parser = build_parser()
-    ns = vars(parser.parse_args(argv))
+    ns = vars(_parser().parse_args(argv))
     budget = ns.pop("budget")
     if budget <= 0:
         raise ValueError("budget must be positive")

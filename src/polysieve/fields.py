@@ -176,6 +176,25 @@ def _poly_mul_mod(a, b, modulus, p):
     return tuple(x % p for x in out[:k])
 
 
+def _poly_mul_outer(a, b, modulus, p):
+    """Products a[j] * b[i] mod (modulus, p) for every pair of rows.
+
+    a and b are digit arrays of shape (r, k) and (s, k), digit t being
+    the coefficient of T^t; the result has shape (r, s, k).  Before the
+    final reduction entries stay below p * (p+1)^(k-1) in magnitude.
+    """
+    k = len(modulus) - 1
+    prod = np.zeros((len(a), len(b), 2 * k - 1), dtype=np.int64)
+    for i in range(k):
+        for j in range(k):
+            prod[:, :, i + j] += np.multiply.outer(a[:, i], b[:, j])
+    prod %= p
+    for t in range(2 * k - 2, k - 1, -1):  # T^t = T^(t-k) * (T^k - modulus)
+        for j in range(k):
+            prod[:, :, t - k + j] -= prod[:, :, t] * modulus[j]
+    return prod[:, :, :k] % p
+
+
 def _poly_divides(div, poly, p):
     """Whether div divides poly over F_p (both coefficient tuples, ascending)."""
     rem = list(poly)
@@ -263,13 +282,16 @@ class ExtField:
                    for ell in factors):
                 gen = tup
                 break
-        exp = np.empty(max(q - 1, 1), dtype=np.int64)
-        acc = self._one_tup()
-        for i in range(q - 1):
-            exp[i] = self._encode(acc)
-            acc = _poly_mul_mod(acc, gen, self.modulus, p) if gen else acc
-        if q == 2:
-            exp[0] = 1
+        # baby steps gen^i (i < s) times giant steps gen^(s*j): gen^(s*j + i),
+        # about 2*sqrt(q) scalar products and one outer product of digits
+        s = math.isqrt(q - 1) + 1
+        baby, giant = [self._one_tup()], [self._one_tup()]
+        step = self._scalar_pow(gen, s)
+        for _ in range(1, s):
+            baby.append(_poly_mul_mod(baby[-1], gen, self.modulus, p))
+            giant.append(_poly_mul_mod(giant[-1], step, self.modulus, p))
+        digits = _poly_mul_outer(np.array(giant), np.array(baby), self.modulus, p)
+        exp = (digits @ p ** np.arange(k, dtype=np.int64)).ravel()[:q - 1]
         self.exp_table = exp
         log = np.full(q, -1, dtype=np.int64)
         log[exp] = np.arange(len(exp))
@@ -301,12 +323,6 @@ class ExtField:
             out.append(idx % self.p)
             idx //= self.p
         return tuple(out)
-
-    def _encode(self, tup):
-        idx = 0
-        for c in reversed(tup):
-            idx = idx * self.p + c
-        return idx
 
     def _scalar_pow(self, tup, e):
         out = self._one_tup()

@@ -215,6 +215,19 @@ def _keep_zeros(values, pts):
     return [c[keep] for c in pts]
 
 
+def _charge(spent, evaluations, budget):
+    """spent + evaluations, or BudgetExceeded before the work if that passes budget."""
+    spent += evaluations
+    if spent > budget:
+        raise BudgetExceeded(f"scan would need {spent} evaluations")
+    return spent
+
+
+def _class_points(q, m):
+    """Points of P^(m-1)(F_q) over all projective classes."""
+    return sum(q**(m - 1 - lead) for lead in range(m))
+
+
 def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
     """Search for a projective singular point of V(F) over F_{p^j}, j <= k_max.
 
@@ -222,7 +235,9 @@ def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
     evaluated only on its zeros (about 1/q of the grid), in C order, so
     the witness is the first singular point of the full scan.  Returns
     ScanResult(smooth=True, k_max) when no witness exists up to the cap;
-    that is a semi-decision, not a certificate over the closure.
+    that is a semi-decision, not a certificate over the closure.  The
+    budget is charged one evaluation per grid point for F, before each
+    level, and one per surviving point for each partial, before it runs.
     """
     if not F.is_homogeneous():
         raise ValueError("smoothness scan needs a homogeneous form")
@@ -234,16 +249,13 @@ def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
     spent = 0
     for j in range(1, k_max + 1):
         field = cached_field(p, j)
-        q = field.q
-        cls_points = sum(q**(m - 1 - lead) for lead in range(m))
-        spent += cls_points * (1 + m)
-        if spent > budget:
-            raise BudgetExceeded(f"scan would need {spent} evaluations")
+        spent = _charge(spent, _class_points(field.q, m), budget)
         for coords in _projective_classes(field, m):
             pts = _zeros_of(F, field, coords, np.broadcast(*coords).shape)
             for gpoly in partials:
                 if not pts[0].size:
                     break
+                spent = _charge(spent, pts[0].size, budget)
                 pts = _keep_zeros(gpoly.eval_field(field, pts), pts)
             if pts[0].size:
                 return ScanResult(False, k_max, Witness(j, tuple(int(c[0]) for c in pts)))
@@ -275,6 +287,9 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
     The hyperplane <x, u> = 0 is scanned class by class through a basis;
     the partials and minors are evaluated only on the zeros of F there,
     in C order, so the witness is the first one a full scan would meet.
+    The budget is charged one evaluation per grid point for F, before
+    each level, and one per surviving point for each partial and each
+    minor, before it runs.
     """
     if not F.is_homogeneous():
         raise ValueError("classify_u needs a homogeneous form")
@@ -290,10 +305,7 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
     spent = 0
     for j in range(1, k_max + 1):
         field = cached_field(p, j)
-        q = field.q
-        spent += (q ** (m - 2) * m) * (2 + len(pairs))
-        if spent > budget:
-            raise BudgetExceeded(f"scan would need {spent} evaluations")
+        spent = _charge(spent, _class_points(field.q, m - 1), budget)
         for scoords in _projective_classes(field, m - 1):
             shape = np.broadcast(*scoords).shape
             # x = sum_r s_r * basis_r; each s_r is scaled on its own axis
@@ -307,8 +319,10 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
             pts = _zeros_of(F, field, coords, shape)
             if not pts[0].size:
                 continue
+            spent = _charge(spent, m * pts[0].size, budget)
             grads = [gp.eval_field(field, pts) for gp in partials]
             for (i1, i2) in pairs:
+                spent = _charge(spent, pts[0].size, budget)
                 # g_i1 u_i2 - g_i2 u_i1 = 0 in F_q
                 m1 = field.mul(grads[i1], field.embed(ured[i2]))
                 m2 = field.mul(grads[i2], field.embed(ured[i1]))
@@ -438,9 +452,7 @@ def singular_fiber_scan(f, g=None, p=None, k_max=2, budget=DEFAULT_BUDGET):
     for j in range(1, k_max + 1):
         field = cached_field(p, j)
         q = field.q
-        spent += q**m * (len(conditions) + len(membership) + 1)
-        if spent > budget:
-            raise BudgetExceeded(f"scan would need {spent} evaluations")
+        spent = _charge(spent, q**m * (len(conditions) + len(membership) + 1), budget)
         first, *rest = membership + conditions
         pts = _zeros_of(first, field, broadcast_grid([np.arange(q, dtype=np.int64)] * m),
                         (q,) * m)

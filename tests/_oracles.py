@@ -118,6 +118,53 @@ def box_count_direct(f_coeffs, F_terms, n_vars, B):
     return count
 
 
+def box_histogram_direct(F_terms, n_vars, B):
+    """Nested-loop value histogram of F on [-B, B]^n: sorted values, counts."""
+    from collections import Counter
+
+    tally = Counter()
+    for pt in itertools.product(range(-B, B + 1), repeat=n_vars):
+        total = 0
+        for expo, c in F_terms.items():
+            term = c
+            for x, e in zip(pt, expo):
+                term *= x**e
+            total += term
+        tally[total] += 1
+    values = sorted(tally)
+    return values, [tally[v] for v in values]
+
+
+def ext_exp_table_loop(p, modulus):
+    """Powers 1, g, g^2, ... of the first unit g of order q - 1 in F_p[T]/(modulus).
+
+    Units are tried in encoding order; each is powered by repeated
+    products until the power returns to 1, and the first whose walk
+    visits all q - 1 units is the generator.  Returns the encodings.
+    """
+    from polysieve.fields import _poly_mul_mod
+
+    k = len(modulus) - 1
+    q = p**k
+
+    def decode(x):
+        return tuple(x // p**i % p for i in range(k))
+
+    def encode(tup):
+        return sum(c * p**i for i, c in enumerate(tup))
+
+    one = decode(1)
+    for cand in range(1, q):
+        g = decode(cand)
+        walk, acc = [1], _poly_mul_mod(one, g, modulus, p)
+        while acc != one:
+            walk.append(encode(acc))
+            acc = _poly_mul_mod(acc, g, modulus, p)
+        if len(walk) == q - 1:
+            return walk
+    raise AssertionError("no generator")
+
+
 def box_count_per_point(f_coeffs, F_terms, n_vars, B):
     """Vectorized N(f, F, B) that tests every box point on its own.
 

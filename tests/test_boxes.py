@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from polysieve.sieve import build_prime_data, h_image_table, in_h_image
 from polysieve.tracefn import constant_trace, kloosterman
 from polysieve.varieties import diagonal_dual_oracle
 
-from _oracles import box_count_direct, box_count_per_point
+from _oracles import box_count_direct, box_count_per_point, box_histogram_direct
 
 F_QUADRIC = parse_multipoly("X0^2+X1^2+X2^2")
 F_CUBIC = parse_multipoly("X0^3+X1^3+X2^3")
@@ -97,6 +98,66 @@ class TestHistogramProperty:
         survivors = sum(all(dd.image[v % dd.p] for dd in data) for v in values)
         assert rec.verified_exactly == survivors
         assert rec.rejected_by_sieve == rec.total_points - survivors
+
+
+@st.composite
+def fold_inputs(draw):
+    """(F, B): m <= 4 variables, B <= 3, monomials drawn so that F often splits
+    into several variable groups; mixed degrees, signs and a constant term
+    are allowed, since the fold does not need a form."""
+    m = draw(st.integers(1, 4))
+    every = [e for e in itertools.product(range(4), repeat=m) if sum(e) <= 5]
+    monos = draw(st.lists(st.sampled_from(every), min_size=1, max_size=5, unique=True))
+    coeff = st.one_of(st.integers(-5, 5).filter(bool), st.sampled_from([10**6, -999]))
+    return MultiPoly(m, {e: draw(coeff) for e in monos}), draw(st.integers(0, 3))
+
+
+class TestBoxHistogramFold:
+    @settings(max_examples=150)
+    @given(fold_inputs())
+    @example((parse_multipoly("X0^2+X1^2+X2^2"), 0))
+    @example((MultiPoly(3, {(2, 0, 0): 1, (0, 0, 2): -1}), 3))  # X1 absent
+    @example((parse_multipoly("X0*X1+X2*X3"), 3))                # two 2-variable groups
+    @example((parse_multipoly("X0^2+X0*X1+X1*X2-X2^2"), 3))      # one group
+    @example((parse_multipoly("X0^5+2*X1^5-X2^5-3*X3^5"), 3))
+    @example((parse_multipoly("1000000*X0^2+X1^2+X2^2"), 3))
+    def test_matches_nested_loops(self, case):
+        F, B = case
+        values, counts = box_histogram_direct(F.terms, F.n_vars, B)
+        hist = box_histogram(F, B)
+        assert hist.values.dtype == np.int64 and hist.counts.dtype == np.int64
+        assert hist.values.tolist() == values
+        assert hist.counts.tolist() == counts
+
+    def test_large_coefficient_at_radius_ten(self):
+        F = parse_multipoly("1000000*X0^2+X1^2+X2^2")
+        values, counts = box_histogram_direct(F.terms, 3, 10)
+        hist = box_histogram(F, 10)
+        assert hist.values.tolist() == values and hist.counts.tolist() == counts
+
+    def test_separable_box_never_built(self):
+        # the 241^3 int64 box alone is 112 MB; folding single-variable
+        # histograms needs a fraction of it
+        F, B = F_QUADRIC, 120
+        box_bytes = (2 * B + 1) ** 3 * 8
+        tracemalloc.start()
+        try:
+            hist = box_histogram(F, B)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < box_bytes / 4
+        assert hist.total_points == (2 * B + 1) ** 3
+        assert exact_count(parse_unipoly("T^2"), hist) == 59761
+
+    def test_budget_and_overflow_charged_for_the_whole_box(self):
+        # every group fits the budget, the box does not
+        with pytest.raises(BudgetExceeded):
+            box_histogram(F_QUADRIC, 50, budget=101**2)
+        # every group's values fit int64, their sum might not
+        F = MultiPoly(2, {(1, 0): 2**61, (0, 1): 2**61})
+        with pytest.raises(OverflowError):
+            box_histogram(F, 1)
 
 
 class TestValueTable:

@@ -44,6 +44,33 @@ class TestParsing:
     def test_missing_subcommand(self):
         assert run([]) == 1
 
+    def test_parser_reuse_keeps_requests_apart(self):
+        box = ["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2", "--B", "20"]
+        first = cli.parse_config(box + ["--primes", "list:5,7"])
+        second = cli.parse_config(box)
+        assert first.options["primes"] == "list:5,7"
+        assert second.options["primes"] == "auto"
+        assert first.options is not second.options
+        second.options["B"] = 99
+        assert first.options["B"] == 20
+        with pytest.raises(ValueError):
+            cli.parse_config(box + ["--bogus"])
+        assert cli.parse_config(box).options == {**second.options, "B": 20}
+
+    def test_parser_has_no_shared_mutable_state(self):
+        # the cached parser is safe to reuse only while no argument
+        # accumulates across parses or defaults to a mutable object
+        import argparse
+
+        parsers = [cli.build_parser()]
+        for parser in parsers:
+            for action in parser._actions:
+                assert not isinstance(action, (argparse._AppendAction,
+                                               argparse._AppendConstAction))
+                assert not isinstance(action.default, (list, dict, set))
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers += action.choices.values()
+
 
 class TestSubcommands:
     def test_sieve_check_ok(self, capsys):

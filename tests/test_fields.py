@@ -3,11 +3,11 @@ import cmath
 import numpy as np
 import pytest
 
-from polysieve.fields import (PrimeField, additive_char,
+from polysieve.fields import (ExtField, PrimeField, additive_char,
                               build_ext_field, cached_field,
                               find_primitive_root, mult_char, primes_in)
 
-from _oracles import TupleField, smallest_generator
+from _oracles import TupleField, ext_exp_table_loop, smallest_generator
 
 
 class TestPrimitiveRoot:
@@ -126,6 +126,14 @@ class TestExtField:
     def test_smallest_moduli(self):
         assert build_ext_field(3, 2).modulus == (1, 0, 1)     # T^2 + 1
         assert build_ext_field(2, 2).modulus == (1, 1, 1)     # T^2 + T + 1
+
+    @pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3),
+                                      (7, 2), (3, 4), (101, 2), (2, 1), (3, 1)])
+    def test_exp_table_is_powers_of_first_generator(self, p, k):
+        f = ExtField(p, k)
+        assert f.exp_table.dtype == np.int64
+        assert f.exp_table.tolist() == ext_exp_table_loop(p, f.modulus)
+        assert np.array_equal(f.log_table[f.exp_table], np.arange(f.q - 1))
 
     def test_degree_one_wrapper(self):
         f = build_ext_field(5, 1)

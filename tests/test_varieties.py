@@ -153,6 +153,47 @@ class TestClassifyU:
         assert classify_u(F, (1, 0, 0), 5).kind == "good"
 
 
+def projective_grid(p, k_max, dim):
+    """Points of P^dim(F_{p^j}) summed over j <= k_max: the F evaluations of a scan."""
+    return sum(sum(p**(j * e) for e in range(dim + 1)) for j in range(1, k_max + 1))
+
+
+class TestScanBudget:
+    """Scans charge F per grid point and each partial or minor per survivor.
+
+    A budget of twice the grid lies below the old charge of (1 + m) or
+    (2 + m(m-1)/2) evaluations per grid point, so it used to be refused.
+    """
+
+    @pytest.mark.parametrize("text, p", [
+        ("X0^2+X1^2+X2^2", 7),                 # smooth: both levels in full
+        ("X0^2*X2-2*X1^2*X2+X2^3", 3),         # singular over F_9 only
+    ])
+    @pytest.mark.filterwarnings("ignore:p=")
+    def test_smoothness_scan(self, text, p):
+        F = parse_multipoly(text)
+        grid = projective_grid(p, 2, F.n_vars - 1)
+        assert 2 * grid < (1 + F.n_vars) * grid
+        assert smoothness_scan(F, p, 2, budget=2 * grid) == smoothness_scan(F, p, 2)
+        with pytest.raises(BudgetExceeded):
+            smoothness_scan(F, p, 2, budget=grid - 1)
+
+    @pytest.mark.parametrize("text, u, p", [
+        ("X0^2+X1^2+X2^2", (1, 0, 0), 7),                 # good
+        ("X0^3+X1^3+X2^3+X3^3", (-2, -2, -1, -1), 5),     # bad over F_25 only
+    ])
+    def test_classify_u(self, text, u, p):
+        F = parse_multipoly(text)
+        m = F.n_vars
+        grid = projective_grid(p, 2, m - 2)
+        assert 2 * grid < sum((p**j) ** (m - 2) * m for j in (1, 2)) * (2 + m * (m - 1) // 2)
+        want = classify_u(F, u, p, 2)
+        assert want.kind != "zero"
+        assert classify_u(F, u, p, 2, budget=2 * grid) == want
+        with pytest.raises(BudgetExceeded):
+            classify_u(F, u, p, 2, budget=grid - 1)
+
+
 def tuple_fields(p, k_max):
     return [TupleField.like(cached_field(p, j)) for j in range(1, k_max + 1)]
 
