@@ -5,7 +5,7 @@ multiplicative characters, and the exact decomposition of the d-th
 power indicator into characters.
 """
 
-from polysieve import (PrimeField, additive_char, build_ext_field,
+from polysieve import (ExtField, PrimeField, additive_char,
                        find_primitive_root, mult_char,
                        power_decomposition_check, primes_in)
 
@@ -22,7 +22,7 @@ f13 = PrimeField(13)
 total = additive_char(f13, f13.elements()).sum()
 print(f"sum of psi over F_13: {abs(total):.2e} (orthogonality)")
 
-f9 = build_ext_field(3, 2)
+f9 = ExtField(3, 2)
 print(f"F_9 built as F_3[T]/{f9.modulus} (coeffs low-to-high)")
 print(f"trace table: {list(f9.trace_table)}")
 print(f"psi(T) = {additive_char(f9, 3):.3f}  (Tr(T) = 0, so the value is 1)")

@@ -36,7 +36,7 @@ print("\n=== membership filtering ===")
 hsq = parse_unipoly("T^2")
 data = [build_prime_data(hsq, p) for p in (3, 7, 11, 19)]
 for n in (9, 10, 49, 50):
-    verdict = membership_filter(None, data, n)
+    verdict = membership_filter(data, n)
     print(f"n={n}: filter says {'maybe a square' if verdict else 'NOT a square'}")
 
 print("\n=== the sieve inequality, exact form ===")

@@ -2,14 +2,13 @@
 per-prime detectors, and sieve-accelerated box counting."""
 
 from .boxes import (BoxHistogram, BoxProblem, SmoothWeight, bound_ratio_scan,
-                    box_histogram, complete_sum_g, complete_sum_table,
-                    crt_factor_check, discriminant_profile, exact_count,
-                    exceptional_set, poisson_compare, select_primes,
-                    sieve_filtered_count)
+                    box_histogram, complete_sum_g, crt_factor_check,
+                    discriminant_profile, exact_count, exceptional_set,
+                    poisson_compare, select_primes, sieve_filtered_count)
 from .errors import (BudgetExceeded, InvariantViolation, PolyParseError,
                      PolysieveError)
-from .fields import (ExtField, PrimeField, additive_char, build_ext_field,
-                     find_primitive_root, mult_char, primes_in)
+from .fields import (ExtField, PrimeField, additive_char, find_primitive_root,
+                     mult_char, primes_in)
 from .polynomials import (MultiPoly, UniPoly, critical_value_poly,
                           discriminant_uni, parse_multipoly, parse_unipoly,
                           resultant_sylvester, resultant_uni)

@@ -10,11 +10,16 @@ count tests each value against the table of f-values; the
 sieve-accelerated count prefilters values through per-prime image
 bitmaps and verifies survivors exactly, so the two counts agree by
 construction (asserted).
+
+The complete sums of Deligne type g(u, t) = sum over a in F_p^m of
+t(F(a)) e(<a, u>/p), the mod-pq sum of the CRT check and the windowed
+dual sum of the Poisson comparison are built per variable group, each
+over its own N^|g| grid, at cost O(sum_g N^|g| + m N log N).
 """
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -22,8 +27,9 @@ from .errors import BudgetExceeded, InvariantViolation
 from .fields import prime_factors, primes_in
 from .polynomials import MultiPoly, UniPoly, broadcast_grid, discriminant_uni
 from .sieve import build_prime_data, in_h_image
-from .varieties import (_INT64_SAFE, DEFAULT_BUDGET, _variable_groups, fiber_histogram,
-                        smoothness_scan)
+from .varieties import (_INT64_SAFE, DEFAULT_BUDGET, _variable_groups, charge_group_grids,
+                        fiber_histogram, group_pushforwards, smoothness_scan,
+                        twisted_pushforward)
 
 
 @dataclass(frozen=True)
@@ -121,7 +127,7 @@ def box_histogram(F, B, budget=DEFAULT_BUDGET):
     """
     _check_box(F, B, budget)
     hist = None
-    for sub in _variable_groups(F):
+    for _, sub in _variable_groups(F):
         part = np.unique(box_value_array(sub, B, budget), return_counts=True)
         hist = part if hist is None else _fold(hist, part)
     return BoxHistogram(*hist)
@@ -130,23 +136,6 @@ def box_histogram(F, B, budget=DEFAULT_BUDGET):
 def exact_count(f, hist):
     """Exact N(f, F, B): the multiplicities of the box values in f(Z)."""
     return int(hist.counts[in_h_image(f, hist.values)].sum())
-
-
-def integer_root_of(f, v):
-    """Some integer t with f(t) = v, or None; direct root isolation.
-
-    Independent of the value-table path: rounds the real roots of
-    f(T) - v obtained from the companion matrix and verifies exactly.
-    """
-    coeffs = list(f.sub_const(int(v)).coeffs)
-    roots = np.roots(list(reversed(coeffs)))
-    for r in roots:
-        if abs(r.imag) > 0.51:
-            continue
-        for t in (math.floor(r.real), round(r.real), math.ceil(r.real)):
-            if f.eval(int(t)) == v:
-                return int(t)
-    return None
 
 
 @dataclass(frozen=True)
@@ -275,61 +264,35 @@ def discriminant_profile(f, k):
 def complete_sum_g(F, t, u, p, budget=DEFAULT_BUDGET):
     """g(u, t) = sum over a in F_p^m of t(F(a)) e(<a, u>/p).
 
-    The u = 0 sum is grouped by fiber (fiber_histogram); general u
-    uses the separable phase over the full grid.
+    The u = 0 sum is grouped by fiber (the exact integer
+    fiber_histogram); general u is the twisted pushforward mu_u dotted
+    with t, at cost O(sum_g p^|g| + m p log p) over the variable groups.
     """
-    m = F.n_vars
     if t.q != p:
         raise ValueError("trace table does not live on F_p")
-    if len(u) != m:
+    if len(u) != F.n_vars:
         raise ValueError("u arity mismatch")
-    u = [int(c) % p for c in u]
-    if all(c == 0 for c in u):
-        hist = fiber_histogram(F, p, budget)
-        return complex(hist @ t.values)
-    if p**m > budget:
-        raise BudgetExceeded(f"p^m = {p**m} exceeds budget {budget}")
-    vals = F.eval_mod(broadcast_grid([np.arange(p, dtype=np.int64)] * m), p)
-    acc = t.values[vals]
-    for phase in broadcast_grid([np.exp(2j * np.pi * ui * np.arange(p) / p)
-                                 for ui in u]):
-        acc = acc * phase
-    return complex(acc.sum())
-
-
-def complete_sum_table(F, t, p, budget=DEFAULT_BUDGET):
-    """All g(u, t) at once, indexed by u in F_p^m (inverse FFT over the grid)."""
-    m = F.n_vars
-    if p**m > budget:
-        raise BudgetExceeded(f"p^m = {p**m} exceeds budget {budget}")
-    grid = broadcast_grid([np.arange(p, dtype=np.int64)] * m)
-    vals = np.broadcast_to(F.eval_mod(grid, p), (p,) * m)
-    return np.fft.ifftn(t.values[vals]) * p**m
+    if not any(int(c) % p for c in u):
+        return complex(fiber_histogram(F, p, budget) @ t.values)
+    return complex(twisted_pushforward(F, u, p, budget) @ t.values)
 
 
 def crt_factor_check(F, u, p, q, t_p, t_q, budget=DEFAULT_BUDGET):
     """Compare the mod-pq complete sum against its CRT product form.
 
-    lhs = sum over a mod pq of t_p(F(a)) conj(t_q(F(a))) e(<a,u>/pq);
-    rhs = g(qbar u, t_p) * g(pbar u, conj t_q) with qbar = q^-1 mod p,
-    pbar = p^-1 mod q.
+    lhs = sum over a mod pq of t_p(F(a)) conj(t_q(F(a))) e(<a,u>/pq): the
+    twisted pushforward at N = pq dotted with v -> t_p(v) conj(t_q(v)),
+    O(sum_g N^|g| + m N log N), never using the factorization.  rhs =
+    g(qbar u, t_p) * g(pbar u, conj t_q), qbar = q^-1 mod p, pbar = p^-1 mod q.
     """
     if p == q:
         raise ValueError("p and q must be distinct")
-    m = F.n_vars
-    if len(u) != m:
+    if len(u) != F.n_vars:
         raise ValueError("u arity mismatch")
     N = p * q
-    if N**m > budget:
-        raise BudgetExceeded(f"(pq)^m = {N**m} exceeds budget {budget}")
-    vals = F.eval_mod(broadcast_grid([np.arange(N, dtype=np.int64)] * m), N)
-    acc = t_p.values[vals % p] * np.conj(t_q.values[vals % q])
-    for phase in broadcast_grid([np.exp(2j * np.pi * (int(ui) % N) * np.arange(N) / N)
-                                 for ui in u]):
-        acc = acc * phase
-    lhs = complex(acc.sum())
-    qbar = pow(q, -1, p)
-    pbar = pow(p, -1, q)
+    table = t_p.values[np.arange(N) % p] * np.conj(t_q.values[np.arange(N) % q])
+    lhs = complex(twisted_pushforward(F, u, N, budget) @ table)
+    qbar, pbar = pow(q, -1, p), pow(p, -1, q)
     g1 = complete_sum_g(F, t_p, [qbar * int(c) % p for c in u], p, budget)
     g2 = complete_sum_g(F, t_q.conj(), [pbar * int(c) % q for c in u], q, budget)
     rhs = g1 * g2
@@ -471,50 +434,60 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, kappa=4,
     When u_cutoff is omitted it grows until the analytic tail bound
     drops below 1e-4 of the main-term scale.  Raises InvariantViolation
     when the gap exceeds tail_bound + 1e-6.
+
+    Both sides work per variable group: the box side on each group's
+    (2B+1)^|g| box, the dual side on G_g(s, u_g) over the cutoff window
+    (W = 2 u_cutoff + 1), contracted over s: O(sum_g min(U^|g|, N) N^|g|
+    + U^|g| pq) for N = p, q and U = min(W, N) distinct window residues.
+    The arrays built are charged to the budget up front.
     """
     m = F.n_vars
+    groups = _variable_groups(F)
     W = SmoothWeight(B, kappa)
+    N = p * q
+
+    def tail_bound_at(cutoff):
+        inside = W.boxed_sum(N, cutoff)
+        return t_p.sup_bound * t_q.sup_bound * (
+            (inside + W.tail_sum_bound(N, cutoff)) ** m - inside**m)
+
     if u_cutoff is None:
         main_scale = t_p.sup_bound * t_q.sup_bound * (B * W.wh(0.0)) ** m
-        for u_cutoff in range(2, 130, 2):
-            tail = t_p.sup_bound * t_q.sup_bound * (
-                (W.boxed_sum(p * q, u_cutoff)
-                 + W.tail_sum_bound(p * q, u_cutoff)) ** m
-                - W.boxed_sum(p * q, u_cutoff) ** m)
-            if tail <= 1e-4 * main_scale:
-                break
-    fvals = box_value_array(F, B, budget)
-    wvals = np.ones((1,) * m)
-    for w in broadcast_grid([W.weight_1d(np.arange(-B, B + 1))] * m):
-        wvals = wvals * w
-    wvals = np.ravel(wvals)
-    tvals = t_p.values[fvals % p] * np.conj(t_q.values[fvals % q])
-    direct = complex((wvals * tvals).sum())
-
-    table_p = complete_sum_table(F.reduce_mod(p), t_p, p, budget)
-    table_q = complete_sum_table(F.reduce_mod(q), t_q.conj(), q, budget)
-    qbar = pow(q, -1, p)
-    pbar = pow(p, -1, q)
-    N = p * q
+        u_cutoff = next((c for c in range(2, 130, 2)
+                         if tail_bound_at(c) <= 1e-4 * main_scale), 128)
     side = np.arange(-u_cutoff, u_cutoff + 1)
+    up, uq = min(len(side), p), min(len(side), q)  # distinct window residues
+    charge_group_grids(F, lambda k: (2 * B + 1)**k + min(up**k, p) * p**k
+                       + min(uq**k, q) * q**k + max(up, uq)**k * q, budget, extra=N)
+    # direct: the bump-weighted pushforward of each group's box, mod pq
+    table = t_p.values[np.arange(N) % p] * np.conj(t_q.values[np.arange(N) % q])
+    spectrum = np.ones(N, dtype=np.complex128)
+    bump = W.weight_1d(np.arange(-B, B + 1))
+    for _, sub in groups:
+        weight = reduce(np.multiply.outer, [bump] * sub.n_vars, np.ones(1)).ravel()
+        spectrum *= np.fft.fft(np.bincount(box_value_array(sub, B, budget) % N, weight, N))
+    direct = complex(np.fft.ifft(spectrum) @ table)
+    # dual: t = sum_s c(s) e(sv/p) gives g(u) = sum_s c(s) prod_g G_g(s, u_g), and
+    # on the product window the u-sum is c_p^T (prod_g K_g) c_q, where K_g sums
+    # G_g(s, qbar u_g) G'_g(s', pbar u_g) What(u_g) over u_g: G, G' on distinct
+    # residues, joined per axis by omega[x, y] = sum of What(u) over u -> (x, y)
+    qbar, pbar = pow(q, -1, p), pow(p, -1, q)
     wh_axis = np.array([W.B * W.wh(W.B * abs(int(uu)) / N) for uu in side])
-    idx_p = (qbar * side) % p
-    idx_q = (pbar * side) % q
-    # the u-box sum, one leading-coordinate slab at a time
-    poisson = 0j
-    for i0 in range(len(side)):
-        gp = table_p[np.ix_(*([idx_p[i0:i0 + 1]] + [idx_p] * (m - 1)))]
-        gq = table_q[np.ix_(*([idx_q[i0:i0 + 1]] + [idx_q] * (m - 1)))]
-        wbox = wh_axis[i0]
-        for ax in range(1, m):
-            wbox = np.multiply.outer(wbox, wh_axis)
-        poisson += (gp[0] * gq[0] * wbox).sum()
-    poisson /= N**m
-    sup_prod = t_p.sup_bound * t_q.sup_bound
-    s_full = (W.boxed_sum(N, u_cutoff)
-              + W.tail_sum_bound(N, u_cutoff))
-    s_in = W.boxed_sum(N, u_cutoff)
-    tail_bound = sup_prod * (s_full**m - s_in**m)
+    rp, ip = np.unique(qbar * side % p, return_inverse=True)
+    rq, iq = np.unique(pbar * side % q, return_inverse=True)
+    omega = np.bincount(ip * len(rq) + iq, wh_axis, len(rp) * len(rq)).reshape(len(rp), -1)
+    K = np.ones((p, q), dtype=np.complex128)
+    for _, sub in groups:
+        k = sub.n_vars
+        Gp = p * np.fft.ifft(group_pushforwards(sub, [rp] * k, p), axis=1)
+        Gq = q * np.fft.ifft(group_pushforwards(sub, [rq] * k, q), axis=1)
+        Gq = Gq.reshape((len(rq),) * k + (q,))
+        for _ in range(k):  # each pass turns the last q-residue axis into a leading p one
+            Gq = np.tensordot(omega, Gq, axes=([1], [k - 1]))
+        K *= Gp.T @ Gq.reshape(-1, q)
+    c_p, c_q = np.fft.fft(t_p.values) / p, np.fft.fft(np.conj(t_q.values)) / q
+    poisson = complex(c_p @ K @ c_q) / N**m
+    tail_bound = tail_bound_at(u_cutoff)
     error = abs(direct - poisson)
     if error > tail_bound + 1e-6:
         raise InvariantViolation(

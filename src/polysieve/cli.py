@@ -7,11 +7,9 @@ Reports are printed as JSON and optionally written with per-table CSVs.
 """
 
 import argparse
-import itertools
 import os
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -210,7 +208,7 @@ def _run_sieve_detect(cfg):
             det_rows.append({
                 "n": n,
                 **{f"D_{d.p}": sieve.detector(d, n) for d in data_list},
-                "member": sieve.membership_filter(None, data_list, n),
+                "member": sieve.membership_filter(data_list, n),
             })
         tables["detectors"] = det_rows
     return ExperimentReport("sieve-detect", dict(o), results, tables=tables,
@@ -334,14 +332,20 @@ def _run_poisson_check(cfg):
     if diag is not None:
         # tally the frequency classes appearing inside the truncation box
         coeffs, d = diag
-        span = range(-min(rec["u_cutoff"], 8), min(rec["u_cutoff"], 8) + 1)
+        s = min(rec["u_cutoff"], 8)
+        span = np.indices((2 * s + 1,) * F.n_vars).reshape(F.n_vars, -1).T - s
         for prime in (p, q):
-            # the class depends on u mod prime only: classify each residue once
-            residues = Counter(tuple(c % prime for c in u)
-                               for u in itertools.product(span, repeat=F.n_vars))
+            # u and lam * u share a class for every unit lam: scale each u so
+            # its leading nonzero entry is 1 and classify each class once
+            us = span % prime
+            lead = us[np.arange(len(us)), np.argmax(us != 0, axis=1)]
+            us = us * cached_field(prime).inv(np.maximum(lead, 1))[:, None] % prime
+            _, first, counts = np.unique(us @ prime ** np.arange(F.n_vars),
+                                         return_index=True, return_counts=True)
             tally = {"zero": 0, "good": 0, "bad": 0}
-            for u, mult in residues.items():
-                tally[varieties.diagonal_dual_oracle(coeffs, d, u, prime).kind] += mult
+            for i, mult in zip(first, counts):
+                u = tuple(int(c) for c in us[i])
+                tally[varieties.diagonal_dual_oracle(coeffs, d, u, prime).kind] += int(mult)
             results[f"u_class_tally_mod_{prime}"] = tally
     else:
         results["u_class_tally"] = "skipped (non-diagonal form)"

@@ -399,11 +399,6 @@ class ExtField:
         return out if out.ndim else int(out)
 
 
-def build_ext_field(p, k):
-    """F_{p^k} with the lexicographically smallest monic irreducible modulus."""
-    return ExtField(p, k)
-
-
 @lru_cache(maxsize=64)
 def cached_field(p, k=1):
     """Shared immutable field contexts; construction is the only mutation."""

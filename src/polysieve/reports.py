@@ -69,7 +69,7 @@ def _jsonable(obj):
 
 
 def report_json(report):
-    return json.dumps(_jsonable(report.to_dict()), indent=2, sort_keys=True)
+    return json.dumps(_jsonable(report.to_dict()), sort_keys=True)
 
 
 def emit_report(report, out_path, formats=("json", "csv")):

@@ -144,9 +144,8 @@ def multiplicity_weight(data, n, alpha):
     return alpha + (nu - 1) * (data.d - nu)
 
 
-def membership_filter(config, prime_data, n):
+def membership_filter(prime_data, n):
     """True iff n mod p lies in h(F_p) for every prime; False proves n not in h(Z)."""
-    del config  # primes are carried by the data list
     n = int(n)
     return all(bool(data.image[n % data.p]) for data in prime_data)
 

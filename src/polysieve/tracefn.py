@@ -2,7 +2,8 @@
 
 A TraceFunction is a concrete table indexed by field elements, with a
 label recording provenance and a declared sup-norm bound.  All
-transforms are pure and return fresh tables.
+transforms are pure and return fresh tables; each is FFT-based,
+O(q log q) on any F_q, and builds no q x q kernel.
 """
 
 import csv
@@ -80,44 +81,47 @@ def kloosterman(m, field):
     return TraceFunction(q, table, f"Kl{m}(q={q})", float(m))
 
 
-def fourier_transform(t, field, conjugate=False):
-    """FT(t)(y) = -q^(-1/2) sum_x psi(xy) t(x).
+def _transform(values, field, conjugate, label):
+    """y -> -q^(-1/2) sum_x psi(xy) values[x] (psi-bar when conjugate), O(q log q).
 
-    Applying with psi and then with the conjugated kernel recovers t
-    exactly.  conjugate=True uses psi-bar.
+    On base-p digit vectors Tr(xy) = x^T M y with M_ij = Tr(w_i w_j) for
+    the power basis w_i = T^i, so the sum is the k-dim DFT of the
+    digit-indexed table, read at M y mod p; on F_p it is one length-p DFT.
     """
-    q = field.q
-    if t.q != q:
+    p, k, q = field.p, field.k, field.q
+    M = field.trace(field.mul(*np.ix_(p ** np.arange(k), p ** np.arange(k))))
+    cube = values.reshape((p,) * k).transpose()  # cube[c_0, ..., c_{k-1}]
+    spec = np.fft.fftn(cube) if conjugate else np.fft.ifftn(cube) * q
+    vals = -spec[tuple(M @ field.digit_table % p)] / np.sqrt(q)
+    return TraceFunction(q, vals, label, float(np.abs(vals).max()) + 1e-12)
+
+
+def fourier_transform(t, field, conjugate=False):
+    """FT(t)(y) = -q^(-1/2) sum_x psi(xy) t(x), by one k-dim DFT.
+
+    Applying with psi and then with the conjugated character recovers t
+    exactly.  conjugate=True uses psi-bar.  No q x q kernel is built.
+    """
+    if t.q != field.q:
         raise ValueError("table size does not match the field")
-    xs = field.elements()
-    prods = field.mul(xs[None, :], xs[:, None])  # prods[y, x] = x*y
-    kernel = field.psi_table[prods]
-    if conjugate:
-        kernel = np.conj(kernel)
-    vals = -(kernel @ t.values) / np.sqrt(q)
-    bound = float(np.abs(vals).max()) + 1e-12
     tag = "FTbar" if conjugate else "FT"
-    return TraceFunction(q, vals, f"{tag}({t.label})", bound)
+    return _transform(t.values, field, conjugate, f"{tag}({t.label})")
 
 
 def te_transform(t, e, field, conjugate=False):
     """Power-twisted transform: y -> -q^(-1/2) sum_z psi(z^e y) t(z).
 
-    e=1 coincides with fourier_transform.
+    The transform of the pushforward x -> sum over z^e = x of t(z): one
+    bincount and one DFT.  e=1 coincides with fourier_transform.
     """
     if e < 1:
         raise ValueError("e must be >= 1")
-    q = field.q
-    if t.q != q:
+    if t.q != field.q:
         raise ValueError("table size does not match the field")
     zpow = field.pow(field.elements(), e)
-    prods = field.mul(field.elements()[:, None], zpow[None, :])  # [y, z] = y*z^e
-    kernel = field.psi_table[prods]
-    if conjugate:
-        kernel = np.conj(kernel)
-    vals = -(kernel @ t.values) / np.sqrt(q)
-    bound = float(np.abs(vals).max()) + 1e-12
-    return TraceFunction(q, vals, f"T{e}({t.label})", bound)
+    pushed = (np.bincount(zpow, t.values.real, field.q)
+              + 1j * np.bincount(zpow, t.values.imag, field.q))
+    return _transform(pushed, field, conjugate, f"T{e}({t.label})")
 
 
 def pullback_power(t, d, field):

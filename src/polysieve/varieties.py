@@ -6,6 +6,8 @@ and every verdict carries that cap.  Exact closure answers exist only
 for diagonal forms (diagonal_dual_oracle).
 """
 
+import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -39,19 +41,6 @@ class Witness:
     ext_degree: int
     point: tuple
 
-    def digits(self, p):
-        if self.ext_degree == 1:
-            return tuple(int(x) for x in self.point)
-        out = []
-        for x in self.point:
-            x = int(x)
-            ds = []
-            for _ in range(self.ext_degree):
-                ds.append(x % p)
-                x //= p
-            out.append(tuple(ds))
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class UClass:
@@ -78,11 +67,11 @@ class ScanResult:
 
 
 def _variable_groups(F):
-    """Sub-forms of F on classes of variables that share no monomial.
+    """(indices, sub-form) for each class of variables that share no monomial.
 
-    F is the sum of the returned sub-forms, and each sub-form lives on
-    the variables of its class, in order.  A variable absent from F is
-    a class of its own with the zero form; a form in no variables is
+    F is the sum of the sub-forms; each lives on the variables of its
+    class, whose indices are listed in order.  A variable absent from F
+    is a class of its own with the zero form; a form in no variables is
     one empty class.  The constant term goes with the first class.
     """
     n = F.n_vars
@@ -108,7 +97,7 @@ def _variable_groups(F):
         first = next((i for i, e in enumerate(expo) if e), None)
         k = 0 if first is None else where[first]
         terms[k][tuple(expo[i] for i in groups[k])] = c
-    return [MultiPoly(len(g), t, F.ring) for g, t in zip(groups, terms)]
+    return [(g, MultiPoly(len(g), t, F.ring)) for g, t in zip(groups, terms)]
 
 
 def _cyclic_convolve(a, b, p):
@@ -135,11 +124,60 @@ def fiber_histogram(F, p, budget=DEFAULT_BUDGET):
     if p**n >= _INT64_SAFE:
         raise OverflowError(f"p^n = {p**n} fiber counts would overflow 64-bit integers")
     hist = None
-    for sub in _variable_groups(F):
+    for _, sub in _variable_groups(F):
         vals = sub.eval_mod(broadcast_grid([np.arange(p, dtype=np.int64)] * sub.n_vars), p)
         h = np.bincount(np.ravel(vals), minlength=p)
         hist = h if hist is None else _cyclic_convolve(hist, h, p)
     return hist
+
+
+def group_pushforwards(sub, freqs, N):
+    """Row j: v -> sum over a in (Z/N)^k with sub(a) = v mod N of e(<u_j, a>/N).
+
+    u_j runs over the product of the frequency arrays in freqs (C order,
+    one per variable).  The R rows come from one phase-weighted bincount
+    over (Z/N)^k, R N^k points, or, when R > N, from a k-dim DFT of each
+    fiber's indicator, N^(k+1).
+    """
+    k = sub.n_vars
+    axes = broadcast_grid([np.arange(N, dtype=np.int64)] * k)
+    vals = np.ravel(sub.eval_mod(axes, N))
+    freqs = [np.asarray(f, dtype=np.int64) % N for f in freqs]
+    if np.prod([len(f) for f in freqs]) > N:
+        hot = np.eye(N)[vals].reshape((N,) * (k + 1))
+        return (np.fft.ifftn(hot, axes=range(k)) * N**k)[np.ix_(*freqs)].reshape(-1, N)
+    us = np.array(list(itertools.product(*freqs)), dtype=np.int64)
+    expo = sum(np.multiply.outer(us[:, i], axis) for i, axis in enumerate(axes)) % N
+    phases = np.ravel(np.exp(2j * np.pi * np.arange(N) / N)[expo])
+    idx = (np.arange(len(us))[:, None] * N + vals).ravel()
+    size = len(us) * N
+    out = np.bincount(idx, phases.real, size) + 1j * np.bincount(idx, phases.imag, size)
+    return out.reshape(len(us), N)
+
+
+def charge_group_grids(F, size, budget, extra=0):
+    """Charge extra plus size(|g|) points per variable group g, before any build."""
+    cost = extra + sum(size(len(idx)) for idx, _ in _variable_groups(F))
+    if cost > budget:
+        raise BudgetExceeded(f"group grids of {cost} points exceed budget {budget}")
+
+
+def twisted_pushforward(F, u, N, budget=DEFAULT_BUDGET):
+    """mu[v] = sum over a in (Z/N)^m with F(a) = v mod N of e(<u, a>/N).
+
+    One phase-weighted bincount per variable group over its own N^|g|
+    grid (a non-separable F is one group), combined by FFT cyclic
+    convolution: O(sum_g N^|g| + m N log N), charged before any build.
+    """
+    if len(u) != F.n_vars:
+        raise ValueError("u arity mismatch")
+    if N * N >= _INT64_SAFE:
+        raise OverflowError(f"products of residues mod {N} would overflow 64-bit integers")
+    charge_group_grids(F, lambda k: N**k, budget)
+    spectrum = np.ones(N, dtype=np.complex128)
+    for idx, sub in _variable_groups(F):
+        spectrum *= np.fft.fft(group_pushforwards(sub, [[u[i]] for i in idx], N)[0])
+    return np.fft.ifft(spectrum)
 
 
 def pair_fiber_histogram(F, G, p, budget=DEFAULT_BUDGET):
@@ -369,7 +407,7 @@ def diagonal_dual_oracle(coeffs, d, u, p, max_ext=4):
     for i in live[1:]:
         b[i] = (cred[i0] * ured[i] % p) * pow(ured[i0] * cred[i] % p, p - 2, p) % p
     e = d - 1
-    ords = {i: _mult_order(bi, p) for i, bi in b.items()}
+    ords = {i: (p - 1) // math.gcd(cached_field(p).dlog(bi), p - 1) for i, bi in b.items()}
     r = None
     for cand in range(1, max_ext + 1):
         qq = p**cand - 1
@@ -407,18 +445,6 @@ def diagonal_dual_oracle(coeffs, d, u, p, max_ext=4):
                 pt[i] = int(x)
             return UClass("bad", Witness(r, tuple(pt)))
     return UClass("good")
-
-
-def _mult_order(a, p):
-    a %= p
-    if a == 0:
-        raise ValueError("order of 0")
-    order = 1
-    acc = a
-    while acc != 1:
-        acc = acc * a % p
-        order += 1
-    return order
 
 
 def singular_fiber_scan(f, g=None, p=None, k_max=2, budget=DEFAULT_BUDGET):

@@ -135,6 +135,26 @@ def box_histogram_direct(F_terms, n_vars, B):
     return values, [tally[v] for v in values]
 
 
+def integer_root_of(f, v):
+    """Some integer t with f(t) = v, or None; direct root isolation.
+
+    Independent of the value-table path: rounds the real roots of
+    f(T) - v obtained from the companion matrix and verifies exactly.
+    """
+    import math
+
+    import numpy as np
+
+    coeffs = list(f.sub_const(int(v)).coeffs)
+    for r in np.roots(list(reversed(coeffs))):
+        if abs(r.imag) > 0.51:
+            continue
+        for t in (math.floor(r.real), round(r.real), math.ceil(r.real)):
+            if f.eval(int(t)) == v:
+                return int(t)
+    return None
+
+
 def ext_exp_table_loop(p, modulus):
     """Powers 1, g, g^2, ... of the first unit g of order q - 1 in F_p[T]/(modulus).
 
@@ -354,3 +374,83 @@ def classify_u_direct(F_terms, n_vars, u, fields):
                    for a in range(n_vars) for b in range(a + 1, n_vars)):
                 return "bad", j, tuple(x)
     return "good", None, None
+
+
+# ---------------------------------------------------------------------------
+# full-grid complete sums and dense transform kernels (numpy, no grouping)
+
+def _grid_values(F, side, N):
+    """F mod N on the full grid side^m, as an m-dim array."""
+    import numpy as np
+
+    pts = np.meshgrid(*[np.asarray(side, dtype=np.int64)] * F.n_vars, indexing="ij")
+    return np.broadcast_to(F.eval_mod(pts, N), (len(side),) * F.n_vars)
+
+
+def complete_sum_table(F, t_values, p):
+    """All g(u, t) at once, indexed by u in F_p^m: ifftn over the full p^m grid."""
+    import numpy as np
+
+    vals = _grid_values(F, range(p), p)
+    return np.fft.ifftn(np.asarray(t_values)[vals]) * p**F.n_vars
+
+
+def complete_sum_grid(F, table, u, N):
+    """sum over a in (Z/N)^m of table[F(a) mod N] e(<a, u>/N), point by point."""
+    import numpy as np
+
+    vals = _grid_values(F, range(N), N)
+    pts = np.meshgrid(*[np.arange(N)] * F.n_vars, indexing="ij")
+    expo = sum(int(c) * x for c, x in zip(u, pts)) % N
+    return complex((np.asarray(table)[vals] * np.exp(2j * np.pi * expo / N)).sum())
+
+
+def crt_lhs_grid(F, u, p, q, tp_values, tq_values):
+    """The mod-pq sum of t_p(F(a)) conj(t_q(F(a))) e(<a,u>/pq) over the full grid."""
+    import numpy as np
+
+    v = np.arange(p * q)
+    table = np.asarray(tp_values)[v % p] * np.conj(np.asarray(tq_values)[v % q])
+    return complete_sum_grid(F, table, u, p * q)
+
+
+def poisson_dual_grid(F, p, q, tp_values, tq_values, wh_axis):
+    """(pq)^-m sum over the u-box of g_p(qbar u) g_q(pbar u) prod wh_axis[u_i].
+
+    The u-box is [-c, c]^m with 2c + 1 = len(wh_axis); g_p and g_q come
+    from complete_sum_table over the full grids, and the box is summed
+    point by point.
+    """
+    import numpy as np
+
+    m = F.n_vars
+    c = (len(wh_axis) - 1) // 2
+    table_p = complete_sum_table(F, tp_values, p)
+    table_q = complete_sum_table(F, np.conj(tq_values), q)
+    qbar, pbar = pow(q, -1, p), pow(p, -1, q)
+    total = 0j
+    for u in itertools.product(range(-c, c + 1), repeat=m):
+        w = 1.0
+        for ui in u:
+            w *= wh_axis[ui + c]
+        total += (table_p[tuple(qbar * ui % p for ui in u)]
+                  * table_q[tuple(pbar * ui % q for ui in u)] * w)
+    return total / (p * q) ** m
+
+
+def fourier_dense(values, field, conjugate=False):
+    """y -> sum_x psi(xy) values[x] through the q x q kernel psi(x y)."""
+    import numpy as np
+
+    xs = field.elements()
+    kernel = field.psi_table[field.mul(xs[None, :], xs[:, None])]
+    return (np.conj(kernel) if conjugate else kernel) @ np.asarray(values)
+
+
+def te_dense(values, e, field, conjugate=False):
+    """y -> sum_z psi(z^e y) values[z] through the q x q kernel psi(y z^e)."""
+    import numpy as np
+
+    xs = field.elements()
+    kernel = field.psi_table[field.mul(xs[:, None], field.pow(xs, e)[None, :])]
+    return (np.conj(kernel) if conjugate else kernel) @ np.asarray(values)

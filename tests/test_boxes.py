@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,20 +9,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polysieve.boxes import (BoxProblem, SmoothWeight, bound_ratio_scan,
-                             box_histogram, complete_sum_g,
-                             complete_sum_table, crt_factor_check,
+                             box_histogram, complete_sum_g, crt_factor_check,
                              discriminant_profile, exact_count,
-                             exceptional_set, integer_root_of,
+                             exceptional_set,
                              poisson_compare, select_primes,
                              sieve_filtered_count)
 from polysieve.errors import BudgetExceeded
 from polysieve.fields import PrimeField, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly, parse_unipoly
 from polysieve.sieve import build_prime_data, h_image_table, in_h_image
-from polysieve.tracefn import constant_trace, kloosterman
+from polysieve.tracefn import TraceFunction, constant_trace, kloosterman
 from polysieve.varieties import diagonal_dual_oracle
 
-from _oracles import box_count_direct, box_count_per_point, box_histogram_direct
+from _oracles import (box_count_direct, box_count_per_point, box_histogram_direct,
+                      complete_sum_grid, complete_sum_table, crt_lhs_grid, integer_root_of,
+                      poisson_dual_grid)
 
 F_QUADRIC = parse_multipoly("X0^2+X1^2+X2^2")
 F_CUBIC = parse_multipoly("X0^3+X1^3+X2^3")
@@ -330,7 +332,7 @@ class TestCompleteSums:
     def test_table_matches_pointwise(self):
         p = 7
         t = kloosterman(2, PrimeField(p))
-        table = complete_sum_table(F_QUADRIC.reduce_mod(p), t, p)
+        table = complete_sum_table(F_QUADRIC, t.values, p)
         for u in ((0, 0, 0), (1, 2, 3), (6, 0, 5)):
             assert table[u] == pytest.approx(complete_sum_g(F_QUADRIC, t, u, p),
                                              abs=1e-9)
@@ -523,3 +525,112 @@ class TestBoundRatioScan:
         assert all({"B", "count", "ratio_main", "ratio_comparison"} <=
                    set(r) for r in out["rows"])
         assert out["spread"] <= 10
+
+
+# separable, mixed, non-separable, an absent variable with a constant term
+GROUPED_FORMS = ["X0^2+2*X1^2+3*X2^2", "X0^2+X0*X1+X2^3", "X0*X1+X1*X2+X2^2",
+                 "X0^3+X2^2+5", "2*X0^2+X1^3+X0*X1+1"]
+
+
+def trace_on(kind, p):
+    field = PrimeField(p)
+    if kind == "kl":
+        return kloosterman(2, field)
+    if kind == "chi" and p > 2:
+        return mult_char(field, 2, 1)
+    if kind == "one":
+        return constant_trace(field)
+    return TraceFunction(p, field.psi_table.copy(), "psi", 1.0)
+
+
+class TestGroupedSums:
+    @settings(max_examples=60)
+    @given(st.sampled_from(GROUPED_FORMS), st.sampled_from([2, 3, 5, 7, 11]),
+           st.lists(st.integers(-12, 12), min_size=3, max_size=3),
+           st.sampled_from(["kl", "chi", "one", "psi"]))
+    def test_twisted_sum_matches_full_grid(self, form, p, u, kind):
+        F = parse_multipoly(form, n_vars=3)
+        t = trace_on(kind, p)
+        want = complete_sum_grid(F, t.values, u, p)
+        assert abs(complete_sum_g(F, t, u, p) - want) <= 1e-9 * max(1, abs(want))
+
+    @settings(max_examples=30)
+    @given(st.sampled_from(GROUPED_FORMS),
+           st.sampled_from([(2, 3), (3, 5), (5, 3), (2, 7)]),
+           st.lists(st.integers(-40, 40), min_size=3, max_size=3),
+           st.sampled_from(["kl", "one", "psi"]))
+    def test_crt_left_side_matches_full_grid(self, form, pq, u, kind):
+        F = parse_multipoly(form, n_vars=3)
+        p, q = pq
+        t_p, t_q = trace_on(kind, p), trace_on("kl", q)
+        rec = crt_factor_check(F, u, p, q, t_p, t_q)
+        want = crt_lhs_grid(F, u, p, q, t_p.values, t_q.values)
+        assert abs(rec["lhs"] - want) <= 1e-9 * max(1, abs(want))
+        assert rec["rel_error"] <= 1e-9
+
+    @settings(max_examples=12)
+    @given(st.sampled_from(GROUPED_FORMS), st.sampled_from([(2, 3), (3, 5), (5, 7)]),
+           st.integers(0, 3), st.sampled_from(["kl", "one", "psi"]))
+    def test_poisson_window_matches_full_tables(self, form, pq, cutoff, kind):
+        F = parse_multipoly(form, n_vars=3)
+        p, q = pq
+        t_p, t_q = trace_on(kind, p), trace_on("kl", q)
+        B = 4
+        rec = poisson_compare(F, p, q, t_p, t_q, B=B, u_cutoff=cutoff)
+        W = SmoothWeight(B)
+        wh_axis = [B * W.wh(B * abs(uu) / (p * q)) for uu in range(-cutoff, cutoff + 1)]
+        want = poisson_dual_grid(F, p, q, t_p.values, t_q.values, wh_axis)
+        assert abs(rec["poisson"] - want) <= 1e-9 * max(1, abs(want))
+        direct = 0j
+        for x in itertools.product(range(-B, B + 1), repeat=3):
+            v = F.eval(x)
+            direct += W.weight(x) * t_p.values[v % p] * np.conj(t_q.values[v % q])
+        assert abs(rec["direct"] - direct) <= 1e-9 * max(1, abs(direct))
+
+    def test_diagonal_cubic_at_p_10007(self):
+        p = 10007
+        F = parse_multipoly("X0^3+X1^3+2*X2^3")
+        u = (1, 2, 3)
+        field = PrimeField(p)
+        t = TraceFunction(p, field.psi_table.copy(), "psi", 1.0)
+        a = np.arange(p, dtype=np.int64)
+        factors = [complex(np.exp(2j * np.pi * ((c * a**3 + ui * a) % p) / p).sum())
+                   for c, ui in zip((1, 1, 2), u)]
+        assert all(abs(f) <= 2 * math.sqrt(p) for f in factors)  # Weil
+        start = time.perf_counter()
+        g = complete_sum_g(F, t, u, p)
+        assert time.perf_counter() - start < 1.0
+        want = factors[0] * factors[1] * factors[2]
+        assert abs(g - want) <= 1e-9 * abs(want)
+        tracemalloc.start()
+        try:
+            complete_sum_g(F, t, u, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # the p^3 grid would need 8 TB
+
+    def test_budget_charges_group_grids(self):
+        p = 101
+        t = kloosterman(2, PrimeField(p))
+        # p^3 = 1030301 is past the budget; the three group grids are 303 points
+        got = complete_sum_g(F_QUADRIC, t, (1, 2, 3), p, budget=10**4)
+        want = complete_sum_grid(F_QUADRIC, t.values, (1, 2, 3), p)
+        assert abs(got - want) <= 1e-9 * abs(want)
+        # the grid of a non-separable group counts in full: p^2 + p > 10^4
+        F = parse_multipoly("X0*X1+X2^2")
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                complete_sum_g(F, t, (1, 2, 3), p, budget=10**4)
+            with pytest.raises(BudgetExceeded):
+                crt_factor_check(F, (1, 2, 3), 5, 7, trace_on("kl", 5), trace_on("kl", 7),
+                                 budget=35**2)
+            with pytest.raises(BudgetExceeded):
+                # boxes 9^2 + 9, window tables 5^3 + 7^3 and 5^2 + 7^2, K 35: 667
+                poisson_compare(F, 5, 7, trace_on("kl", 5), trace_on("kl", 7), B=4,
+                                u_cutoff=3, budget=666)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16  # refused before any grid was built

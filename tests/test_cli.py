@@ -198,7 +198,8 @@ class TestSubcommands:
             for u in itertools.product(span, repeat=3):
                 expected[oracle(coeffs, d, u, prime).kind] += 1
             assert results[f"u_class_tally_mod_{prime}"] == expected
-        assert len(calls) == 5**3 + 7**3
+        # one call per projective class of u mod p, the zero class included
+        assert len(calls) == (1 + 5 + 25 + 1) + (1 + 7 + 49 + 1)
 
     @pytest.mark.parametrize("policy", ["list:4", "list:3,4"])
     def test_prime_list_checked_up_front(self, policy, capsys, monkeypatch):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from polysieve.fields import (ExtField, PrimeField, additive_char,
-                              build_ext_field, cached_field,
-                              find_primitive_root, mult_char, primes_in)
+                              cached_field, find_primitive_root, mult_char, primes_in)
 
 from _oracles import TupleField, ext_exp_table_loop, smallest_generator
 
@@ -66,7 +65,7 @@ class TestAdditiveChar:
         assert additive_char(f5, 1) == pytest.approx(cmath.exp(2j * cmath.pi / 5))
 
     def test_homomorphism(self):
-        for field in (PrimeField(7), build_ext_field(3, 2)):
+        for field in (PrimeField(7), ExtField(3, 2)):
             xs = field.elements()
             for x in xs:
                 lhs = additive_char(field, field.add(x, xs))
@@ -75,13 +74,13 @@ class TestAdditiveChar:
 
     def test_full_sum_vanishes(self):
         for field in (PrimeField(2), PrimeField(3), PrimeField(13),
-                      build_ext_field(2, 2), build_ext_field(3, 2),
-                      build_ext_field(5, 2)):
+                      ExtField(2, 2), ExtField(3, 2),
+                      ExtField(5, 2)):
             assert abs(additive_char(field, field.elements()).sum()) < 1e-9
 
     def test_ext_field_trace_example(self):
         # F_9 = F_3[T]/(T^2+1): Tr(T) = T + T^3 = 0
-        f9 = build_ext_field(3, 2)
+        f9 = ExtField(3, 2)
         assert f9.modulus == (1, 0, 1)
         t_index = 3  # 0 + 1*T
         assert f9.trace(t_index) == 0
@@ -124,8 +123,8 @@ class TestMultChar:
 
 class TestExtField:
     def test_smallest_moduli(self):
-        assert build_ext_field(3, 2).modulus == (1, 0, 1)     # T^2 + 1
-        assert build_ext_field(2, 2).modulus == (1, 1, 1)     # T^2 + T + 1
+        assert ExtField(3, 2).modulus == (1, 0, 1)     # T^2 + 1
+        assert ExtField(2, 2).modulus == (1, 1, 1)     # T^2 + T + 1
 
     @pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3),
                                       (7, 2), (3, 4), (101, 2), (2, 1), (3, 1)])
@@ -136,19 +135,19 @@ class TestExtField:
         assert np.array_equal(f.log_table[f.exp_table], np.arange(f.q - 1))
 
     def test_degree_one_wrapper(self):
-        f = build_ext_field(5, 1)
+        f = ExtField(5, 1)
         assert f.q == 5
         assert np.array_equal(f.trace_table, np.arange(5))
 
     def test_frobenius_fixes_exactly_base_field(self):
         for p, k in ((2, 3), (3, 2), (5, 2)):
-            f = build_ext_field(p, k)
+            f = ExtField(p, k)
             fixed = [x for x in range(f.q) if f.pow(x, p) == x]
             assert fixed == list(range(p))
 
     def test_modulus_has_no_base_roots(self):
         for p, k in ((2, 2), (3, 2), (5, 3)):
-            f = build_ext_field(p, k)
+            f = ExtField(p, k)
             for x in range(p):
                 acc = 0
                 for c in reversed(f.modulus):
@@ -156,7 +155,7 @@ class TestExtField:
                 assert acc != 0
 
     def test_mul_matches_polynomial_arithmetic(self):
-        f = build_ext_field(3, 2)
+        f = ExtField(3, 2)
         # (1 + T)(2 + T) = 2 + 3T + T^2 = 2 + T^2 = 2 - 1 = 1 mod (T^2+1)
         a = 1 + 1 * 3
         b = 2 + 1 * 3
@@ -165,7 +164,7 @@ class TestExtField:
     def test_mul_against_fresh_polynomial_oracle(self):
         rng = np.random.default_rng(12)
         for p, k in ((3, 3), (5, 2), (7, 3), (2, 4)):
-            f = build_ext_field(p, k)
+            f = ExtField(p, k)
 
             def decode(idx):
                 out = []
@@ -198,20 +197,20 @@ class TestExtField:
                 assert f.mul(a, b) == encode(prod[:k]), (p, k, a, b)
 
     def test_inverse(self):
-        f = build_ext_field(5, 2)
+        f = ExtField(5, 2)
         for x in range(1, f.q):
             assert f.mul(x, f.inv(x)) == 1
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
-            build_ext_field(3, 5)
+            ExtField(3, 5)
 
     def test_cached_field_identity(self):
         assert cached_field(7, 2) is cached_field(7, 2)
 
     def test_digit_table_rows(self):
         assert np.array_equal(PrimeField(5).digit_table, [np.arange(5)])
-        f = build_ext_field(3, 2)
+        f = ExtField(3, 2)
         assert f.digit_table.shape == (2, 9)
         assert np.array_equal(f.digit_table[0] + 3 * f.digit_table[1], np.arange(9))
 
@@ -223,7 +222,7 @@ SMALL_EXT_FIELDS = [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (3, 4)]
 class TestExtFieldAgainstTuples:
     @pytest.mark.parametrize("p, k", SMALL_EXT_FIELDS)
     def test_every_pair(self, p, k):
-        f = build_ext_field(p, k)
+        f = ExtField(p, k)
         tf = TupleField.like(f)
         xs = np.arange(f.q)
         add = f.add(xs[:, None], xs[None, :])
@@ -234,7 +233,7 @@ class TestExtFieldAgainstTuples:
 
     @pytest.mark.parametrize("p, k", SMALL_EXT_FIELDS)
     def test_scalars(self, p, k):
-        f = build_ext_field(p, k)
+        f = ExtField(p, k)
         tf = TupleField.like(f)
         rng = np.random.default_rng(p * 10 + k)
         for a, b in rng.integers(0, f.q, size=(20, 2)).tolist() + [[f.q - 1, f.q - 1]]:

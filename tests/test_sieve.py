@@ -138,10 +138,9 @@ class TestMembership:
     def test_spec_examples(self):
         h = parse_unipoly("T^2")
         data = [build_prime_data(h, p) for p in (3, 7)]
-        cfg = SieveConfig(h, (3, 7))
-        assert membership_filter(cfg, data, 10) is False
-        assert membership_filter(cfg, data, 9) is True
-        assert membership_filter(cfg, data, 0) is True
+        assert membership_filter(data, 10) is False
+        assert membership_filter(data, 9) is True
+        assert membership_filter(data, 0) is True
 
     def test_zero_false_negatives_small(self):
         for text in H_BANK:
@@ -150,7 +149,7 @@ class TestMembership:
             ts = np.arange(-500, 501, dtype=np.int64)
             for t in ts:
                 n = h.eval(int(t))
-                assert membership_filter(None, data, n), (text, t)
+                assert membership_filter(data, n), (text, t)
 
     def test_false_positive_rate_monotone(self):
         h = parse_unipoly("T^2")

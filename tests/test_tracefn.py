@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polysieve.fields import PrimeField, build_ext_field, mult_char
+from polysieve.fields import ExtField, PrimeField, mult_char
 from polysieve.tracefn import (TraceFunction, constant_trace, correlation,
                                delta_trace, fourier_transform, kloosterman,
                                pullback_power, pullback_scale, second_moment,
                                te_transform)
 
-from _oracles import kloosterman_dense, kloosterman_direct
+from _oracles import fourier_dense, kloosterman_dense, kloosterman_direct, te_dense
 
 
 class TestTraceFunction:
@@ -65,7 +65,7 @@ class TestKloosterman:
             assert t.values.sum() == pytest.approx(-p**-0.5, abs=1e-9)
 
     def test_extension_field(self):
-        f9 = build_ext_field(3, 2)
+        f9 = ExtField(3, 2)
         t = kloosterman(2, f9)
         assert t.values[0] == 0
         assert np.abs(t.values).max() <= 2 + 1e-9
@@ -79,7 +79,7 @@ class TestKloosterman:
 
     @pytest.mark.parametrize("p, k", [(3, 2), (5, 2)])
     def test_fft_matches_dense_on_extension_fields(self, p, k):
-        field = build_ext_field(p, k)
+        field = ExtField(p, k)
         for m in (1, 2, 3, 4):
             assert np.abs(kloosterman(m, field).values
                           - kloosterman_dense(m, field)).max() < 1e-10
@@ -135,10 +135,50 @@ class TestFourier:
                 (np.abs(t.values) ** 2).sum(), abs=1e-9)
 
     def test_roundtrip_extension(self):
-        f9 = build_ext_field(3, 2)
+        f9 = ExtField(3, 2)
         t = kloosterman(2, f9)
         back = fourier_transform(fourier_transform(t, f9), f9, conjugate=True)
         assert np.abs(back.values - t.values).max() < 1e-9
+
+
+# F_p, F_8, F_9, F_25, F_27, F_49
+TRANSFORM_FIELDS = [(13, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)]
+
+
+class TestTransformsAgainstKernels:
+    @pytest.mark.parametrize("p, k", TRANSFORM_FIELDS)
+    @pytest.mark.parametrize("conjugate", [False, True])
+    def test_fourier_matches_dense_kernel(self, p, k, conjugate):
+        field = ExtField(p, k) if k > 1 else PrimeField(p)
+        rng = np.random.default_rng(p * 10 + k)
+        vals = rng.normal(size=field.q) + 1j * rng.normal(size=field.q)
+        for t in (kloosterman(2, field),
+                  TraceFunction(field.q, vals, "noise", float(np.abs(vals).max()))):
+            want = -fourier_dense(t.values, field, conjugate) / math.sqrt(field.q)
+            got = fourier_transform(t, field, conjugate).values
+            assert np.abs(got - want).max() < 1e-9
+
+    @pytest.mark.parametrize("p, k", TRANSFORM_FIELDS)
+    def test_te_matches_dense_kernel(self, p, k):
+        field = ExtField(p, k) if k > 1 else PrimeField(p)
+        t = kloosterman(3, field)
+        for e in (1, 2, 3, 5):
+            for conjugate in (False, True):
+                want = -te_dense(t.values, e, field, conjugate) / math.sqrt(field.q)
+                got = te_transform(t, e, field, conjugate).values
+                assert np.abs(got - want).max() < 1e-9, (e, conjugate)
+
+    def test_no_dense_kernel(self):
+        f = PrimeField(3001)
+        t = kloosterman(2, f)
+        tracemalloc.start()
+        try:
+            fourier_transform(t, f)
+            te_transform(t, 3, f, conjugate=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 3001**2 / 100  # the dense kernel needs 144 MB
 
 
 class TestTeTransform:

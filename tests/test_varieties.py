@@ -10,8 +10,8 @@ from polysieve.fields import cached_field, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly
 from polysieve.varieties import (classify_u, count_affine_fiber,
                                  diagonal_dual_oracle, fiber_histogram,
-                                 pair_fiber_histogram, singular_fiber_scan,
-                                 smoothness_scan)
+                                 group_pushforwards, pair_fiber_histogram,
+                                 singular_fiber_scan, smoothness_scan)
 
 from _oracles import (TupleField, classify_u_direct, fiber_histogram_direct,
                       smoothness_scan_direct)
@@ -91,6 +91,24 @@ class TestFiberHistogramProperty:
         hist = fiber_histogram(F, p)
         assert hist.dtype == np.int64
         assert hist.tolist() == fiber_histogram_direct(F.terms, F.n_vars, p)
+
+    @pytest.mark.parametrize("form, N, freqs", [
+        ("X0*X1+2*X1^2+1", 5, [[0, 7, -3], [2]]),           # 3 rows <= N: bincount
+        ("X0*X1+2*X1^2+1", 5, [[0, 1, 2, 3], [4, -1, 0]]),  # 12 distinct rows > N: DFT
+        ("X0^3", 7, [[-2, -1, 0, 1, 2, 5]]),                # repeated residues
+        ("3*X0^2+X0", 6, [[1, 2, 3, 4, 5, 0, 1]]),          # composite N, 7 > 6 rows
+    ])
+    def test_group_pushforwards_match_loops(self, form, N, freqs):
+        sub = parse_multipoly(form)
+        got = group_pushforwards(sub, freqs, N)
+        rows = list(itertools.product(*freqs))
+        assert got.shape == (len(rows), N)
+        for j, u in enumerate(rows):
+            want = np.zeros(N, dtype=complex)
+            for a in itertools.product(range(N), repeat=sub.n_vars):
+                phase = np.exp(2j * np.pi * sum(x * y for x, y in zip(u, a)) / N)
+                want[sub.eval_mod(a, N)] += phase
+            assert np.abs(got[j] - want).max() < 1e-9, u
 
     def test_counts_past_int64_rejected(self):
         # 2^62 points: refused before any grid is built
