@@ -9,12 +9,8 @@ count works on distinct values weighted by multiplicity.  The exact
 count tests each value against the table of f-values; the
 sieve-accelerated count prefilters values through per-prime image
 bitmaps and verifies survivors exactly, so the two counts agree by
-construction (asserted).
-
-The complete sums of Deligne type g(u, t) = sum over a in F_p^m of
-t(F(a)) e(<a, u>/p), the mod-pq sum of the CRT check and the windowed
-dual sum of the Poisson comparison are built per variable group, each
-over its own N^|g| grid, at cost O(sum_g N^|g| + m N log N).
+construction (asserted).  Complete sums, the CRT check and the Poisson
+dual work per variable group (varieties.complete_sums), O(sum_g N^|g| log N).
 """
 
 import math
@@ -27,9 +23,8 @@ from .errors import BudgetExceeded, InvariantViolation
 from .fields import prime_factors, primes_in
 from .polynomials import MultiPoly, UniPoly, broadcast_grid, discriminant_uni
 from .sieve import build_prime_data, in_h_image
-from .varieties import (_INT64_SAFE, DEFAULT_BUDGET, _variable_groups, charge_group_grids,
-                        fiber_histogram, group_pushforwards, smoothness_scan,
-                        twisted_pushforward)
+from .varieties import (_INT64_SAFE, DEFAULT_BUDGET, _sums_plan, _variable_groups,
+                        complete_sums, fiber_histogram, smoothness_scan)
 
 
 @dataclass(frozen=True)
@@ -136,6 +131,23 @@ def box_histogram(F, B, budget=DEFAULT_BUDGET):
 def exact_count(f, hist):
     """Exact N(f, F, B): the multiplicities of the box values in f(Z)."""
     return int(hist.counts[in_h_image(f, hist.values)].sum())
+
+
+def integer_root_of(f, v):
+    """Some integer t with f(t) = v, or None; direct root isolation.
+
+    Independent of the value-table path: rounds the real roots of
+    f(T) - v obtained from the companion matrix and verifies exactly.
+    """
+    coeffs = list(f.sub_const(int(v)).coeffs)
+    roots = np.roots(list(reversed(coeffs)))
+    for r in roots:
+        if abs(r.imag) > 0.51:
+            continue
+        for t in (math.floor(r.real), round(r.real), math.ceil(r.real)):
+            if f.eval(int(t)) == v:
+                return int(t)
+    return None
 
 
 @dataclass(frozen=True)
@@ -265,8 +277,8 @@ def complete_sum_g(F, t, u, p, budget=DEFAULT_BUDGET):
     """g(u, t) = sum over a in F_p^m of t(F(a)) e(<a, u>/p).
 
     The u = 0 sum is grouped by fiber (the exact integer
-    fiber_histogram); general u is the twisted pushforward mu_u dotted
-    with t, at cost O(sum_g p^|g| + m p log p) over the variable groups.
+    fiber_histogram); general u comes from complete_sums, at cost
+    O(sum_g p^|g| log p) over the variable groups.
     """
     if t.q != p:
         raise ValueError("trace table does not live on F_p")
@@ -274,15 +286,14 @@ def complete_sum_g(F, t, u, p, budget=DEFAULT_BUDGET):
         raise ValueError("u arity mismatch")
     if not any(int(c) % p for c in u):
         return complex(fiber_histogram(F, p, budget) @ t.values)
-    return complex(twisted_pushforward(F, u, p, budget) @ t.values)
+    return complex(complete_sums(F, t.values, p, [[int(c) % p] for c in u], budget).item())
 
 
 def crt_factor_check(F, u, p, q, t_p, t_q, budget=DEFAULT_BUDGET):
     """Compare the mod-pq complete sum against its CRT product form.
 
-    lhs = sum over a mod pq of t_p(F(a)) conj(t_q(F(a))) e(<a,u>/pq): the
-    twisted pushforward at N = pq dotted with v -> t_p(v) conj(t_q(v)),
-    O(sum_g N^|g| + m N log N), never using the factorization.  rhs =
+    lhs = sum over a mod pq of t_p(F(a)) conj(t_q(F(a))) e(<a,u>/pq) by
+    complete_sums at N = pq, O(sum_g N^|g| log N), not by factoring; rhs =
     g(qbar u, t_p) * g(pbar u, conj t_q), qbar = q^-1 mod p, pbar = p^-1 mod q.
     """
     if p == q:
@@ -291,7 +302,7 @@ def crt_factor_check(F, u, p, q, t_p, t_q, budget=DEFAULT_BUDGET):
         raise ValueError("u arity mismatch")
     N = p * q
     table = t_p.values[np.arange(N) % p] * np.conj(t_q.values[np.arange(N) % q])
-    lhs = complex(twisted_pushforward(F, u, N, budget) @ table)
+    lhs = complex(complete_sums(F, table, N, [[int(c) % N] for c in u], budget).item())
     qbar, pbar = pow(q, -1, p), pow(p, -1, q)
     g1 = complete_sum_g(F, t_p, [qbar * int(c) % p for c in u], p, budget)
     g2 = complete_sum_g(F, t_q.conj(), [pbar * int(c) % q for c in u], q, budget)
@@ -435,14 +446,15 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, kappa=4,
     drops below 1e-4 of the main-term scale.  Raises InvariantViolation
     when the gap exceeds tail_bound + 1e-6.
 
-    Both sides work per variable group: the box side on each group's
-    (2B+1)^|g| box, the dual side on G_g(s, u_g) over the cutoff window
-    (W = 2 u_cutoff + 1), contracted over s: O(sum_g min(U^|g|, N) N^|g|
-    + U^|g| pq) for N = p, q and U = min(W, N) distinct window residues.
-    The arrays built are charged to the budget up front.
+    The box side folds the groups' bump-weighted histograms of F mod pq,
+    as box_histogram does.  The dual side takes g_p(qbar u) and
+    g_q(pbar u) from complete_sums on the U_N = min(W, N) distinct window
+    residues (W = 2 u_cutoff + 1) and sums them against What through the
+    D <= W distinct residue pairs, one axis at a time; a non-separable F
+    costs one p^m and one q^m table, as before.  The box, the tables and
+    the passes are charged to the budget up front.
     """
     m = F.n_vars
-    groups = _variable_groups(F)
     W = SmoothWeight(B, kappa)
     N = p * q
 
@@ -456,37 +468,33 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, kappa=4,
         u_cutoff = next((c for c in range(2, 130, 2)
                          if tail_bound_at(c) <= 1e-4 * main_scale), 128)
     side = np.arange(-u_cutoff, u_cutoff + 1)
-    up, uq = min(len(side), p), min(len(side), q)  # distinct window residues
-    charge_group_grids(F, lambda k: (2 * B + 1)**k + min(up**k, p) * p**k
-                       + min(uq**k, q) * q**k + max(up, uq)**k * q, budget, extra=N)
-    # direct: the bump-weighted pushforward of each group's box, mod pq
-    table = t_p.values[np.arange(N) % p] * np.conj(t_q.values[np.arange(N) % q])
-    spectrum = np.ones(N, dtype=np.complex128)
-    bump = W.weight_1d(np.arange(-B, B + 1))
-    for _, sub in groups:
-        weight = reduce(np.multiply.outer, [bump] * sub.n_vars, np.ones(1)).ravel()
-        spectrum *= np.fft.fft(np.bincount(box_value_array(sub, B, budget) % N, weight, N))
-    direct = complex(np.fft.ifft(spectrum) @ table)
-    # dual: t = sum_s c(s) e(sv/p) gives g(u) = sum_s c(s) prod_g G_g(s, u_g), and
-    # on the product window the u-sum is c_p^T (prod_g K_g) c_q, where K_g sums
-    # G_g(s, qbar u_g) G'_g(s', pbar u_g) What(u_g) over u_g: G, G' on distinct
-    # residues, joined per axis by omega[x, y] = sum of What(u) over u -> (x, y)
     qbar, pbar = pow(q, -1, p), pow(p, -1, q)
-    wh_axis = np.array([W.B * W.wh(W.B * abs(int(uu)) / N) for uu in side])
     rp, ip = np.unique(qbar * side % p, return_inverse=True)
     rq, iq = np.unique(pbar * side % q, return_inverse=True)
-    omega = np.bincount(ip * len(rq) + iq, wh_axis, len(rp) * len(rq)).reshape(len(rp), -1)
-    K = np.ones((p, q), dtype=np.complex128)
-    for _, sub in groups:
-        k = sub.n_vars
-        Gp = p * np.fft.ifft(group_pushforwards(sub, [rp] * k, p), axis=1)
-        Gq = q * np.fft.ifft(group_pushforwards(sub, [rq] * k, q), axis=1)
-        Gq = Gq.reshape((len(rq),) * k + (q,))
-        for _ in range(k):  # each pass turns the last q-residue axis into a leading p one
-            Gq = np.tensordot(omega, Gq, axes=([1], [k - 1]))
-        K *= Gp.T @ Gq.reshape(-1, q)
-    c_p, c_q = np.fft.fft(t_p.values) / p, np.fft.fft(np.conj(t_q.values)) / q
-    poisson = complex(c_p @ K @ c_q) / N**m
+    pairs, ipair = np.unique(ip * len(rq) + iq, return_inverse=True)
+    cost = ((2 * B + 1)**m + len(pairs) * max(len(rp), len(rq))**(m - 1)
+            + _sums_plan(F, p, [rp] * m)[1] + _sums_plan(F, q, [rq] * m)[1])
+    if cost > budget:
+        raise BudgetExceeded(f"Poisson arrays of {cost} points exceed budget {budget}")
+    # direct: the bump-weighted histogram of F mod pq on the box, folded over the groups
+    bump, hist = W.weight_1d(np.arange(-B, B + 1)), None
+    for _, sub in _variable_groups(F):
+        res, inv = np.unique(box_value_array(sub, B, budget) % N, return_inverse=True)
+        part = res, np.bincount(inv, reduce(np.multiply.outer, [bump] * sub.n_vars).ravel())
+        hist = part if hist is None else _fold(hist, part)
+    direct = complex(hist[1] @ (t_p.values[hist[0] % p] * np.conj(t_q.values[hist[0] % q])))
+    # dual: each window u_i lands on one residue pair (x, y) = (qbar u_i, pbar u_i);
+    # w sums What over the u_i of each pair, pairs sorted by x.  Each pass moves
+    # one axis of g_q from q-residues y to p-residues x, weighting by w.
+    wh_axis = np.array([W.B * W.wh(W.B * abs(int(uu)) / N) for uu in side])
+    w = np.bincount(ipair, wh_axis)
+    xd, yd = pairs // len(rq), pairs % len(rq)
+    starts = np.flatnonzero(np.diff(xd, prepend=-1))
+    h = complete_sums(F, np.conj(t_q.values), q, [rq] * m, budget)
+    for ax in range(m):
+        h = np.add.reduceat(h.take(yd, ax) * w.reshape((-1,) + (1,) * (m - 1 - ax)),
+                            starts, axis=ax)
+    poisson = complex((complete_sums(F, t_p.values, p, [rp] * m, budget) * h).sum()) / N**m
     tail_bound = tail_bound_at(u_cutoff)
     error = abs(direct - poisson)
     if error > tail_bound + 1e-6:

@@ -343,9 +343,8 @@ def _run_poisson_check(cfg):
             _, first, counts = np.unique(us @ prime ** np.arange(F.n_vars),
                                          return_index=True, return_counts=True)
             tally = {"zero": 0, "good": 0, "bad": 0}
-            for i, mult in zip(first, counts):
-                u = tuple(int(c) for c in us[i])
-                tally[varieties.diagonal_dual_oracle(coeffs, d, u, prime).kind] += int(mult)
+            for u, mult in zip(us[first].tolist(), counts.tolist()):
+                tally[varieties.diagonal_dual_oracle(coeffs, d, tuple(u), prime).kind] += mult
             results[f"u_class_tally_mod_{prime}"] = tally
     else:
         results["u_class_tally"] = "skipped (non-diagonal form)"

@@ -74,23 +74,12 @@ def _variable_groups(F):
     is a class of its own with the zero form; a form in no variables is
     one empty class.  The constant term goes with the first class.
     """
-    n = F.n_vars
-    parent = list(range(n))
-
-    def root(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for expo in F.terms:
-        live = [i for i, e in enumerate(expo) if e]
-        for i in live[1:]:
-            parent[root(i)] = root(live[0])
-    classes = {}
-    for i in range(n):
-        classes.setdefault(root(i), []).append(i)
-    groups = sorted(classes.values()) or [[]]
+    groups = [[i] for i in range(F.n_vars)]
+    for expo in F.terms:  # merge the classes of the variables in each monomial
+        live = {i for i, e in enumerate(expo) if e}
+        merged = sorted(i for g in groups if live.intersection(g) for i in g)
+        groups = [g for g in groups if not live.intersection(g)] + [merged]
+    groups = sorted(g for g in groups if g) or [[]]
     where = {i: k for k, g in enumerate(groups) for i in g}
     terms = [{} for _ in groups]
     for expo, c in F.terms.items():
@@ -134,50 +123,54 @@ def fiber_histogram(F, p, budget=DEFAULT_BUDGET):
 def group_pushforwards(sub, freqs, N):
     """Row j: v -> sum over a in (Z/N)^k with sub(a) = v mod N of e(<u_j, a>/N).
 
-    u_j runs over the product of the frequency arrays in freqs (C order,
-    one per variable).  The R rows come from one phase-weighted bincount
-    over (Z/N)^k, R N^k points, or, when R > N, from a k-dim DFT of each
-    fiber's indicator, N^(k+1).
+    u_j runs over the product of freqs (C order, one array per variable):
+    one phase-weighted bincount of R N^k points for the R rows.
     """
-    k = sub.n_vars
-    axes = broadcast_grid([np.arange(N, dtype=np.int64)] * k)
+    axes = broadcast_grid([np.arange(N, dtype=np.int64)] * sub.n_vars)
     vals = np.ravel(sub.eval_mod(axes, N))
-    freqs = [np.asarray(f, dtype=np.int64) % N for f in freqs]
-    if np.prod([len(f) for f in freqs]) > N:
-        hot = np.eye(N)[vals].reshape((N,) * (k + 1))
-        return (np.fft.ifftn(hot, axes=range(k)) * N**k)[np.ix_(*freqs)].reshape(-1, N)
-    us = np.array(list(itertools.product(*freqs)), dtype=np.int64)
-    expo = sum(np.multiply.outer(us[:, i], axis) for i, axis in enumerate(axes)) % N
+    us = np.array(list(itertools.product(*freqs)), dtype=np.int64) % N
+    expo = sum(np.multiply.outer(us[:, i], axis) % N for i, axis in enumerate(axes)) % N
     phases = np.ravel(np.exp(2j * np.pi * np.arange(N) / N)[expo])
-    idx = (np.arange(len(us))[:, None] * N + vals).ravel()
-    size = len(us) * N
+    idx, size = (np.arange(len(us))[:, None] * N + vals).ravel(), len(us) * N
     out = np.bincount(idx, phases.real, size) + 1j * np.bincount(idx, phases.imag, size)
     return out.reshape(len(us), N)
 
 
-def charge_group_grids(F, size, budget, extra=0):
-    """Charge extra plus size(|g|) points per variable group g, before any build."""
-    cost = extra + sum(size(len(idx)) for idx, _ in _variable_groups(F))
-    if cost > budget:
-        raise BudgetExceeded(f"group grids of {cost} points exceed budget {budget}")
+def _sums_plan(F, N, freqs):
+    """The variable groups of F, a largest first, and the points complete_sums builds."""
+    groups = sorted(_variable_groups(F), key=lambda g: -len(g[0]))
+    rows = [math.prod(len(freqs[i]) for i in idx) for idx, _ in groups]
+    cost = (N**len(groups[0][0]) + N) * math.prod(rows[1:])
+    return groups, cost + sum(N**len(idx) * r for (idx, _), r in zip(groups[1:], rows[1:]))
 
 
-def twisted_pushforward(F, u, N, budget=DEFAULT_BUDGET):
-    """mu[v] = sum over a in (Z/N)^m with F(a) = v mod N of e(<u, a>/N).
+def complete_sums(F, t_values, N, freqs, budget=DEFAULT_BUDGET):
+    """g(x) = sum over a in (Z/N)^m of t(F(a)) e(<a, x>/N), x in the product of freqs.
 
-    One phase-weighted bincount per variable group over its own N^|g|
-    grid (a non-separable F is one group), combined by FFT cyclic
-    convolution: O(sum_g N^|g| + m N log N), charged before any build.
+    freqs lists the residues of each variable; g is indexed by position.
+    With t(v) = sum_s c(s) e(sv/N), g(x) = sum_s c(s) prod_g G_g(s, x_g),
+    G_g the DFT of a group's twisted pushforward (group_pushforwards).  A
+    largest group absorbs the s-sum: g(., x') is the DFT over its N^k grid
+    of S(F_top(a)), S = t convolved with the other groups' pushforward at
+    x'.  A non-separable F is one N^m table.  Charged before any build.
     """
-    if len(u) != F.n_vars:
-        raise ValueError("u arity mismatch")
     if N * N >= _INT64_SAFE:
         raise OverflowError(f"products of residues mod {N} would overflow 64-bit integers")
-    charge_group_grids(F, lambda k: N**k, budget)
-    spectrum = np.ones(N, dtype=np.complex128)
-    for idx, sub in _variable_groups(F):
-        spectrum *= np.fft.fft(group_pushforwards(sub, [[u[i]] for i in idx], N)[0])
-    return np.fft.ifft(spectrum)
+    groups, cost = _sums_plan(F, N, freqs)
+    if cost > budget:
+        raise BudgetExceeded(f"complete sums of {cost} points exceed budget {budget}")
+    (top_idx, top), *others = groups
+    spec = np.ones((N, 1), dtype=np.complex128)  # prod_g G_g(s, x'_g), x' in C order
+    for idx, sub in others:
+        G = N * np.fft.ifft(group_pushforwards(sub, [freqs[i] for i in idx], N), axis=1)
+        spec = (spec[:, :, None] * G.T[:, None, :]).reshape(N, -1)
+    S = np.fft.ifft(np.fft.fft(t_values)[:, None] * spec, axis=0)
+    grid = broadcast_grid([np.arange(N, dtype=np.int64)] * len(top_idx))
+    g = S.T[:, np.ravel(top.eval_mod(grid, N))].reshape((-1,) + (N,) * len(top_idx))
+    for ax, i in reversed(list(enumerate(top_idx, 1))):  # axes x', top; DFT kept on freqs[i]
+        g = np.fft.ifft(g, axis=ax).take(np.asarray(freqs[i], dtype=np.int64) % N, ax) * N
+    order = [i for idx, _ in others for i in idx] + list(top_idx)
+    return g.reshape([len(freqs[i]) for i in order]).transpose(np.argsort(order))
 
 
 def pair_fiber_histogram(F, G, p, budget=DEFAULT_BUDGET):

@@ -135,26 +135,6 @@ def box_histogram_direct(F_terms, n_vars, B):
     return values, [tally[v] for v in values]
 
 
-def integer_root_of(f, v):
-    """Some integer t with f(t) = v, or None; direct root isolation.
-
-    Independent of the value-table path: rounds the real roots of
-    f(T) - v obtained from the companion matrix and verifies exactly.
-    """
-    import math
-
-    import numpy as np
-
-    coeffs = list(f.sub_const(int(v)).coeffs)
-    for r in np.roots(list(reversed(coeffs))):
-        if abs(r.imag) > 0.51:
-            continue
-        for t in (math.floor(r.real), round(r.real), math.ceil(r.real)):
-            if f.eval(int(t)) == v:
-                return int(t)
-    return None
-
-
 def ext_exp_table_loop(p, modulus):
     """Powers 1, g, g^2, ... of the first unit g of order q - 1 in F_p[T]/(modulus).
 

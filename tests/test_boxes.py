@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from polysieve.boxes import (BoxProblem, SmoothWeight, bound_ratio_scan,
                              box_histogram, complete_sum_g, crt_factor_check,
                              discriminant_profile, exact_count,
-                             exceptional_set,
+                             exceptional_set, integer_root_of,
                              poisson_compare, select_primes,
                              sieve_filtered_count)
 from polysieve.errors import BudgetExceeded
@@ -22,7 +22,7 @@ from polysieve.tracefn import TraceFunction, constant_trace, kloosterman
 from polysieve.varieties import diagonal_dual_oracle
 
 from _oracles import (box_count_direct, box_count_per_point, box_histogram_direct,
-                      complete_sum_grid, complete_sum_table, crt_lhs_grid, integer_root_of,
+                      complete_sum_grid, complete_sum_table, crt_lhs_grid,
                       poisson_dual_grid)
 
 F_QUADRIC = parse_multipoly("X0^2+X1^2+X2^2")
@@ -529,7 +529,7 @@ class TestBoundRatioScan:
 
 # separable, mixed, non-separable, an absent variable with a constant term
 GROUPED_FORMS = ["X0^2+2*X1^2+3*X2^2", "X0^2+X0*X1+X2^3", "X0*X1+X1*X2+X2^2",
-                 "X0^3+X2^2+5", "2*X0^2+X1^3+X0*X1+1"]
+                 "X0^3+X2^2+5", "2*X0^2+X1^3+X0*X1+1", "X0^2+X1*X2+X1^3"]
 
 
 def trace_on(kind, p):
@@ -613,11 +613,11 @@ class TestGroupedSums:
     def test_budget_charges_group_grids(self):
         p = 101
         t = kloosterman(2, PrimeField(p))
-        # p^3 = 1030301 is past the budget; the three group grids are 303 points
+        # p^3 = 1030301 is past the budget; the group grids and spectra are 404 points
         got = complete_sum_g(F_QUADRIC, t, (1, 2, 3), p, budget=10**4)
         want = complete_sum_grid(F_QUADRIC, t.values, (1, 2, 3), p)
         assert abs(got - want) <= 1e-9 * abs(want)
-        # the grid of a non-separable group counts in full: p^2 + p > 10^4
+        # the grid of a non-separable group counts in full: p^2 + 2p > 10^4
         F = parse_multipoly("X0*X1+X2^2")
         tracemalloc.start()
         try:
@@ -627,10 +627,49 @@ class TestGroupedSums:
                 crt_factor_check(F, (1, 2, 3), 5, 7, trace_on("kl", 5), trace_on("kl", 7),
                                  budget=35**2)
             with pytest.raises(BudgetExceeded):
-                # boxes 9^2 + 9, window tables 5^3 + 7^3 and 5^2 + 7^2, K 35: 667
+                # box 9^3; window pass 7 pairs * 7^2; X0*X1 absorbs the s-sum,
+                # (5^2 + 5) * 5 and (7^2 + 7) * 7; X2^2 rows 5 * 5 and 7 * 7: 1688
                 poisson_compare(F, 5, 7, trace_on("kl", 5), trace_on("kl", 7), B=4,
-                                u_cutoff=3, budget=666)
+                                u_cutoff=3, budget=1687)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**16  # refused before any grid was built
+        poisson_compare(F, 5, 7, trace_on("kl", 5), trace_on("kl", 7), B=4,
+                        u_cutoff=3, budget=1688)
+
+    @pytest.mark.parametrize("form, p, q, cutoff", [
+        ("X0*X1+X2*X3+X2^2", 3, 5, 2),   # two groups of two: one absorbs, one gives rows
+        ("X0^2+X1*X2*X3+1", 5, 2, 3),    # the largest group last, p > q, W > q
+    ])
+    def test_poisson_window_four_variables(self, form, p, q, cutoff):
+        F = parse_multipoly(form)
+        t_p, t_q = trace_on("kl", p), trace_on("psi", q)
+        rec = poisson_compare(F, p, q, t_p, t_q, B=2, u_cutoff=cutoff)
+        W = SmoothWeight(2)
+        wh_axis = [2 * W.wh(2 * abs(uu) / (p * q)) for uu in range(-cutoff, cutoff + 1)]
+        want = poisson_dual_grid(F, p, q, t_p.values, t_q.values, wh_axis)
+        assert abs(rec["poisson"] - want) <= 1e-9 * max(1, abs(want))
+
+    def test_frequencies_past_int64_reduce_first(self):
+        F = parse_multipoly("X0*X1+X2^2")
+        big = (3 + 35 * 10**30, -2 - 35 * 10**25, 4)
+        t = trace_on("kl", 5)
+        assert complete_sum_g(F, t, big, 5) == pytest.approx(complete_sum_g(F, t, (3, 3, 4), 5))
+        rec = crt_factor_check(F, big, 5, 7, t, trace_on("kl", 7))
+        assert rec["lhs"] == pytest.approx(crt_lhs_grid(F, (3, 33, 4), 5, 7, t.values,
+                                                        trace_on("kl", 7).values))
+
+    def test_non_separable_poisson_keeps_the_full_table_cost(self):
+        # one group of two variables: the charge is p^2 + q^2 plus window terms,
+        # as the full tables were, so p, q near 500 run under the default budget
+        F = parse_multipoly("X0*X1")
+        p, q, B, cutoff = 499, 503, 6, 8
+        t_p, t_q = trace_on("kl", p), trace_on("kl", q)
+        rec = poisson_compare(F, p, q, t_p, t_q, B=B, u_cutoff=cutoff)
+        W = SmoothWeight(B)
+        wh_axis = [B * W.wh(B * abs(uu) / (p * q)) for uu in range(-cutoff, cutoff + 1)]
+        want = poisson_dual_grid(F, p, q, t_p.values, t_q.values, wh_axis)
+        assert abs(rec["poisson"] - want) <= 1e-9 * max(1, abs(want))
+        with pytest.raises(BudgetExceeded):
+            poisson_compare(F, p, q, t_p, t_q, B=B, u_cutoff=cutoff, budget=p**2 + q**2)

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from polysieve.errors import BudgetExceeded
 from polysieve.fields import cached_field, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly
-from polysieve.varieties import (classify_u, count_affine_fiber,
+from polysieve.varieties import (classify_u, complete_sums, count_affine_fiber,
                                  diagonal_dual_oracle, fiber_histogram,
                                  group_pushforwards, pair_fiber_histogram,
                                  singular_fiber_scan, smoothness_scan)
 
-from _oracles import (TupleField, classify_u_direct, fiber_histogram_direct,
-                      smoothness_scan_direct)
+from _oracles import (TupleField, classify_u_direct, complete_sum_table,
+                      fiber_histogram_direct, smoothness_scan_direct)
 
 
 class TestFiberCounts:
@@ -93,8 +93,8 @@ class TestFiberHistogramProperty:
         assert hist.tolist() == fiber_histogram_direct(F.terms, F.n_vars, p)
 
     @pytest.mark.parametrize("form, N, freqs", [
-        ("X0*X1+2*X1^2+1", 5, [[0, 7, -3], [2]]),           # 3 rows <= N: bincount
-        ("X0*X1+2*X1^2+1", 5, [[0, 1, 2, 3], [4, -1, 0]]),  # 12 distinct rows > N: DFT
+        ("X0*X1+2*X1^2+1", 5, [[0, 7, -3], [2]]),           # 3 rows <= N
+        ("X0*X1+2*X1^2+1", 5, [[0, 1, 2, 3], [4, -1, 0]]),  # 12 distinct rows > N
         ("X0^3", 7, [[-2, -1, 0, 1, 2, 5]]),                # repeated residues
         ("3*X0^2+X0", 6, [[1, 2, 3, 4, 5, 0, 1]]),          # composite N, 7 > 6 rows
     ])
@@ -116,6 +116,25 @@ class TestFiberHistogramProperty:
                            for i in range(62)})
         with pytest.raises(OverflowError):
             fiber_histogram(F, 2, budget=2**63)
+
+
+class TestCompleteSums:
+    @settings(max_examples=40)
+    @given(st.sampled_from(["X0*X1+X2^2+X3^3", "X0^2+X1*X2*X3+1", "X0^3+X1^2+2*X2^2+X0*X3",
+                            "X0^2+2*X1^2+X2*X3", "X1*X3+X2", "X0*X1*X2*X3"]),
+           st.sampled_from([2, 3, 5]),
+           st.lists(st.lists(st.integers(-9, 9), min_size=1, max_size=4),
+                    min_size=4, max_size=4),
+           st.integers(0, 2**32 - 1))
+    def test_matches_full_table_on_any_residue_grid(self, form, p, freqs, seed):
+        # axes of different lengths pin the variable order of the result
+        F = parse_multipoly(form, n_vars=4)
+        rng = np.random.default_rng(seed)
+        t = rng.normal(size=p) + 1j * rng.normal(size=p)
+        got = complete_sums(F, t, p, freqs)
+        want = complete_sum_table(F, t, p)[np.ix_(*[np.asarray(f) % p for f in freqs])]
+        assert got.shape == tuple(len(f) for f in freqs)
+        assert np.abs(got - want).max() <= 1e-9 * max(1, np.abs(want).max())
 
 
 class TestSmoothness:
