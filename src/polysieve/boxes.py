@@ -22,7 +22,7 @@ import numpy as np
 from .errors import BudgetExceeded, InvariantViolation
 from .fields import prime_factors, primes_in
 from .polynomials import MultiPoly, UniPoly, broadcast_grid, discriminant_uni
-from .sieve import build_prime_data, in_h_image
+from .sieve import build_prime_data, in_h_image, sieve_threshold
 from .varieties import (_INT64_SAFE, DEFAULT_BUDGET, _sums_plan, _variable_groups,
                         complete_sums, fiber_histogram, smoothness_scan)
 
@@ -247,21 +247,11 @@ def exceptional_set(f, prime_data, v_max, threshold_mode="lemma",
     """
     if 2 * v_max + 1 > budget:
         raise BudgetExceeded(f"2 * v_max + 1 = {2 * v_max + 1} exceeds budget {budget}")
-    P = len(prime_data)
-    d = f.degree
-    if threshold_mode == "lemma":
-        threshold = P / (2 * d)
-    elif threshold_mode == "logp":
-        threshold = P / (2 * d * math.log(P)) if P > 1 else P / (2 * d)
-    else:
-        raise ValueError(f"unknown threshold mode {threshold_mode!r}")
+    threshold = sieve_threshold(len(prime_data), f.degree, threshold_mode)
     ks = np.arange(-v_max, v_max + 1, dtype=np.int64)
     counts = np.zeros(len(ks), dtype=np.int64)
     for data in prime_data:
-        if not data.exceptional:
-            continue
-        exc = np.array(sorted(data.exceptional), dtype=np.int64)
-        counts += np.isin(ks % data.p, exc)
+        counts += np.isin(ks % data.p, list(data.exceptional))
     return set(int(k) for k in ks[counts >= threshold])
 
 
@@ -316,53 +306,57 @@ def crt_factor_check(F, u, p, q, t_p, t_q, budget=DEFAULT_BUDGET):
 # smooth weights and Poisson comparison
 
 def _bump(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1
-    ti = t[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ti * ti))
-    return out
-
-
-def _bump_scalar(s):
-    if abs(s) >= 1.0 - 1e-14:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - s * s))
-
-
-@lru_cache(maxsize=None)
-def _bump_l1():
-    from scipy.integrate import quad
-
-    val, _ = quad(_bump_scalar, -1, 1)
-    return val
+    with np.errstate(divide="ignore"):  # exp(-1/0) = 0 outside (-1, 1)
+        return np.exp(-1 / np.maximum(1 - np.square(np.asarray(t, dtype=float)), 0))
 
 
 @lru_cache(maxsize=None)
 def _bump_derivative_l1(order):
-    """L1 norm of the order-th derivative of the bump, via symbolic diff."""
-    import sympy
-    from scipy.integrate import quad
+    """||w^(k)||_1 of the unit bump, k = order >= 1, rounded up.
 
-    s = sympy.Symbol("s")
-    expr = sympy.exp(-1 / (1 - s**2))
-    deriv = sympy.lambdify(s, sympy.diff(expr, s, order), "math")
+    w^(k)(s) = P_k(s) (1-s^2)^(-2k) w(s) with integer polynomials P_0 = 1,
+    P_{k+1} = P_k' (1-s^2)^2 + (4ks(1-s^2) - 2s) P_k.  So ||w^(k)||_1 is
+    the total variation of w^(k-1) over -1, the (Newton-polished) real
+    zeros s of P_k in (-1, 1) and 1: a lower bound for any points s, and
+    w^(k-1)(s), taken in rationals, has rounding error below eps (2 + 1/u),
+    u = 1-s^2, which is added back.
+    """
+    from fractions import Fraction  # pulls in decimal; only the Poisson path needs it
 
-    def safe(x):
-        if abs(x) >= 1 - 1e-12:
-            return 0.0
-        return abs(deriv(x))
+    polys = [np.array([1], dtype=object)]  # highest degree first, exact ints
+    for k in range(order):
+        polys.append(np.polyadd(np.polymul(np.polyder(polys[-1]), [1, 0, -2, 0, 1]),
+                                np.polymul([-4 * k, 0, 4 * k - 2, 0], polys[-1])))
+    pk, dp = polys[order].astype(float), np.polyder(polys[order]).astype(float)
+    roots = np.roots(pk)
+    z = np.sort(roots.real[(np.abs(roots.imag) < 1e-6) & (np.abs(roots.real) < 1)])
+    for _ in range(3):
+        z = z - np.polyval(pk, z) / np.polyval(dp, z)
+    vals, total = [0.0], 0.0
+    for s in map(Fraction, z):
+        u = 1 - s * s
+        vals.append(float(np.polyval(polys[order - 1], s) / u ** (2 * order - 2))
+                    * math.exp(-float(1 / u)))
+        total += 2 * np.finfo(float).eps * (2 + float(1 / u)) * abs(vals[-1])
+    return total + float(np.abs(np.diff(vals, append=0.0)).sum())
 
-    val, _ = quad(safe, -1, 1, limit=200)
-    return val
+
+def _freqs(xi):
+    """|xi| as an array, and its trapezoid node count: the least power of two
+    >= max(4096, 4 max|xi|), so N/2 - |xi| >= N/4 for every xi."""
+    xi = np.abs(np.asarray(xi, dtype=float))
+    return xi, 2 ** max(12, math.ceil(math.log2(max(4 * xi.max(initial=0.0), 1.0))))
 
 
 class SmoothWeight:
-    """Product bump weight supported on [-B, B]^m with quadrature transform.
+    """Product bump weight supported on [-B, B]^m with a trapezoid transform.
 
     w(t) = exp(-1/(1-t^2)) on (-1, 1); W(x) = prod w(x_i / B).  The 1-d
-    transform wh(xi) = int w(t) e(-xi t) dt is evaluated by adaptive
-    quadrature to 1e-10 and cached per frequency.
+    transform wh(xi) = int w(t) e(-xi t) dt is one trapezoid sum on N
+    nodes over [-1, 1], N set by the largest |xi| asked for (_freqs).  By
+    Poisson summation its error is sum_{j != 0} wh(xi + jN/2), at most
+    2 sum_{j >= 1} wh_bound(jN/2 - |xi|) (wh_error); the trapezoid rule
+    is spectrally accurate for the bump, so the true error is far smaller.
     """
 
     def __init__(self, B, kappa=4):
@@ -370,7 +364,6 @@ class SmoothWeight:
             raise ValueError("B must be positive")
         self.B = B
         self.kappa = kappa
-        self._wh_cache = {}
 
     def weight_1d(self, xs):
         return _bump(np.asarray(xs, dtype=float) / self.B)
@@ -380,60 +373,53 @@ class SmoothWeight:
         return float(np.prod(self.weight_1d(np.asarray(x, dtype=float))))
 
     def wh(self, xi):
-        """1-d transform of the unit bump at frequency xi (real, even)."""
-        xi = float(xi)
-        key = abs(xi)
-        if key not in self._wh_cache:
-            if key == 0:
-                val = _bump_l1()
-            else:
-                from scipy.integrate import quad
+        """1-d transform of the unit bump at a frequency or an array of them."""
+        xi, n = _freqs(xi)
+        t = np.arange(1, n // 2) * (2 / n)  # w is even: the nodes in (0, 1)
+        out = (2 / n) * (math.exp(-1) + 2 * np.cos(2 * np.pi * np.multiply.outer(xi, t))
+                         @ _bump(t))
+        return out if out.ndim else float(out)
 
-                # oscillatory weight handles large frequencies accurately
-                val, _ = quad(_bump_scalar, -1, 1, weight="cos",
-                              wvar=2 * math.pi * key, epsabs=1e-10, limit=400)
-            self._wh_cache[key] = val
-        return self._wh_cache[key]
+    def wh_error(self, xi):
+        """Bound on the trapezoid error of wh(xi), same node count as wh(xi).
+
+        2 sum_{j >= 1} c (2 pi (jN/2 - |xi|))^-kappa, c = ||w^(kappa)||_1,
+        summed as its first term plus the integral of the rest.
+        """
+        (xi, n), k = _freqs(xi), self.kappa
+        a = n / 2 - xi
+        out = (2 * _bump_derivative_l1(k) * (2 * math.pi)**-k
+               * (a**-k + 2 * a**(1 - k) / ((k - 1) * n)))
+        return out if out.ndim else float(out)
 
     def what(self, v):
         """Transform of W at a frequency vector v: prod B * wh(B v_i)."""
-        return float(np.prod([self.B * self.wh(self.B * vi) for vi in v]))
+        return float(np.prod(self.B * self.wh(self.B * np.asarray(v, dtype=float))))
 
     def wh_bound(self, xi):
-        """Analytic envelope min(||w||_1, ||w^(k)||_1 / (2 pi |xi|)^k)."""
-        flat = _bump_l1()
-        if xi == 0:
-            return flat
-        return min(flat, _bump_derivative_l1(self.kappa)
-                   / (2 * math.pi * abs(xi)) ** self.kappa)
+        """Analytic envelope min(||w||_1, ||w^(k)||_1 / (2 pi |xi|)^k), both rounded up."""
+        xi = np.abs(np.asarray(xi, dtype=float))
+        with np.errstate(divide="ignore"):
+            out = np.minimum(self.wh(0.0) + self.wh_error(0.0),
+                             _bump_derivative_l1(self.kappa) / (2 * math.pi * xi) ** self.kappa)
+        return out if out.ndim else float(out)
 
     def poisson_identity_gap(self, u_span=None):
         """|sum_m w(m/B) - sum_u B wh(Bu)| over integer lattices (1-d)."""
         direct = float(self.weight_1d(np.arange(-self.B, self.B + 1)).sum())
         if u_span is None:
             u_span = max(8, int(4 * self.B))
-        dual = sum(self.B * self.wh(self.B * u)
-                   for u in range(-u_span, u_span + 1))
+        dual = float(self.B * self.wh(self.B * np.arange(-u_span, u_span + 1)).sum())
         return abs(direct - dual), direct, dual
 
-    def tail_sum_bound(self, scale, cutoff, terms=None):
+    def tail_sum_bound(self, scale, cutoff):
         """Upper bound for sum over |u| > cutoff of B * wh_bound(B u / scale)."""
-        if terms is None:
-            terms = max(10 * cutoff, 200)
-        total = 0.0
-        for uu in range(cutoff + 1, terms + 1):
-            total += 2 * self.B * self.wh_bound(self.B * uu / scale)
-        # integral remainder of the monotone kappa-decay past `terms`
-        c = _bump_derivative_l1(self.kappa) * self.B
-        gamma = 2 * math.pi * self.B / scale
-        k = self.kappa
-        total += 2 * c * gamma**-k * terms ** (1 - k) / (k - 1)
-        return total
-
-    def boxed_sum(self, scale, cutoff):
-        """sum over |u| <= cutoff of B * |wh(B u / scale)| (true values)."""
-        return sum(self.B * abs(self.wh(self.B * uu / scale))
-                   for uu in range(-cutoff, cutoff + 1))
+        terms, k = max(10 * cutoff, 200), self.kappa
+        uu = np.arange(cutoff + 1, terms + 1)
+        # the envelope up to `terms`, plus the integral of its monotone decay past them
+        return float(2 * self.B * self.wh_bound(self.B * uu / scale).sum()
+                     + 2 * self.B * _bump_derivative_l1(k) * (2 * math.pi * self.B / scale)**-k
+                     * terms ** (1 - k) / (k - 1))
 
 
 def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, kappa=4,
@@ -442,9 +428,12 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, kappa=4,
 
     direct = sum over integer x of W(x) t_p(F(x)) conj(t_q(F(x)));
     poisson = (pq)^-m sum over |u_i| <= u_cutoff of g(u) What(u/pq).
-    When u_cutoff is omitted it grows until the analytic tail bound
-    drops below 1e-4 of the main-term scale.  Raises InvariantViolation
-    when the gap exceeds tail_bound + 1e-6.
+    tail_bound = S ((A + E + T)^m - A^m), S = sup|t_p| sup|t_q|: A sums
+    the window's B |wh| as computed, E their trapezoid error bounds and T
+    the analytic tail past the window (rounded-up ||w^(kappa)||_1).
+    When u_cutoff is omitted it grows until the tail bound drops below
+    1e-4 of the main-term scale.  Raises InvariantViolation when the gap
+    exceeds tail_bound + 1e-6.
 
     The box side folds the groups' bump-weighted histograms of F mod pq,
     as box_histogram does.  The dual side takes g_p(qbar u) and
@@ -457,16 +446,21 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, kappa=4,
     m = F.n_vars
     W = SmoothWeight(B, kappa)
     N = p * q
+    S = t_p.sup_bound * t_q.sup_bound
 
-    def tail_bound_at(cutoff):
-        inside = W.boxed_sum(N, cutoff)
-        return t_p.sup_bound * t_q.sup_bound * (
-            (inside + W.tail_sum_bound(N, cutoff)) ** m - inside**m)
+    def window(c):
+        """B wh(B u / N) and its trapezoid error bound for u = -c..c, one sum."""
+        xi = B * np.arange(-c, c + 1) / N
+        return B * W.wh(xi), B * W.wh_error(xi)
+
+    def tail_bound_over(wh_u, err_u):  # S ((A + E + T)^m - A^m) over the window u = -c..c
+        A = np.abs(wh_u).sum()
+        return S * ((A + err_u.sum() + W.tail_sum_bound(N, len(wh_u) // 2)) ** m - A**m)
 
     if u_cutoff is None:
-        main_scale = t_p.sup_bound * t_q.sup_bound * (B * W.wh(0.0)) ** m
-        u_cutoff = next((c for c in range(2, 130, 2)
-                         if tail_bound_at(c) <= 1e-4 * main_scale), 128)
+        wh_u, err_u = window(128)
+        u_cutoff = next((c for c in range(2, 130, 2) if tail_bound_over(
+            wh_u[128 - c:129 + c], err_u[128 - c:129 + c]) <= 1e-4 * S * wh_u[128]**m), 128)
     side = np.arange(-u_cutoff, u_cutoff + 1)
     qbar, pbar = pow(q, -1, p), pow(p, -1, q)
     rp, ip = np.unique(qbar * side % p, return_inverse=True)
@@ -486,7 +480,7 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, kappa=4,
     # dual: each window u_i lands on one residue pair (x, y) = (qbar u_i, pbar u_i);
     # w sums What over the u_i of each pair, pairs sorted by x.  Each pass moves
     # one axis of g_q from q-residues y to p-residues x, weighting by w.
-    wh_axis = np.array([W.B * W.wh(W.B * abs(int(uu)) / N) for uu in side])
+    wh_axis, err_axis = window(u_cutoff)
     w = np.bincount(ipair, wh_axis)
     xd, yd = pairs // len(rq), pairs % len(rq)
     starts = np.flatnonzero(np.diff(xd, prepend=-1))
@@ -495,7 +489,7 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, kappa=4,
         h = np.add.reduceat(h.take(yd, ax) * w.reshape((-1,) + (1,) * (m - 1 - ax)),
                             starts, axis=ax)
     poisson = complex((complete_sums(F, t_p.values, p, [rp] * m, budget) * h).sum()) / N**m
-    tail_bound = tail_bound_at(u_cutoff)
+    tail_bound = tail_bound_over(wh_axis, err_axis)
     error = abs(direct - poisson)
     if error > tail_bound + 1e-6:
         raise InvariantViolation(

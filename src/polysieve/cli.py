@@ -56,6 +56,10 @@ def _int_list(text):
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
+def _cutoff(text):
+    return None if text == "auto" else int(text)
+
+
 def _resolve_primes(policy, h, pmax):
     if policy == "auto":
         out = []
@@ -483,7 +487,8 @@ def build_parser():
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--B", type=int, default=10)
-    sp.add_argument("--cutoff", type=int, default=8)
+    sp.add_argument("--cutoff", type=_cutoff, default=8,
+                    help="window radius, or auto: grow it until the tail bound is small")
     sp.add_argument("--trace", default="chi:2:1")
 
     sp = sub.add_parser("crt-check", parents=[common])

@@ -205,15 +205,13 @@ class MultiPoly:
         arrs = [np.asarray(x, dtype=np.int64) % p for x in point]
         acc = np.zeros(np.broadcast(*arrs).shape, dtype=np.int64)
         for expo, c in self.terms.items():
-            term = np.full_like(acc, c % p)
-            for x, e in zip(arrs, expo):
-                ee = e
-                base = x
-                while ee > 0:  # square-and-multiply keeps products < p^2
-                    if ee & 1:
+            term = c % p  # grows only to the shape of the variables it uses
+            for base, e in zip(arrs, expo):
+                while e > 0:  # square-and-multiply keeps products < p^2
+                    if e & 1:
                         term = term * base % p
                     base = base * base % p
-                    ee >>= 1
+                    e >>= 1
             acc = (acc + term) % p
         return acc if acc.ndim else int(acc)
 

@@ -72,19 +72,21 @@ class SieveConfig:
             raise ValueError("deg h must be >= 2")
         if len(set(self.primes)) != len(self.primes):
             raise ValueError("primes must be distinct")
-        if self.threshold_mode not in ("lemma", "logp"):
-            raise ValueError(f"unknown threshold mode {self.threshold_mode!r}")
+        self.threshold()  # rejects an unknown mode
         for p in self.primes:
             if build_prime_data(self.h, p).surjective:
                 raise ValueError(f"h is onto F_{p}; p={p} detects nothing")
 
     def threshold(self):
-        """S-multiplicity cutoff; both variants appear in the source material."""
-        P = len(self.primes)
-        d = self.h.degree
-        if self.threshold_mode == "lemma":
-            return P / (2 * d)
-        return P / (2 * d * math.log(P)) if P > 1 else P / (2 * d)
+        return sieve_threshold(len(self.primes), self.h.degree, self.threshold_mode)
+
+
+def sieve_threshold(P, d, mode="lemma"):
+    """S-multiplicity cutoff for P primes and deg h = d; both variants appear
+    in the source material: "lemma" P/(2d), "logp" P/(2d log P) (P/(2d) at P = 1)."""
+    if mode not in ("lemma", "logp"):
+        raise ValueError(f"unknown threshold mode {mode!r}")
+    return P / (2 * d * math.log(P)) if mode == "logp" and P > 1 else P / (2 * d)
 
 
 def build_prime_data(h, p):

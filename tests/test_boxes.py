@@ -8,9 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polysieve.boxes import (BoxProblem, SmoothWeight, bound_ratio_scan,
-                             box_histogram, complete_sum_g, crt_factor_check,
-                             discriminant_profile, exact_count,
+from polysieve.boxes import (BoxProblem, SmoothWeight, _bump_derivative_l1,
+                             bound_ratio_scan, box_histogram, complete_sum_g,
+                             crt_factor_check, discriminant_profile, exact_count,
                              exceptional_set, integer_root_of,
                              poisson_compare, select_primes,
                              sieve_filtered_count)
@@ -424,6 +424,30 @@ class TestSmoothWeight:
         v = (0.3, 0.7)
         assert W.what(v) == pytest.approx(
             (5 * W.wh(5 * 0.3)) * (5 * W.wh(5 * 0.7)))
+
+    # ||w^(k)||_1 and wh(xi) to 40 digits (mpmath quadrature); ||w'||_1 = 2/e
+    @pytest.mark.parametrize("k, norm", [(1, 0.73575888234288464), (2, 3.1937190073343982),
+                                         (3, 35.647219909686182), (4, 1076.1291030400639),
+                                         (6, 5316586.6635335847)])
+    def test_derivative_norms_pinned_and_rounded_up(self, k, norm):
+        assert norm <= _bump_derivative_l1(k) <= norm * (1 + 1e-12)
+
+    def test_transform_pinned(self):
+        xis = [0.0, 0.3, 2.7, 11.0, 40.0]
+        want = [0.443993816168079438, 0.331034443337397083, 0.00284019872415586296,
+                -2.40325283210146937e-5, -1.14992900384800257e-9]
+        W = SmoothWeight(10)
+        for xi, value in zip(xis, want):
+            assert isinstance(W.wh(xi), float)
+            assert abs(W.wh(xi) - value) <= 1e-15
+        assert np.abs(W.wh(np.array(xis)) - want).max() <= 1e-15
+        assert want[0] <= W.wh_bound(0.0) <= want[0] + W.wh_error(0.0)
+
+    def test_node_count_follows_the_frequency(self):
+        # 4096 fixed nodes would alias wh(2048) onto wh(0)
+        W = SmoothWeight(10)
+        assert abs(W.wh(2048)) <= W.wh_bound(2048) + W.wh_error(2048)
+        assert W.wh_error(2048) < 1e-12
 
 
 class TestPoissonCompare:

@@ -303,6 +303,18 @@ class TestProcess:
         assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_import_leaves_scipy_unloaded(self):
-        proc = run_child(["-c", "import sys, polysieve; print('scipy' in sys.modules)"])
+        proc = run_child(["-c", "import sys, polysieve; "
+                                "print('scipy' in sys.modules, 'sympy' in sys.modules)"])
         assert proc.returncode == 0
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
+
+    def test_runs_without_scipy_or_sympy(self):
+        blocked = "import sys; sys.modules['scipy'] = sys.modules['sympy'] = None; "
+        proc = run_child(["-c", blocked + "from polysieve import cli; sys.exit(cli.main(["
+                          "'poisson-check', '--F', 'X0^2+X1^2+X2^2', '--p', '3', '--q', '5', "
+                          "'--cutoff', 'auto']))"])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["u_cutoff"] == 68
+        demo = Path(__file__).resolve().parents[1] / "demos" / "06_poisson_and_crt.py"
+        proc = run_child(["-c", blocked + f"import runpy; runpy.run_path({str(demo)!r})"])
+        assert proc.returncode == 0, proc.stderr

@@ -14,10 +14,10 @@ import polysieve
 
 from polysieve.errors import PolyParseError
 from polysieve.fields import cached_field
-from polysieve.polynomials import (MultiPoly, UniPoly, critical_value_poly,
-                                   discriminant_uni, parse_multipoly,
-                                   parse_unipoly, resultant_sylvester,
-                                   resultant_uni)
+from polysieve.polynomials import (MultiPoly, UniPoly, broadcast_grid,
+                                   critical_value_poly, discriminant_uni,
+                                   parse_multipoly, parse_unipoly,
+                                   resultant_sylvester, resultant_uni)
 
 from _oracles import (TupleField, eval_field_direct, poly_eval_everywhere,
                       poly_eval_in_field)
@@ -81,6 +81,18 @@ class TestEvaluation:
         for i, a in enumerate(xs):
             for j, b in enumerate(xs):
                 assert grid[i, j] == F.eval((int(a), int(b)))
+
+    @pytest.mark.parametrize("form", ["X0^3 - 2*X0*X1 + 5", "3*X2^4 + X1 - 7",
+                                      "X0*X2^2 + 11*X2", "13", "0"])
+    def test_broadcast_eval_mod_matches_scalar(self, form):
+        # monomials on a subset of the variables, a constant and the zero polynomial
+        F, p = parse_multipoly(form, n_vars=3), 7
+        sides = [np.arange(-4, 3), np.arange(9), np.arange(-2, 3)]
+        grid = F.eval_mod(broadcast_grid(sides), p)
+        assert grid.shape == (7, 9, 5)
+        for idx in itertools.product(*map(range, grid.shape)):
+            pt = tuple(int(s[i]) for s, i in zip(sides, idx))
+            assert grid[idx] == F.eval(pt) % p
 
 
 # (p, k): prime fields, p = 2 included, and extensions of degree 2 and 3

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from polysieve.boxes import exceptional_set
 from polysieve.fields import PrimeField, mult_char, primes_in
 from polysieve.polynomials import parse_unipoly
 from polysieve.sieve import (SieveConfig, SievePrimeData, build_prime_data,
@@ -241,6 +242,14 @@ class TestSieveBound:
         assert lemma == pytest.approx(len(primes) / 4)
         assert logp == pytest.approx(len(primes) / (4 * math.log(len(primes))))
         assert logp > lemma if math.log(len(primes)) < 1 else logp < lemma
+        # exceptional_set applies the same cutoff, at P = 1 and P = 8: S_{T^2, p} = {0},
+        # so k counts once per sieve prime dividing it
+        for ps in (primes[:1], primes):
+            for mode in ("lemma", "logp"):
+                cutoff = SieveConfig(h, ps, threshold_mode=mode).threshold()
+                got = exceptional_set(h, [build_prime_data(h, p) for p in ps], 2000, mode)
+                assert got == {k for k in range(-2000, 2001)
+                               if sum(k % p == 0 for p in ps) >= cutoff}
 
     def test_support_violation_counterexample(self):
         # a concentrated on m^2 with every sieve prime dividing m: the
