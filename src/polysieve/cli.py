@@ -18,7 +18,7 @@ import numpy as np
 from . import boxes, sieve, varieties
 from .errors import InvariantViolation, PolysieveError
 from .fields import cached_field, is_prime, mult_char, primes_in
-from .polynomials import MultiPoly, broadcast_grid, parse_multipoly, parse_unipoly
+from .polynomials import MultiPoly, parse_multipoly, parse_unipoly
 from .reports import ExperimentReport, emit_report, report_json
 from .tracefn import TraceFunction, constant_trace, kloosterman
 
@@ -158,11 +158,7 @@ def _run_mixsum(cfg):
         semi = {"k_max": o["kmax"]}
     elif o.get("G"):
         G = parse_multipoly(o["G"], n_vars=F.n_vars)
-        field = cached_field(p)
-        grid = broadcast_grid([np.arange(p, dtype=np.int64)] * F.n_vars)
-        fv = F.eval_mod(grid, p)
-        gv = G.eval_mod(grid, p)
-        total = complex((t.values[fv] * field.psi_table[gv]).sum())
+        total = varieties.mixed_sum(F, G, t.values, p, cfg.budget)
         extra = {"G": G.to_text()}
     else:
         raise ValueError("mixsum needs --u or --G")
@@ -248,6 +244,8 @@ def _run_fibers(cfg):
     G = parse_multipoly(o["G"], n_vars=F.n_vars) if o.get("G") else None
     m = F.n_vars
     rows = []
+    if G is None and o.get("b") is not None:
+        raise ValueError("fibers --b needs --G")
     if G is None:
         hist = varieties.fiber_histogram(F, p, cfg.budget)
         targets = [o["a"] % p] if o.get("a") is not None else range(p)
@@ -441,8 +439,9 @@ def build_parser():
     sp.add_argument("--trace", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--F", required=True)
-    sp.add_argument("--u", help="comma-separated frequency vector")
-    sp.add_argument("--G", help="additive-twist polynomial")
+    twist = sp.add_mutually_exclusive_group()
+    twist.add_argument("--u", help="comma-separated frequency vector")
+    twist.add_argument("--G", help="additive-twist polynomial")
     sp.add_argument("--kmax", type=int, default=2)
 
     sp = sub.add_parser("sieve-check", parents=[common])

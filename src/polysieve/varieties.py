@@ -10,11 +10,12 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, InvariantViolation
 from .fields import cached_field, is_prime
 from .polynomials import MultiPoly, broadcast_grid
 
@@ -66,27 +67,32 @@ class ScanResult:
     witness: Optional[Witness] = None
 
 
-def _variable_groups(F):
-    """(indices, sub-form) for each class of variables that share no monomial.
+def _variable_groups(*forms):
+    """(indices, sub-form of each form) for each class of variables that share no monomial.
 
-    F is the sum of the sub-forms; each lives on the variables of its
-    class, whose indices are listed in order.  A variable absent from F
-    is a class of its own with the zero form; a form in no variables is
-    one empty class.  The constant term goes with the first class.
+    One merge loop runs over the monomials of every form, so no monomial
+    of any form meets two classes, and each form is the sum of its
+    sub-forms, each living on the variables of its class, whose indices
+    are listed in order.  A variable absent from every form is a class of
+    its own with zero forms; forms in no variables give one empty class.
+    Constant terms go with the first class.
     """
-    groups = [[i] for i in range(F.n_vars)]
-    for expo in F.terms:  # merge the classes of the variables in each monomial
+    groups = [[i] for i in range(forms[0].n_vars)]
+    for expo in itertools.chain.from_iterable(f.terms for f in forms):
         live = {i for i, e in enumerate(expo) if e}
         merged = sorted(i for g in groups if live.intersection(g) for i in g)
         groups = [g for g in groups if not live.intersection(g)] + [merged]
     groups = sorted(g for g in groups if g) or [[]]
     where = {i: k for k, g in enumerate(groups) for i in g}
-    terms = [{} for _ in groups]
-    for expo, c in F.terms.items():
-        first = next((i for i, e in enumerate(expo) if e), None)
-        k = 0 if first is None else where[first]
-        terms[k][tuple(expo[i] for i in groups[k])] = c
-    return [(g, MultiPoly(len(g), t, F.ring)) for g, t in zip(groups, terms)]
+    subs = []
+    for form in forms:
+        terms = [{} for _ in groups]
+        for expo, c in form.terms.items():
+            first = next((i for i, e in enumerate(expo) if e), None)
+            k = 0 if first is None else where[first]
+            terms[k][tuple(expo[i] for i in groups[k])] = c
+        subs.append([MultiPoly(len(g), t, form.ring) for g, t in zip(groups, terms)])
+    return list(zip(groups, *subs))
 
 
 def _cyclic_convolve(a, b, p):
@@ -120,19 +126,23 @@ def fiber_histogram(F, p, budget=DEFAULT_BUDGET):
     return hist
 
 
-def group_pushforwards(sub, freqs, N):
-    """Row j: v -> sum over a in (Z/N)^k with sub(a) = v mod N of e(<u_j, a>/N).
+def group_pushforwards(sub, freqs, N, twist=None):
+    """Row j: v -> sum over a in (Z/N)^k with sub(a) = v mod N of e((<u_j, a> + twist(a))/N).
 
-    u_j runs over the product of freqs (C order, one array per variable):
-    one phase-weighted bincount of R N^k points for the R rows.
+    u_j runs over the product of freqs (C order, one array per variable);
+    twist is a form on the same k variables, or None for 0.  One
+    phase-weighted bincount of R N^k points for the R rows.
     """
     axes = broadcast_grid([np.arange(N, dtype=np.int64)] * sub.n_vars)
     vals = np.ravel(sub.eval_mod(axes, N))
     us = np.array(list(itertools.product(*freqs)), dtype=np.int64) % N
-    expo = sum(np.multiply.outer(us[:, i], axis) % N for i, axis in enumerate(axes)) % N
-    phases = np.ravel(np.exp(2j * np.pi * np.arange(N) / N)[expo])
+    expo = sum((np.multiply.outer(us[:, i], axis) % N for i, axis in enumerate(axes)
+                if us[:, i].any()), 0 if twist is None else twist.eval_mod(axes, N))
+    expo = np.ravel(np.broadcast_to(expo, (len(us),) + (N,) * sub.n_vars))
+    # expo < (k + 1) N: the phase table repeats instead of a pass reducing expo mod N
+    phases = np.tile(np.exp(2j * np.pi * np.arange(N) / N), sub.n_vars + 1)
     idx, size = (np.arange(len(us))[:, None] * N + vals).ravel(), len(us) * N
-    out = np.bincount(idx, phases.real, size) + 1j * np.bincount(idx, phases.imag, size)
+    out = np.bincount(idx, phases.real[expo], size) + 1j * np.bincount(idx, phases.imag[expo], size)
     return out.reshape(len(us), N)
 
 
@@ -173,19 +183,115 @@ def complete_sums(F, t_values, N, freqs, budget=DEFAULT_BUDGET):
     return g.reshape([len(freqs[i]) for i in order]).transpose(np.argsort(order))
 
 
+def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
+    """sum over x in F_p^n of t(F(x)) e(G(x)/p), per joint variable group of (F, G).
+
+    Each group's pushforward P_g(v) = sum over F_g(a) = v of e(G_g(a)/p)
+    is one phase-weighted bincount over its own p^|g| grid
+    (group_pushforwards twisted by G_g).  F and G are sums over the
+    groups, so the sum is t against the cyclic convolution of the P_g,
+    taken by one length-p FFT.  Costs sum_g p^|g| + p, charged before any
+    build; a non-separable pair is one p^n grid and no FFT.
+    """
+    if F.n_vars != G.n_vars:
+        raise ValueError("F and G must share arity")
+    groups = _variable_groups(F, G)
+    cost = sum(p**len(idx) for idx, _, _ in groups) + p
+    if cost > budget:
+        raise BudgetExceeded(f"mixed sum over {cost} points exceeds budget {budget}")
+    pushed = [group_pushforwards(sub, [[0]] * len(idx), p, twist)[0]
+              for idx, sub, twist in groups]
+    if len(pushed) > 1:
+        pushed = [np.fft.ifft(np.prod(np.fft.fft(pushed, axis=1), axis=0))]
+    return complex(np.asarray(t_values) @ pushed[0])
+
+
+@lru_cache(maxsize=64)
+def _checksum_ring(shape):
+    """A prime P = 1 mod lcm(shape) in [2^30, 2^31) and per axis k the powers of r_k, r_k^n = 1.
+
+    h -> sum h[i] prod r_k^(i_k) mod P is then a ring map from cyclic
+    convolutions of this shape; a one-cell error always changes the image.
+    r_k = z^(k+1) for the first z = x^((P-1)/n) != 1, so equal axes differ.
+    """
+    step = math.lcm(*shape)
+    P = next(P for P in range((2**30 // step + 1) * step + 1, 2**31, step) if is_prime(P))
+    powers = []
+    for k, n in enumerate(shape):
+        z = next(z for x in itertools.count(2) if (z := pow(x, (P - 1) // n, P)) != 1 or n == 1)
+        pw = itertools.accumulate([pow(z, k + 1, P)] * (n - 1), lambda a, b: a * b % P, initial=1)
+        powers.append(np.array(list(pw)).reshape((-1,) + (1,) * (len(shape) - 1 - k)))
+    return P, powers
+
+
+def _checksum(h):
+    """sum h[i] prod r_k^(i_k) mod P (_checksum_ring), exact in int64."""
+    P, powers = _checksum_ring(h.shape)
+    acc = h % P
+    for pw in powers:
+        acc = (acc * pw % P).sum(axis=0) % P
+    return int(acc)
+
+
+def cyclic_fold(parts):
+    """Exact cyclic convolution of nonnegative int64 arrays of one shape, by FFT.
+
+    A transform entry errs by at most c u log2(4n) |h|_1 per axis (u = 2^-53;
+    c = 16 leaves room for numpy's chirp transforms at prime n), so the
+    rounding error is below (k + 1) c u ndim log2(4n) prod |h|_1: where that
+    reaches 1/2, OverflowError before any transform.  The int64 total of the
+    result must equal the product of the masses and its checksum
+    (_checksum_ring) the product of the parts', or InvariantViolation.
+    """
+    shape, mass = parts[0].shape, math.prod(int(h.sum()) for h in parts)
+    bound = (len(parts) + 1) * 16 * len(shape) * math.log2(4 * max(shape)) * 2.0**-53 * mass
+    if bound >= 0.5:
+        raise OverflowError(f"FFT fold of mass {mass} could round wrongly (error bound {bound:.3g})")
+    spec = np.fft.rfftn(parts[0])
+    for h in parts[1:]:
+        spec *= np.fft.rfftn(h)
+    out = np.rint(np.fft.irfftn(spec, shape, range(len(shape)))).astype(np.int64)
+    if int(out.sum()) != mass:
+        raise InvariantViolation(f"FFT fold total {int(out.sum())} != product of masses {mass}")
+    if _checksum(out) != math.prod(_checksum(h) for h in parts) % _checksum_ring(shape)[0]:
+        raise InvariantViolation("FFT fold checksum differs from the product of the parts'")
+    return out
+
+
 def pair_fiber_histogram(F, G, p, budget=DEFAULT_BUDGET):
-    """Matrix h with h[a, b] = |{x : F(x) = a, G(x) = b}|."""
+    """Matrix h with h[a, b] = |{x in F_p^n : F(x) = a, G(x) = b}|.
+
+    The joint variable groups of (F, G) are packed, largest first, into
+    blocks of at most p^2 grid points (the size of h), each counted into a
+    p x p histogram over its own grid; h is their 2D cyclic convolution
+    (cyclic_fold).  A non-separable pair, and any pair in two variables, is
+    one block: one grid, no FFT.  Block grids and p^2 per block are charged
+    before any build.
+    """
     if F.n_vars != G.n_vars:
         raise ValueError("F and G must share arity")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n = F.n_vars
-    if 2 * p**n > budget:
-        raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
-    grid = broadcast_grid([np.arange(p, dtype=np.int64)] * n)
-    fv = np.ravel(F.eval_mod(grid, p))
-    gv = np.ravel(G.eval_mod(grid, p))
-    return np.bincount(fv * p + gv, minlength=p * p).reshape(p, p)
+    blocks = []
+    for grp in sorted(_variable_groups(F, G), key=lambda g: -len(g[0])):
+        if blocks and sum(len(g[0]) for g in blocks[-1]) + len(grp[0]) <= 2:
+            blocks[-1].append(grp)
+        else:
+            blocks.append([grp])
+    sizes = [sum(len(g[0]) for g in block) for block in blocks]
+    cost = sum(p**k + p * p for k in sizes)
+    if cost > budget:
+        raise BudgetExceeded(f"pair histogram of {cost} points exceeds budget {budget}")
+    hists = []
+    for block, k in zip(blocks, sizes):
+        axes = iter(broadcast_grid([np.arange(p, dtype=np.int64)] * k))
+        fv = gv = 0
+        for idx, f_sub, g_sub in block:
+            own = [next(axes) for _ in idx]
+            fv, gv = fv + f_sub.eval_mod(own, p), gv + g_sub.eval_mod(own, p)
+        cells = np.broadcast_to(fv % p * p + gv % p, (p,) * k)
+        hists.append(np.bincount(np.ravel(cells), minlength=p * p).reshape(p, p))
+    return hists[0] if len(hists) == 1 else cyclic_fold(hists)
 
 
 def count_affine_fiber(F, a, p, G=None, b=None, budget=DEFAULT_BUDGET):

@@ -434,3 +434,19 @@ def te_dense(values, e, field, conjugate=False):
     xs = field.elements()
     kernel = field.psi_table[field.mul(xs[:, None], field.pow(xs, e)[None, :])]
     return (np.conj(kernel) if conjugate else kernel) @ np.asarray(values)
+
+
+def pair_fiber_histogram_grid(F, G, p):
+    """h[a, b] = #{x : F(x) = a, G(x) = b}: one bincount over the full p^n grid."""
+    import numpy as np
+
+    vals = [np.ravel(_grid_values(H, range(p), p)) for H in (F, G)]
+    return np.bincount(vals[0] * p + vals[1], minlength=p * p).reshape(p, p)
+
+
+def mixsum_grid(F, G, t_values, p):
+    """sum over x in F_p^n of t(F(x)) e(G(x)/p), evaluated point by point on the full grid."""
+    import numpy as np
+
+    fv, gv = (_grid_values(H, range(p), p) for H in (F, G))
+    return complex((np.asarray(t_values)[fv] * np.exp(2j * np.pi * gv / p)).sum())

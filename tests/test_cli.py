@@ -122,6 +122,26 @@ class TestSubcommands:
         assert run(["mixsum", "--trace", "kl:2", "--p", "7",
                     "--F", "X0^2+X1^2"]) == 1
 
+    def test_mixsum_takes_one_twist(self, capsys):
+        assert run(["mixsum", "--trace", "kl:2", "--p", "7", "--F", "X0^2+X1^2",
+                    "--u", "1,0", "--G", "X0*X1"]) == 1
+        assert "not allowed with" in capsys.readouterr().err
+
+    def test_mixsum_G_charged_to_budget(self, capsys):
+        # one joint group: its p^2 grid and the length-p sum
+        argv = ["mixsum", "--trace", "kl:2", "--p", "7", "--F", "X0^2+X1^2", "--G", "X0*X1"]
+        assert run(argv + ["--budget", "10"]) == 1
+        assert "56 points exceeds budget 10" in capsys.readouterr().err
+        assert run(argv + ["--budget", "56"]) == 0
+
+    def test_G_sums_per_joint_group_at_p_1009(self, capsys):
+        # the full grids would have p^3 = 10^9 points
+        base = ["--p", "1009", "--F", "X0^2+X1^2+X2^2"]
+        assert run(["mixsum", "--trace", "kl:2", *base, "--G", "X0+X1"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["abs"] > 0
+        assert run(["tracesum", "--trace", "psi", *base, "--G", "X0-X1"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["domain"] == "V(-X1 + X0)"
+
     def test_classify_u_agrees_with_oracle(self, capsys):
         assert run(["classify-u", "--F", "X0^2+X1^2+X2^2", "--u", "1,2,0",
                     "--p", "5"]) == 0
@@ -135,6 +155,10 @@ class TestSubcommands:
         assert len(out["tables"]["fibers"]) == 5
         row0 = [r for r in out["tables"]["fibers"] if r["a"] == 0][0]
         assert row0["count"] == 9
+
+    def test_fibers_b_needs_G(self, capsys):
+        assert run(["fibers", "--F", "X0^2+X1^2", "--p", "5", "--b", "1"]) == 1
+        assert "--b needs --G" in capsys.readouterr().err
 
     def test_sieve_detect(self, capsys):
         assert run(["sieve-detect", "--h", "T^2", "--primes", "list:3,7",

@@ -1,20 +1,22 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polysieve.errors import BudgetExceeded
-from polysieve.fields import cached_field, primes_in
+from polysieve.errors import BudgetExceeded, InvariantViolation
+from polysieve.fields import cached_field, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly
-from polysieve.varieties import (classify_u, complete_sums, count_affine_fiber,
+from polysieve.varieties import (classify_u, complete_sums, count_affine_fiber, cyclic_fold,
                                  diagonal_dual_oracle, fiber_histogram,
-                                 group_pushforwards, pair_fiber_histogram,
+                                 group_pushforwards, mixed_sum, pair_fiber_histogram,
                                  singular_fiber_scan, smoothness_scan)
 
 from _oracles import (TupleField, classify_u_direct, complete_sum_table,
-                      fiber_histogram_direct, smoothness_scan_direct)
+                      fiber_histogram_direct, mixsum_grid, pair_fiber_histogram_grid,
+                      smoothness_scan_direct)
 
 
 class TestFiberCounts:
@@ -135,6 +137,150 @@ class TestCompleteSums:
         want = complete_sum_table(F, t, p)[np.ix_(*[np.asarray(f) % p for f in freqs])]
         assert got.shape == tuple(len(f) for f in freqs)
         assert np.abs(got - want).max() <= 1e-9 * max(1, np.abs(want).max())
+
+
+@st.composite
+def pair_inputs(draw):
+    """(F, G, p): p <= 11, at most 4 variables; G free-form, linear or constant."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    m = draw(st.integers(1, 4))
+    coeff = st.integers(-4, 4).filter(bool)
+    every = list(itertools.product(range(3), repeat=m))
+
+    def free():  # separable or not, absent variables and constants reachable
+        monos = draw(st.lists(st.sampled_from(every), min_size=1, max_size=4, unique=True))
+        return MultiPoly(m, {e: draw(coeff) for e in monos})
+
+    kind = draw(st.sampled_from(["free", "linear", "constant"]))
+    if kind == "free":
+        G = free()
+    elif kind == "linear":
+        G = MultiPoly(m, {tuple(int(j == i) for j in range(m)): draw(coeff)
+                          for i in draw(st.sets(st.integers(0, m - 1), min_size=1))})
+    else:
+        c = draw(st.integers(-4, 4))
+        G = MultiPoly(m, {(0,) * m: c} if c else {})
+    return free(), G, p
+
+
+def _pair(F, G, m=None):
+    F = parse_multipoly(F, n_vars=m)
+    return F, parse_multipoly(G, n_vars=F.n_vars)
+
+
+class TestPairHistogramsAndMixedSums:
+    @settings(max_examples=150)
+    @given(pair_inputs(), st.integers(0, 2**32 - 1))
+    @example((*_pair("X0^2+X1^2+X2^2", "X0-X1"), 7), 0)          # G merges two groups: fold
+    @example((*_pair("X0^2+X1^2+X2^2+X3^2", "X0+2*X2"), 5), 1)   # linear G, two blocks
+    @example((*_pair("X0*X1+X2^2", "X0*X2+X1"), 5), 2)            # one joint group, no fold
+    @example((*_pair("X0^2+X1^2", "X0*X1"), 11), 3)               # two variables: one block
+    @example((*_pair("X0^2+X2^3+1", "X0+3", 4), 7), 4)             # absent X1 and X3, constants
+    @example((*_pair("X0^3+X1*X2", "0"), 11), 5)                   # zero G
+    @example((*_pair("X0^2+X1^2+X2^2+X3^2+X4^2+X5^2", "X0*X1+2"), 3), 6)  # three blocks
+    def test_match_full_grid(self, case, seed):
+        F, G, p = case
+        hist = pair_fiber_histogram(F, G, p)
+        assert hist.dtype == np.int64
+        assert np.array_equal(hist, pair_fiber_histogram_grid(F, G, p))
+        rng = np.random.default_rng(seed)
+        t = rng.normal(size=p) + 1j * rng.normal(size=p)
+        want = mixsum_grid(F, G, t, p)
+        assert abs(mixed_sum(F, G, t, p) - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_linear_twist_is_the_complete_sum(self):
+        # sum t(F(x)) e(<u, x>/p) two ways at p = 1009, where the grid has p^3 points
+        p, (F, G) = 1009, _pair("X0^2+X1^2+X2^2", "X0+X1")
+        t = np.random.default_rng(0).normal(size=p)
+        tracemalloc.start()
+        try:
+            got = mixed_sum(F, G, t, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = complete_sums(F, t, p, [[1], [1], [0]]).item()
+        assert abs(got - want) <= 1e-9 * abs(want)
+        assert peak < 2**20
+
+    def test_separable_ternary_pair_builds_no_cube(self):
+        p, (F, G) = 1009, _pair("X0^2+X1^2+2*X2^2", "X0-X1")
+        tracemalloc.start()
+        try:
+            hist = pair_fiber_histogram(F, G, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100 * 2**20  # a p^3 int64 grid is 8 GB
+        assert np.array_equal(hist.sum(axis=1), fiber_histogram(F, p, budget=p**3))
+        assert (hist.sum(axis=0) == p**2).all()
+
+    def test_one_group_twist_traces_no_more_than_the_grid(self):
+        # the full-grid sum traced 47.7 MiB here; this pair is one group of p^2 points
+        p, (F, G) = 1021, _pair("X0^2+2*X1^2", "X0*X1")
+        t = mult_char(cached_field(p), 2, 1).values
+        mixed_sum(F, G, t, p)
+        tracemalloc.start()
+        try:
+            got = mixed_sum(F, G, t, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 47.7 * 2**20
+        assert abs(got - mixsum_grid(F, G, t, p)) <= 1e-9 * max(1.0, abs(got))
+
+    def test_budget_charges_group_grids_and_blocks(self):
+        p, t = 7, np.ones(7)
+        cases = [
+            (mixed_sum, _pair("X0^2+X1^2+X2^2", "X0+X1"), 3 * p + p, (t, p)),  # groups of 1
+            (mixed_sum, _pair("X0^2+X1^2", "X0*X1"), p**2 + p, (t, p)),        # one group
+            (pair_fiber_histogram, _pair("X0^2+X1^2", "X0*X1"), 2 * p**2, (p,)),
+            # blocks {X0, X1} and {X2}: their grids and p^2 cells each
+            (pair_fiber_histogram, _pair("X0^2+X1^2+X2^2", "X0-X1"), p**2 + p + 2 * p**2, (p,)),
+        ]
+        for fn, (F, G), cost, args in cases:
+            fn(F, G, *args, budget=cost)
+            with pytest.raises(BudgetExceeded, match=f" {cost} points"):
+                fn(F, G, *args, budget=cost - 1)
+
+    def test_fold_certificate_catches_a_wrong_cell(self, monkeypatch):
+        F, G = _pair("X0^2+X1^2+X2^2", "X0-X1")
+        real = np.fft.irfftn
+
+        def off(*shifts):
+            def irfftn(*args, **kwargs):
+                out = real(*args, **kwargs)
+                for cell, d in shifts:
+                    out[cell] += d
+                return out
+            return irfftn
+
+        monkeypatch.setattr(np.fft, "irfftn", off(((1, 2), 1)))
+        with pytest.raises(InvariantViolation, match="total"):
+            pair_fiber_histogram(F, G, 5)
+        # the total still holds: only the checksum sees it
+        monkeypatch.setattr(np.fft, "irfftn", off(((1, 2), 1), ((3, 0), -1)))
+        with pytest.raises(InvariantViolation, match="checksum"):
+            pair_fiber_histogram(F, G, 5)
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 2), (5, 3), (4, 4, 2)])
+    def test_cyclic_fold_matches_direct(self, shape):
+        rng = np.random.default_rng(len(shape))
+        parts = [rng.integers(0, 50, shape) for _ in range(3)]
+        want = parts[0]
+        for h in parts[1:]:
+            acc = np.zeros(shape, dtype=np.int64)
+            for idx in np.ndindex(shape):
+                acc += h[idx] * np.roll(want, idx, axis=tuple(range(len(shape))))
+            want = acc
+        assert np.array_equal(cyclic_fold(parts), want)
+
+    def test_fold_past_its_error_bound_refused(self):
+        with pytest.raises(OverflowError):
+            cyclic_fold([np.full((2, 2), 2**26)] * 2)
+        # five separable variables at p = 1009: the grids fit the budget, the mass p^5 does not
+        F, G = _pair("X0^2+X1^2+X2^2+X3^2+X4^2", "X0")
+        with pytest.raises(OverflowError):
+            pair_fiber_histogram(F, G, 1009)
 
 
 class TestSmoothness:
