@@ -4,13 +4,17 @@ Counts integer points x in [-B, B]^(n+1) whose value F(x) is hit by f
 over Z.  Each problem has one histogram: the distinct values of F on the
 box with their multiplicities.  It is folded from the histograms of the
 groups of variables that share no monomial, so the box itself is never
-enumerated when F is additively separable (every diagonal form).  Every
-count works on distinct values weighted by multiplicity.  The exact
-count tests each value against the table of f-values; the
-sieve-accelerated count prefilters values through per-prime image
-bitmaps and verifies survivors exactly, so the two counts agree by
-construction (asserted).  Complete sums, the CRT check and the Poisson
-dual work per variable group (varieties.complete_sums), O(sum_g N^|g| log N).
+enumerated when F is additively separable (every diagonal form).  Each
+fold takes whichever method allocates less: sorted pairwise sums, or one
+real FFT product over the value span, certified exact.  The budget is
+charged for the group grids and folds as they are built, not for the
+(2B+1)^m box.  Every count works on distinct values weighted by
+multiplicity.  The exact count tests each value against the table of
+f-values; the sieve-accelerated count prefilters values through
+per-prime image bitmaps and verifies survivors exactly, so the two
+counts agree by construction (asserted).  Complete sums, the CRT check
+and the Poisson dual work per variable group (varieties.complete_sums),
+O(sum_g N^|g| log N).
 """
 
 import math
@@ -23,8 +27,8 @@ from .errors import BudgetExceeded, InvariantViolation
 from .fields import prime_factors, primes_in
 from .polynomials import MultiPoly, UniPoly, broadcast_grid, discriminant_uni
 from .sieve import build_prime_data, in_h_image, sieve_threshold
-from .varieties import (_INT64_SAFE, DEFAULT_BUDGET, _sums_plan, _variable_groups,
-                        complete_sums, fiber_histogram, smoothness_scan)
+from .varieties import (_INT64_SAFE, DEFAULT_BUDGET, _fft_error_bound, _sums_plan,
+                        _variable_groups, complete_sums, fiber_histogram, smoothness_scan)
 
 
 @dataclass(frozen=True)
@@ -57,12 +61,8 @@ class BoxProblem:
         return {"f": self.f.height(), "F": self.F.height()}
 
 
-def _check_box(F, B, budget):
-    """Refuse a (2B+1)^m box over the budget or with values past int64."""
-    m = F.n_vars
-    npts = (2 * B + 1) ** m
-    if npts > budget:
-        raise BudgetExceeded(f"(2B+1)^{m} = {npts} exceeds budget {budget}")
+def _check_values(F, B):
+    """Refuse F whose values on [-B, B]^m could pass int64."""
     bound = sum(abs(c) * max(B, 1) ** sum(e) for e, c in F.terms.items())
     if bound >= _INT64_SAFE:
         raise OverflowError("box values would overflow 64-bit integers")
@@ -70,7 +70,10 @@ def _check_box(F, B, budget):
 
 def box_value_array(F, B, budget=DEFAULT_BUDGET):
     """F evaluated on the full integer box, flattened int64 array."""
-    _check_box(F, B, budget)
+    npts = (2 * B + 1) ** F.n_vars
+    if npts > budget:
+        raise BudgetExceeded(f"(2B+1)^{F.n_vars} = {npts} exceeds budget {budget}")
+    _check_values(F, B)
     coords = broadcast_grid([np.arange(-B, B + 1, dtype=np.int64)] * F.n_vars)
     return np.ravel(F.eval(coords))
 
@@ -110,21 +113,121 @@ def _fold(a, b):
     return values, np.add.reduceat(weights, starts)
 
 
+# The dense fold's checksum ring: P = 2^31 - 1 is prime and 7 generates its
+# unit group, so r^i != r^j mod P for 0 <= i < j < P - 1.
+_CHECK_P, _CHECK_R = 2**31 - 1, 7
+
+
+def _powers(x, n):
+    """x^0, ..., x^(n-1) mod _CHECK_P, built by doubling."""
+    pw = np.ones(1, dtype=np.int64)
+    while len(pw) < n:
+        pw = np.concatenate([pw, pw * pow(x, len(pw), _CHECK_P) % _CHECK_P])
+    return pw[:n]
+
+
+def _checksum(offsets, counts):
+    """sum counts[i] r^offsets[i] mod P, exact in int64.
+
+    r^v = (r^s)^(v // s) r^(v % s) with s^2 > max offset, so the two power
+    tables hold about sqrt(max offset) entries each and nothing is cached.
+    """
+    s = math.isqrt(int(offsets.max())) + 1
+    lo, hi = _powers(_CHECK_R, s), _powers(pow(_CHECK_R, s, _CHECK_P), s)
+    terms = counts % _CHECK_P * lo[offsets % s] % _CHECK_P * hi[offsets // s] % _CHECK_P
+    return int(terms.sum()) % _CHECK_P
+
+
+def _fft_len(n):
+    """The least 5-smooth integer >= n: numpy's FFT is slow at lengths with
+    large prime factors."""
+    best, p5 = 1 << (n - 1).bit_length(), 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _dense_length(a, b):
+    """The padded length of a dense fold of a and b, or None for the sparse fold.
+
+    Dense where the value spans are cheaper than the pairs and the
+    rounding bound of the two-part product (varieties._fft_error_bound)
+    stays below 1/2.
+    """
+    (va, ca), (vb, cb) = a, b
+    span = int(va[-1] - va[0]) + int(vb[-1] - vb[0]) + 1
+    if span + 1 >= len(va) * len(vb):
+        return None
+    n = _fft_len(span)
+    return n if _fft_error_bound(2, 1, n, int(ca.sum()) * int(cb.sum())) < 0.5 else None
+
+
+def _dense_fold(a, b, n):
+    """_fold of integer counts by one real FFT product of length n, certified exact.
+
+    Each histogram is scattered at its offsets from its least value and
+    the product of the two rfft's is inverted and rounded (n covers the
+    sum of the spans, so the convolution does not wrap; _dense_length
+    bounds the rounding error).  The int64 total must equal the product of
+    the masses and the checksum sum out_v r^v mod P (_checksum) the
+    product of the inputs' -- a polynomial identity for a linear
+    convolution, so any r will do -- or InvariantViolation.
+    """
+    (va, ca), (vb, cb) = a, b
+    x = np.zeros(n)
+    x[va - va[0]] = ca
+    spec = np.fft.rfft(x)
+    x.fill(0)
+    x[vb - vb[0]] = cb
+    spec *= np.fft.rfft(x)
+    del x
+    out = np.rint(np.fft.irfft(spec, n))
+    del spec
+    cells = np.flatnonzero(out)
+    counts = out[cells].astype(np.int64)
+    mass = int(ca.sum()) * int(cb.sum())
+    if int(counts.sum()) != mass:
+        raise InvariantViolation(f"FFT fold total {int(counts.sum())} != product of masses {mass}")
+    if _checksum(cells, counts) != _checksum(va - va[0], ca) * _checksum(vb - vb[0], cb) % _CHECK_P:
+        raise InvariantViolation("FFT fold checksum differs from the product of the parts'")
+    return va[0] + vb[0] + cells, counts
+
+
 def box_histogram(F, B, budget=DEFAULT_BUDGET):
     """The value histogram of F on the box, folded from its variable groups.
 
     F is the sum of sub-forms on groups of variables that share no
     monomial; each group is evaluated on its own (2B+1)^|g| grid and
-    reduced to a histogram, and the group histograms are folded together.
-    A non-separable F is one group, evaluated on the full box.  The whole
-    box is charged to the budget up front, and no fold builds more than
-    (2B+1)^m pairs.
+    reduced to a histogram, and the group histograms are folded together,
+    each fold by the method that allocates less (_dense_length): the
+    sorted nnz_a nnz_b pairwise sums, or a certified FFT product over the
+    value span (_dense_fold).  A non-separable F is one group, evaluated on
+    the full box.  Each grid and each fold (its pairs or its padded
+    length) is charged to the budget before it is built; values past int64
+    are refused up front.
     """
-    _check_box(F, B, budget)
-    hist = None
+    _check_values(F, B)
+    spent, hist = 0, None
+
+    def charge(points):
+        nonlocal spent
+        spent += points
+        if spent > budget:
+            raise BudgetExceeded(f"box histogram of {spent} points exceeds budget {budget}")
+
     for _, sub in _variable_groups(F):
+        charge((2 * B + 1) ** sub.n_vars)
         part = np.unique(box_value_array(sub, B, budget), return_counts=True)
-        hist = part if hist is None else _fold(hist, part)
+        if hist is None:
+            hist = part
+            continue
+        n = _dense_length(hist, part)
+        charge(len(hist[0]) * len(part[0]) if n is None else n)
+        hist = _fold(hist, part) if n is None else _dense_fold(hist, part, n)
     return BoxHistogram(*hist)
 
 
@@ -242,17 +345,21 @@ def exceptional_set(f, prime_data, v_max, threshold_mode="lemma",
                     budget=DEFAULT_BUDGET):
     """Integers k in the F-value range hitting many exceptional sets.
 
-    Returns {k in [-M, M] : #{p : k mod p in S_{f,p}} >= threshold} with
-    M = v_max, the largest |F| over the box (BoxHistogram.v_max).
+    Returns the sorted int64 array of k in [-M, M] with
+    #{p : k mod p in S_{f,p}} >= threshold, M = v_max, the largest |F|
+    over the box (BoxHistogram.v_max).  Per prime, a length-p table of the
+    exceptional residues is tiled over the range, starting at -M mod p.
     """
-    if 2 * v_max + 1 > budget:
-        raise BudgetExceeded(f"2 * v_max + 1 = {2 * v_max + 1} exceeds budget {budget}")
+    size = 2 * v_max + 1
+    if size > budget:
+        raise BudgetExceeded(f"2 * v_max + 1 = {size} exceeds budget {budget}")
     threshold = sieve_threshold(len(prime_data), f.degree, threshold_mode)
-    ks = np.arange(-v_max, v_max + 1, dtype=np.int64)
-    counts = np.zeros(len(ks), dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int32)  # one per prime at most
     for data in prime_data:
-        counts += np.isin(ks % data.p, list(data.exceptional))
-    return set(int(k) for k in ks[counts >= threshold])
+        table = np.zeros(data.p, dtype=bool)
+        table[list(data.exceptional)] = True
+        counts += np.resize(np.roll(table, v_max), size)  # entry i is table[(i - M) % p]
+    return np.flatnonzero(counts >= threshold) - v_max
 
 
 def discriminant_profile(f, k):

@@ -292,9 +292,8 @@ def _run_boxcount(cfg):
     hist = boxes.box_histogram(F, o["B"], cfg.budget)
     exact = boxes.exact_count(f, hist)
     filtered = boxes.sieve_filtered_count(f, hist, data)
-    exc = sorted(boxes.exceptional_set(f, data, hist.v_max,
-                                       threshold_mode=o["threshold"],
-                                       budget=cfg.budget))
+    exc = boxes.exceptional_set(f, data, hist.v_max, threshold_mode=o["threshold"],
+                                budget=cfg.budget).tolist()
     results = {
         "B": o["B"], "n": problem.n, "heights": problem.heights,
         "exact_count": exact, "sieve_count": filtered.count,

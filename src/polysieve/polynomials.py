@@ -204,6 +204,9 @@ class MultiPoly:
             raise ValueError(f"expected {self.n_vars} coordinates, got {len(point)}")
         arrs = [np.asarray(x, dtype=np.int64) % p for x in point]
         acc = np.zeros(np.broadcast(*arrs).shape, dtype=np.int64)
+        # the reduced terms add up unreduced, unless their sum could pass 2^62;
+        # a lone term is already reduced
+        each = len(self.terms) * p >= 2**62
         for expo, c in self.terms.items():
             term = c % p  # grows only to the shape of the variables it uses
             for base, e in zip(arrs, expo):
@@ -212,7 +215,11 @@ class MultiPoly:
                         term = term * base % p
                     base = base * base % p
                     e >>= 1
-            acc = (acc + term) % p
+            acc += term
+            if each:
+                acc %= p
+        if len(self.terms) > 1:
+            acc %= p
         return acc if acc.ndim else int(acc)
 
     def eval_field(self, field, point):

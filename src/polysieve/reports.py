@@ -51,25 +51,39 @@ class ExperimentReport:
         }
 
 
-def _jsonable(obj):
+def _str_keys(obj):
+    """obj with every non-str dict key replaced by its str, through dicts and lists."""
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = list(obj)
-        if isinstance(obj, (set, frozenset)):
-            items = sorted(items, key=repr)
-        return [_jsonable(v) for v in items]
+        return {k if isinstance(k, str) else str(k): _str_keys(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_str_keys(v) for v in obj]
+    return obj
+
+
+def _json_default(obj):
+    """What json cannot encode itself: complex as {"re", "im"}, sets sorted
+    by repr, numpy scalars and arrays as Python values, the rest by repr."""
     if isinstance(obj, complex):
         return {"re": obj.real, "im": obj.imag}
-    if hasattr(obj, "item"):  # numpy scalars
-        return _jsonable(obj.item())
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
+    if isinstance(obj, (set, frozenset)):
+        return sorted(obj, key=repr)
+    if hasattr(obj, "tolist"):  # numpy scalars and arrays
+        return obj.tolist()
     return repr(obj)
 
 
 def report_json(report):
-    return json.dumps(_jsonable(report.to_dict()), sort_keys=True)
+    """Compact, key-sorted JSON of the report, by json's C encoder.
+
+    Table rows are flat dicts keyed by column name (emit_report writes
+    them as CSV), so only the other blocks are walked for non-str keys;
+    everything else is encoded as it stands, through _json_default.
+    """
+    body = report.to_dict()
+    tables = body.pop("tables")
+    body = _str_keys(body)
+    body["tables"] = {str(name): rows for name, rows in tables.items()}
+    return json.dumps(body, sort_keys=True, default=_json_default)
 
 
 def emit_report(report, out_path, formats=("json", "csv")):

@@ -109,17 +109,21 @@ def fiber_histogram(F, p, budget=DEFAULT_BUDGET):
     Each group of variables that shares no monomial with the others is
     counted over its own grid; the group histograms combine by exact
     cyclic convolution, since F is the sum of the group sub-forms.  A
-    non-separable F is one group, counted over the full grid.
+    non-separable F is one group, counted over the full grid.  The group
+    grids and the length-(2p-1) full convolution of each fold are charged
+    before any build.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     n = F.n_vars
-    if p**n > budget:
-        raise BudgetExceeded(f"p^n = {p**n} exceeds budget {budget}")
     if p**n >= _INT64_SAFE:
         raise OverflowError(f"p^n = {p**n} fiber counts would overflow 64-bit integers")
+    groups = _variable_groups(F)
+    cost = sum(p**len(idx) for idx, _ in groups) + (len(groups) - 1) * (2 * p - 1)
+    if cost > budget:
+        raise BudgetExceeded(f"fiber histogram of {cost} points exceeds budget {budget}")
     hist = None
-    for _, sub in _variable_groups(F):
+    for _, sub in groups:
         vals = sub.eval_mod(broadcast_grid([np.arange(p, dtype=np.int64)] * sub.n_vars), p)
         h = np.bincount(np.ravel(vals), minlength=p)
         hist = h if hist is None else _cyclic_convolve(hist, h, p)
@@ -233,18 +237,27 @@ def _checksum(h):
     return int(acc)
 
 
-def cyclic_fold(parts):
-    """Exact cyclic convolution of nonnegative int64 arrays of one shape, by FFT.
+def _fft_error_bound(k, ndim, n, mass):
+    """Bound on the rounding error of a cell of the FFT product of k nonnegative
+    arrays with ndim axes of length at most n and product of masses mass.
 
     A transform entry errs by at most c u log2(4n) |h|_1 per axis (u = 2^-53;
     c = 16 leaves room for numpy's chirp transforms at prime n), so the
-    rounding error is below (k + 1) c u ndim log2(4n) prod |h|_1: where that
-    reaches 1/2, OverflowError before any transform.  The int64 total of the
-    result must equal the product of the masses and its checksum
-    (_checksum_ring) the product of the parts', or InvariantViolation.
+    error is below (k + 1) c u ndim log2(4n) prod |h|_1.
+    """
+    return (k + 1) * 16 * ndim * math.log2(4 * n) * 2.0**-53 * mass
+
+
+def cyclic_fold(parts):
+    """Exact cyclic convolution of nonnegative int64 arrays of one shape, by FFT.
+
+    Where the rounding bound (_fft_error_bound) reaches 1/2, OverflowError
+    before any transform.  The int64 total of the result must equal the
+    product of the masses and its checksum (_checksum_ring) the product of
+    the parts', or InvariantViolation.
     """
     shape, mass = parts[0].shape, math.prod(int(h.sum()) for h in parts)
-    bound = (len(parts) + 1) * 16 * len(shape) * math.log2(4 * max(shape)) * 2.0**-53 * mass
+    bound = _fft_error_bound(len(parts), len(shape), max(shape), mass)
     if bound >= 0.5:
         raise OverflowError(f"FFT fold of mass {mass} could round wrongly (error bound {bound:.3g})")
     spec = np.fft.rfftn(parts[0])

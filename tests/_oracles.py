@@ -450,3 +450,23 @@ def mixsum_grid(F, G, t_values, p):
 
     fv, gv = (_grid_values(H, range(p), p) for H in (F, G))
     return complex((np.asarray(t_values)[fv] * np.exp(2j * np.pi * gv / p)).sum())
+
+
+def jsonable(obj):
+    """A report dict rebuilt as plain JSON data by a full recursive walk:
+    keys as str, tuples and sets (sorted by repr) as lists, complex as
+    {"re", "im"}, numpy scalars through .item(), the rest by repr."""
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        items = list(obj)
+        if isinstance(obj, (set, frozenset)):
+            items = sorted(items, key=repr)
+        return [jsonable(v) for v in items]
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if hasattr(obj, "item"):  # numpy scalars
+        return jsonable(obj.item())
+    if isinstance(obj, (bool, int, float, str)) or obj is None:
+        return obj
+    return repr(obj)

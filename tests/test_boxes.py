@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polysieve.boxes import (BoxProblem, SmoothWeight, _bump_derivative_l1,
+from polysieve import boxes
+from polysieve.boxes import (BoxProblem, SmoothWeight, _bump_derivative_l1, _dense_length,
                              bound_ratio_scan, box_histogram, complete_sum_g,
                              crt_factor_check, discriminant_profile, exact_count,
                              exceptional_set, integer_root_of,
                              poisson_compare, select_primes,
                              sieve_filtered_count)
-from polysieve.errors import BudgetExceeded
+from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import PrimeField, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly, parse_unipoly
 from polysieve.sieve import build_prime_data, h_image_table, in_h_image
@@ -114,22 +115,88 @@ def fold_inputs(draw):
     return MultiPoly(m, {e: draw(coeff) for e in monos}), draw(st.integers(0, 3))
 
 
+def fold_paths(mp, refuse):
+    """Patch boxes' two folds to record, in order, the method box_histogram
+    takes; with refuse, every rounding bound fails, so each fold sorts its pairs."""
+    paths = []
+    for name, tag in (("_fold", "sparse"), ("_dense_fold", "dense")):
+        def spy(*args, real=getattr(boxes, name), tag=tag):
+            paths.append(tag)
+            return real(*args)
+        mp.setattr(boxes, name, spy)
+    if refuse:
+        mp.setattr(boxes, "_fft_error_bound", lambda *args: 1.0)
+    return paths
+
+
 class TestBoxHistogramFold:
     @settings(max_examples=150)
-    @given(fold_inputs())
-    @example((parse_multipoly("X0^2+X1^2+X2^2"), 0))
-    @example((MultiPoly(3, {(2, 0, 0): 1, (0, 0, 2): -1}), 3))  # X1 absent
-    @example((parse_multipoly("X0*X1+X2*X3"), 3))                # two 2-variable groups
-    @example((parse_multipoly("X0^2+X0*X1+X1*X2-X2^2"), 3))      # one group
-    @example((parse_multipoly("X0^5+2*X1^5-X2^5-3*X3^5"), 3))
-    @example((parse_multipoly("1000000*X0^2+X1^2+X2^2"), 3))
-    def test_matches_nested_loops(self, case):
+    @given(fold_inputs(), st.booleans())
+    @example((parse_multipoly("X0^2+X1^2+X2^2"), 0), False)
+    @example((MultiPoly(3, {(2, 0, 0): 1, (0, 0, 2): -1}), 3), False)  # X1 absent
+    @example((parse_multipoly("X0*X1+X2*X3"), 3), False)                # two 2-variable groups
+    @example((parse_multipoly("X0^2+X0*X1+X1*X2-X2^2"), 3), False)      # one group
+    @example((parse_multipoly("X0^5+2*X1^5-X2^5-3*X3^5"), 3), False)
+    @example((parse_multipoly("1000000*X0^2+X1^2+X2^2"), 3), False)
+    @example((parse_multipoly("X0+X1"), 3), False)                      # dense fold
+    @example((parse_multipoly("X0^2+X1^2+X2^2"), 3), False)             # sparse, then dense
+    @example((parse_multipoly("X0^2+X1^2+X2^2"), 3), True)              # refused: sparse twice
+    def test_matches_nested_loops(self, case, refuse):
         F, B = case
+        with pytest.MonkeyPatch.context() as mp:
+            paths = fold_paths(mp, refuse)
+            hist = box_histogram(F, B)
+        assert not (refuse and "dense" in paths)
         values, counts = box_histogram_direct(F.terms, F.n_vars, B)
-        hist = box_histogram(F, B)
         assert hist.values.dtype == np.int64 and hist.counts.dtype == np.int64
         assert hist.values.tolist() == values
         assert hist.counts.tolist() == counts
+
+    def test_each_fold_takes_the_cheaper_method(self):
+        # at B = 3, X0 and X1 take 7 values on spans of 7: 7 + 7 < 7 * 7 pairs;
+        # the squares take 4 values on spans of 10: 10 + 10 > 4 * 4, while
+        # X0^2 + X1^2 (10 values, span 19) and X2^2 have 19 + 10 < 10 * 4
+        cases = [("X0+X1", False, ["dense"]), ("X0^2+X1^2", False, ["sparse"]),
+                 ("X0^2+X1^2+X2^2", False, ["sparse", "dense"]),
+                 ("X0^2+X1^2+X2^2", True, ["sparse", "sparse"])]
+        for form, refuse, want in cases:
+            with pytest.MonkeyPatch.context() as mp:
+                paths = fold_paths(mp, refuse)
+                box_histogram(parse_multipoly(form), 3)
+            assert paths == want, form
+        # the real bound: 100 values of weight 2^40 each are too heavy to round safely
+        light = (np.arange(100), np.ones(100, dtype=np.int64))
+        heavy = (np.arange(100), np.full(100, 2**40))
+        assert _dense_length(light, light) == 200  # span 199, padded to 2^3 * 5^2
+        assert _dense_length(heavy, heavy) is None
+
+    def test_fold_certificate_catches_a_wrong_cell(self, monkeypatch):
+        real = np.fft.irfft
+
+        def off(*shifts):
+            def irfft(*args, **kwargs):
+                out = real(*args, **kwargs)
+                for cell, d in shifts:
+                    out[cell] += d
+                return out
+            return irfft
+
+        monkeypatch.setattr(np.fft, "irfft", off((1, 1)))
+        with pytest.raises(InvariantViolation, match="total"):
+            box_histogram(F_QUADRIC, 3)
+        # the total still holds: only the checksum sees it
+        monkeypatch.setattr(np.fft, "irfft", off((1, 1), (3, -1)))
+        with pytest.raises(InvariantViolation, match="checksum"):
+            box_histogram(F_QUADRIC, 3)
+
+    def test_box_past_the_default_budget_runs(self):
+        # 1001^3 box points are ten times the default budget; the grids and
+        # folds actually built are far fewer
+        start = time.perf_counter()
+        hist = box_histogram(F_QUADRIC, 500)
+        assert exact_count(parse_unipoly("T^2"), hist) == 1021297
+        assert time.perf_counter() - start < 1.0
+        assert hist.total_points == 1001**3
 
     def test_large_coefficient_at_radius_ten(self):
         F = parse_multipoly("1000000*X0^2+X1^2+X2^2")
@@ -152,10 +219,13 @@ class TestBoxHistogramFold:
         assert hist.total_points == (2 * B + 1) ** 3
         assert exact_count(parse_unipoly("T^2"), hist) == 59761
 
-    def test_budget_and_overflow_charged_for_the_whole_box(self):
-        # every group fits the budget, the box does not
-        with pytest.raises(BudgetExceeded):
-            box_histogram(F_QUADRIC, 50, budget=101**2)
+    def test_budget_charged_for_what_is_built_and_overflow_for_the_box(self):
+        # B = 10: three 21-point grids, the sorted fold of two 11-value square
+        # histograms, and the FFT fold over the span 0..300, padded to 320
+        cost = 3 * 21 + 11 * 11 + 320
+        assert box_histogram(F_QUADRIC, 10, budget=cost).total_points == 21**3
+        with pytest.raises(BudgetExceeded, match=f" {cost} points"):
+            box_histogram(F_QUADRIC, 10, budget=cost - 1)
         # every group's values fit int64, their sum might not
         F = MultiPoly(2, {(1, 0): 2**61, (0, 1): 2**61})
         with pytest.raises(OverflowError):
@@ -247,7 +317,8 @@ class TestExceptionalSet:
         data = prime_data_for(f, select_primes(problem).primes)
         v_max = box_histogram(F_QUADRIC, 100).v_max
         assert v_max == 30000
-        assert exceptional_set(f, data, v_max) == {0}
+        got = exceptional_set(f, data, v_max)
+        assert got.dtype == np.int64 and got.tolist() == [0]
 
     def test_matches_direct_recount(self):
         f = parse_unipoly("T^3-3*T")
@@ -255,12 +326,12 @@ class TestExceptionalSet:
         data = prime_data_for(f, primes)
         got = exceptional_set(f, data, v_max=500)
         P, d = len(primes), f.degree
-        expected = set()
+        expected = []
         for k in range(-500, 501):
             hits = sum(1 for dd in data if (k % dd.p) in dd.exceptional)
             if hits >= P / (2 * d):
-                expected.add(k)
-        assert got == expected
+                expected.append(k)
+        assert got.dtype == np.int64 and got.tolist() == expected
 
     def test_impossible_threshold_empty(self):
         f = parse_unipoly("T^2")
@@ -268,7 +339,7 @@ class TestExceptionalSet:
         # with one prime the lemma threshold is 1/4, met whenever 13 | k;
         # against v_max < 13 only k = 0 remains, and dropping it empties S
         got = exceptional_set(f, data, v_max=12)
-        assert got == {0}
+        assert got.tolist() == [0]
 
     def test_range_charged_to_budget(self):
         f = parse_unipoly("T^2")

@@ -5,12 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import polysieve
 from polysieve import cli, varieties
 from polysieve.errors import InvariantViolation
-from polysieve.reports import load_report, strip_timings
+from polysieve.reports import ExperimentReport, load_report, report_json, strip_timings
+
+from _oracles import jsonable
 
 SRC = str(Path(polysieve.__file__).resolve().parents[1])
 
@@ -261,6 +264,24 @@ class TestReports:
                         "--draws", "3", "--pmax", "13"]) == 0
         da, db = strip_timings(load_report(a)), strip_timings(load_report(b))
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
+
+    def test_json_encoder_matches_the_walk(self):
+        # numpy scalars, complex values, sets, tuples and int and bool keys,
+        # in the blocks and in table cells
+        results = {"count": np.int64(7), "ratio": np.float64(0.25), "ok": np.bool_(True),
+                   "sum": complex(1.5, -2), "g": np.complex128(3j), "primes": (5, 7),
+                   "exc": {3, -1, 0}, "frozen": frozenset({"b", "a"}),
+                   "by_p": {5: "good", 7: (np.int64(1), 2.5)}, "flags": {True: 1, False: 0},
+                   "nested": [{1: {2: np.float64(-0.5)}}], "none": None,
+                   "zero_d": np.array(4), "other": range(3)}
+        tables = {"rows": [{"k": np.int64(-3), "v": complex(0, 1), "t": (1, 2)},
+                           {"k": 4, "v": np.float64(1e-300), "t": frozenset({2})}]}
+        report = ExperimentReport("demo", {"B": np.int64(9), "mode": "lemma"}, results,
+                                  tables=tables, timings={"total_s": 0.125},
+                                  semi_decisions={2: "k_max"}, seed=3)
+        want = json.dumps(jsonable(report.to_dict()), sort_keys=True)
+        assert json.loads(report_json(report)) == json.loads(want)
+        assert report_json(report) == want
 
     def test_seed_changes_draws(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -82,10 +82,14 @@ class TestEvaluation:
             for j, b in enumerate(xs):
                 assert grid[i, j] == F.eval((int(a), int(b)))
 
-    @pytest.mark.parametrize("form", ["X0^3 - 2*X0*X1 + 5", "3*X2^4 + X1 - 7",
-                                      "X0*X2^2 + 11*X2", "13", "0"])
+    @pytest.mark.parametrize("form", [
+        "X0^3 - 2*X0*X1 + 5", "3*X2^4 + X1 - 7", "X0*X2^2 + 11*X2", "13", "0",
+        # many terms, every coefficient -1 mod 7: the unreduced sum runs far past p
+        "6*X0^5 + 13*X0^4*X1 + 20*X1^4 + 27*X0^3*X2 + 34*X2^3 + 41*X0*X1*X2 - 8*X1^2*X2"
+        " + 6*X0^2 - X1 + 55*X2^6 + 62*X0*X2 - 15"])
     def test_broadcast_eval_mod_matches_scalar(self, form):
-        # monomials on a subset of the variables, a constant and the zero polynomial
+        # monomials on a subset of the variables, a constant, the zero polynomial,
+        # and many terms whose residues sit at p - 1
         F, p = parse_multipoly(form, n_vars=3), 7
         sides = [np.arange(-4, 3), np.arange(9), np.arange(-2, 3)]
         grid = F.eval_mod(broadcast_grid(sides), p)
@@ -93,6 +97,16 @@ class TestEvaluation:
         for idx in itertools.product(*map(range, grid.shape)):
             pt = tuple(int(s[i]) for s, i in zip(sides, idx))
             assert grid[idx] == F.eval(pt) % p
+
+
+    def test_eval_mod_reduces_early_where_the_sum_could_pass_int64(self):
+        # at p = 2^61 - 1, five residues p - 1 sum past 2^63; on 0/1 coordinates
+        # every product stays below p, so only the running sum could overflow
+        p = 2**61 - 1
+        F = MultiPoly(3, {e: p - 1 for e in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (0, 1, 1)]})
+        grid = F.eval_mod(broadcast_grid([np.arange(2)] * 3), p)
+        for idx in itertools.product(range(2), repeat=3):
+            assert grid[idx] == F.eval(idx) % p
 
 
 # (p, k): prime fields, p = 2 included, and extensions of degree 2 and 3

@@ -248,8 +248,8 @@ class TestSieveBound:
             for mode in ("lemma", "logp"):
                 cutoff = SieveConfig(h, ps, threshold_mode=mode).threshold()
                 got = exceptional_set(h, [build_prime_data(h, p) for p in ps], 2000, mode)
-                assert got == {k for k in range(-2000, 2001)
-                               if sum(k % p == 0 for p in ps) >= cutoff}
+                assert got.tolist() == [k for k in range(-2000, 2001)
+                                        if sum(k % p == 0 for p in ps) >= cutoff]
 
     def test_support_violation_counterexample(self):
         # a concentrated on m^2 with every sieve prime dividing m: the

@@ -41,8 +41,15 @@ class TestFiberCounts:
             assert fiber_histogram(F, p).sum() == p**3
 
     def test_budget(self):
+        # one group: its p^3 grid is past the budget
         with pytest.raises(BudgetExceeded):
-            fiber_histogram(parse_multipoly("X0^2+X1^2+X2^2"), 101, budget=10**4)
+            fiber_histogram(parse_multipoly("X0*X1+X1*X2"), 101, budget=10**4)
+        # three groups: their p-point grids and two folds of 2p - 1 cells
+        F, p = parse_multipoly("X0^2+X1^2+X2^2"), 101
+        cost = 3 * p + 2 * (2 * p - 1)
+        assert fiber_histogram(F, p, budget=cost).sum() == p**3
+        with pytest.raises(BudgetExceeded, match=f" {cost} points"):
+            fiber_histogram(F, p, budget=cost - 1)
 
     def test_deviation_scale_stable_over_primes(self):
         # normalized deviations stay bounded and do not drift upward
