@@ -56,6 +56,12 @@ def _int_list(text):
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
+def _positive_int(text):
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _cutoff(text):
     return None if text == "auto" else int(text)
 
@@ -441,7 +447,7 @@ def build_parser():
     twist = sp.add_mutually_exclusive_group()
     twist.add_argument("--u", help="comma-separated frequency vector")
     twist.add_argument("--G", help="additive-twist polynomial")
-    sp.add_argument("--kmax", type=int, default=2)
+    sp.add_argument("--kmax", type=_positive_int, default=2)
 
     sp = sub.add_parser("sieve-check", parents=[common])
     sp.add_argument("--d", type=int, required=True)
@@ -457,7 +463,7 @@ def build_parser():
     sp.add_argument("--F", required=True)
     sp.add_argument("--u", required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--kmax", type=int, default=2)
+    sp.add_argument("--kmax", type=_positive_int, default=2)
 
     sp = sub.add_parser("fibers", parents=[common])
     sp.add_argument("--F", required=True)
@@ -471,7 +477,7 @@ def build_parser():
     sp.add_argument("--F", required=True)
     sp.add_argument("--B", type=int, required=True)
     sp.add_argument("--primes", default="auto")
-    sp.add_argument("--kmax", type=int, default=2)
+    sp.add_argument("--kmax", type=_positive_int, default=2)
     sp.add_argument("--threshold", choices=("lemma", "logp"), default="lemma")
 
     sp = sub.add_parser("bound-scan", parents=[common])

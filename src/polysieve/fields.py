@@ -5,9 +5,9 @@ so multiplication, powering and inversion vectorize as integer index
 arithmetic plus table gathers.  Elements are plain ints: residues for
 F_p, base-p digit encodings c_0 + c_1*p + ... + c_{k-1}*p^{k-1} for
 F_{p^k}.  Each field also keeps a digit table (row i: base-p digit i of
-every element), so F_{p^k} addition is integer addition minus the
-carries read off the digit rows, with no division.  Contexts are
-immutable after construction.
+every element); lane_tables packs those digits into base-2p lanes of one
+int64, so sums of elements are integer sums read back by one gather.
+Contexts are immutable after construction.
 """
 
 import math
@@ -208,6 +208,11 @@ def _poly_divides(div, poly, p):
     return all(x % p == 0 for x in rem[:dd])
 
 
+def _digits(n, p, k):
+    """The k base-p digits of n, least significant first."""
+    return tuple(n // p**i % p for i in range(k))
+
+
 def _irreducible(coeffs, p):
     """Exhaustive factor search: no monic factor of degree <= deg/2."""
     k = len(coeffs) - 1
@@ -220,14 +225,8 @@ def _irreducible(coeffs, p):
             return False
     for d in range(2, k // 2 + 1):
         for tail in range(p**d):
-            cand = []
-            t = tail
-            for _ in range(d):
-                cand.append(t % p)
-                t //= p
-            cand.append(1)
             # only irreducible candidates matter, but divisibility is cheap
-            if _poly_divides(tuple(cand), coeffs, p):
+            if _poly_divides(_digits(tail, p, d) + (1,), coeffs, p):
                 return False
     return True
 
@@ -261,14 +260,8 @@ class ExtField:
         if k == 1:
             return (0, 1)
         for tail in range(p**k):
-            coeffs = []
-            t = tail
-            for _ in range(k):
-                coeffs.append(t % p)
-                t //= p
-            coeffs.append(1)
-            if _irreducible(tuple(coeffs), p):
-                return tuple(coeffs)
+            if _irreducible(_digits(tail, p, k) + (1,), p):
+                return _digits(tail, p, k) + (1,)
         raise RuntimeError("no irreducible polynomial found")  # unreachable
 
     def _build_tables(self):
@@ -277,7 +270,7 @@ class ExtField:
         factors = prime_factors(q - 1) if q > 2 else []
         gen = None
         for cand in range(1, q):
-            tup = self._decode(cand)
+            tup = _digits(cand, p, k)
             if all(self._scalar_pow(tup, (q - 1) // ell) != self._one_tup()
                    for ell in factors):
                 gen = tup
@@ -317,13 +310,6 @@ class ExtField:
     def _one_tup(self):
         return (1,) + (0,) * (self.k - 1)
 
-    def _decode(self, idx):
-        out = []
-        for _ in range(self.k):
-            out.append(idx % self.p)
-            idx //= self.p
-        return tuple(out)
-
     def _scalar_pow(self, tup, e):
         out = self._one_tup()
         base = tup
@@ -353,30 +339,21 @@ class ExtField:
         return int(self.log_table[u])
 
     def add(self, a, b):
-        """Digitwise sum: a + b minus p^(i+1) for each carry out of digit i."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        p = self.p
-        out = a + b
-        for i, row in enumerate(self.digit_table[:-1]):
-            out -= (row[a] + row[b] >= p) * p ** (i + 1)
-        out -= (out >= self.q) * self.q
+        """Sum in base-2p lanes: pack both, add, one gather back to an element."""
+        pack, unpack, _ = lane_tables(self)
+        out = gather(unpack, pack[a] + pack[b])
         return out if out.ndim else int(out)
 
     def neg(self, a):
-        """Digitwise negation: each nonzero digit c becomes p - c."""
-        a = np.asarray(a, dtype=np.int64)
-        out = -a
-        for i, row in enumerate(self.digit_table):
-            out += (row[a] != 0) * self.p ** (i + 1)
+        """p - c in every lane (in [1, p], so below 2p), read back as an element."""
+        pack, unpack, _ = lane_tables(self)
+        out = gather(unpack, self.p * ((2 * self.p) ** self.k - 1) // (2 * self.p - 1) - pack[a])
         return out if out.ndim else int(out)
 
     def mul(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        la, lb = self.log_table[a], self.log_table[b]
-        out = self.exp_table[(la + lb) % (self.q - 1)]
-        out = np.where((la < 0) | (lb < 0), 0, out)
+        """g^(log a + log b) from the degree-1 exponent table, read back as an element."""
+        logs, exps = exponent_tables(self, 1)
+        out = gather(lane_tables(self)[1], gather(exps, logs[a] + logs[b]))
         return out if out.ndim else int(out)
 
     def pow(self, a, e):
@@ -397,6 +374,38 @@ class ExtField:
     def trace(self, x):
         out = self.trace_table[np.asarray(x, dtype=np.int64)]
         return out if out.ndim else int(out)
+
+
+def gather(table, idx):
+    """table[idx], written over idx when it is an array; idx past the end reads the last entry."""
+    return table.take(idx, mode="clip", out=idx if np.ndim(idx) else None)
+
+
+@lru_cache(maxsize=64)
+def lane_tables(field):
+    """(pack, unpack, repack): base-p digit i of an element in lane i, base 2p.
+
+    A sum of two packed elements has every lane below 2p - 1: unpack reads
+    it back as an element, repack as a packed element.  pack has q entries,
+    unpack and repack (2p)^k = 2^k q each.
+    """
+    p, k = field.p, field.k
+    lanes = (2 * p) ** np.arange(k, dtype=np.int64)
+    digits = np.arange((2 * p) ** k)[None, :] // lanes[:, None] % (2 * p) % p
+    return lanes @ field.digit_table, p ** np.arange(k) @ digits, lanes @ digits
+
+
+@lru_cache(maxsize=64)
+def exponent_tables(field, d):
+    """(logs, exps): log x with log 0 = S = (d+1)(q-1); packed g^e for e < S, 0 at S.
+
+    For c != 0 and sum e_i <= d, log c + sum e_i logs[x_i] is below S unless
+    some x_i with e_i > 0 is 0, and at least S if one is, so the monomial is
+    exps[min(that, S)], with no remainder mod q-1.  exps has S + 1 entries.
+    """
+    logs = field.log_table.copy()
+    logs[0] = (d + 1) * (field.q - 1)
+    return logs, np.append(np.tile(lane_tables(field)[0][field.exp_table], d + 1), 0)
 
 
 @lru_cache(maxsize=64)

@@ -9,10 +9,12 @@ coefficients, variables X0..Xn for multivariate and T for univariate,
 e.g. "X1^2 + 3*X2^2 - 1" or "2*T^3+1".
 """
 
+import math
+
 import numpy as np
 
 from .errors import InvariantViolation, PolyParseError
-from .fields import is_prime
+from .fields import exponent_tables, gather, is_prime, lane_tables
 
 
 def _red(c, ring):
@@ -98,6 +100,13 @@ class UniPoly:
             raise ValueError("roots_mod needs a mod-p polynomial")
         xs = np.arange(self.ring, dtype=np.int64)
         return set(int(x) for x in xs[self.eval(xs) == 0])
+
+
+def _iadd(a, b):
+    """a + b, written over a where a is an array of the shape of the sum."""
+    if isinstance(a, np.ndarray) and np.broadcast(a, b).shape == a.shape:
+        return np.add(a, b, out=a)
+    return a + b
 
 
 class MultiPoly:
@@ -225,40 +234,45 @@ class MultiPoly:
     def eval_field(self, field, point):
         """Evaluation with coordinates given as field element indices in [0, q).
 
-        Works in the exponent domain: each coordinate's discrete log is
-        looked up once, and a monomial c * prod x_i^e_i is one exp-table
-        gather at dlog(c) + sum e_i * log(x_i) mod (q-1), or 0 where a
-        coordinate it uses is 0.  Terms add as per-digit integer sums
-        (via the field's digit table) that are reduced mod p once at the
-        end; every intermediate stays far below 2^62.
+        A monomial c * prod x_i^e_i is one gather of packed digits at
+        log c + sum e_i log x_i, clipped at the sentinel log 0 (fields.
+        exponent_tables).  Terms of one broadcast shape add first, then the
+        shapes, smallest first; each sum of two is reduced by one gather in
+        place, repack while more follow and unpack to indices at the last.
         """
         if len(point) != self.n_vars:
             raise ValueError(f"expected {self.n_vars} coordinates, got {len(point)}")
         arrs = [np.asarray(x, dtype=np.int64) for x in point]
-        shape = np.broadcast(*arrs).shape
-        live = {i for expo in self.terms for i, e in enumerate(expo) if e}
-        logs = {i: field.log_table[arrs[i]] for i in live}
-        zero = {i: arrs[i] == 0 for i in live}
-        acc = np.zeros((field.k,) + shape, dtype=np.int64)
+        groups = {}  # broadcast shape -> [(c, [(i, e_i)])]; x^e = x^((e-1) % (q-1) + 1)
         for expo, c in self.terms.items():
-            c = field.embed(c)
-            if not c:
-                continue
-            used = [i for i, e in enumerate(expo) if e]
-            ex = field.log_table[c]
-            for i in used:
-                ex = ex + expo[i] * logs[i]
-            term = field.exp_table[ex % (field.q - 1)]
-            if used:
-                vanish = zero[used[0]]
-                for i in used[1:]:
-                    vanish = vanish | zero[i]
-                term = np.where(vanish, 0, term)
-            for i, row in enumerate(field.digit_table):
-                acc[i] += row[term]
-        out = acc[-1] % field.p
-        for digits in acc[-2::-1]:
-            out = out * field.p + digits % field.p
+            if field.embed(c):
+                used = [(i, (e - 1) % (field.q - 1) + 1) for i, e in enumerate(expo) if e]
+                shape = np.broadcast(*(arrs[i] for i, _ in used)).shape
+                groups.setdefault(shape, []).append((field.embed(c), used))
+        terms = [t for g in groups.values() for t in g]
+        logs, exps = exponent_tables(field, max((sum(e for _, e in u) for _, u in terms),
+                                                default=0))
+        log_of = {i: logs[arrs[i]] for i in {i for _, used in terms for i, _ in used}}
+        _, unpack, repack = lane_tables(field)
+        left = len(terms) - 1  # additions still to come
+
+        def add(a, b):  # written over a where a has the shape of the sum
+            nonlocal left
+            left -= 1
+            return gather(repack if left else unpack, _iadd(a, b))
+
+        out = None
+        for shape in sorted(groups, key=math.prod):
+            part = None
+            for c, used in groups[shape]:
+                ex = logs[c]
+                for i, e in used:
+                    ex = _iadd(ex, e * log_of[i] if e > 1 else log_of[i])
+                part = gather(exps, ex) if part is None else add(part, gather(exps, ex))
+            out = part if out is None else add(part, out)
+        out = 0 if out is None else gather(unpack, out) if len(terms) == 1 else out
+        if np.shape(out) != (shape := np.broadcast(*arrs).shape):
+            out = np.broadcast_to(out, shape).copy()
         return out if np.ndim(out) else int(out)
 
     def gradient(self):

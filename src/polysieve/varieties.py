@@ -332,37 +332,22 @@ def _projective_classes(field, m):
     Classes are indexed by the leading nonzero position: earlier
     coordinates 0, that one 1, later ones free.
     """
-    q = field.q
     for lead in range(m):
         free = m - 1 - lead
-        base = (q,) * free if free else (1,)
-        coords = []
-        for i in range(m):
-            if i < lead:
-                coords.append(np.zeros(base if not free else (1,) * free, dtype=np.int64))
-            elif i == lead:
-                coords.append(np.ones(base if not free else (1,) * free, dtype=np.int64))
-            else:
-                ax = i - lead - 1
-                coords.append(np.arange(q, dtype=np.int64).reshape(
-                    (1,) * ax + (q,) + (1,) * (free - 1 - ax)))
-        yield coords
+        ones = (1,) * max(free, 1)
+        yield ([np.zeros(ones, dtype=np.int64)] * lead + [np.ones(ones, dtype=np.int64)]
+               + broadcast_grid([np.arange(field.q, dtype=np.int64)] * free))
 
 
-def _zeros_of(poly, field, coords, shape):
+def _zeros_of(poly, field, coords):
     """The points of the grid broadcast from coords where poly vanishes.
 
-    Returns one flat coordinate array per variable, in C order of the
-    grid, so the first entry is the first zero a full scan would meet.
+    One flat array per coordinate, read at the flat indices of the zeros in
+    C order, so the first entry is the first zero a full scan would meet.
     """
-    hits = np.nonzero(np.broadcast_to(poly.eval_field(field, coords) == 0, shape))
-    return [np.broadcast_to(c, shape)[hits] for c in coords]
-
-
-def _keep_zeros(values, pts):
-    """Restrict flat point arrays to the entries where values == 0."""
-    keep = np.flatnonzero(values == 0)
-    return [c[keep] for c in pts]
+    values = poly.eval_field(field, coords)
+    hits = np.flatnonzero(values == 0)
+    return [np.broadcast_to(c, values.shape).flat[hits] for c in coords]
 
 
 def _charge(spent, evaluations, budget):
@@ -371,6 +356,12 @@ def _charge(spent, evaluations, budget):
     if spent > budget:
         raise BudgetExceeded(f"scan would need {spent} evaluations")
     return spent
+
+
+def _check_k_max(k_max):
+    """A cap below 1 scans no field, so its verdict would say nothing."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
 
 
 def _class_points(q, m):
@@ -391,6 +382,7 @@ def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
     """
     if not F.is_homogeneous():
         raise ValueError("smoothness scan needs a homogeneous form")
+    _check_k_max(k_max)
     m = F.n_vars
     d = F.total_degree
     if d % p == 0:
@@ -401,12 +393,12 @@ def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
         field = cached_field(p, j)
         spent = _charge(spent, _class_points(field.q, m), budget)
         for coords in _projective_classes(field, m):
-            pts = _zeros_of(F, field, coords, np.broadcast(*coords).shape)
+            pts = _zeros_of(F, field, coords)
             for gpoly in partials:
                 if not pts[0].size:
                     break
                 spent = _charge(spent, pts[0].size, budget)
-                pts = _keep_zeros(gpoly.eval_field(field, pts), pts)
+                pts = _zeros_of(gpoly, field, pts)
             if pts[0].size:
                 return ScanResult(False, k_max, Witness(j, tuple(int(c[0]) for c in pts)))
     return ScanResult(True, k_max)
@@ -443,6 +435,7 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
     """
     if not F.is_homogeneous():
         raise ValueError("classify_u needs a homogeneous form")
+    _check_k_max(k_max)
     m = F.n_vars
     if len(u) != m:
         raise ValueError("u arity mismatch")
@@ -457,7 +450,6 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
         field = cached_field(p, j)
         spent = _charge(spent, _class_points(field.q, m - 1), budget)
         for scoords in _projective_classes(field, m - 1):
-            shape = np.broadcast(*scoords).shape
             # x = sum_r s_r * basis_r; each s_r is scaled on its own axis
             coords = []
             for i in range(m):
@@ -466,7 +458,7 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
                     if vec[i]:
                         acc = field.add(acc, field.mul(s, field.embed(vec[i])))
                 coords.append(acc)
-            pts = _zeros_of(F, field, coords, shape)
+            pts = _zeros_of(F, field, coords)
             if not pts[0].size:
                 continue
             spent = _charge(spent, m * pts[0].size, budget)
@@ -569,6 +561,7 @@ def singular_fiber_scan(f, g=None, p=None, k_max=2, budget=DEFAULT_BUDGET):
     """
     if p is None:
         raise ValueError("p required")
+    _check_k_max(k_max)
     m = f.n_vars
     if g is not None and g.n_vars != m:
         raise ValueError("arities differ")
@@ -591,13 +584,11 @@ def singular_fiber_scan(f, g=None, p=None, k_max=2, budget=DEFAULT_BUDGET):
         field = cached_field(p, j)
         q = field.q
         spent = _charge(spent, q**m * (len(conditions) + len(membership) + 1), budget)
-        first, *rest = membership + conditions
-        pts = _zeros_of(first, field, broadcast_grid([np.arange(q, dtype=np.int64)] * m),
-                        (q,) * m)
-        for poly in rest:
+        pts = broadcast_grid([np.arange(q, dtype=np.int64)] * m)
+        for poly in membership + conditions:
+            pts = _zeros_of(poly, field, pts)
             if not pts[0].size:
                 break
-            pts = _keep_zeros(poly.eval_field(field, pts), pts)
         if not pts[0].size:
             continue
         lam_vals = fp.eval_field(field, pts)

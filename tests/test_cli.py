@@ -228,6 +228,20 @@ class TestSubcommands:
         # one call per projective class of u mod p, the zero class included
         assert len(calls) == (1 + 5 + 25 + 1) + (1 + 7 + 49 + 1)
 
+    @pytest.mark.parametrize("argv", [
+        ["classify-u", "--F", "X0^2+X1^2+X2^2", "--u", "1,0,0", "--p", "5"],
+        ["mixsum", "--trace", "chi:2:1", "--p", "5", "--F", "X0^2+X1^2+X2^2",
+         "--u", "1,0,0"],
+        ["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2", "--B", "10"],  # diagonal: no scan
+        ["boxcount", "--f", "T^2", "--F", "X0^2+X0*X1+X2^2", "--B", "10"],
+    ])
+    @pytest.mark.parametrize("kmax", ["0", "-1"])
+    def test_kmax_below_one_is_input_error(self, argv, kmax, capsys):
+        # a cap below 1 scans nothing, so "good" or good reduction would be vacuous
+        assert run(argv + ["--kmax", kmax]) == 1
+        assert f"--kmax: must be at least 1, got {kmax}" in capsys.readouterr().err
+        assert run(argv + ["--kmax", "1"]) == 0
+
     @pytest.mark.parametrize("policy", ["list:4", "list:3,4"])
     def test_prime_list_checked_up_front(self, policy, capsys, monkeypatch):
         built = []

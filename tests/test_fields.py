@@ -3,10 +3,12 @@ import cmath
 import numpy as np
 import pytest
 
-from polysieve.fields import (ExtField, PrimeField, additive_char,
-                              cached_field, find_primitive_root, mult_char, primes_in)
+from polysieve import polynomials
+from polysieve.fields import (ExtField, PrimeField, additive_char, cached_field,
+                              exponent_tables, find_primitive_root, lane_tables, mult_char,
+                              primes_in)
 
-from _oracles import TupleField, ext_exp_table_loop, smallest_generator
+from _oracles import TupleField, eval_field_direct, ext_exp_table_loop, smallest_generator
 
 
 class TestPrimitiveRoot:
@@ -213,6 +215,44 @@ class TestExtField:
         f = ExtField(3, 2)
         assert f.digit_table.shape == (2, 9)
         assert np.array_equal(f.digit_table[0] + 3 * f.digit_table[1], np.arange(9))
+
+
+class TestPackedTables:
+    @pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (2, 4), (3, 2), (5, 2), (23, 2), (3, 4)])
+    def test_sizes_at_their_bounds(self, p, k):
+        f = cached_field(p, k)
+        pack, unpack, repack = lane_tables(f)
+        assert len(pack) == f.q
+        assert len(unpack) == len(repack) == (2 * p) ** k == 2**k * f.q
+        for d in (0, 1, 4):
+            logs, exps = exponent_tables(f, d)
+            assert len(logs) == f.q
+            assert len(exps) == (d + 1) * (f.q - 1) + 1
+            assert logs[0] == len(exps) - 1 and exps[-1] == 0
+
+    @pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (2, 3), (3, 2), (5, 2)])
+    def test_lanes_read_back_every_sum(self, p, k):
+        f = cached_field(p, k)
+        tf = TupleField.like(f)
+        pack, unpack, repack = lane_tables(f)
+        xs = np.arange(f.q)
+        sums = pack[xs[:, None]] + pack[xs[None, :]]
+        assert unpack[sums].tolist() == tf.add_tab
+        assert np.array_equal(repack[sums], pack[unpack[sums]])
+
+    def test_exponent_table_degree_bounded_by_q(self, monkeypatch):
+        # x^e = x^((e-1) mod (q-1) + 1) on F_q, so X0^1000 asks for degree 8 over F_9
+        asked = []
+        real = polynomials.exponent_tables
+        monkeypatch.setattr(polynomials, "exponent_tables",
+                            lambda field, d: asked.append(d) or real(field, d))
+        F = polynomials.parse_multipoly("X0^1000+X1^3", n_vars=2)
+        xs = np.arange(9)
+        got = F.eval_field(cached_field(3, 2), (xs, xs[::-1]))
+        assert asked == [8]
+        tf = TupleField.like(cached_field(3, 2))
+        assert got.tolist() == [eval_field_direct(F.terms, tf, (a, b))
+                                for a, b in zip(xs.tolist(), xs[::-1].tolist())]
 
 
 # F_4, F_8, F_9, F_16, F_25, F_27, F_81: extension degrees 2 to 4

@@ -135,6 +135,21 @@ class TestEvalFieldProperty:
     @example((parse_multipoly("X0*X1+X0^2+1"), 2, 1, [(0, 0), (0, 1), (1, 0), (1, 1)]))
     @example((parse_multipoly("X0*X1^2+X1+1"), 2, 3, [(x, y) for x in (0, 3, 7)
                                                       for y in (0, 1, 6)]))
+    # nine terms, more than two packed sums per lane, over a scalar, (n,1),
+    # (1,n) and (n,n) coordinate
+    @example((parse_multipoly("X0^2+2*X0*X1+3*X1^2+X1*X2+4*X2^2+X2*X3+2*X3^2+X0*X3+3"),
+              5, 2, [(0, 0, 0, 0), (1, 24, 0, 7), (3, 5, 12, 0), (0, 9, 24, 13)]))
+    # exponents of 5 and more at zero coordinates; 24 = q-1 and 26 wrap mod q-1
+    @example((parse_multipoly("X0^5*X1^7+3*X1^6+2*X0^9+X0^24*X1^26+X1^25"), 5, 2,
+              [(0, 0), (0, 3), (7, 0), (24, 24), (1, 13), (0, 24)]))
+    @example((parse_multipoly("X0^7*X1+X0*X1^6+X1^5+X2^3+1"), 2, 3,
+              [(0, 0, 0), (7, 0, 1), (3, 5, 0), (6, 7, 7)]))
+    @example((parse_multipoly("X0^15+X0^5*X1^3+X1+X0+1"), 2, 4,
+              [(0, 0), (15, 0), (0, 9), (5, 11), (1, 1)]))
+    @example((parse_multipoly("X0^13*X1^2+2*X0*X1+X1^8+2"), 3, 3,
+              [(0, 0), (26, 0), (0, 13), (5, 20)]))
+    @example((parse_multipoly("X0^4*X1+2*X0^2*X1^2+X1^3+X0+2"), 3, 4,
+              [(0, 0), (80, 0), (40, 79), (1, 27)]))
     def test_matches_tuple_arithmetic(self, case):
         F, p, k, points = case
         field = cached_field(p, k)
@@ -143,6 +158,16 @@ class TestEvalFieldProperty:
         cols = [np.array(c, dtype=np.int64) for c in zip(*points)]
         assert F.eval_field(field, cols).tolist() == expected
         assert F.eval_field(field, points[0]) == expected[0]
+        # the same coordinates as a scalar, (n,1), (1,n) and (n,n), in turn
+        n = len(points)
+        mixed = [(c[0], c[:, None], c[None, :],
+                  c[(np.arange(n)[:, None] + np.arange(n)) % n])[i % 4]
+                 for i, c in enumerate(cols)]
+        grid = np.asarray(F.eval_field(field, mixed))
+        views = np.broadcast_arrays(*mixed)
+        assert grid.shape == views[0].shape
+        assert grid.ravel().tolist() == [eval_field_direct(F.terms, tf, pt)
+                                         for pt in zip(*[v.ravel().tolist() for v in views])]
 
     def test_broadcast_grid(self):
         F = parse_multipoly("X0^2*X1+2*X1^3+X0+4")

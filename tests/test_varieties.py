@@ -420,6 +420,21 @@ def scan_inputs(draw):
     return F, p, k_max, u
 
 
+class TestScanMemory:
+    def test_smoothness_scan_peak_under_three_and_a_half_grids(self):
+        # the lead class of P^2(F_529) is a 529 x 529 grid: 2.14 MiB as int64
+        F = parse_multipoly("X0^2+X1^2+X1*X2+X2^2").reduce_mod(23)
+        want = smoothness_scan(F, 23, k_max=2)  # builds the field and its tables
+        tracemalloc.start()
+        try:
+            assert smoothness_scan(F, 23, k_max=2) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert want.smooth
+        assert peak < 3.5 * 529**2 * 8
+
+
 class TestScansAgainstNestedLoops:
     @settings(max_examples=120)
     @given(scan_inputs())
@@ -430,6 +445,18 @@ class TestScansAgainstNestedLoops:
     # witnesses over F_{p^2} only: a singular point, then a tangency
     @example((parse_multipoly("X0^2*X2-2*X1^2*X2+X2^3"), 3, 2, (1, 1, 0)))
     @example((parse_multipoly("X0^3+X1^3+X2^3+X3^3"), 5, 2, (-2, -2, -1, -1)))
+    # six-term quadrics, a product of two lines (singular) and a general one, mod 5 and 7
+    @example((parse_multipoly("X0^2+3*X0*X1+4*X0*X2+2*X1^2+7*X1*X2+3*X2^2"), 5, 2, (1, 2, 3)))
+    @example((parse_multipoly("X0^2+3*X0*X1+5*X0*X2+2*X1^2+6*X1*X2+4*X2^2"), 7, 2, (1, 2, 3)))
+    @example((parse_multipoly("X0^2+X0*X1+2*X1^2+3*X0*X2+X1*X2+4*X2^2"), 5, 2, (2, 1, 1)))
+    @example((parse_multipoly("X0^2+X0*X1+2*X1^2+3*X0*X2+X1*X2+4*X2^2"), 7, 2, (2, 1, 1)))
+    # cubics with cross terms: a nodal one and one with six terms
+    @example((parse_multipoly("X0^3+X1^3+X0*X1*X2"), 5, 2, (1, 1, 0)))
+    @example((parse_multipoly("X0^3+X1^3+X0*X1*X2"), 7, 2, (0, 0, 1)))
+    @example((parse_multipoly("X0^3+2*X0^2*X1+X0*X1*X2+3*X1^2*X2+X2^3+4*X0*X2^2"), 5, 2,
+              (1, 2, 3)))
+    @example((parse_multipoly("X0^3+2*X0^2*X1+X0*X1*X2+3*X1^2*X2+X2^3+4*X0*X2^2"), 7, 2,
+              (1, -1, 2)))
     @pytest.mark.filterwarnings("ignore:p=")
     def test_verdicts_and_witnesses(self, case):
         F, p, k_max, u = case
@@ -499,6 +526,18 @@ class TestDiagonalOracle:
 
 
 class TestSingularFiberScan:
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_scans_reject_k_max_below_one(self, k_max):
+        F = parse_multipoly("X0^2+X1^2+X2^2")
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            smoothness_scan(F, 5, k_max=k_max)
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            classify_u(F, (1, 0, 0), 5, k_max=k_max)
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            classify_u(F, (0, 0, 0), 5, k_max=k_max)  # the zero class too
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            singular_fiber_scan(F, p=5, k_max=k_max)
+
     def test_plane_curve(self):
         out = singular_fiber_scan(parse_multipoly("X0^2+X1^2"), p=5, k_max=2)
         assert set(out) == {0}
