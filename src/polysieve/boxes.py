@@ -236,23 +236,6 @@ def exact_count(f, hist):
     return int(hist.counts[in_h_image(f, hist.values)].sum())
 
 
-def integer_root_of(f, v):
-    """Some integer t with f(t) = v, or None; direct root isolation.
-
-    Independent of the value-table path: rounds the real roots of
-    f(T) - v obtained from the companion matrix and verifies exactly.
-    """
-    coeffs = list(f.sub_const(int(v)).coeffs)
-    roots = np.roots(list(reversed(coeffs)))
-    for r in roots:
-        if abs(r.imag) > 0.51:
-            continue
-        for t in (math.floor(r.real), round(r.real), math.ceil(r.real)):
-            if f.eval(int(t)) == v:
-                return int(t)
-    return None
-
-
 @dataclass(frozen=True)
 class FilteredCount:
     count: int
@@ -295,7 +278,7 @@ class PrimeSelection:
     primes: tuple
     q_parameter: float
     window: tuple
-    semi_decided: bool      # good reduction checked by scan, not exactly
+    semi_decided: bool      # F not diagonal: good reduction by smoothness_scan
     k_max: int
     skipped: dict = dc_field(default_factory=dict)
 
@@ -304,7 +287,8 @@ def select_primes(problem, k_max=2, budget=DEFAULT_BUDGET):
     """The sieve prime window [Q, 2Q] with Q = B^((n+1)/(n+2)) (log B)^(1/(n+2)).
 
     Keeps p with f non-surjective mod p and good reduction for V(F):
-    exactly for diagonal F, by smoothness scan (semi-decided) otherwise.
+    exactly for diagonal F; otherwise by smoothness_scan, either certified
+    over the algebraic closure or with no singular point up to k_max.
     """
     B, n = problem.B, problem.n
     if B < 3:

@@ -9,7 +9,9 @@ coefficients, variables X0..Xn for multivariate and T for univariate,
 e.g. "X1^2 + 3*X2^2 - 1" or "2*T^3+1".
 """
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -310,6 +312,20 @@ class MultiPoly:
             key = tuple(e)
             terms[key] = terms.get(key, 0) + c * value**pw
         return MultiPoly(self.n_vars - 1, terms, self.ring)
+
+    def substitute(self, vectors):
+        """self(sum_r y_r vectors[r]): a polynomial in len(vectors) variables y."""
+        k, out = len(vectors), Counter()
+        for expo, c in self.terms.items():
+            acc = {(0,) * k: c}
+            for i in (i for i, e in enumerate(expo) for _ in range(e)):  # times x_i
+                nxt = Counter()
+                for (mono, a), (r, v) in itertools.product(acc.items(), enumerate(vectors)):
+                    if v[i]:
+                        nxt[mono[:r] + (mono[r] + 1,) + mono[r + 1:]] += a * v[i]
+                acc = nxt
+            out.update(acc)
+        return MultiPoly(k, out, self.ring)
 
     def as_diagonal(self):
         """(coeffs, d) when the form is sum_i c_i X_i^d with all c_i != 0."""

@@ -1,9 +1,10 @@
 """Point counting and tangency classification on hypersurfaces over F_q.
 
-Smoothness and tangency over the algebraic closure are only
-semi-decided here: scans search F_{p^j} for j up to an explicit k_max,
-and every verdict carries that cap.  Exact closure answers exist only
-for diagonal forms (diagonal_dual_oracle).
+Smoothness and tangency are certified over the algebraic closure where
+a Macaulay determinant of the partials is nonzero mod p; otherwise they
+are semi-decided by scanning F_{p^j} for j up to an explicit k_max, and
+every verdict carries that cap.  diagonal_dual_oracle decides diagonal
+forms exactly.
 """
 
 import itertools
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, InvariantViolation
 from .fields import cached_field, is_prime
-from .polynomials import MultiPoly, broadcast_grid
+from .polynomials import MultiPoly, _det_bareiss, broadcast_grid
 
 DEFAULT_BUDGET = 10**8
 _INT64_SAFE = 2**62
@@ -60,7 +61,7 @@ class UClass:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """smoothness_scan outcome; smooth=True only means 'no witness up to k_max'."""
+    """smoothness_scan outcome; smooth=True is certified or means 'no witness up to k_max'."""
 
     smooth: bool
     k_max: int
@@ -369,26 +370,81 @@ def _class_points(q, m):
     return sum(q**(m - 1 - lead) for lead in range(m))
 
 
-def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
-    """Search for a projective singular point of V(F) over F_{p^j}, j <= k_max.
+@lru_cache(maxsize=16)
+def _coordinate_changes(k):
+    """[I] + four seeded U L (U, L unit upper, lower triangular: det 1), as column lists."""
+    rng, eye = np.random.default_rng(11), np.eye(k, dtype=np.int64)
+    return [eye.tolist()] + [((np.triu(rng.integers(-3, 4, (k, k)), 1) + eye)
+                              @ (np.tril(rng.integers(-3, 4, (k, k)), -1) + eye)).T.tolist()
+                             for _ in range(4)]
 
-    F is evaluated on each projective class grid; the partials are
-    evaluated only on its zeros (about 1/q of the grid), in C order, so
-    the witness is the first singular point of the full scan.  Returns
-    ScanResult(smooth=True, k_max) when no witness exists up to the cap;
-    that is a semi-decision, not a certificate over the closure.  The
-    budget is charged one evaluation per grid point for F, before each
-    level, and one per surviving point for each partial, before it runs.
+
+def _certify(form, p, k_max, budget):
+    """(certified, spent): certified means the partials of the k-variable form
+    over F_p have no common zero in P^(k-1) over the algebraic closure.
+
+    Macaulay's matrix M in degree D = k(d - 1) + 1 (partials of degree d) has
+    the row x^a / x_i^d * partial_i for each monomial x^a of degree D, i the
+    first index with a_i >= d.  The degree-D monomials of a common zero lie in
+    ker M, so det M != 0 mod p certifies.  det M = +-Res det A (Macaulay 1902;
+    A the minor on the monomials with two a_i >= d) and _coordinate_changes
+    keep Res, so they are tried while det A = 0.  Built only where N^3 <= the
+    scan's grid evaluations up to k_max; each build charges N^2 first.
+    """
+    k, d = form.n_vars, form.total_degree - 1
+    D = k * (d - 1) + 1
+    N = math.comb(D + k - 1, k - 1) if d > 0 else 0
+    if not N or N**3 > sum(_class_points(p**j, k) for j in range(1, k_max + 1)):
+        return False, 0
+    monos = [tuple(c.count(i) for i in range(k))
+             for c in itertools.combinations_with_replacement(range(k), D)]
+    where = {a: r for r, a in enumerate(monos)}
+    lead = [next(i for i, e in enumerate(a) if e >= d) for a in monos]
+    extra = [r for r, a in enumerate(monos) if sum(e >= d for e in a) > 1]
+    spent = 0
+    for cols in _coordinate_changes(k):
+        spent = _charge(spent, N * N, budget)
+        grads = form.substitute(cols).gradient()
+        rows = [[0] * N for _ in monos]
+        for row, a, i in zip(rows, monos, lead):
+            for expo, c in grads[i].terms.items():
+                row[where[tuple(x + y - d * (j == i) for j, (x, y) in enumerate(zip(a, expo)))]] = c
+        if _det_bareiss(rows, p):
+            return True, spent
+        if _det_bareiss([[rows[r][c] for c in extra] for r in extra], p):
+            break  # Res = 0 mod p: no change of coordinates helps
+    return False, spent
+
+
+def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
+    """Decide whether V(F) has a projective singular point over F_{p^j}, j <= k_max.
+
+    smooth=True is certified over the algebraic closure where _certify
+    holds, with no grid built; otherwise the grids are scanned
+    (_smoothness_walk) and it means only 'no witness up to k_max'.
     """
     if not F.is_homogeneous():
         raise ValueError("smoothness scan needs a homogeneous form")
     _check_k_max(k_max)
-    m = F.n_vars
     d = F.total_degree
     if d % p == 0:
         warnings.warn(f"p={p} divides deg F={d}; the gradient may degenerate")
+    ok, spent = _certify(F.reduce_mod(p), p, k_max, budget)
+    return ScanResult(True, k_max) if ok else _smoothness_walk(F, p, k_max, budget, spent)
+
+
+def _smoothness_walk(F, p, k_max, budget=DEFAULT_BUDGET, spent=0):
+    """Search P^(m-1)(F_{p^j}), j <= k_max, for a singular point of V(F).
+
+    F is evaluated on each projective class grid; the partials are
+    evaluated only on its zeros (about 1/q of the grid), in C order, so
+    the witness is the first singular point of the full scan.  The budget
+    is charged one evaluation per grid point for F, before each level, and
+    one per surviving point for each partial, before it runs, on top of
+    spent.
+    """
+    m = F.n_vars
     partials = F.gradient()
-    spent = 0
     for j in range(1, k_max + 1):
         field = cached_field(p, j)
         spent = _charge(spent, _class_points(field.q, m), budget)
@@ -409,15 +465,8 @@ def _kernel_basis(u, p):
     u = [int(c) % p for c in u]
     pivot = next(i for i, c in enumerate(u) if c)
     inv = pow(u[pivot], p - 2, p)
-    basis = []
-    for j in range(len(u)):
-        if j == pivot:
-            continue
-        vec = [0] * len(u)
-        vec[j] = 1
-        vec[pivot] = (-u[j] * inv) % p
-        basis.append(vec)
-    return basis
+    return [[-u[j] * inv % p if i == pivot else int(i == j) for i in range(len(u))]
+            for j in range(len(u)) if j != pivot]
 
 
 def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
@@ -425,27 +474,38 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
 
     zero: u = 0 mod p.  bad: some projective x over F_{p^j}, j <= k_max,
     has F(x) = 0, <x, u> = 0 and grad F(x) parallel to u (all 2x2 minors
-    vanish); the witness is returned.  good: no such point up to k_max.
-    The hyperplane <x, u> = 0 is scanned class by class through a basis;
-    the partials and minors are evaluated only on the zeros of F there,
-    in C order, so the witness is the first one a full scan would meet.
-    The budget is charged one evaluation per grid point for F, before
-    each level, and one per surviving point for each partial and each
-    minor, before it runs.
+    vanish); the witness is returned.  Such an x is a singular point of
+    the section F(sum s_r b_r), b a basis of <x, u> = 0, so good is
+    certified over the algebraic closure where _certify holds for the
+    section; otherwise the hyperplane is scanned (_classify_walk) and good
+    means only 'no witness up to k_max'.
     """
     if not F.is_homogeneous():
         raise ValueError("classify_u needs a homogeneous form")
     _check_k_max(k_max)
-    m = F.n_vars
-    if len(u) != m:
+    if len(u) != F.n_vars:
         raise ValueError("u arity mismatch")
-    ured = [int(c) % p for c in u]
-    if all(c == 0 for c in ured):
+    if all(int(c) % p == 0 for c in u):
         return UClass("zero", k_max=k_max)
+    ok, spent = _certify(F.reduce_mod(p).substitute(_kernel_basis(u, p)), p, k_max, budget)
+    return UClass("good", k_max=k_max) if ok else _classify_walk(F, u, p, k_max, budget, spent)
+
+
+def _classify_walk(F, u, p, k_max, budget=DEFAULT_BUDGET, spent=0):
+    """Search <x, u> = 0 over F_{p^j}, j <= k_max, for a bad point; u != 0 mod p.
+
+    The hyperplane is scanned class by class through a basis; the partials
+    and minors are evaluated only on the zeros of F there, in C order, so
+    the witness is the first one a full scan would meet.  The budget is
+    charged one evaluation per grid point for F, before each level, and
+    one per surviving point for each partial and each minor, before it
+    runs, on top of spent.
+    """
+    m = F.n_vars
+    ured = [int(c) % p for c in u]
     basis = _kernel_basis(ured, p)
     partials = F.gradient()
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    spent = 0
     for j in range(1, k_max + 1):
         field = cached_field(p, j)
         spent = _charge(spent, _class_points(field.q, m - 1), budget)

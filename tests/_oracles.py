@@ -7,6 +7,7 @@ nested loops.
 
 import cmath
 import itertools
+import math
 
 
 def mult_order(a, p):
@@ -200,6 +201,26 @@ def box_count_per_point(f_coeffs, F_terms, n_vars, B):
             break
         t += 1
     return int(np.isin(vals, f_values).sum())
+
+
+def integer_root_of(f, v):
+    """Some integer t with f(t) = v, or None; direct root isolation.
+
+    Independent of the value-table path (sieve.in_h_image): rounds the
+    real roots of f(T) - v obtained from the companion matrix and verifies
+    exactly.
+    """
+    import numpy as np
+
+    coeffs = list(f.sub_const(int(v)).coeffs)
+    roots = np.roots(list(reversed(coeffs)))
+    for r in roots:
+        if abs(r.imag) > 0.51:
+            continue
+        for t in (math.floor(r.real), round(r.real), math.ceil(r.real)):
+            if f.eval(int(t)) == v:
+                return int(t)
+    return None
 
 
 def poly_eval_in_field(coeffs, field, x):

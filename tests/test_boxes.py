@@ -12,7 +12,7 @@ from polysieve import boxes
 from polysieve.boxes import (BoxProblem, SmoothWeight, _bump_derivative_l1, _dense_length,
                              bound_ratio_scan, box_histogram, complete_sum_g,
                              crt_factor_check, discriminant_profile, exact_count,
-                             exceptional_set, integer_root_of,
+                             exceptional_set,
                              poisson_compare, select_primes,
                              sieve_filtered_count)
 from polysieve.errors import BudgetExceeded, InvariantViolation
@@ -24,7 +24,7 @@ from polysieve.varieties import diagonal_dual_oracle
 
 from _oracles import (box_count_direct, box_count_per_point, box_histogram_direct,
                       complete_sum_grid, complete_sum_table, crt_lhs_grid,
-                      poisson_dual_grid)
+                      integer_root_of, poisson_dual_grid)
 
 F_QUADRIC = parse_multipoly("X0^2+X1^2+X2^2")
 F_CUBIC = parse_multipoly("X0^3+X1^3+X2^3")
@@ -298,6 +298,16 @@ class TestSelectPrimes:
         F = parse_multipoly("X0^2+X1^2+X2^2+X0*X1")
         sel = select_primes(BoxProblem(parse_unipoly("T^2"), F, 30))
         assert sel.semi_decided
+
+    def test_nondiagonal_window_at_B_2000_is_certified(self):
+        # each p is certified by the 3 x 3 Hessian; the walk over P^2(F_{p^2})
+        # would need about p^4 > 6 * 10^10 evaluations, past the default budget
+        F = parse_multipoly("X0^2+X0*X1+X2^2")
+        start = time.perf_counter()
+        sel = select_primes(BoxProblem(parse_unipoly("T^2"), F, 2000))
+        assert time.perf_counter() - start < 1.0
+        assert sel.window == (497, 993) and sel.semi_decided
+        assert sel.primes == tuple(primes_in(497, 993)) and len(sel.primes) == 73
 
     def test_scan_excludes_singular_reduction(self):
         # Gram determinant of this quadric is -42, so reduction mod 7 is

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 import polysieve
 from polysieve import cli, varieties
-from polysieve.errors import InvariantViolation
+from polysieve.errors import BudgetExceeded, InvariantViolation
+from polysieve.polynomials import parse_multipoly
 from polysieve.reports import ExperimentReport, load_report, report_json, strip_timings
 
 from _oracles import jsonable
@@ -151,6 +153,18 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["results"]["class"] == "bad"
         assert out["results"]["diagonal_oracle"] == "bad"
+
+    def test_classify_u_at_p_10007_is_certified_within_the_default_budget(self, capsys):
+        argv = ["classify-u", "--F", "X0*X1+X2*X3", "--u", "2,-1,1,3", "--p", "10007"]
+        start = time.perf_counter()
+        assert run(argv) == 0
+        assert time.perf_counter() - start < 1.0
+        out = json.loads(capsys.readouterr().out)
+        assert out["results"]["class"] == "good"
+        assert out["semi_decisions"] == {"k_max": 2}
+        # the grid walk alone is refused at its first level, P^2(F_10007)
+        with pytest.raises(BudgetExceeded, match="100150057"):
+            varieties._classify_walk(parse_multipoly("X0*X1+X2*X3"), (2, -1, 1, 3), 10007, 2)
 
     def test_fibers_table(self, capsys):
         assert run(["fibers", "--F", "X0^2+X1^2", "--p", "5"]) == 0

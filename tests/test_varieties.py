@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import cached_field, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly
-from polysieve.varieties import (classify_u, complete_sums, count_affine_fiber, cyclic_fold,
-                                 diagonal_dual_oracle, fiber_histogram,
-                                 group_pushforwards, mixed_sum, pair_fiber_histogram,
-                                 singular_fiber_scan, smoothness_scan)
+from polysieve.varieties import (ScanResult, UClass, _certify, _classify_walk, _kernel_basis,
+                                 _smoothness_walk, classify_u, complete_sums,
+                                 count_affine_fiber, cyclic_fold, diagonal_dual_oracle,
+                                 fiber_histogram, group_pushforwards, mixed_sum,
+                                 pair_fiber_histogram, singular_fiber_scan, smoothness_scan)
 
 from _oracles import (TupleField, classify_u_direct, complete_sum_table,
                       fiber_histogram_direct, mixsum_grid, pair_fiber_histogram_grid,
@@ -353,35 +354,66 @@ class TestScanBudget:
 
     A budget of twice the grid lies below the old charge of (1 + m) or
     (2 + m(m-1)/2) evaluations per grid point, so it used to be refused.
+    The smooth and good cases run the grid walk itself: the public scans
+    certify them by Macaulay's determinant before any grid is built.
     """
 
-    @pytest.mark.parametrize("text, p", [
-        ("X0^2+X1^2+X2^2", 7),                 # smooth: both levels in full
-        ("X0^2*X2-2*X1^2*X2+X2^3", 3),         # singular over F_9 only
+    @pytest.mark.parametrize("text, p, scan", [
+        # smooth: both levels in full
+        pytest.param("X0^2+X1^2+X2^2", 7, _smoothness_walk, id="X0^2+X1^2+X2^2-7"),
+        # singular over F_9 only
+        pytest.param("X0^2*X2-2*X1^2*X2+X2^3", 3, smoothness_scan, id="X0^2*X2-2*X1^2*X2+X2^3-3"),
     ])
     @pytest.mark.filterwarnings("ignore:p=")
-    def test_smoothness_scan(self, text, p):
+    def test_smoothness_scan(self, text, p, scan):
         F = parse_multipoly(text)
         grid = projective_grid(p, 2, F.n_vars - 1)
         assert 2 * grid < (1 + F.n_vars) * grid
-        assert smoothness_scan(F, p, 2, budget=2 * grid) == smoothness_scan(F, p, 2)
+        assert scan(F, p, 2, budget=2 * grid) == scan(F, p, 2)
         with pytest.raises(BudgetExceeded):
-            smoothness_scan(F, p, 2, budget=grid - 1)
+            scan(F, p, 2, budget=grid - 1)
 
-    @pytest.mark.parametrize("text, u, p", [
-        ("X0^2+X1^2+X2^2", (1, 0, 0), 7),                 # good
-        ("X0^3+X1^3+X2^3+X3^3", (-2, -2, -1, -1), 5),     # bad over F_25 only
+    @pytest.mark.parametrize("text, u, p, scan", [
+        pytest.param("X0^2+X1^2+X2^2", (1, 0, 0), 7, _classify_walk,             # good
+                     id="X0^2+X1^2+X2^2-u0-7"),
+        pytest.param("X0^3+X1^3+X2^3+X3^3", (-2, -2, -1, -1), 5, classify_u,     # bad over F_25 only
+                     id="X0^3+X1^3+X2^3+X3^3-u1-5"),
     ])
-    def test_classify_u(self, text, u, p):
+    def test_classify_u(self, text, u, p, scan):
         F = parse_multipoly(text)
         m = F.n_vars
         grid = projective_grid(p, 2, m - 2)
         assert 2 * grid < sum((p**j) ** (m - 2) * m for j in (1, 2)) * (2 + m * (m - 1) // 2)
-        want = classify_u(F, u, p, 2)
+        want = scan(F, u, p, 2)
         assert want.kind != "zero"
-        assert classify_u(F, u, p, 2, budget=2 * grid) == want
+        assert scan(F, u, p, 2, budget=2 * grid) == want
         with pytest.raises(BudgetExceeded):
-            classify_u(F, u, p, 2, budget=grid - 1)
+            scan(F, u, p, 2, budget=grid - 1)
+
+    def test_certificate_matrix_charged_before_it_is_built(self):
+        # a plane cubic has a 15 x 15 Macaulay matrix; 15^3 is within the grid at p = 13
+        F = parse_multipoly("X0^3+X1^3+X2^3")
+        assert 15**3 <= projective_grid(13, 2, 2)
+        assert smoothness_scan(F, 13, 2, budget=15**2) == ScanResult(True, 2)
+        with pytest.raises(BudgetExceeded):
+            smoothness_scan(F, 13, 2, budget=15**2 - 1)
+        # the section of X0*X1 + X2*X3 by <x, u> = 0 is a ternary quadric: 3 x 3
+        G = parse_multipoly("X0*X1+X2*X3")
+        assert classify_u(G, (2, -1, 1, 3), 10007, 2, budget=3**2) == UClass("good", k_max=2)
+        with pytest.raises(BudgetExceeded):
+            classify_u(G, (2, -1, 1, 3), 10007, 2, budget=3**2 - 1)
+
+    def test_no_matrix_past_the_grid(self):
+        # at p = 2 the grid up to F_4 (28 points) is below 15^3: only the walk is charged
+        F = parse_multipoly("X0^3+X1^3+X2^3")
+        for budget in range(projective_grid(2, 2, 2) - 1, 200):
+            try:
+                want = _smoothness_walk(F, 2, 2, budget)
+            except BudgetExceeded:
+                with pytest.raises(BudgetExceeded):
+                    smoothness_scan(F, 2, 2, budget)
+            else:
+                assert smoothness_scan(F, 2, 2, budget) == want
 
 
 def tuple_fields(p, k_max):
@@ -389,18 +421,18 @@ def tuple_fields(p, k_max):
 
 
 @st.composite
-def scan_inputs(draw):
-    """(F, p, k_max, u): a form in m <= 4 variables over F_p, p <= 7.
+def scan_inputs(draw, primes=(2, 3, 5, 7), side=49):
+    """(F, p, k_max, u): a form in m <= 4 variables over F_p, p in primes.
 
     The projective space scanned at the top level, (p^k_max)^(m-1)
-    points, is kept at most 49^2 so the nested-loop oracle stays quick.
+    points, is kept at most side^2 so the nested-loop oracle stays quick.
     Products of linear forms, and a quadric times a linear form (whose
     common zeros may lie in F_{p^2} only), make singular and tangent
     cases common.
     """
     m = draw(st.integers(2, 4))
     k_max = draw(st.integers(1, 2))
-    p = draw(st.sampled_from([p for p in (2, 3, 5, 7) if (p**k_max)**(m - 1) <= 49**2]))
+    p = draw(st.sampled_from([p for p in primes if (p**k_max)**(m - 1) <= side**2]))
     coeff = st.integers(-4, 4).filter(bool)
 
     def form(d):
@@ -422,12 +454,13 @@ def scan_inputs(draw):
 
 class TestScanMemory:
     def test_smoothness_scan_peak_under_three_and_a_half_grids(self):
-        # the lead class of P^2(F_529) is a 529 x 529 grid: 2.14 MiB as int64
+        # the lead class of P^2(F_529) is a 529 x 529 grid: 2.14 MiB as int64;
+        # smoothness_scan certifies this quadric without a grid, so the walk runs alone
         F = parse_multipoly("X0^2+X1^2+X1*X2+X2^2").reduce_mod(23)
-        want = smoothness_scan(F, 23, k_max=2)  # builds the field and its tables
+        want = _smoothness_walk(F, 23, 2)  # builds the field and its tables
         tracemalloc.start()
         try:
-            assert smoothness_scan(F, 23, k_max=2) == want
+            assert _smoothness_walk(F, 23, 2) == want
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -474,6 +507,74 @@ class TestScansAgainstNestedLoops:
         assert cls.kind == kind
         if kind == "bad":
             assert (cls.witness.ext_degree, cls.witness.point) == (j, pt)
+
+
+@st.composite
+def plane_forms(draw):
+    """(F, p, u): a plane quadric or cubic with 1 to 6 terms over F_p, p <= 5."""
+    d = draw(st.integers(2, 3))
+    every = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) == d]
+    monos = draw(st.lists(st.sampled_from(every), min_size=1, max_size=6, unique=True))
+    F = MultiPoly(3, {e: draw(st.integers(-3, 3).filter(bool)) for e in monos})
+    return F, draw(st.sampled_from([2, 3, 5])), tuple(draw(st.integers(-3, 3)) for _ in range(3))
+
+
+def certified(form, p):
+    """_certify with a cap that admits the matrix of any plane cubic at p >= 2."""
+    return _certify(form.reduce_mod(p), p, 8, 10**8)[0]
+
+
+class TestMacaulayCertificate:
+    KLEIN = parse_multipoly("X0^2*X1+X1^2*X2+X2^2*X0")
+
+    @settings(max_examples=60)
+    @given(plane_forms())
+    @example((KLEIN, 5, (1, 1, 1)))
+    @example((parse_multipoly("X0^3+X1^3+X2^3+X0*X1*X2"), 5, (1, 2, 0)))
+    @example((parse_multipoly("X0^2+X1^2+X2^2"), 3, (1, 1, 0)))
+    @example((parse_multipoly("X0^3+2*X1^3+X2^3+X0*X1*X2"), 2, (1, 0, 0)))
+    def test_certificate_implies_no_witness_over_cubic_extensions(self, case):
+        F, p, u = case
+        fields = tuple_fields(p, 3)
+        if certified(F, p):
+            assert smoothness_scan_direct(F.terms, 3, fields)[0]
+        if any(c % p for c in u) and certified(F.reduce_mod(p).substitute(_kernel_basis(u, p)), p):
+            assert classify_u_direct(F.terms, 3, u, fields)[0] == "good"
+
+    @settings(max_examples=80)
+    @given(st.integers(2, 4).flatmap(lambda m: st.tuples(
+        st.dictionaries(st.sampled_from([e for e in itertools.product(range(3), repeat=m)
+                                         if sum(e) == 2]), st.integers(-3, 3), min_size=1),
+        st.sampled_from([3, 5, 7]))))
+    def test_quadrics_at_odd_p_certified_exactly_when_smooth(self, case):
+        # det M is the Hessian determinant; a singular quadric has a singular
+        # point in the Hessian's kernel over F_p itself
+        terms, p = case
+        F = MultiPoly(len(next(iter(terms))), terms)
+        smooth = smoothness_scan_direct(F.reduce_mod(p).terms, F.n_vars, tuple_fields(p, 1))[0]
+        assert certified(F, p) == smooth
+
+    def test_sparse_cubic_certified_after_a_change_of_coordinates(self):
+        F = self.KLEIN.reduce_mod(5)
+        ok, spent = _certify(F, 5, 3, 10**8)
+        assert ok and spent == 2 * 15**2  # det M = 0 mod 5 in the given coordinates
+        assert smoothness_scan(F, 5, 3) == ScanResult(True, 3)
+        assert smoothness_scan_direct(F.terms, 3, tuple_fields(5, 3))[0]
+
+    @settings(max_examples=120)
+    @given(scan_inputs(primes=(2, 3, 5, 7, 11, 13), side=169))
+    @example((KLEIN, 13, 2, (1, 1, 1)))
+    @example((parse_multipoly("X0^3+X1^3+X2^3+X0*X1*X2"), 11, 2, (1, 2, 0)))
+    @example((parse_multipoly("X0^2+X1^2+5*X1*X2+X2^2"), 7, 2, (1, 2, 3)))
+    @example((parse_multipoly("X0*X1+X2*X3"), 13, 1, (2, -1, 1, 3)))
+    @pytest.mark.filterwarnings("ignore:p=")
+    def test_public_scans_match_the_walk(self, case):
+        F, p, k_max, u = case
+        if F.is_zero() or not F.is_homogeneous():
+            return
+        assert smoothness_scan(F, p, k_max) == _smoothness_walk(F, p, k_max)
+        if any(c % p for c in u):
+            assert classify_u(F, u, p, k_max) == _classify_walk(F, u, p, k_max)
 
 
 class TestDiagonalOracle:
