@@ -9,7 +9,6 @@ coefficients, variables X0..Xn for multivariate and T for univariate,
 e.g. "X1^2 + 3*X2^2 - 1" or "2*T^3+1".
 """
 
-import itertools
 import math
 from collections import Counter
 
@@ -318,12 +317,14 @@ class MultiPoly:
         k, out = len(vectors), Counter()
         for expo, c in self.terms.items():
             acc = {(0,) * k: c}
-            for i in (i for i, e in enumerate(expo) for _ in range(e)):  # times x_i
-                nxt = Counter()
-                for (mono, a), (r, v) in itertools.product(acc.items(), enumerate(vectors)):
-                    if v[i]:
-                        nxt[mono[:r] + (mono[r] + 1,) + mono[r + 1:]] += a * v[i]
-                acc = nxt
+            for i, e in enumerate(expo):
+                for _ in range(e):  # times x_i = sum_r vectors[r][i] y_r
+                    nxt = Counter()
+                    for mono, a in acc.items():
+                        for r, v in enumerate(vectors):
+                            if v[i]:
+                                nxt[mono[:r] + (mono[r] + 1,) + mono[r + 1:]] += a * v[i]
+                    acc = nxt
             out.update(acc)
         return MultiPoly(k, out, self.ring)
 

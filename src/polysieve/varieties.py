@@ -359,8 +359,10 @@ def _charge(spent, evaluations, budget):
     return spent
 
 
-def _check_k_max(k_max):
-    """A cap below 1 scans no field, so its verdict would say nothing."""
+def _check_scan_args(p, k_max):
+    """p prime (the certificate inverts mod p); a cap below 1 scans nothing."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
 
@@ -370,45 +372,55 @@ def _class_points(q, m):
     return sum(q**(m - 1 - lead) for lead in range(m))
 
 
-@lru_cache(maxsize=16)
 def _coordinate_changes(k):
-    """[I] + four seeded U L (U, L unit upper, lower triangular: det 1), as column lists."""
-    rng, eye = np.random.default_rng(11), np.eye(k, dtype=np.int64)
-    return [eye.tolist()] + [((np.triu(rng.integers(-3, 4, (k, k)), 1) + eye)
-                              @ (np.tril(rng.integers(-3, 4, (k, k)), -1) + eye)).T.tolist()
-                             for _ in range(4)]
+    """Columns of I, then of four U L: U and L unit upper and lower triangular (det 1)
+    with entry (i, j) = (i k + j + s) % 7 - 3 off the diagonal, s = 1..4."""
+    def entry(i, j, s):
+        return 1 if i == j else (i * k + j + s) % 7 - 3
+    yield [[int(i == r) for i in range(k)] for r in range(k)]
+    for s in range(1, 5):
+        yield [[sum(entry(i, t, s) * entry(t, r, s) for t in range(max(i, r), k)) for i in range(k)]
+               for r in range(k)]
 
 
-def _certify(form, p, k_max, budget):
-    """(certified, spent): certified means the partials of the k-variable form
-    over F_p have no common zero in P^(k-1) over the algebraic closure.
+def _certify(form, p, j, k_max, spent=0, budget=DEFAULT_BUDGET):
+    """(certified, spent) ahead of level j of a walk over P^(k-1): certified means
+    the k-variable form's partials have no common zero over the closure of F_p.
 
     Macaulay's matrix M in degree D = k(d - 1) + 1 (partials of degree d) has
     the row x^a / x_i^d * partial_i for each monomial x^a of degree D, i the
-    first index with a_i >= d.  The degree-D monomials of a common zero lie in
+    first index with a_i >= d.  A common zero's degree-D monomials lie in
     ker M, so det M != 0 mod p certifies.  det M = +-Res det A (Macaulay 1902;
-    A the minor on the monomials with two a_i >= d) and _coordinate_changes
-    keep Res, so they are tried while det A = 0.  Built only where N^3 <= the
-    scan's grid evaluations up to k_max; each build charges N^2 first.
+    A the minor on monomials with two a_i >= d); _coordinate_changes keep Res,
+    so they are tried while det A = 0.  M takes about N^3 elimination steps:
+    it runs before level 1, or before level 2 where level 1 costs the walk
+    less (so a witness over F_p costs what the walk alone does), and tries
+    coordinates only while their N^3 fit in the grid points skipped.  Each
+    try charges its N^2 entries first.
     """
-    k, d = form.n_vars, form.total_degree - 1
-    D = k * (d - 1) + 1
-    N = math.comb(D + k - 1, k - 1) if d > 0 else 0
-    if not N or N**3 > sum(_class_points(p**j, k) for j in range(1, k_max + 1)):
-        return False, 0
+    k, d = (form.n_vars, form.total_degree - 1) if form is not None else (0, 0)
+    N = math.comb(k * d, k - 1) if k > 0 and d > 0 else 0  # monomials of degree D
+    # a walk level also costs about 10^4 steps a class in numpy set-up: 0.4 ms,
+    # against 35 ns an elimination step (measured on a 2-core x86-64 machine)
+    if not N or j != (1 if _class_points(p, k) + 10**4 * k > N**3 else 2):
+        return False, spent
+    grid = 0
+    for level in range(j, k_max + 1):  # stops early: k_max may be large
+        grid += _class_points(p**level, k)
+        if grid >= 5 * N**3:
+            break
     monos = [tuple(c.count(i) for i in range(k))
-             for c in itertools.combinations_with_replacement(range(k), D)]
+             for c in itertools.combinations_with_replacement(range(k), k * (d - 1) + 1)]
     where = {a: r for r, a in enumerate(monos)}
     lead = [next(i for i, e in enumerate(a) if e >= d) for a in monos]
     extra = [r for r, a in enumerate(monos) if sum(e >= d for e in a) > 1]
-    spent = 0
-    for cols in _coordinate_changes(k):
+    for cols in itertools.islice(_coordinate_changes(k), grid // N**3):
         spent = _charge(spent, N * N, budget)
         grads = form.substitute(cols).gradient()
         rows = [[0] * N for _ in monos]
         for row, a, i in zip(rows, monos, lead):
             for expo, c in grads[i].terms.items():
-                row[where[tuple(x + y - d * (j == i) for j, (x, y) in enumerate(zip(a, expo)))]] = c
+                row[where[tuple(x + y - d * (t == i) for t, (x, y) in enumerate(zip(a, expo)))]] = c
         if _det_bareiss(rows, p):
             return True, spent
         if _det_bareiss([[rows[r][c] for c in extra] for r in extra], p):
@@ -417,35 +429,35 @@ def _certify(form, p, k_max, budget):
 
 
 def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
-    """Decide whether V(F) has a projective singular point over F_{p^j}, j <= k_max.
-
-    smooth=True is certified over the algebraic closure where _certify
-    holds, with no grid built; otherwise the grids are scanned
-    (_smoothness_walk) and it means only 'no witness up to k_max'.
-    """
-    if not F.is_homogeneous():
-        raise ValueError("smoothness scan needs a homogeneous form")
-    _check_k_max(k_max)
-    d = F.total_degree
-    if d % p == 0:
-        warnings.warn(f"p={p} divides deg F={d}; the gradient may degenerate")
-    ok, spent = _certify(F.reduce_mod(p), p, k_max, budget)
-    return ScanResult(True, k_max) if ok else _smoothness_walk(F, p, k_max, budget, spent)
-
-
-def _smoothness_walk(F, p, k_max, budget=DEFAULT_BUDGET, spent=0):
-    """Search P^(m-1)(F_{p^j}), j <= k_max, for a singular point of V(F).
+    """Search for a projective singular point of V(F) over F_{p^j}, j <= k_max.
 
     F is evaluated on each projective class grid; the partials are
     evaluated only on its zeros (about 1/q of the grid), in C order, so
-    the witness is the first singular point of the full scan.  The budget
-    is charged one evaluation per grid point for F, before each level, and
-    one per surviving point for each partial, before it runs, on top of
-    spent.
+    the witness is the first singular point of the full scan.  The walk
+    stops with ScanResult(smooth=True, k_max) where _certify holds for F
+    mod p, a certificate over the closure; a walk that ends without a
+    witness gives the same result as a semi-decision up to the cap.  The
+    budget is charged one evaluation per grid point for F, before each
+    level, and one per surviving point for each partial, before it runs.
     """
+    if not F.is_homogeneous():
+        raise ValueError("smoothness scan needs a homogeneous form")
+    _check_scan_args(p, k_max)
+    d = F.total_degree
+    if d % p == 0:
+        warnings.warn(f"p={p} divides deg F={d}; the gradient may degenerate")
+    return _smoothness_walk(F, p, k_max, budget, F.reduce_mod(p))
+
+
+def _smoothness_walk(F, p, k_max, budget=DEFAULT_BUDGET, form=None):
+    """smoothness_scan's grid walk; _certify(form) runs ahead of each level."""
     m = F.n_vars
     partials = F.gradient()
+    spent = 0
     for j in range(1, k_max + 1):
+        ok, spent = _certify(form, p, j, k_max, spent, budget)
+        if ok:
+            return ScanResult(True, k_max)
         field = cached_field(p, j)
         spent = _charge(spent, _class_points(field.q, m), budget)
         for coords in _projective_classes(field, m):
@@ -465,8 +477,15 @@ def _kernel_basis(u, p):
     u = [int(c) % p for c in u]
     pivot = next(i for i, c in enumerate(u) if c)
     inv = pow(u[pivot], p - 2, p)
-    return [[-u[j] * inv % p if i == pivot else int(i == j) for i in range(len(u))]
-            for j in range(len(u)) if j != pivot]
+    basis = []
+    for j in range(len(u)):
+        if j == pivot:
+            continue
+        vec = [0] * len(u)
+        vec[j] = 1
+        vec[pivot] = (-u[j] * inv) % p
+        basis.append(vec)
+    return basis
 
 
 def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
@@ -474,39 +493,38 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
 
     zero: u = 0 mod p.  bad: some projective x over F_{p^j}, j <= k_max,
     has F(x) = 0, <x, u> = 0 and grad F(x) parallel to u (all 2x2 minors
-    vanish); the witness is returned.  Such an x is a singular point of
-    the section F(sum s_r b_r), b a basis of <x, u> = 0, so good is
-    certified over the algebraic closure where _certify holds for the
-    section; otherwise the hyperplane is scanned (_classify_walk) and good
-    means only 'no witness up to k_max'.
+    vanish); the witness is returned.  good: no such point up to k_max, or
+    certified over the closure where _certify holds for the section
+    F(sum s_r b_r), b a basis of <x, u> = 0, whose singular points those
+    x are.  The hyperplane is scanned class by class through that basis;
+    the partials and minors are evaluated only on the zeros of F there,
+    in C order, so the witness is the first one a full scan would meet.
+    The budget is charged one evaluation per grid point for F, before
+    each level, and one per surviving point for each partial and each
+    minor, before it runs.
     """
     if not F.is_homogeneous():
         raise ValueError("classify_u needs a homogeneous form")
-    _check_k_max(k_max)
+    _check_scan_args(p, k_max)
     if len(u) != F.n_vars:
         raise ValueError("u arity mismatch")
     if all(int(c) % p == 0 for c in u):
         return UClass("zero", k_max=k_max)
-    ok, spent = _certify(F.reduce_mod(p).substitute(_kernel_basis(u, p)), p, k_max, budget)
-    return UClass("good", k_max=k_max) if ok else _classify_walk(F, u, p, k_max, budget, spent)
+    return _classify_walk(F, u, p, k_max, budget, F.reduce_mod(p).substitute(_kernel_basis(u, p)))
 
 
-def _classify_walk(F, u, p, k_max, budget=DEFAULT_BUDGET, spent=0):
-    """Search <x, u> = 0 over F_{p^j}, j <= k_max, for a bad point; u != 0 mod p.
-
-    The hyperplane is scanned class by class through a basis; the partials
-    and minors are evaluated only on the zeros of F there, in C order, so
-    the witness is the first one a full scan would meet.  The budget is
-    charged one evaluation per grid point for F, before each level, and
-    one per surviving point for each partial and each minor, before it
-    runs, on top of spent.
-    """
+def _classify_walk(F, u, p, k_max, budget=DEFAULT_BUDGET, section=None):
+    """classify_u's grid walk for u != 0 mod p; _certify(section) runs ahead of each level."""
     m = F.n_vars
     ured = [int(c) % p for c in u]
     basis = _kernel_basis(ured, p)
     partials = F.gradient()
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    spent = 0
     for j in range(1, k_max + 1):
+        ok, spent = _certify(section, p, j, k_max, spent, budget)
+        if ok:
+            return UClass("good", k_max=k_max)
         field = cached_field(p, j)
         spent = _charge(spent, _class_points(field.q, m - 1), budget)
         for scoords in _projective_classes(field, m - 1):
@@ -621,7 +639,7 @@ def singular_fiber_scan(f, g=None, p=None, k_max=2, budget=DEFAULT_BUDGET):
     """
     if p is None:
         raise ValueError("p required")
-    _check_k_max(k_max)
+    _check_scan_args(p, k_max)
     m = f.n_vars
     if g is not None and g.n_vars != m:
         raise ValueError("arities differ")

@@ -301,11 +301,10 @@ class TestSelectPrimes:
 
     def test_nondiagonal_window_at_B_2000_is_certified(self):
         # each p is certified by the 3 x 3 Hessian; the walk over P^2(F_{p^2})
-        # would need about p^4 > 6 * 10^10 evaluations, past the default budget
+        # would need about p^4 > 6 * 10^10 evaluations.  A budget of 3^2 per
+        # prime admits each matrix and no grid at all.
         F = parse_multipoly("X0^2+X0*X1+X2^2")
-        start = time.perf_counter()
-        sel = select_primes(BoxProblem(parse_unipoly("T^2"), F, 2000))
-        assert time.perf_counter() - start < 1.0
+        sel = select_primes(BoxProblem(parse_unipoly("T^2"), F, 2000), budget=3**2)
         assert sel.window == (497, 993) and sel.semi_decided
         assert sel.primes == tuple(primes_in(497, 993)) and len(sel.primes) == 73
 

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -154,11 +153,11 @@ class TestSubcommands:
         assert out["results"]["class"] == "bad"
         assert out["results"]["diagonal_oracle"] == "bad"
 
-    def test_classify_u_at_p_10007_is_certified_within_the_default_budget(self, capsys):
-        argv = ["classify-u", "--F", "X0*X1+X2*X3", "--u", "2,-1,1,3", "--p", "10007"]
-        start = time.perf_counter()
+    @pytest.mark.parametrize("budget", [[], ["--budget", "9"]])
+    def test_classify_u_at_p_10007_is_certified(self, capsys, budget):
+        # a budget of 3^2 admits the section's 3 x 3 matrix and no grid at all
+        argv = ["classify-u", "--F", "X0*X1+X2*X3", "--u", "2,-1,1,3", "--p", "10007", *budget]
         assert run(argv) == 0
-        assert time.perf_counter() - start < 1.0
         out = json.loads(capsys.readouterr().out)
         assert out["results"]["class"] == "good"
         assert out["semi_decisions"] == {"k_max": 2}
@@ -349,6 +348,7 @@ class TestProcess:
          "--primes", "list:9,15"],
         ["sieve-detect", "--h", "T^2", "--primes", "list:9"],
         ["fibers", "--F", "X0^2+X1^2", "--p", "221", "--a", "1"],
+        ["classify-u", "--F", "X0*X1+X2*X3", "--u", "2,-1,1,3", "--p", "10005"],
     ])
     def test_non_prime_modulus_is_input_error(self, argv):
         # in a child process, so a modulus that never terminates a loop

@@ -391,17 +391,53 @@ class TestScanBudget:
             scan(F, u, p, 2, budget=grid - 1)
 
     def test_certificate_matrix_charged_before_it_is_built(self):
-        # a plane cubic has a 15 x 15 Macaulay matrix; 15^3 is within the grid at p = 13
+        # a plane cubic has a 15 x 15 Macaulay matrix; P^2(F_101) has more than
+        # 15^3 points, so the matrix comes before level 1 (the walk would need
+        # about 10^8 evaluations up to F_{101^2})
         F = parse_multipoly("X0^3+X1^3+X2^3")
-        assert 15**3 <= projective_grid(13, 2, 2)
-        assert smoothness_scan(F, 13, 2, budget=15**2) == ScanResult(True, 2)
+        assert projective_grid(101, 1, 2) > 15**3
+        assert smoothness_scan(F, 101, 2, budget=15**2) == ScanResult(True, 2)
         with pytest.raises(BudgetExceeded):
-            smoothness_scan(F, 13, 2, budget=15**2 - 1)
+            smoothness_scan(F, 101, 2, budget=15**2 - 1)
         # the section of X0*X1 + X2*X3 by <x, u> = 0 is a ternary quadric: 3 x 3
         G = parse_multipoly("X0*X1+X2*X3")
         assert classify_u(G, (2, -1, 1, 3), 10007, 2, budget=3**2) == UClass("good", k_max=2)
         with pytest.raises(BudgetExceeded):
             classify_u(G, (2, -1, 1, 3), 10007, 2, budget=3**2 - 1)
+        # P^2(F_13) has 183 points, fewer than 15^3, but walking its three
+        # classes costs more than one 15 x 15 elimination, so the cubic
+        # section is certified before level 1 as well
+        H = parse_multipoly("X0^3+X1^3+X2^3+X3^3")
+        assert classify_u(H, (1, 2, 3, 4), 13, 2, budget=15**2) == UClass("good", k_max=2)
+
+    def test_matrix_after_a_cheaper_first_level(self):
+        # a cubic surface has a 56 x 56 matrix, 56^3 steps: more than a walk of
+        # P^3(F_13), so level 1 is walked first, a witness there costs what the
+        # walk alone does, and a smooth surface pays level 1 and then one matrix
+        cone = parse_multipoly("X0^3+X1^3+X2^3+X0*X1*X3")  # singular at (0, 0, 0, 1)
+        least = least_budget(lambda b: _smoothness_walk(cone, 13, 2, b), 10**4)
+        want = _smoothness_walk(cone, 13, 2)
+        assert want.witness.point == (0, 0, 0, 1)
+        assert smoothness_scan(cone, 13, 2, budget=least) == want
+        with pytest.raises(BudgetExceeded):
+            smoothness_scan(cone, 13, 2, budget=least - 1)
+        F = parse_multipoly("X0^3+X1^3+X2^3+X3^3")
+        level_1 = least_budget(lambda b: _smoothness_walk(F, 13, 1, b), 4000)
+        assert smoothness_scan(F, 13, 2, budget=level_1 + 56**2) == ScanResult(True, 2)
+        with pytest.raises(BudgetExceeded):
+            smoothness_scan(F, 13, 2, budget=level_1 + 56**2 - 1)
+
+    def test_tries_limited_by_the_grid_they_skip(self):
+        # this cubic mod 59 is certified by the first change of coordinates;
+        # P^2(F_59) has 3541 points, room for one 15^3 try but not two
+        F = parse_multipoly("X0^2*X1+X1^2*X2+X2^3").reduce_mod(59)
+        assert 15**3 <= projective_grid(59, 1, 2) < 2 * 15**3
+        assert _certify(F, 59, 1, 2) == (True, 2 * 15**2)
+        assert _certify(F, 59, 1, 1) == (False, 15**2)
+        # a singular quadric: det M = 0 and det A = 1 (A is empty), so Res = 0
+        # mod p and no change of coordinates is tried
+        assert _certify(parse_multipoly("X0*X1+X1^2", 3).reduce_mod(101), 101, 1, 2) == (False, 3**2)
+        assert smoothness_scan(F, 59, 1) == _smoothness_walk(F, 59, 1) == ScanResult(True, 1)
 
     def test_no_matrix_past_the_grid(self):
         # at p = 2 the grid up to F_4 (28 points) is below 15^3: only the walk is charged
@@ -414,6 +450,20 @@ class TestScanBudget:
                     smoothness_scan(F, 2, 2, budget)
             else:
                 assert smoothness_scan(F, 2, 2, budget) == want
+
+
+def least_budget(run, hi):
+    """The least budget at most hi under which run(budget) raises no BudgetExceeded."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            run(mid)
+        except BudgetExceeded:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def tuple_fields(p, k_max):
@@ -520,8 +570,9 @@ def plane_forms(draw):
 
 
 def certified(form, p):
-    """_certify with a cap that admits the matrix of any plane cubic at p >= 2."""
-    return _certify(form.reduce_mod(p), p, 8, 10**8)[0]
+    """_certify before level 1 or 2, whichever is due, with a cap whose grid
+    admits every try for any plane cubic or quaternary quadric at p >= 2."""
+    return any(_certify(form.reduce_mod(p), p, j, 8)[0] for j in (1, 2))
 
 
 class TestMacaulayCertificate:
@@ -554,9 +605,18 @@ class TestMacaulayCertificate:
         smooth = smoothness_scan_direct(F.reduce_mod(p).terms, F.n_vars, tuple_fields(p, 1))[0]
         assert certified(F, p) == smooth
 
+    @pytest.mark.parametrize("p", [10005, 15, 1])
+    def test_composite_modulus_refused_before_the_certificate(self, p):
+        # mod 10005 the matrices below are invertible, but inverses mod a
+        # composite p are not inverses, so no verdict may come from them
+        with pytest.raises(ValueError, match="is not prime"):
+            smoothness_scan(parse_multipoly("X0^2+X0*X1+X2^2"), p, 2)
+        with pytest.raises(ValueError, match="is not prime"):
+            classify_u(parse_multipoly("X0*X1+X2*X3"), (2, -1, 1, 3), p, 2)
+
     def test_sparse_cubic_certified_after_a_change_of_coordinates(self):
         F = self.KLEIN.reduce_mod(5)
-        ok, spent = _certify(F, 5, 3, 10**8)
+        ok, spent = _certify(F, 5, 1, 3)
         assert ok and spent == 2 * 15**2  # det M = 0 mod 5 in the given coordinates
         assert smoothness_scan(F, 5, 3) == ScanResult(True, 3)
         assert smoothness_scan_direct(F.terms, 3, tuple_fields(5, 3))[0]
