@@ -5,10 +5,10 @@ over Z.  Each problem has one histogram: the distinct values of F on the
 box with their multiplicities.  It is folded from the histograms of the
 groups of variables that share no monomial, so the box itself is never
 enumerated when F is additively separable (every diagonal form).  Each
-fold takes whichever method allocates less: sorted pairwise sums, or one
-real FFT product over the value span, certified exact.  The budget is
-charged for the group grids and folds as they are built, not for the
-(2B+1)^m box.  Every count works on distinct values weighted by
+fold takes whichever method allocates less: sorted pairwise sums, or the
+certified exact convolution over the value span (convolve.fold).  The
+budget is charged for the group grids and folds as they are built, not
+for the (2B+1)^m box.  Every count works on distinct values weighted by
 multiplicity.  The exact count tests each value against the table of
 f-values; the sieve-accelerated count prefilters values through
 per-prime image bitmaps and verifies survivors exactly, so the two
@@ -23,12 +23,13 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
+from .convolve import fold, fold_cells
 from .errors import BudgetExceeded, InvariantViolation
 from .fields import prime_factors, primes_in
 from .polynomials import MultiPoly, UniPoly, broadcast_grid, discriminant_uni
 from .sieve import build_prime_data, in_h_image, sieve_threshold
-from .varieties import (_INT64_SAFE, DEFAULT_BUDGET, _fft_error_bound, _sums_plan,
-                        _variable_groups, complete_sums, fiber_histogram, smoothness_scan)
+from .varieties import (_INT64_SAFE, DEFAULT_BUDGET, _sums_plan, _variable_groups,
+                        complete_sums, fiber_histogram, smoothness_scan)
 
 
 @dataclass(frozen=True)
@@ -113,88 +114,11 @@ def _fold(a, b):
     return values, np.add.reduceat(weights, starts)
 
 
-# The dense fold's checksum ring: P = 2^31 - 1 is prime and 7 generates its
-# unit group, so r^i != r^j mod P for 0 <= i < j < P - 1.
-_CHECK_P, _CHECK_R = 2**31 - 1, 7
-
-
-def _powers(x, n):
-    """x^0, ..., x^(n-1) mod _CHECK_P, built by doubling."""
-    pw = np.ones(1, dtype=np.int64)
-    while len(pw) < n:
-        pw = np.concatenate([pw, pw * pow(x, len(pw), _CHECK_P) % _CHECK_P])
-    return pw[:n]
-
-
-def _checksum(offsets, counts):
-    """sum counts[i] r^offsets[i] mod P, exact in int64.
-
-    r^v = (r^s)^(v // s) r^(v % s) with s^2 > max offset, so the two power
-    tables hold about sqrt(max offset) entries each and nothing is cached.
-    """
-    s = math.isqrt(int(offsets.max())) + 1
-    lo, hi = _powers(_CHECK_R, s), _powers(pow(_CHECK_R, s, _CHECK_P), s)
-    terms = counts % _CHECK_P * lo[offsets % s] % _CHECK_P * hi[offsets // s] % _CHECK_P
-    return int(terms.sum()) % _CHECK_P
-
-
-def _fft_len(n):
-    """The least 5-smooth integer >= n: numpy's FFT is slow at lengths with
-    large prime factors."""
-    best, p5 = 1 << (n - 1).bit_length(), 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _dense_length(a, b):
-    """The padded length of a dense fold of a and b, or None for the sparse fold.
-
-    Dense where the value spans are cheaper than the pairs and the
-    rounding bound of the two-part product (varieties._fft_error_bound)
-    stays below 1/2.
-    """
-    (va, ca), (vb, cb) = a, b
-    span = int(va[-1] - va[0]) + int(vb[-1] - vb[0]) + 1
-    if span + 1 >= len(va) * len(vb):
-        return None
-    n = _fft_len(span)
-    return n if _fft_error_bound(2, 1, n, int(ca.sum()) * int(cb.sum())) < 0.5 else None
-
-
-def _dense_fold(a, b, n):
-    """_fold of integer counts by one real FFT product of length n, certified exact.
-
-    Each histogram is scattered at its offsets from its least value and
-    the product of the two rfft's is inverted and rounded (n covers the
-    sum of the spans, so the convolution does not wrap; _dense_length
-    bounds the rounding error).  The int64 total must equal the product of
-    the masses and the checksum sum out_v r^v mod P (_checksum) the
-    product of the inputs' -- a polynomial identity for a linear
-    convolution, so any r will do -- or InvariantViolation.
-    """
-    (va, ca), (vb, cb) = a, b
-    x = np.zeros(n)
-    x[va - va[0]] = ca
-    spec = np.fft.rfft(x)
-    x.fill(0)
-    x[vb - vb[0]] = cb
-    spec *= np.fft.rfft(x)
-    del x
-    out = np.rint(np.fft.irfft(spec, n))
-    del spec
-    cells = np.flatnonzero(out)
-    counts = out[cells].astype(np.int64)
-    mass = int(ca.sum()) * int(cb.sum())
-    if int(counts.sum()) != mass:
-        raise InvariantViolation(f"FFT fold total {int(counts.sum())} != product of masses {mass}")
-    if _checksum(cells, counts) != _checksum(va - va[0], ca) * _checksum(vb - vb[0], cb) % _CHECK_P:
-        raise InvariantViolation("FFT fold checksum differs from the product of the parts'")
-    return va[0] + vb[0] + cells, counts
+    """The padded length of a dense fold of a and b, or None for the sparse fold:
+    dense where the value spans cost less than the pairs."""
+    spans = [(int(v[-1] - v[0]) + 1,) for v, _ in (a, b)]
+    return fold_cells(spans) if sum(n for n, in spans) < len(a[0]) * len(b[0]) else None
 
 
 def box_histogram(F, B, budget=DEFAULT_BUDGET):
@@ -204,13 +128,15 @@ def box_histogram(F, B, budget=DEFAULT_BUDGET):
     monomial; each group is evaluated on its own (2B+1)^|g| grid and
     reduced to a histogram, and the group histograms are folded together,
     each fold by the method that allocates less (_dense_length): the
-    sorted nnz_a nnz_b pairwise sums, or a certified FFT product over the
-    value span (_dense_fold).  A non-separable F is one group, evaluated on
-    the full box.  Each grid and each fold (its pairs or its padded
-    length) is charged to the budget before it is built; values past int64
-    are refused up front.
+    sorted nnz_a nnz_b pairwise sums, or the certified exact convolution
+    of the counts laid out over the value spans (convolve.fold).  A
+    non-separable F is one group, evaluated on the full box.  Each grid
+    and each fold (its pairs or its padded length) is charged to the
+    budget before it is built; values and counts past int64 are refused up front.
     """
     _check_values(F, B)
+    if (2 * B + 1) ** F.n_vars >= 2**63:
+        raise OverflowError("box point counts would overflow 64-bit integers")
     spent, hist = 0, None
 
     def charge(points):
@@ -227,7 +153,14 @@ def box_histogram(F, B, budget=DEFAULT_BUDGET):
             continue
         n = _dense_length(hist, part)
         charge(len(hist[0]) * len(part[0]) if n is None else n)
-        hist = _fold(hist, part) if n is None else _dense_fold(hist, part, n)
+        if n is None:
+            hist = _fold(hist, part)
+            continue
+        dense = [np.zeros(int(v[-1] - v[0]) + 1, dtype=np.int64) for v, _ in (hist, part)]
+        for x, (v, c) in zip(dense, (hist, part)):
+            x[v - v[0]] = c
+        cells = np.flatnonzero(out := fold(dense))
+        hist = hist[0][0] + part[0][0] + cells, out[cells]
     return BoxHistogram(*hist)
 
 

@@ -11,12 +11,13 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvariantViolation
+from .convolve import fold, fold_cells, wrap
+from .errors import BudgetExceeded
 from .fields import cached_field, is_prime
 from .polynomials import MultiPoly, _det_bareiss, broadcast_grid
 
@@ -96,39 +97,26 @@ def _variable_groups(*forms):
     return list(zip(groups, *subs))
 
 
-def _cyclic_convolve(a, b, p):
-    """Exact integer convolution of two histograms on Z/p."""
-    full = np.convolve(a, b)
-    out = full[:p].copy()
-    out[:p - 1] += full[p:]
-    return out
-
-
 def fiber_histogram(F, p, budget=DEFAULT_BUDGET):
     """Array h with h[a] = |{x in F_p^n : F(x) = a}|.
 
     Each group of variables that shares no monomial with the others is
     counted over its own grid; the group histograms combine by exact
-    cyclic convolution, since F is the sum of the group sub-forms.  A
-    non-separable F is one group, counted over the full grid.  The group
-    grids and the length-(2p-1) full convolution of each fold are charged
-    before any build.
+    cyclic convolution (convolve.fold, wrapped), since F is the sum of the
+    group sub-forms.  A non-separable F is one group, counted over the full
+    grid.  The group grids and each fold's padded cells are charged first.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    n = F.n_vars
-    if p**n >= _INT64_SAFE:
-        raise OverflowError(f"p^n = {p**n} fiber counts would overflow 64-bit integers")
+    if p**F.n_vars >= _INT64_SAFE:
+        raise OverflowError(f"p^n = {p**F.n_vars} fiber counts would overflow 64-bit integers")
     groups = _variable_groups(F)
-    cost = sum(p**len(idx) for idx, _ in groups) + (len(groups) - 1) * (2 * p - 1)
+    cost = sum(p**len(idx) for idx, _ in groups) + (len(groups) - 1) * fold_cells([(p,)] * 2)
     if cost > budget:
         raise BudgetExceeded(f"fiber histogram of {cost} points exceeds budget {budget}")
-    hist = None
-    for _, sub in groups:
-        vals = sub.eval_mod(broadcast_grid([np.arange(p, dtype=np.int64)] * sub.n_vars), p)
-        h = np.bincount(np.ravel(vals), minlength=p)
-        hist = h if hist is None else _cyclic_convolve(hist, h, p)
-    return hist
+    hists = [np.bincount(np.ravel(sub.eval_mod(broadcast_grid(
+        [np.arange(p, dtype=np.int64)] * sub.n_vars), p)), minlength=p) for _, sub in groups]
+    return reduce(lambda a, b: wrap(fold([a, b]), p), hists)
 
 
 def group_pushforwards(sub, freqs, N, twist=None):
@@ -211,76 +199,15 @@ def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
     return complex(np.asarray(t_values) @ pushed[0])
 
 
-@lru_cache(maxsize=64)
-def _checksum_ring(shape):
-    """A prime P = 1 mod lcm(shape) in [2^30, 2^31) and per axis k the powers of r_k, r_k^n = 1.
-
-    h -> sum h[i] prod r_k^(i_k) mod P is then a ring map from cyclic
-    convolutions of this shape; a one-cell error always changes the image.
-    r_k = z^(k+1) for the first z = x^((P-1)/n) != 1, so equal axes differ.
-    """
-    step = math.lcm(*shape)
-    P = next(P for P in range((2**30 // step + 1) * step + 1, 2**31, step) if is_prime(P))
-    powers = []
-    for k, n in enumerate(shape):
-        z = next(z for x in itertools.count(2) if (z := pow(x, (P - 1) // n, P)) != 1 or n == 1)
-        pw = itertools.accumulate([pow(z, k + 1, P)] * (n - 1), lambda a, b: a * b % P, initial=1)
-        powers.append(np.array(list(pw)).reshape((-1,) + (1,) * (len(shape) - 1 - k)))
-    return P, powers
-
-
-def _checksum(h):
-    """sum h[i] prod r_k^(i_k) mod P (_checksum_ring), exact in int64."""
-    P, powers = _checksum_ring(h.shape)
-    acc = h % P
-    for pw in powers:
-        acc = (acc * pw % P).sum(axis=0) % P
-    return int(acc)
-
-
-def _fft_error_bound(k, ndim, n, mass):
-    """Bound on the rounding error of a cell of the FFT product of k nonnegative
-    arrays with ndim axes of length at most n and product of masses mass.
-
-    A transform entry errs by at most c u log2(4n) |h|_1 per axis (u = 2^-53;
-    c = 16 leaves room for numpy's chirp transforms at prime n), so the
-    error is below (k + 1) c u ndim log2(4n) prod |h|_1.
-    """
-    return (k + 1) * 16 * ndim * math.log2(4 * n) * 2.0**-53 * mass
-
-
-def cyclic_fold(parts):
-    """Exact cyclic convolution of nonnegative int64 arrays of one shape, by FFT.
-
-    Where the rounding bound (_fft_error_bound) reaches 1/2, OverflowError
-    before any transform.  The int64 total of the result must equal the
-    product of the masses and its checksum (_checksum_ring) the product of
-    the parts', or InvariantViolation.
-    """
-    shape, mass = parts[0].shape, math.prod(int(h.sum()) for h in parts)
-    bound = _fft_error_bound(len(parts), len(shape), max(shape), mass)
-    if bound >= 0.5:
-        raise OverflowError(f"FFT fold of mass {mass} could round wrongly (error bound {bound:.3g})")
-    spec = np.fft.rfftn(parts[0])
-    for h in parts[1:]:
-        spec *= np.fft.rfftn(h)
-    out = np.rint(np.fft.irfftn(spec, shape, range(len(shape)))).astype(np.int64)
-    if int(out.sum()) != mass:
-        raise InvariantViolation(f"FFT fold total {int(out.sum())} != product of masses {mass}")
-    if _checksum(out) != math.prod(_checksum(h) for h in parts) % _checksum_ring(shape)[0]:
-        raise InvariantViolation("FFT fold checksum differs from the product of the parts'")
-    return out
-
-
 def pair_fiber_histogram(F, G, p, budget=DEFAULT_BUDGET):
     """Matrix h with h[a, b] = |{x in F_p^n : F(x) = a, G(x) = b}|.
 
     The joint variable groups of (F, G) are packed, largest first, into
     blocks of at most p^2 grid points (the size of h), each counted into a
-    p x p histogram over its own grid; h is their 2D cyclic convolution
-    (cyclic_fold).  A non-separable pair, and any pair in two variables, is
-    one block: one grid, no FFT.  Block grids and p^2 per block are charged
-    before any build.
+    p x p histogram over its own grid; h is their 2D cyclic convolution,
+    folded pairwise (convolve.fold, wrapped).  A non-separable pair, and any
+    pair in two variables, is one block: one grid, no FFT.  Block grids, p^2
+    per block and each fold's padded cells are charged before any build.
     """
     if F.n_vars != G.n_vars:
         raise ValueError("F and G must share arity")
@@ -293,7 +220,7 @@ def pair_fiber_histogram(F, G, p, budget=DEFAULT_BUDGET):
         else:
             blocks.append([grp])
     sizes = [sum(len(g[0]) for g in block) for block in blocks]
-    cost = sum(p**k + p * p for k in sizes)
+    cost = sum(p**k + p * p for k in sizes) + (len(blocks) - 1) * fold_cells([(p, p)] * 2)
     if cost > budget:
         raise BudgetExceeded(f"pair histogram of {cost} points exceeds budget {budget}")
     hists = []
@@ -305,7 +232,7 @@ def pair_fiber_histogram(F, G, p, budget=DEFAULT_BUDGET):
             fv, gv = fv + f_sub.eval_mod(own, p), gv + g_sub.eval_mod(own, p)
         cells = np.broadcast_to(fv % p * p + gv % p, (p,) * k)
         hists.append(np.bincount(np.ravel(cells), minlength=p * p).reshape(p, p))
-    return hists[0] if len(hists) == 1 else cyclic_fold(hists)
+    return reduce(lambda a, b: wrap(fold([a, b]), p), hists)
 
 
 def count_affine_fiber(F, a, p, G=None, b=None, budget=DEFAULT_BUDGET):

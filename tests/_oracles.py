@@ -465,6 +465,30 @@ def pair_fiber_histogram_grid(F, G, p):
     return np.bincount(vals[0] * p + vals[1], minlength=p * p).reshape(p, p)
 
 
+def cyclic_convolve_direct(a, b, p):
+    """Exact integer convolution of two histograms on Z/p, by np.convolve."""
+    import numpy as np
+
+    full = np.convolve(a, b)
+    out = full[:p].copy()
+    out[:p - 1] += full[p:]
+    return out
+
+
+def fold_direct(parts):
+    """Linear product of nonnegative integer arrays of one ndim: each cell of
+    each later part adds a shifted copy of the product so far."""
+    import numpy as np
+
+    out = parts[0]
+    for h in parts[1:]:
+        acc = np.zeros([a + b - 1 for a, b in zip(out.shape, h.shape)], dtype=np.int64)
+        for idx in np.ndindex(h.shape):
+            acc[tuple(slice(i, i + n) for i, n in zip(idx, out.shape))] += h[idx] * out
+        out = acc
+    return out
+
+
 def mixsum_grid(F, G, t_values, p):
     """sum over x in F_p^n of t(F(x)) e(G(x)/p), evaluated point by point on the full grid."""
     import numpy as np

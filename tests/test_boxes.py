@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polysieve import boxes
+from polysieve import boxes, convolve
 from polysieve.boxes import (BoxProblem, SmoothWeight, _bump_derivative_l1, _dense_length,
                              bound_ratio_scan, box_histogram, complete_sum_g,
                              crt_factor_check, discriminant_profile, exact_count,
@@ -117,15 +117,31 @@ def fold_inputs(draw):
 
 def fold_paths(mp, refuse):
     """Patch boxes' two folds to record, in order, the method box_histogram
-    takes; with refuse, every rounding bound fails, so each fold sorts its pairs."""
-    paths = []
-    for name, tag in (("_fold", "sparse"), ("_dense_fold", "dense")):
-        def spy(*args, real=getattr(boxes, name), tag=tag):
-            paths.append(tag)
-            return real(*args)
-        mp.setattr(boxes, name, spy)
-    if refuse:
-        mp.setattr(boxes, "_fft_error_bound", lambda *args: 1.0)
+    takes.  With refuse, the first rounding bound of each dense fold fails:
+    it runs in limbs, or, on 0/1 parts, which have none, it is refused and
+    then run again under the real bound."""
+    paths, bound = [], convolve._fft_error_bound
+
+    def sparse(*args, real=boxes._fold):
+        paths.append("sparse")
+        return real(*args)
+
+    def dense(parts, real=boxes.fold):
+        if not refuse:
+            paths.append("dense")
+            return real(parts)
+        top = iter([1.0])
+        mp.setattr(convolve, "_fft_error_bound", lambda *args: next(top, None) or bound(*args))
+        if all(h.max() <= 1 for h in parts):
+            paths.append("refused")
+            with pytest.raises(OverflowError, match="0/1 parts"):
+                real(parts)
+        else:
+            paths.append("limbs")
+        return real(parts)
+
+    mp.setattr(boxes, "_fold", sparse)
+    mp.setattr(boxes, "fold", dense)
     return paths
 
 
@@ -140,13 +156,13 @@ class TestBoxHistogramFold:
     @example((parse_multipoly("1000000*X0^2+X1^2+X2^2"), 3), False)
     @example((parse_multipoly("X0+X1"), 3), False)                      # dense fold
     @example((parse_multipoly("X0^2+X1^2+X2^2"), 3), False)             # sparse, then dense
-    @example((parse_multipoly("X0^2+X1^2+X2^2"), 3), True)              # refused: sparse twice
+    @example((parse_multipoly("X0^2+X1^2+X2^2"), 3), True)              # sparse, then limbs
+    @example((parse_multipoly("X0+X1"), 3), True)                       # 0/1 parts refused
     def test_matches_nested_loops(self, case, refuse):
         F, B = case
         with pytest.MonkeyPatch.context() as mp:
-            paths = fold_paths(mp, refuse)
+            fold_paths(mp, refuse)
             hist = box_histogram(F, B)
-        assert not (refuse and "dense" in paths)
         values, counts = box_histogram_direct(F.terms, F.n_vars, B)
         assert hist.values.dtype == np.int64 and hist.counts.dtype == np.int64
         assert hist.values.tolist() == values
@@ -158,34 +174,34 @@ class TestBoxHistogramFold:
         # X0^2 + X1^2 (10 values, span 19) and X2^2 have 19 + 10 < 10 * 4
         cases = [("X0+X1", False, ["dense"]), ("X0^2+X1^2", False, ["sparse"]),
                  ("X0^2+X1^2+X2^2", False, ["sparse", "dense"]),
-                 ("X0^2+X1^2+X2^2", True, ["sparse", "sparse"])]
+                 ("X0^2+X1^2+X2^2", True, ["sparse", "limbs"]), ("X0+X1", True, ["refused"])]
         for form, refuse, want in cases:
             with pytest.MonkeyPatch.context() as mp:
                 paths = fold_paths(mp, refuse)
                 box_histogram(parse_multipoly(form), 3)
             assert paths == want, form
-        # the real bound: 100 values of weight 2^40 each are too heavy to round safely
+        # the rounding bound no longer picks the method: counts of 2^40 fold in limbs
         light = (np.arange(100), np.ones(100, dtype=np.int64))
         heavy = (np.arange(100), np.full(100, 2**40))
         assert _dense_length(light, light) == 200  # span 199, padded to 2^3 * 5^2
-        assert _dense_length(heavy, heavy) is None
+        assert _dense_length(heavy, light) == 200
 
     def test_fold_certificate_catches_a_wrong_cell(self, monkeypatch):
-        real = np.fft.irfft
+        real = np.fft.irfftn
 
         def off(*shifts):
-            def irfft(*args, **kwargs):
+            def irfftn(*args, **kwargs):
                 out = real(*args, **kwargs)
                 for cell, d in shifts:
                     out[cell] += d
                 return out
-            return irfft
+            return irfftn
 
-        monkeypatch.setattr(np.fft, "irfft", off((1, 1)))
+        monkeypatch.setattr(np.fft, "irfftn", off((1, 1)))
         with pytest.raises(InvariantViolation, match="total"):
             box_histogram(F_QUADRIC, 3)
         # the total still holds: only the checksum sees it
-        monkeypatch.setattr(np.fft, "irfft", off((1, 1), (3, -1)))
+        monkeypatch.setattr(np.fft, "irfftn", off((1, 1), (3, -1)))
         with pytest.raises(InvariantViolation, match="checksum"):
             box_histogram(F_QUADRIC, 3)
 
@@ -230,6 +246,12 @@ class TestBoxHistogramFold:
         F = MultiPoly(2, {(1, 0): 2**61, (0, 1): 2**61})
         with pytest.raises(OverflowError):
             box_histogram(F, 1)
+        # 3^40 points: the counts pass int64, on the sorted and the dense folds alike
+        for c in (1, 10**6):
+            F = MultiPoly(40, {tuple(2 * (j == i) for j in range(40)): c if i == 0 else 1
+                               for i in range(40)})
+            with pytest.raises(OverflowError, match="counts"):
+                box_histogram(F, 1)
 
 
 class TestValueTable:

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polysieve.convolve import fold
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import cached_field, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly
 from polysieve.varieties import (ScanResult, UClass, _certify, _classify_walk, _kernel_basis,
                                  _smoothness_walk, classify_u, complete_sums,
-                                 count_affine_fiber, cyclic_fold, diagonal_dual_oracle,
+                                 count_affine_fiber, diagonal_dual_oracle,
                                  fiber_histogram, group_pushforwards, mixed_sum,
                                  pair_fiber_histogram, singular_fiber_scan, smoothness_scan)
 
@@ -45,12 +47,25 @@ class TestFiberCounts:
         # one group: its p^3 grid is past the budget
         with pytest.raises(BudgetExceeded):
             fiber_histogram(parse_multipoly("X0*X1+X1*X2"), 101, budget=10**4)
-        # three groups: their p-point grids and two folds of 2p - 1 cells
+        # three groups: their p-point grids and two folds of 2p - 1 = 201 cells,
+        # each padded to the 5-smooth 216 = 2^3 3^3
         F, p = parse_multipoly("X0^2+X1^2+X2^2"), 101
-        cost = 3 * p + 2 * (2 * p - 1)
+        cost = 3 * p + 2 * 216
         assert fiber_histogram(F, p, budget=cost).sum() == p**3
         with pytest.raises(BudgetExceeded, match=f" {cost} points"):
             fiber_histogram(F, p, budget=cost - 1)
+
+    def test_ternary_quadric_at_a_large_prime(self):
+        # N(0) = p^2 and N(a) = p^2 + p eta(-a) for a != 0, eta the Legendre symbol
+        p = 100003
+        start = time.perf_counter()
+        hist = fiber_histogram(parse_multipoly("X0^2+X1^2+X2^2"), p)
+        assert time.perf_counter() - start < 1.0
+        square = np.zeros(p, dtype=bool)
+        square[np.arange(1, p) ** 2 % p] = True
+        want = p * p + p * np.where(square[-np.arange(p) % p], 1, -1)
+        want[0] = p * p
+        assert np.array_equal(hist, want)
 
     def test_deviation_scale_stable_over_primes(self):
         # normalized deviations stay bounded and do not drift upward
@@ -242,8 +257,10 @@ class TestPairHistogramsAndMixedSums:
             (mixed_sum, _pair("X0^2+X1^2+X2^2", "X0+X1"), 3 * p + p, (t, p)),  # groups of 1
             (mixed_sum, _pair("X0^2+X1^2", "X0*X1"), p**2 + p, (t, p)),        # one group
             (pair_fiber_histogram, _pair("X0^2+X1^2", "X0*X1"), 2 * p**2, (p,)),
-            # blocks {X0, X1} and {X2}: their grids and p^2 cells each
-            (pair_fiber_histogram, _pair("X0^2+X1^2+X2^2", "X0-X1"), p**2 + p + 2 * p**2, (p,)),
+            # blocks {X0, X1} and {X2}: their grids, p^2 cells each, and one fold of
+            # (2p - 1)^2 cells padded to 15^2
+            (pair_fiber_histogram, _pair("X0^2+X1^2+X2^2", "X0-X1"),
+             p**2 + p + 2 * p**2 + 15**2, (p,)),
         ]
         for fn, (F, G), cost, args in cases:
             fn(F, G, *args, budget=cost)
@@ -270,25 +287,18 @@ class TestPairHistogramsAndMixedSums:
         with pytest.raises(InvariantViolation, match="checksum"):
             pair_fiber_histogram(F, G, 5)
 
-    @pytest.mark.parametrize("shape", [(7,), (2, 2), (5, 3), (4, 4, 2)])
-    def test_cyclic_fold_matches_direct(self, shape):
-        rng = np.random.default_rng(len(shape))
-        parts = [rng.integers(0, 50, shape) for _ in range(3)]
-        want = parts[0]
-        for h in parts[1:]:
-            acc = np.zeros(shape, dtype=np.int64)
-            for idx in np.ndindex(shape):
-                acc += h[idx] * np.roll(want, idx, axis=tuple(range(len(shape))))
-            want = acc
-        assert np.array_equal(cyclic_fold(parts), want)
-
-    def test_fold_past_its_error_bound_refused(self):
-        with pytest.raises(OverflowError):
-            cyclic_fold([np.full((2, 2), 2**26)] * 2)
-        # five separable variables at p = 1009: the grids fit the budget, the mass p^5 does not
-        F, G = _pair("X0^2+X1^2+X2^2+X3^2+X4^2", "X0")
-        with pytest.raises(OverflowError):
-            pair_fiber_histogram(F, G, 1009)
+    def test_fold_past_its_error_bound_refused(self, monkeypatch):
+        # five separable variables at p = 1009: the last fold, of mass p^5, runs in limbs
+        p, (F, G) = 1009, _pair("X0^2+X1^2+X2^2+X3^2+X4^2", "X0")
+        hist = pair_fiber_histogram(F, G, p)
+        assert np.array_equal(hist.sum(axis=1), fiber_histogram(F, p))
+        assert np.array_equal(hist.sum(axis=0), fiber_histogram(G, p))
+        # 0/1 parts have no limbs: 3*10^6 cells of ones are refused before any transform
+        monkeypatch.setattr(np.fft, "rfftn", lambda *args: pytest.fail("transform"))
+        with pytest.raises(OverflowError, match="0/1 parts"):
+            fold([np.ones(3 * 10**6, dtype=np.int64)] * 2)
+        with pytest.raises(OverflowError, match="64-bit"):
+            fold([np.full(2, 2**62)] * 2)
 
 
 class TestSmoothness:
