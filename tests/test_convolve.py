@@ -11,7 +11,7 @@ from _oracles import cyclic_convolve_direct, fold_direct
 
 
 def _seeded(*shapes):
-    """The parts of the old parametrized cases: counts below 50 from a fixed seed."""
+    """The parts of test_varieties' cyclic fold cases: counts below 50 from a fixed seed."""
     rng = np.random.default_rng(len(shapes[0]))
     return [rng.integers(0, 50, shape) for shape in shapes]
 

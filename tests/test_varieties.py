@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polysieve.convolve import fold
+from polysieve.convolve import fold, wrap
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import cached_field, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly
@@ -286,6 +286,22 @@ class TestPairHistogramsAndMixedSums:
         monkeypatch.setattr(np.fft, "irfftn", off(((1, 2), 1), ((3, 0), -1)))
         with pytest.raises(InvariantViolation, match="checksum"):
             pair_fiber_histogram(F, G, 5)
+
+    @pytest.mark.parametrize("shape", [(7,), (2, 2), (5, 3), (4, 4, 2)])
+    def test_cyclic_fold_matches_direct(self, shape):
+        # the linear fold, wrapped mod each axis's length, is the cyclic product
+        rng = np.random.default_rng(len(shape))
+        parts = [rng.integers(0, 50, shape) for _ in range(3)]
+        want = parts[0]
+        for h in parts[1:]:
+            acc = np.zeros(shape, dtype=np.int64)
+            for idx in np.ndindex(shape):
+                acc += h[idx] * np.roll(want, idx, axis=tuple(range(len(shape))))
+            want = acc
+        got = fold(parts)
+        for ax, n in enumerate(shape):
+            got = np.apply_along_axis(wrap, ax, got, n)
+        assert np.array_equal(got, want)
 
     def test_fold_past_its_error_bound_refused(self, monkeypatch):
         # five separable variables at p = 1009: the last fold, of mass p^5, runs in limbs
