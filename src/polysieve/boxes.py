@@ -214,6 +214,7 @@ class PrimeSelection:
     semi_decided: bool      # F not diagonal: good reduction by smoothness_scan
     k_max: int
     skipped: dict = dc_field(default_factory=dict)
+    prime_data: tuple = dc_field(default=(), compare=False, repr=False)  # one per prime
 
 
 def select_primes(problem, k_max=2, budget=DEFAULT_BUDGET):
@@ -251,11 +252,12 @@ def select_primes(problem, k_max=2, budget=DEFAULT_BUDGET):
         if not good:
             skipped[p] = "bad reduction"
             continue
-        picked.append(p)
+        picked.append(data)
     if not picked:
         raise ValueError(
             f"no usable primes in the window [{lo}, {hi}]; widen B or pass primes")
-    return PrimeSelection(tuple(picked), q_param, (lo, hi), semi, k_max, skipped)
+    return PrimeSelection(tuple(d.p for d in picked), q_param, (lo, hi), semi, k_max, skipped,
+                          tuple(picked))
 
 
 def exceptional_set(f, prime_data, v_max, threshold_mode="lemma",
@@ -527,8 +529,13 @@ def bound_ratio_scan(f, F, b_grid, budget=DEFAULT_BUDGET):
 
     ratio_main divides by B^(n + 1/(n+2)) (log B)^((n+1)/(n+2)); the
     comparison column divides by B^(n + 1/2).  Asserts max/min of
-    ratio_main <= 10 across the grid.
+    ratio_main <= 10 across the grid.  The grid must be nonempty with every
+    B >= 2 (log B > 0), checked before any count.
     """
+    if not b_grid:
+        raise ValueError("empty B grid")
+    if min(b_grid) < 2:
+        raise ValueError(f"B = {min(b_grid)} in the grid: the normalization needs B >= 2")
     rows = []
     for B in b_grid:
         n = BoxProblem(f, F, B).n

@@ -1,10 +1,12 @@
 """Point counting and tangency classification on hypersurfaces over F_q.
 
-Smoothness and tangency are certified over the algebraic closure where
-a Macaulay determinant of the partials is nonzero mod p; otherwise they
-are semi-decided by scanning F_{p^j} for j up to an explicit k_max, and
-every verdict carries that cap.  diagonal_dual_oracle decides diagonal
-forms exactly.
+A frequency u != 0 is tangent (bad) exactly where the hyperplane section
+of V(F) by <x, u> = 0 is singular, so smoothness and tangency are one
+question, asked of F or of its section, and answered by one walk.  It is
+certified over the algebraic closure where a Macaulay determinant of the
+partials is nonzero mod p; otherwise it is semi-decided by scanning
+F_{p^j} for j up to an explicit k_max, and every verdict carries that
+cap.  diagonal_dual_oracle decides diagonal forms exactly.
 """
 
 import itertools
@@ -373,22 +375,23 @@ def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
     d = F.total_degree
     if d % p == 0:
         warnings.warn(f"p={p} divides deg F={d}; the gradient may degenerate")
-    return _smoothness_walk(F, p, k_max, budget, F.reduce_mod(p))
+    return _smoothness_walk(F.reduce_mod(p), p, k_max, budget, certify=True)
 
 
-def _smoothness_walk(F, p, k_max, budget=DEFAULT_BUDGET, form=None):
-    """smoothness_scan's grid walk; _certify(form) runs ahead of each level."""
-    m = F.n_vars
-    partials = F.gradient()
+def _smoothness_walk(form, p, k_max, budget=DEFAULT_BUDGET, certify=False):
+    """The grid walk of smoothness_scan and classify_u; with certify, _certify(form)
+    runs ahead of each level."""
+    m = form.n_vars
+    partials = form.gradient()
     spent = 0
     for j in range(1, k_max + 1):
-        ok, spent = _certify(form, p, j, k_max, spent, budget)
+        ok, spent = _certify(form, p, j, k_max, spent, budget) if certify else (False, spent)
         if ok:
             return ScanResult(True, k_max)
         field = cached_field(p, j)
         spent = _charge(spent, _class_points(field.q, m), budget)
         for coords in _projective_classes(field, m):
-            pts = _zeros_of(F, field, coords)
+            pts = _zeros_of(form, field, coords)
             for gpoly in partials:
                 if not pts[0].size:
                     break
@@ -418,17 +421,16 @@ def _kernel_basis(u, p):
 def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
     """Classify a frequency vector u against V(F) mod p.
 
-    zero: u = 0 mod p.  bad: some projective x over F_{p^j}, j <= k_max,
-    has F(x) = 0, <x, u> = 0 and grad F(x) parallel to u (all 2x2 minors
-    vanish); the witness is returned.  good: no such point up to k_max, or
-    certified over the closure where _certify holds for the section
-    F(sum s_r b_r), b a basis of <x, u> = 0, whose singular points those
-    x are.  The hyperplane is scanned class by class through that basis;
-    the partials and minors are evaluated only on the zeros of F there,
-    in C order, so the witness is the first one a full scan would meet.
-    The budget is charged one evaluation per grid point for F, before
-    each level, and one per surviving point for each partial and each
-    minor, before it runs.
+    zero: u = 0 mod p.  Otherwise u is bad where the section
+    S(s) = F(sum s_r b_r), b a basis of <x, u> = 0, is singular: a
+    projective s over F_{p^j}, j <= k_max, with S(s) = 0 and every
+    dS/ds_r = grad F(x) . b_r = 0, that is F(x) = 0 and grad F(x) in the
+    span of u at x = sum s_r b_r, which is the witness returned.  good: no
+    such point up to k_max, or certified over the closure where _certify
+    holds for S.  S is walked by smoothness_scan's walk, so the witness is
+    the first one a full scan of the hyperplane would meet; the budget is
+    charged one evaluation per grid point for S, before each level, and
+    one per surviving point for each partial of S, before it runs.
     """
     if not F.is_homogeneous():
         raise ValueError("classify_u needs a homogeneous form")
@@ -437,50 +439,15 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
         raise ValueError("u arity mismatch")
     if all(int(c) % p == 0 for c in u):
         return UClass("zero", k_max=k_max)
-    return _classify_walk(F, u, p, k_max, budget, F.reduce_mod(p).substitute(_kernel_basis(u, p)))
-
-
-def _classify_walk(F, u, p, k_max, budget=DEFAULT_BUDGET, section=None):
-    """classify_u's grid walk for u != 0 mod p; _certify(section) runs ahead of each level."""
-    m = F.n_vars
-    ured = [int(c) % p for c in u]
-    basis = _kernel_basis(ured, p)
-    partials = F.gradient()
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    spent = 0
-    for j in range(1, k_max + 1):
-        ok, spent = _certify(section, p, j, k_max, spent, budget)
-        if ok:
-            return UClass("good", k_max=k_max)
-        field = cached_field(p, j)
-        spent = _charge(spent, _class_points(field.q, m - 1), budget)
-        for scoords in _projective_classes(field, m - 1):
-            # x = sum_r s_r * basis_r; each s_r is scaled on its own axis
-            coords = []
-            for i in range(m):
-                acc = np.zeros((), dtype=np.int64)
-                for s, vec in zip(scoords, basis):
-                    if vec[i]:
-                        acc = field.add(acc, field.mul(s, field.embed(vec[i])))
-                coords.append(acc)
-            pts = _zeros_of(F, field, coords)
-            if not pts[0].size:
-                continue
-            spent = _charge(spent, m * pts[0].size, budget)
-            grads = [gp.eval_field(field, pts) for gp in partials]
-            for (i1, i2) in pairs:
-                spent = _charge(spent, pts[0].size, budget)
-                # g_i1 u_i2 - g_i2 u_i1 = 0 in F_q
-                m1 = field.mul(grads[i1], field.embed(ured[i2]))
-                m2 = field.mul(grads[i2], field.embed(ured[i1]))
-                keep = np.flatnonzero(m1 == m2)
-                pts = [c[keep] for c in pts]
-                grads = [g[keep] for g in grads]
-                if not pts[0].size:
-                    break
-            if pts[0].size:
-                return UClass("bad", Witness(j, tuple(int(c[0]) for c in pts)), k_max)
-    return UClass("good", k_max=k_max)
+    basis = _kernel_basis(u, p)
+    res = _smoothness_walk(F.reduce_mod(p).substitute(basis), p, k_max, budget, certify=True)
+    if res.smooth:
+        return UClass("good", k_max=k_max)
+    j, s = res.witness.ext_degree, res.witness.point
+    field = cached_field(p, j)
+    x = (reduce(field.add, (field.mul(c, field.embed(b[i])) for c, b in zip(s, basis)))
+         for i in range(F.n_vars))
+    return UClass("bad", Witness(j, tuple(int(c) for c in x)), k_max)
 
 
 def diagonal_dual_oracle(coeffs, d, u, p, max_ext=4):

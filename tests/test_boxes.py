@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -315,6 +316,16 @@ class TestSelectPrimes:
     def test_small_B_errors(self):
         with pytest.raises(ValueError):
             select_primes(BoxProblem(parse_unipoly("T^2"), F_QUADRIC, 2))
+
+    def test_carries_the_prime_data_it_built(self):
+        f = parse_unipoly("T^3")
+        sel = select_primes(BoxProblem(f, F_QUADRIC, 100))
+        assert tuple(d.p for d in sel.prime_data) == sel.primes
+        for got, want in zip(sel.prime_data, prime_data_for(f, sel.primes)):
+            assert (got.d, got.image_size, got.exceptional) == (want.d, want.image_size,
+                                                                 want.exceptional)
+            assert np.array_equal(got.image, want.image) and np.array_equal(got.nu, want.nu)
+        assert sel == dataclasses.replace(sel, prime_data=())  # no part of equality
 
     def test_nondiagonal_is_semi_decided(self):
         F = parse_multipoly("X0^2+X1^2+X2^2+X0*X1")
@@ -644,6 +655,14 @@ class TestBoundRatioScan:
     def test_single_point_grid(self):
         out = bound_ratio_scan(parse_unipoly("T^2"), F_QUADRIC, [10])
         assert out["spread"] == 1.0
+
+    @pytest.mark.parametrize("grid, match", [([1, 5], "B = 1"), ([5, 0], "B = 0"),
+                                             ([5, -3], "B = -3"), ([], "empty")])
+    def test_bad_grid_refused_before_any_count(self, grid, match, monkeypatch):
+        # log B = 0 at B = 1 and is undefined below; an empty grid has no spread
+        monkeypatch.setattr(boxes, "box_histogram", lambda *a: pytest.fail("counted"))
+        with pytest.raises(ValueError, match=match):
+            bound_ratio_scan(parse_unipoly("T^2"), F_QUADRIC, grid)
 
     def test_small_grid_fields(self):
         out = bound_ratio_scan(parse_unipoly("T^2"), F_QUADRIC, [10, 20])

@@ -161,9 +161,31 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["results"]["class"] == "good"
         assert out["semi_decisions"] == {"k_max": 2}
-        # the grid walk alone is refused at its first level, P^2(F_10007)
+        # the uncertified walk of the section is refused at its first level, P^2(F_10007)
+        basis = varieties._kernel_basis((2, -1, 1, 3), 10007)
+        section = parse_multipoly("X0*X1+X2*X3").reduce_mod(10007).substitute(basis)
         with pytest.raises(BudgetExceeded, match="100150057"):
-            varieties._classify_walk(parse_multipoly("X0*X1+X2*X3"), (2, -1, 1, 3), 10007, 2)
+            varieties._smoothness_walk(section, 10007, 2)
+
+    def test_classify_u_witness_past_the_cap_is_no_contradiction(self, capsys):
+        # the oracle's witness lies over F_25 only: a scan capped at F_5 says good
+        argv = ["classify-u", "--F", "X0^3+X1^3+X2^3+X3^3", "--u=-2,-2,-1,-1", "--p", "5"]
+        assert run([*argv, "--kmax", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["results"]["class"], out["results"]["diagonal_oracle"]) == ("good", "bad")
+        assert out["semi_decisions"] == {"k_max": 1}
+        assert run([*argv, "--kmax", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["results"]["class"], out["results"]["diagonal_oracle"]) == ("bad", "bad")
+        assert out["results"]["witness"]["ext_degree"] == 2
+
+    def test_classify_u_contradiction_within_the_cap_exits_2(self, capsys, monkeypatch):
+        # the oracle's witness for u = (1, 2, 0) lies over F_5, inside any cap
+        monkeypatch.setattr(varieties, "classify_u",
+                            lambda F, u, p, k_max, budget: varieties.UClass("good", k_max=k_max))
+        assert run(["classify-u", "--F", "X0^2+X1^2+X2^2", "--u", "1,2,0", "--p", "5",
+                    "--kmax", "1"]) == 2
+        assert "scan said good but the diagonal oracle said bad" in capsys.readouterr().err
 
     def test_fibers_table(self, capsys):
         assert run(["fibers", "--F", "X0^2+X1^2", "--p", "5"]) == 0
@@ -192,6 +214,15 @@ class TestSubcommands:
         assert out["results"]["exact_count"] == out["results"]["sieve_count"]
         assert out["results"]["rejection_ratio"] > 0
 
+    def test_boxcount_auto_primes_use_the_selection_data(self, capsys, monkeypatch):
+        # the auto window's prime data come from select_primes, not built again
+        argv = ["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X0*X1", "--B", "12"]
+        assert run(argv) == 0
+        want = strip_timings(json.loads(capsys.readouterr().out))
+        monkeypatch.setattr(cli.sieve, "build_prime_data", lambda *a: pytest.fail("rebuilt"))
+        assert run(argv) == 0
+        assert strip_timings(json.loads(capsys.readouterr().out)) == want
+
     def test_boxcount_empty_prime_list(self, capsys):
         assert run(["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2",
                     "--B", "15", "--primes", "list:"]) == 1
@@ -204,6 +235,14 @@ class TestSubcommands:
     def test_bound_scan(self, capsys):
         assert run(["bound-scan", "--f", "T^2", "--F", "X0^2+X1^2+X2^2",
                     "--B-grid", "5,10"]) == 0
+
+    @pytest.mark.parametrize("grid, message", [("1,5", "B = 1"), ("0", "B = 0"),
+                                                ("7,2,-1", "B = -1"), (",", "empty B grid")])
+    def test_bound_scan_bad_grid_is_input_error(self, grid, message, capsys):
+        assert run(["bound-scan", "--f", "T^2", "--F", "X0^2+X1^2+X2^2",
+                    f"--B-grid={grid}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
 
     def test_crt_check_explicit(self, capsys):
         assert run(["crt-check", "--F", "X0^2+X1^2", "--p", "3", "--q", "5",

@@ -1,6 +1,7 @@
 import itertools
 import time
 import tracemalloc
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from polysieve.convolve import fold, wrap
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import cached_field, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly
-from polysieve.varieties import (ScanResult, UClass, _certify, _classify_walk, _kernel_basis,
-                                 _smoothness_walk, classify_u, complete_sums,
+from polysieve.varieties import (DEFAULT_BUDGET, ScanResult, UClass, Witness, _certify,
+                                 _kernel_basis, _smoothness_walk, classify_u, complete_sums,
                                  count_affine_fiber, diagonal_dual_oracle,
                                  fiber_histogram, group_pushforwards, mixed_sum,
                                  pair_fiber_histogram, singular_fiber_scan, smoothness_scan)
@@ -375,8 +376,27 @@ def projective_grid(p, k_max, dim):
     return sum(sum(p**(j * e) for e in range(dim + 1)) for j in range(1, k_max + 1))
 
 
+@lru_cache(maxsize=None)
+def tuple_field(p, j):
+    return TupleField.like(cached_field(p, j))
+
+
+def section_walk(F, u, p, k_max, budget=DEFAULT_BUDGET):
+    """classify_u without the certificate: the plain walk of the section
+    F(sum s_r b_r) by <x, u> = 0, its witness s read back as x = sum s_r b_r
+    in the tuple model of the field."""
+    basis = _kernel_basis(u, p)
+    res = _smoothness_walk(F.reduce_mod(p).substitute(basis), p, k_max, budget)
+    if res.smooth:
+        return UClass("good", k_max=k_max)
+    tf = tuple_field(p, res.witness.ext_degree)
+    x = [reduce(tf.add, [tf.mul(s, b[i]) for s, b in zip(res.witness.point, basis)], 0)
+         for i in range(F.n_vars)]
+    return UClass("bad", Witness(res.witness.ext_degree, tuple(x)), k_max)
+
+
 class TestScanBudget:
-    """Scans charge F per grid point and each partial or minor per survivor.
+    """Scans charge the walked form per grid point and each partial per survivor.
 
     A budget of twice the grid lies below the old charge of (1 + m) or
     (2 + m(m-1)/2) evaluations per grid point, so it used to be refused.
@@ -400,7 +420,7 @@ class TestScanBudget:
             scan(F, p, 2, budget=grid - 1)
 
     @pytest.mark.parametrize("text, u, p, scan", [
-        pytest.param("X0^2+X1^2+X2^2", (1, 0, 0), 7, _classify_walk,             # good
+        pytest.param("X0^2+X1^2+X2^2", (1, 0, 0), 7, section_walk,              # good
                      id="X0^2+X1^2+X2^2-u0-7"),
         pytest.param("X0^3+X1^3+X2^3+X3^3", (-2, -2, -1, -1), 5, classify_u,     # bad over F_25 only
                      id="X0^3+X1^3+X2^3+X3^3-u1-5"),
@@ -415,6 +435,19 @@ class TestScanBudget:
         assert scan(F, u, p, 2, budget=2 * grid) == want
         with pytest.raises(BudgetExceeded):
             scan(F, u, p, 2, budget=grid - 1)
+
+    def test_least_budget_of_a_tangency_over_F_25_only(self):
+        # the section is a plane cubic: P^2(F_5) and P^2(F_25) cost 682, too few
+        # for a 15^3 elimination, and the three section partials on the zeros
+        # of the section 94 more
+        H = parse_multipoly("X0^3+X1^3+X2^3+X3^3")
+        u = (-2, -2, -1, -1)
+        want = classify_u(H, u, 5, 2)
+        assert want.kind == "bad" and want.witness.ext_degree == 2
+        assert classify_u(H, u, 5, 1) == UClass("good", k_max=1)
+        least = least_budget(lambda b: classify_u(H, u, 5, 2, b), 10**4)
+        assert least == 776 == projective_grid(5, 2, 2) + 94
+        assert classify_u(H, u, 5, 2, budget=least) == want
 
     def test_certificate_matrix_charged_before_it_is_built(self):
         # a plane cubic has a 15 x 15 Macaulay matrix; P^2(F_101) has more than
@@ -660,7 +693,7 @@ class TestMacaulayCertificate:
             return
         assert smoothness_scan(F, p, k_max) == _smoothness_walk(F, p, k_max)
         if any(c % p for c in u):
-            assert classify_u(F, u, p, k_max) == _classify_walk(F, u, p, k_max)
+            assert classify_u(F, u, p, k_max) == section_walk(F, u, p, k_max)
 
 
 class TestDiagonalOracle:
