@@ -11,7 +11,7 @@ from .fields import (ExtField, PrimeField, additive_char, find_primitive_root,
                      mult_char, primes_in)
 from .polynomials import (MultiPoly, UniPoly, critical_value_poly,
                           discriminant_uni, parse_multipoly, parse_unipoly,
-                          resultant_sylvester, resultant_uni)
+                          resultant_uni)
 from .reports import ExperimentReport, emit_report, report_json
 from .sieve import (SieveConfig, SievePrimeData, build_prime_data, detector,
                     integer_preimage_exists, membership_filter,

@@ -385,11 +385,12 @@ class SmoothWeight:
     is spectrally accurate for the bump, so the true error is far smaller.
     """
 
-    def __init__(self, B, kappa=4):
+    kappa = 4  # order of the derivative in the envelope and the error bounds
+
+    def __init__(self, B):
         if B <= 0:
             raise ValueError("B must be positive")
         self.B = B
-        self.kappa = kappa
 
     def weight_1d(self, xs):
         return _bump(np.asarray(xs, dtype=float) / self.B)
@@ -448,8 +449,7 @@ class SmoothWeight:
                      * terms ** (1 - k) / (k - 1))
 
 
-def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, kappa=4,
-                    budget=DEFAULT_BUDGET):
+def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, budget=DEFAULT_BUDGET):
     """Weighted box sum versus its truncated Poisson dual, with a tail bound.
 
     direct = sum over integer x of W(x) t_p(F(x)) conj(t_q(F(x)));
@@ -470,7 +470,7 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, kappa=4,
     the passes are charged to the budget up front.
     """
     m = F.n_vars
-    W = SmoothWeight(B, kappa)
+    W = SmoothWeight(B)
     N = p * q
     S = t_p.sup_bound * t_q.sup_bound
 

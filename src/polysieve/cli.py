@@ -67,6 +67,12 @@ def _cutoff(text):
 
 
 def _resolve_primes(policy, h, pmax):
+    """SievePrimeData for each prime the policy picks, each built once.
+
+    auto keeps the primes in (deg h, pmax] on which h is not onto F_p;
+    list:p1,p2,... checks every entry is prime before building any data,
+    then refuses one on which h is onto F_p.
+    """
     if policy == "auto":
         out = []
         for p in primes_in(h.degree + 1, pmax):
@@ -75,7 +81,7 @@ def _resolve_primes(policy, h, pmax):
             except ValueError:
                 continue
             if not data.surjective:
-                out.append(p)
+                out.append(data)
         if not out:
             raise ValueError(f"no non-surjective primes for h up to {pmax}")
         return out
@@ -86,7 +92,7 @@ def _resolve_primes(policy, h, pmax):
         for p in ps:
             if not is_prime(p):
                 raise ValueError(f"--primes list entry {p} is not prime")
-        return ps
+        return [sieve.detecting_prime_data(h, p) for p in ps]
     raise ValueError(f"unknown prime policy {policy!r} (use auto or list:...)")
 
 
@@ -190,15 +196,13 @@ def _run_sieve_check(cfg):
 def _run_sieve_detect(cfg):
     o = cfg.options
     h = parse_unipoly(o["h"])
-    primes = _resolve_primes(o["primes"], h, o["pmax"])
+    data_list = _resolve_primes(o["primes"], h, o["pmax"])
+    primes = [data.p for data in data_list]
     rows = []
-    data_list = []
-    for p in primes:
-        data = sieve.build_prime_data(h, p)
-        data_list.append(data)
+    for data in data_list:
         bound = data.p - (data.p - 1) / data.d
         rows.append({
-            "p": p, "image_size": data.image_size,
+            "p": data.p, "image_size": data.image_size,
             "exceptional": ";".join(str(x) for x in sorted(data.exceptional)),
             "bound_tight": data.bound_tight,
             "image_bound": bound,
@@ -295,9 +299,9 @@ def _run_boxcount(cfg):
         if selection.semi_decided:
             semi["good_reduction_k_max"] = selection.k_max
     else:
-        primes = _resolve_primes(o["primes"], f, 10**6)
-        window = [min(primes), max(primes)] if primes else []
-        data = [sieve.build_prime_data(f, p) for p in primes]
+        data = _resolve_primes(o["primes"], f, 10**6)
+        primes = [d.p for d in data]
+        window = [min(primes), max(primes)]
     hist = boxes.box_histogram(F, o["B"], cfg.budget)
     exact = boxes.exact_count(f, hist)
     filtered = boxes.sieve_filtered_count(f, hist, data)

@@ -17,6 +17,7 @@ import numpy as np
 
 _PRIME_CAP = 2_000_000  # full dlog tables only; keep desk scale
 _EXT_Q_CAP = 1_000_000
+EXT_DEGREE_CAP = 4  # largest k for which ExtField(p, k) builds tables
 
 
 def is_prime(n):
@@ -237,8 +238,8 @@ class ExtField:
     def __init__(self, p, k, modulus=None):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if not 1 <= k <= 4:
-            raise ValueError(f"extension degree {k} unsupported (cap is 4)")
+        if not 1 <= k <= EXT_DEGREE_CAP:
+            raise ValueError(f"extension degree {k} unsupported (cap is {EXT_DEGREE_CAP})")
         q = p**k
         if q > _EXT_Q_CAP:
             raise ValueError(f"q=p^k={q} beyond the table cap {_EXT_Q_CAP}")

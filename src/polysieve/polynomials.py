@@ -14,7 +14,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import InvariantViolation, PolyParseError
+from .errors import PolyParseError
 from .fields import exponent_tables, gather, is_prime, lane_tables
 
 
@@ -528,7 +528,8 @@ def parse_multipoly(text, n_vars=None, ring=None):
 
 
 # ---------------------------------------------------------------------------
-# resultants and discriminants
+# resultants and discriminants: every resultant is the Sylvester determinant,
+# taken by _det_bareiss (Bareiss over Z, modular elimination over F_p)
 
 def sylvester_matrix(a, b):
     """Sylvester matrix: deg(b) shifted rows of a above deg(a) rows of b."""
@@ -587,127 +588,20 @@ def _det_bareiss(mat, ring=None):
     return det % p
 
 
-def resultant_sylvester(a, b):
-    """Resultant as the Sylvester determinant (the sign-convention oracle)."""
-    if a.ring != b.ring:
-        raise ValueError("mixed rings")
-    return _det_bareiss(sylvester_matrix(a, b), a.ring)
-
-
-def _resultant_euclid_modp(a, b, p):
-    """Euclidean-recursion resultant over F_p, Sylvester sign convention.
-
-    Each step must drop the degree of the remainder below deg(B), so the
-    loop ends after at most deg(B) steps; a step that fails to (possible
-    only when p is not prime) raises InvariantViolation.
-    """
-    A = [c % p for c in a.coeffs]
-    B = [c % p for c in b.coeffs]
-
-    def deg(v):
-        return len(v) - 1
-
-    res = 1
-    if deg(A) < deg(B):
-        if (deg(A) * deg(B)) % 2:
-            res = p - 1
-        A, B = B, A
-    while True:
-        if deg(B) == 0:
-            return res * pow(B[0], deg(A), p) % p
-        # R = A mod B
-        R = A[:]
-        inv_lc = pow(B[-1], p - 2, p)
-        dB = deg(B)
-        for i in range(len(R) - 1, dB - 1, -1):
-            c = R[i] * inv_lc % p
-            if c:
-                for j in range(dB + 1):
-                    R[i - dB + j] = (R[i - dB + j] - c * B[j]) % p
-        while len(R) > 1 and R[-1] % p == 0:
-            R.pop()
-        if deg(R) >= dB:  # only when lc(B) has no inverse, i.e. p is not prime
-            raise InvariantViolation(
-                f"remainder degree {deg(R)} did not drop below {dB} mod {p}")
-        if len(R) == 1 and R[0] % p == 0:
-            return 0  # common factor
-        res = res * pow(B[-1], deg(A) - deg(R), p) % p
-        if (deg(A) * deg(B)) % 2:
-            res = (p - res) % p
-        A, B = B, R
-
-
-def _resultant_subres_z(a, b):
-    """Subresultant-PRS resultant over Z, Sylvester sign convention."""
-
-    def deg(v):
-        return len(v) - 1
-
-    def prem(u, v):
-        # pseudo-remainder: lc(v)^(deg u - deg v + 1) * u mod v
-        dv = deg(v)
-        lcv = v[-1]
-        r = u[:]
-        steps = deg(u) - dv + 1
-        while deg(r) >= dv and any(r):
-            lead = r[-1]
-            r = [c * lcv for c in r]
-            dr = deg(r)
-            for j in range(dv + 1):
-                r[dr - dv + j] -= lead * v[j]
-            while len(r) > 1 and r[-1] == 0:
-                r.pop()
-            steps -= 1
-        if not any(r):
-            return [0]
-        if steps > 0:
-            f = lcv**steps
-            r = [c * f for c in r]
-        return r
-
-    A = list(a.coeffs)
-    B = list(b.coeffs)
-    sign = 1
-    if deg(A) < deg(B):
-        if (deg(A) * deg(B)) % 2:
-            sign = -sign
-        A, B = B, A
-    g, h = 1, 1
-    while True:
-        dA, dB = deg(A), deg(B)
-        if dB == 0:
-            num = B[0] ** dA
-            return sign * (num // h ** (dA - 1)) if dA > 1 else sign * num
-        delta = dA - dB
-        if (dA * dB) % 2:
-            sign = -sign
-        R = prem(A, B)
-        if R == [0]:
-            return 0
-        denom = g * h**delta
-        A = B
-        B = [c // denom for c in R]
-        g = A[-1]
-        h = h if delta == 0 else g**delta // h ** (delta - 1)
-
-
 def resultant_uni(a, b):
-    """Resultant of two univariate polynomials (Sylvester sign convention).
+    """Resultant of two univariate polynomials: the Sylvester determinant.
 
-    Fast paths: Euclidean recursion mod p, subresultant PRS over Z; both
-    are pinned to the Sylvester determinant in the test suite.
+    Over Z by fraction-free Bareiss elimination, over F_p by modular
+    elimination (_det_bareiss); a ring that is not prime is refused,
+    since the elimination inverts pivots mod p.
     """
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of the zero polynomial")
     if a.ring != b.ring:
         raise ValueError("mixed rings")
-    if a.degree == 0:
-        return _red(a.coeffs[0] ** b.degree, a.ring)
-    if b.degree == 0:
-        return _red(b.coeffs[0] ** a.degree, a.ring)
-    if a.ring is not None:
-        return _resultant_euclid_modp(a, b, a.ring)
-    return _resultant_subres_z(a, b)
+    if a.ring is not None and not is_prime(a.ring):
+        raise ValueError(f"{a.ring} is not prime")
+    return _det_bareiss(sylvester_matrix(a, b), a.ring)
 
 
 def discriminant_uni(a):

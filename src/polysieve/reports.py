@@ -86,27 +86,24 @@ def report_json(report):
     return json.dumps(body, sort_keys=True, default=_json_default)
 
 
-def emit_report(report, out_path, formats=("json", "csv")):
+def emit_report(report, out_path):
     """Write report.json plus one CSV per table section; returns paths."""
     report.validate()
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    written = []
-    if "json" in formats:
-        out_path.write_text(report_json(report) + "\n")
-        written.append(out_path)
-    if "csv" in formats:
-        for name, rows in report.tables.items():
-            if not rows:
-                continue
-            csv_path = out_path.with_name(f"{out_path.stem}.{name}.csv")
-            fieldnames = list(rows[0])
-            with open(csv_path, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=fieldnames)
-                writer.writeheader()
-                for row in rows:
-                    writer.writerow({k: _csv_cell(v) for k, v in row.items()})
-            written.append(csv_path)
+    out_path.write_text(report_json(report) + "\n")
+    written = [out_path]
+    for name, rows in report.tables.items():
+        if not rows:
+            continue
+        csv_path = out_path.with_name(f"{out_path.stem}.{name}.csv")
+        fieldnames = list(rows[0])
+        with open(csv_path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=fieldnames)
+            writer.writeheader()
+            for row in rows:
+                writer.writerow({k: _csv_cell(v) for k, v in row.items()})
+        written.append(csv_path)
     return written
 
 

@@ -74,8 +74,7 @@ class SieveConfig:
             raise ValueError("primes must be distinct")
         self.threshold()  # rejects an unknown mode
         for p in self.primes:
-            if build_prime_data(self.h, p).surjective:
-                raise ValueError(f"h is onto F_{p}; p={p} detects nothing")
+            detecting_prime_data(self.h, p)
 
     def threshold(self):
         return sieve_threshold(len(self.primes), self.h.degree, self.threshold_mode)
@@ -112,6 +111,14 @@ def build_prime_data(h, p):
     return SievePrimeData(p=p, d=hp.degree, image=image,
                           image_size=int(image.sum()),
                           exceptional=exceptional, nu=nu)
+
+
+def detecting_prime_data(h, p):
+    """build_prime_data(h, p), refusing a prime on which h is onto F_p."""
+    data = build_prime_data(h, p)
+    if data.surjective:
+        raise ValueError(f"h is onto F_{p}; p={p} detects nothing")
+    return data
 
 
 def detector(data, n):

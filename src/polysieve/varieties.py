@@ -20,7 +20,7 @@ import numpy as np
 
 from .convolve import fold, fold_cells, wrap
 from .errors import BudgetExceeded
-from .fields import cached_field, is_prime
+from .fields import EXT_DEGREE_CAP, cached_field, is_prime
 from .polynomials import MultiPoly, _det_bareiss, broadcast_grid
 
 DEFAULT_BUDGET = 10**8
@@ -450,7 +450,7 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
     return UClass("bad", Witness(j, tuple(int(c) for c in x)), k_max)
 
 
-def diagonal_dual_oracle(coeffs, d, u, p, max_ext=4):
+def diagonal_dual_oracle(coeffs, d, u, p):
     """Exact tangency classification for the diagonal form sum c_i X_i^d.
 
     For d = 2 this is the closed-form criterion sum u_i^2 / c_i = 0 mod p.
@@ -485,7 +485,7 @@ def diagonal_dual_oracle(coeffs, d, u, p, max_ext=4):
     e = d - 1
     ords = {i: (p - 1) // math.gcd(cached_field(p).dlog(bi), p - 1) for i, bi in b.items()}
     r = None
-    for cand in range(1, max_ext + 1):
+    for cand in range(1, EXT_DEGREE_CAP + 1):
         qq = p**cand - 1
         if qq % e:
             continue
@@ -493,7 +493,7 @@ def diagonal_dual_oracle(coeffs, d, u, p, max_ext=4):
             r = cand
             break
     if r is None:
-        raise ValueError(f"witness field exceeds the degree cap {max_ext}")
+        raise ValueError(f"witness field exceeds the degree cap {EXT_DEGREE_CAP}")
     field = cached_field(p, r)
     qm1 = field.q - 1
     zeta = field.exp_table[qm1 // e] if e > 1 else 1

@@ -223,6 +223,26 @@ def integer_root_of(f, v):
     return None
 
 
+def coeffs_from_roots(lc, roots):
+    """Integer coefficients (constant first) of lc * prod (T - r)."""
+    coeffs = [lc]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    return coeffs
+
+
+def resultant_from_roots(lc, roots, b_coeffs, p=None):
+    """Res(a, b) for a = lc * prod (T - r_i), as lc^deg(b) * prod b(r_i).
+
+    b_coeffs is constant first with a leading coefficient that is nonzero
+    (mod p when p is given); the product runs over Z or mod p.
+    """
+    res = lc ** (len(b_coeffs) - 1)
+    for r in roots:
+        res *= sum(c * r**k for k, c in enumerate(b_coeffs))
+    return res if p is None else res % p
+
+
 def poly_eval_in_field(coeffs, field, x):
     """Horner evaluation of an integer-coefficient UniPoly at a field element."""
     acc = 0

@@ -528,7 +528,7 @@ class TestSmoothWeight:
         assert gap <= 1e-6 * abs(direct)
 
     def test_envelope_dominates(self):
-        W = SmoothWeight(10, kappa=4)
+        W = SmoothWeight(10)
         for xi in (0.5, 1.0, 2.0, 5.0, 12.0, 30.0):
             assert abs(W.wh(xi)) <= W.wh_bound(xi) + 1e-15
 

@@ -228,6 +228,34 @@ class TestSubcommands:
                     "--B", "15", "--primes", "list:"]) == 1
         assert "empty prime list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sieve-detect", "--h", "T^3", "--primes", "list:5,7"],
+        ["boxcount", "--f", "T^3", "--F", "X0^3+X1^3+X2^3", "--B", "10",
+         "--primes", "list:7,5"],
+    ])
+    def test_listed_surjective_prime_is_refused(self, argv, capsys):
+        # cubing is onto F_5, so p = 5 detects nothing, as in SieveConfig
+        assert run(argv) == 1
+        assert "h is onto F_5; p=5 detects nothing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, want", [
+        (["sieve-detect", "--h", "T^2", "--primes", "auto", "--pmax", "40"],
+         [p for p in range(3, 41) if all(p % k for k in range(2, p))]),
+        (["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2", "--B", "10",
+          "--primes", "list:7,11,13"], [7, 11, 13]),
+    ])
+    def test_prime_data_built_once_per_prime(self, argv, want, capsys, monkeypatch):
+        built = []
+        build = cli.sieve.build_prime_data
+
+        def counting(h, p):
+            built.append(p)
+            return build(h, p)
+
+        monkeypatch.setattr(cli.sieve, "build_prime_data", counting)
+        assert run(argv) == 0
+        assert built == want
+
     def test_boxcount_threshold_variant(self, capsys):
         assert run(["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2",
                     "--B", "15", "--threshold", "logp"]) == 0

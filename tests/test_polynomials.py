@@ -1,26 +1,21 @@
 import itertools
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import polysieve
-
 from polysieve.errors import PolyParseError
 from polysieve.fields import cached_field
 from polysieve.polynomials import (MultiPoly, UniPoly, broadcast_grid,
                                    critical_value_poly, discriminant_uni,
                                    parse_multipoly, parse_unipoly,
-                                   resultant_sylvester, resultant_uni)
+                                   resultant_uni)
 
-from _oracles import (TupleField, eval_field_direct, poly_eval_everywhere,
-                      poly_eval_in_field)
+from _oracles import (TupleField, coeffs_from_roots, eval_field_direct,
+                      poly_eval_everywhere, poly_eval_in_field,
+                      resultant_from_roots)
 
 
 class TestParsing:
@@ -215,40 +210,39 @@ class TestResultants:
         with pytest.raises(ValueError):
             resultant_uni(UniPoly([]), parse_unipoly("T"))
 
-    def test_fast_paths_match_sylvester_oracle(self):
+    def test_matches_root_product_oracle(self):
+        # a = lc * prod (T - r_i) from chosen roots, so Res(a, b) is
+        # lc^deg(b) * prod b(r_i); swapping the arguments costs the sign
+        # (-1)^(deg a * deg b).  Degree 0 on either side is included.
         rng = random.Random(11)
         for _ in range(300):
-            da, db = rng.randint(1, 5), rng.randint(1, 5)
-            a = UniPoly([rng.randint(-8, 8) for _ in range(da)]
+            lc = rng.choice([1, 2, -3])
+            roots = [rng.randint(-5, 5) for _ in range(rng.randint(0, 5))]
+            b = UniPoly([rng.randint(-8, 8) for _ in range(rng.randint(0, 5))]
                         + [rng.choice([1, 2, -3])])
-            b = UniPoly([rng.randint(-8, 8) for _ in range(db)]
-                        + [rng.choice([1, 2, -3])])
-            assert resultant_uni(a, b) == resultant_sylvester(a, b)
+            a = UniPoly(coeffs_from_roots(lc, roots))
+            want = resultant_from_roots(lc, roots, b.coeffs)
+            assert resultant_uni(a, b) == want, (lc, roots, b.coeffs)
+            assert resultant_uni(b, a) == (-1) ** (a.degree * b.degree) * want
         for _ in range(300):
             p = rng.choice([3, 5, 7, 13])
-            da, db = rng.randint(1, 5), rng.randint(1, 5)
-            a = UniPoly([rng.randrange(p) for _ in range(da)]
+            lc = rng.randrange(1, p)
+            roots = [rng.randrange(p) for _ in range(rng.randint(0, 5))]
+            b = UniPoly([rng.randrange(p) for _ in range(rng.randint(0, 5))]
                         + [rng.randrange(1, p)], ring=p)
-            b = UniPoly([rng.randrange(p) for _ in range(db)]
-                        + [rng.randrange(1, p)], ring=p)
-            assert resultant_uni(a, b) == resultant_sylvester(a, b)
+            a = UniPoly(coeffs_from_roots(lc, roots), ring=p)
+            want = resultant_from_roots(lc, roots, b.coeffs, p)
+            assert resultant_uni(a, b) == want, (p, lc, roots, b.coeffs)
+            assert resultant_uni(b, a) == (-1) ** (a.degree * b.degree) * want % p
 
-    def test_euclid_loop_stops_on_composite_ring(self):
-        # mod 9 the leading coefficient 3 has no inverse, so no remainder
-        # step lowers the degree; run in a child so a hang fails on the
-        # timeout instead of stalling the suite
-        code = ("from polysieve.errors import InvariantViolation\n"
-                "from polysieve.polynomials import UniPoly, _resultant_euclid_modp\n"
-                "try:\n"
-                "    _resultant_euclid_modp(UniPoly([1, 0, 1], 9), UniPoly([1, 3], 9), 9)\n"
-                "except InvariantViolation as exc:\n"
-                "    print('raised:', exc)\n")
-        src = str(Path(polysieve.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": src},
-                              timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("raised: remainder degree")
+    def test_composite_ring_refused(self):
+        # elimination mod 9 would need the inverse of 3, so a ring that
+        # is not prime is refused before any arithmetic
+        a, b = UniPoly([1, 0, 1], 9), UniPoly([1, 3], 9)
+        with pytest.raises(ValueError, match="9 is not prime"):
+            resultant_uni(a, b)
+        with pytest.raises(ValueError, match="9 is not prime"):
+            discriminant_uni(a)
 
     def test_vanishes_iff_common_root_in_extensions(self):
         # spec invariant: zero resultant <=> common root over F_{p^j}, j <= 4
