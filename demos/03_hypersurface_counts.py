@@ -8,17 +8,16 @@ closed-form oracle.
 
 import numpy as np
 
-from polysieve import (classify_u, count_affine_fiber, diagonal_dual_oracle,
-                       fiber_histogram, pair_fiber_histogram, parse_multipoly,
-                       singular_fiber_scan, smoothness_scan)
+from polysieve import (classify_u, diagonal_dual_oracle, fiber_histogram,
+                       parse_multipoly, singular_fiber_scan, smoothness_scan)
 
 F = parse_multipoly("X0^2+X1^2+X2^2")
 G = parse_multipoly("X0*X1", n_vars=3)
 
 print("=== fiber counts ===")
-rec = count_affine_fiber(parse_multipoly("X0^2+X1^2"), 0, 5)
-print(f"|x^2+y^2 = 0 over F_5| = {rec.count} (main term 5, deviation "
-      f"{rec.deviation:+})")
+count = int(fiber_histogram(parse_multipoly("X0^2+X1^2"), 5)[0])
+print(f"|x^2+y^2 = 0 over F_5| = {count} (main term 5, deviation "
+      f"{count - 5:+})")
 
 print("\nnormalized deviations |N(a) - p^2| / p for the quadric threefold:")
 for p in (13, 53, 97):
@@ -27,7 +26,7 @@ for p in (13, 53, 97):
     print(f"  p={p}: max {devs.max():.3f}, mean {devs.mean():.3f}")
 
 print("\npair counts respect the marginal identity exactly:")
-pair = pair_fiber_histogram(F, G, 7)
+pair = fiber_histogram(F, 7, G)
 single = fiber_histogram(F, 7)
 print(f"  sum_b N(a,b) == N(a) for all a: {np.array_equal(pair.sum(1), single)}")
 

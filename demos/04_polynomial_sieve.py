@@ -41,10 +41,8 @@ for n in (9, 10, 49, 50):
 
 print("\n=== the sieve inequality, exact form ===")
 primes = tuple(primes_in(20, 60))[:8]
-cfg = SieveConfig(hsq, primes)
-data = [build_prime_data(hsq, p) for p in primes]
 a = {k * k: 1.0 for k in range(1, 51)}
-rep = sieve_bound_eval(cfg, data, a)
+rep = sieve_bound_eval(SieveConfig(hsq, primes), a)
 print(f"sequence: the first 50 squares, P = {rep.P} primes, d = {rep.d}")
 print(f"  V_h = {rep.v_h:.0f}, Sigma = {rep.total:.1f} "
       f"(diagonal {rep.diagonal:.1f} + cross {rep.cross:.1f})")
@@ -61,8 +59,7 @@ rhs = power_sieve_rhs(2, primes, bad)
 print(f"  character form: V = 1 but the bound evaluates to "
       f"{rhs['rhs']:.3f} (cross terms all vanish at 0 mod p) -- the")
 print("  classical inequality fails without the support condition")
-rep = sieve_bound_eval(SieveConfig(hsq, primes),
-                       [build_prime_data(hsq, p) for p in primes], bad)
+rep = sieve_bound_eval(SieveConfig(hsq, primes), bad)
 print(f"  exact detectors: support flag ok? {rep.support_condition_ok}; "
       f"inequality still holds? {rep.inequality_holds}")
 print("  (D_p never decomposes through characters at 0, so the trap has")

@@ -175,6 +175,7 @@ class FilteredCount:
     total_points: int
     rejected_by_sieve: int
     verified_exactly: int
+    exact: int  # the unfiltered exact count, asserted equal to count
 
     @property
     def rejection_ratio(self):
@@ -186,8 +187,8 @@ def sieve_filtered_count(f, hist, prime_data):
 
     The filter runs over the distinct box values; every tally weighs a
     value by its multiplicity.  The filter is conservative (values of f
-    over Z survive every prime), so the result equals exact_count; this
-    is asserted.
+    over Z survive every prime), so count equals the exact count, which
+    the result also carries (exact); this is asserted.
     """
     keep = np.ones(len(hist.values), dtype=bool)
     for data in prime_data:
@@ -198,11 +199,11 @@ def sieve_filtered_count(f, hist, prime_data):
     out = FilteredCount(count=int(hist.counts[keep & hit].sum()),
                         total_points=total,
                         rejected_by_sieve=total - survivors,
-                        verified_exactly=survivors)
-    exact = int(hist.counts[hit].sum())
-    if out.count != exact:
+                        verified_exactly=survivors,
+                        exact=int(hist.counts[hit].sum()))
+    if out.count != out.exact:
         raise InvariantViolation(
-            f"sieve-filtered count {out.count} != exact count {exact}")
+            f"sieve-filtered count {out.count} != exact count {out.exact}")
     return out
 
 
@@ -301,7 +302,7 @@ def complete_sum_g(F, t, u, p, budget=DEFAULT_BUDGET):
     if len(u) != F.n_vars:
         raise ValueError("u arity mismatch")
     if not any(int(c) % p for c in u):
-        return complex(fiber_histogram(F, p, budget) @ t.values)
+        return complex(fiber_histogram(F, p, budget=budget) @ t.values)
     return complex(complete_sums(F, t.values, p, [[int(c) % p] for c in u], budget).item())
 
 

@@ -7,6 +7,7 @@ Reports are printed as JSON and optionally written with per-table CSVs.
 """
 
 import argparse
+import itertools
 import os
 import sys
 import time
@@ -131,7 +132,7 @@ def _run_tracesum(cfg):
     if o.get("G"):
         # sum of t(F(x)) over the zero set of G: group by the F-fiber
         G = parse_multipoly(o["G"], n_vars=m)
-        pair = varieties.pair_fiber_histogram(F, G, p, cfg.budget)
+        pair = varieties.fiber_histogram(F, p, G, cfg.budget)
         total = complex(pair[:, 0] @ t.values)
         main = p ** (m - 2) * complex(t.values.sum())
         scale = p ** ((m - 1) / 2)
@@ -254,30 +255,18 @@ def _run_fibers(cfg):
     F = parse_multipoly(o["F"])
     p = o["p"]
     G = parse_multipoly(o["G"], n_vars=F.n_vars) if o.get("G") else None
-    m = F.n_vars
-    rows = []
     if G is None and o.get("b") is not None:
         raise ValueError("fibers --b needs --G")
-    if G is None:
-        hist = varieties.fiber_histogram(F, p, cfg.budget)
-        targets = [o["a"] % p] if o.get("a") is not None else range(p)
-        for a in targets:
-            count = int(hist[a])
-            dev = count - p ** (m - 1)
-            rows.append({"p": p, "a": a, "b": "", "count": count,
-                         "deviation": dev,
-                         "normalized_deviation": dev / p ** ((m - 1) / 2)})
-    else:
-        hist = varieties.pair_fiber_histogram(F, G, p, cfg.budget)
-        a_targets = [o["a"] % p] if o.get("a") is not None else range(p)
-        b_targets = [o["b"] % p] if o.get("b") is not None else range(p)
-        for a in a_targets:
-            for b in b_targets:
-                count = int(hist[a, b])
-                dev = count - p ** (m - 2)
-                rows.append({"p": p, "a": a, "b": b, "count": count,
-                             "deviation": dev,
-                             "normalized_deviation": dev / p ** ((m - 2) / 2)})
+    r = 1 if G is None else 2
+    hist = varieties.fiber_histogram(F, p, G, cfg.budget)
+    targets = [[o[k] % p] if o.get(k) is not None else range(p) for k in "ab"[:r]]
+    rows = []
+    for cell in itertools.product(*targets):
+        count = int(hist[cell])
+        dev = count - p ** (F.n_vars - r)
+        rows.append({"p": p, "a": cell[0], "b": cell[1] if r == 2 else "", "count": count,
+                     "deviation": dev,
+                     "normalized_deviation": dev / p ** ((F.n_vars - r) / 2)})
     results = {"p": p, "rows": len(rows),
                "max_abs_normalized_deviation":
                    max(abs(r["normalized_deviation"]) for r in rows)}
@@ -303,13 +292,12 @@ def _run_boxcount(cfg):
         primes = [d.p for d in data]
         window = [min(primes), max(primes)]
     hist = boxes.box_histogram(F, o["B"], cfg.budget)
-    exact = boxes.exact_count(f, hist)
     filtered = boxes.sieve_filtered_count(f, hist, data)
     exc = boxes.exceptional_set(f, data, hist.v_max, threshold_mode=o["threshold"],
                                 budget=cfg.budget).tolist()
     results = {
         "B": o["B"], "n": problem.n, "heights": problem.heights,
-        "exact_count": exact, "sieve_count": filtered.count,
+        "exact_count": filtered.exact, "sieve_count": filtered.count,
         "rejection_ratio": filtered.rejection_ratio,
         "survivors": filtered.verified_exactly,
         "primes": primes, "window": window,

@@ -193,7 +193,9 @@ class MultiPoly:
         return other
 
     def eval(self, point):
-        """Exact evaluation at a tuple of ints (or int arrays)."""
+        """Exact evaluation at a tuple of ints (or int arrays); over F_p, eval_mod."""
+        if self.ring is not None:
+            return self.eval_mod(point, self.ring)
         if len(point) != self.n_vars:
             raise ValueError(f"expected {self.n_vars} coordinates, got {len(point)}")
         scalar = all(np.isscalar(x) or isinstance(x, int) for x in point)
@@ -204,8 +206,6 @@ class MultiPoly:
                 if e:
                     term = term * x**e
             acc = acc + term
-            if self.ring is not None:
-                acc = acc % self.ring
         return acc
 
     def eval_mod(self, point, p):
@@ -608,6 +608,8 @@ def discriminant_uni(a):
     """(-1)^(d(d-1)/2) Res(a, a') / lc(a); zero iff a has a multiple root."""
     if a.degree < 1:
         raise ValueError("discriminant needs degree >= 1")
+    if a.ring is not None and not is_prime(a.ring):
+        raise ValueError(f"{a.ring} is not prime")  # before the zero-derivative shortcut
     da = a.derivative()
     sign = -1 if (a.degree * (a.degree - 1) // 2) % 2 else 1
     if da.is_zero():

@@ -12,7 +12,7 @@ indicator decomposition: it has mean zero on F_p and is at least
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -64,6 +64,7 @@ class SieveConfig:
     h: UniPoly
     primes: tuple
     threshold_mode: str = "lemma"  # "lemma": P/(2d); "logp": P/(2d log P)
+    prime_data: tuple = dc_field(default=(), init=False, compare=False, repr=False)  # one per prime
 
     def __post_init__(self):
         if self.h.ring is not None:
@@ -73,8 +74,8 @@ class SieveConfig:
         if len(set(self.primes)) != len(self.primes):
             raise ValueError("primes must be distinct")
         self.threshold()  # rejects an unknown mode
-        for p in self.primes:
-            detecting_prime_data(self.h, p)
+        object.__setattr__(self, "prime_data",
+                           tuple(detecting_prime_data(self.h, p) for p in self.primes))
 
     def threshold(self):
         return sieve_threshold(len(self.primes), self.h.degree, self.threshold_mode)
@@ -264,10 +265,11 @@ class SieveBoundReport:
         return self.P**2 * self.v_h <= (2 * self.d) ** 2 * self.total + 1e-9
 
 
-def sieve_bound_eval(config, prime_data, a):
+def sieve_bound_eval(config, a):
     """Evaluate the sieve inequality P^2 V_h <= (2d)^2 Sigma on a sequence.
 
-    a maps integers to nonnegative weights with finite support.  The
+    a maps integers to nonnegative weights with finite support; the
+    detectors are those of config.prime_data, one per prime.  The
     membership side V_h uses the exact integer-image test.  Raises
     InvariantViolation if the inequality fails while hypothesis_ok.
     """
@@ -277,14 +279,14 @@ def sieve_bound_eval(config, prime_data, a):
     ws = np.array([a[n] for n in ns], dtype=float)
     if (ws < 0).any():
         raise ValueError("weights must be nonnegative")
-    P = len(prime_data)
+    P = len(config.prime_data)
     d = config.h.degree
     member = np.array([integer_preimage_exists(config.h, n) for n in ns])
     v_h = float(ws[member].sum())
     dsum = np.zeros(len(ns))
     dsq = np.zeros(len(ns))
     s_count = np.zeros(len(ns))
-    for data in prime_data:
+    for data in config.prime_data:
         res = np.array([n % data.p for n in ns], dtype=np.int64)
         dvals = data.image[res].astype(float) - data.image_size / data.p
         dsum += dvals

@@ -28,18 +28,6 @@ _INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True)
-class FiberCountRecord:
-    a: int
-    b: Optional[int]
-    count: int
-    deviation: float
-
-    @property
-    def is_pair(self):
-        return self.b is not None
-
-
-@dataclass(frozen=True)
 class Witness:
     """A point found during a scan: element indices over F_{p^ext_degree}."""
 
@@ -99,25 +87,47 @@ def _variable_groups(*forms):
     return list(zip(groups, *subs))
 
 
-def fiber_histogram(F, p, budget=DEFAULT_BUDGET):
-    """Array h with h[a] = |{x in F_p^n : F(x) = a}|.
+def fiber_histogram(F, p, G=None, budget=DEFAULT_BUDGET):
+    """Array h with h[a] = |{x in F_p^n : F(x) = a}|, or with G the matrix
+    h[a, b] = |{x in F_p^n : F(x) = a, G(x) = b}|.
 
-    Each group of variables that shares no monomial with the others is
-    counted over its own grid; the group histograms combine by exact
-    cyclic convolution (convolve.fold, wrapped), since F is the sum of the
-    group sub-forms.  A non-separable F is one group, counted over the full
-    grid.  The group grids and each fold's padded cells are charged first.
+    With r forms (1 or 2), the joint variable groups (sharing no monomial
+    of any form) are packed, largest first, into blocks of at most r
+    variables or one group, each counted into a (p,)*r histogram over its
+    own grid; h is their r-dim cyclic convolution, folded pairwise
+    (convolve.fold, wrapped).  A non-separable F (or pair) is one block:
+    one grid, no FFT.  Block grids, p^r per block and each fold's padded
+    cells are charged before any build.
     """
+    forms = (F,) if G is None else (F, G)
+    r = len(forms)
+    if G is not None and F.n_vars != G.n_vars:
+        raise ValueError("F and G must share arity")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p**F.n_vars >= _INT64_SAFE:
         raise OverflowError(f"p^n = {p**F.n_vars} fiber counts would overflow 64-bit integers")
-    groups = _variable_groups(F)
-    cost = sum(p**len(idx) for idx, _ in groups) + (len(groups) - 1) * fold_cells([(p,)] * 2)
+    blocks = []
+    for grp in sorted(_variable_groups(*forms), key=lambda g: -len(g[0])):
+        if blocks and sum(len(g[0]) for g in blocks[-1]) + len(grp[0]) <= r:
+            blocks[-1].append(grp)
+        else:
+            blocks.append([grp])
+    sizes = [sum(len(g[0]) for g in block) for block in blocks]
+    cost = sum(p**k + p**r for k in sizes) + (len(blocks) - 1) * fold_cells([(p,) * r] * 2)
     if cost > budget:
         raise BudgetExceeded(f"fiber histogram of {cost} points exceeds budget {budget}")
-    hists = [np.bincount(np.ravel(sub.eval_mod(broadcast_grid(
-        [np.arange(p, dtype=np.int64)] * sub.n_vars), p)), minlength=p) for _, sub in groups]
+    hists = []
+    for block, k in zip(blocks, sizes):
+        axes = iter(broadcast_grid([np.arange(p, dtype=np.int64)] * k))
+        vals = [0] * r  # each group's values span its own axes, so the sum spans the block
+        for idx, *subs in block:
+            own = [next(axes) for _ in idx]
+            vals = [v + sub.eval_mod(own, p) for v, sub in zip(vals, subs)]
+        if len(block) > 1:  # eval_mod reduces one group's values, not their sum
+            vals = [v % p for v in vals]
+        cells = reduce(lambda c, v: c * p + v, vals)
+        hists.append(np.bincount(np.ravel(cells), minlength=p**r).reshape((p,) * r))
     return reduce(lambda a, b: wrap(fold([a, b]), p), hists)
 
 
@@ -199,61 +209,6 @@ def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
     if len(pushed) > 1:
         pushed = [np.fft.ifft(np.prod(np.fft.fft(pushed, axis=1), axis=0))]
     return complex(np.asarray(t_values) @ pushed[0])
-
-
-def pair_fiber_histogram(F, G, p, budget=DEFAULT_BUDGET):
-    """Matrix h with h[a, b] = |{x in F_p^n : F(x) = a, G(x) = b}|.
-
-    The joint variable groups of (F, G) are packed, largest first, into
-    blocks of at most p^2 grid points (the size of h), each counted into a
-    p x p histogram over its own grid; h is their 2D cyclic convolution,
-    folded pairwise (convolve.fold, wrapped).  A non-separable pair, and any
-    pair in two variables, is one block: one grid, no FFT.  Block grids, p^2
-    per block and each fold's padded cells are charged before any build.
-    """
-    if F.n_vars != G.n_vars:
-        raise ValueError("F and G must share arity")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    blocks = []
-    for grp in sorted(_variable_groups(F, G), key=lambda g: -len(g[0])):
-        if blocks and sum(len(g[0]) for g in blocks[-1]) + len(grp[0]) <= 2:
-            blocks[-1].append(grp)
-        else:
-            blocks.append([grp])
-    sizes = [sum(len(g[0]) for g in block) for block in blocks]
-    cost = sum(p**k + p * p for k in sizes) + (len(blocks) - 1) * fold_cells([(p, p)] * 2)
-    if cost > budget:
-        raise BudgetExceeded(f"pair histogram of {cost} points exceeds budget {budget}")
-    hists = []
-    for block, k in zip(blocks, sizes):
-        axes = iter(broadcast_grid([np.arange(p, dtype=np.int64)] * k))
-        fv = gv = 0
-        for idx, f_sub, g_sub in block:
-            own = [next(axes) for _ in idx]
-            fv, gv = fv + f_sub.eval_mod(own, p), gv + g_sub.eval_mod(own, p)
-        cells = np.broadcast_to(fv % p * p + gv % p, (p,) * k)
-        hists.append(np.bincount(np.ravel(cells), minlength=p * p).reshape(p, p))
-    return reduce(lambda a, b: wrap(fold([a, b]), p), hists)
-
-
-def count_affine_fiber(F, a, p, G=None, b=None, budget=DEFAULT_BUDGET):
-    """Exhaustive fiber count N(a, F) or N(a, b, F, G) with its deviation.
-
-    Deviation is count - p^(n-1) for a single fiber, count - p^(n-2)
-    for a pair.
-    """
-    a = int(a) % p
-    if G is None:
-        hist = fiber_histogram(F, p, budget)
-        count = int(hist[a])
-        return FiberCountRecord(a, None, count, count - p ** (F.n_vars - 1))
-    if b is None:
-        raise ValueError("pair count needs b")
-    b = int(b) % p
-    hist = pair_fiber_histogram(F, G, p, budget)
-    count = int(hist[a, b])
-    return FiberCountRecord(a, b, count, count - p ** (F.n_vars - 2))
 
 
 def _projective_classes(field, m):

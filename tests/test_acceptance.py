@@ -272,13 +272,8 @@ def test_criterion_08_sieve_inequality():
         ]
         for text, a, primes in specs:
             h = parse_unipoly(text)
-            usable = []
-            for p in primes:
-                data = build_prime_data(h, p)
-                if not data.surjective:
-                    usable.append(data)
-            cfg = SieveConfig(h, tuple(d.p for d in usable))
-            rep = sieve_bound_eval(cfg, usable, a)
+            usable = tuple(p for p in primes if not build_prime_data(h, p).surjective)
+            rep = sieve_bound_eval(SieveConfig(h, usable), a)
             assert rep.hypothesis_ok, text
             assert rep.inequality_holds, text
             runs.append(rep)
@@ -288,8 +283,7 @@ def test_criterion_08_sieve_inequality():
         m = math.prod(primes)
         bad_seq = {m * m: 1.0}
         h = parse_unipoly("T^2")
-        data = [build_prime_data(h, p) for p in primes]
-        rep = sieve_bound_eval(SieveConfig(h, primes), data, bad_seq)
+        rep = sieve_bound_eval(SieveConfig(h, primes), bad_seq)
         assert not rep.support_condition_ok
         assert rep.v_h == 1.0
         char_rhs = power_sieve_rhs(2, primes, bad_seq)

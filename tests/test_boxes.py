@@ -279,7 +279,7 @@ class TestSieveFilteredCount:
             primes = select_primes(problem).primes if B >= 5 else (3, 7)
             data = prime_data_for(f, primes)
             rec = sieve_filtered_count(f, box_histogram(F_QUADRIC, B), data)
-            assert rec.count == per_point_count(f, F_QUADRIC, B)
+            assert rec.count == rec.exact == per_point_count(f, F_QUADRIC, B)
 
     def test_rejection_happens(self):
         f = parse_unipoly("T^2")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import polysieve
-from polysieve import cli, varieties
+from polysieve import boxes, cli, varieties
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.polynomials import parse_multipoly
 from polysieve.reports import ExperimentReport, load_report, report_json, strip_timings
@@ -192,7 +192,22 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert len(out["tables"]["fibers"]) == 5
         row0 = [r for r in out["tables"]["fibers"] if r["a"] == 0][0]
-        assert row0["count"] == 9
+        assert set(row0) == {"p", "a", "b", "count", "deviation", "normalized_deviation"}
+        assert (row0["count"], row0["deviation"], row0["b"]) == (9, 4, "")  # 9 - p^(n-1)
+        # a pair row: N(1, 2) of (X0^2+X1^2+X2^2, X0*X1) at p = 7, deviation count - p^(n-2)
+        p = 7
+        assert run(["fibers", "--F", "X0^2+X1^2+X2^2", "--G", "X0*X1", "--p", str(p),
+                    "--a", "1", "--b", "9"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["tables"]["fibers"]
+        count = sum((x * x + y * y + z * z) % p == 1 and x * y % p == 2
+                    for x, y, z in itertools.product(range(p), repeat=3))
+        assert (row["a"], row["b"], row["count"]) == (1, 2, count)
+        assert row["deviation"] == count - p
+        assert row["normalized_deviation"] == pytest.approx((count - p) / p**0.5)
+        assert run(["fibers", "--F", "X0^2+X1^2+X2^2", "--G", "X0*X1", "--p", str(p)]) == 0
+        rows = json.loads(capsys.readouterr().out)["tables"]["fibers"]
+        assert [(r["a"], r["b"]) for r in rows] == list(itertools.product(range(p), repeat=2))
+        assert sum(r["count"] for r in rows) == p**3
 
     def test_fibers_b_needs_G(self, capsys):
         assert run(["fibers", "--F", "X0^2+X1^2", "--p", "5", "--b", "1"]) == 1
@@ -213,6 +228,16 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["results"]["exact_count"] == out["results"]["sieve_count"]
         assert out["results"]["rejection_ratio"] > 0
+
+    def test_boxcount_tests_membership_once(self, capsys, monkeypatch):
+        # the exact and the sieve count come from one membership test of the box values
+        calls = []
+        real = boxes.in_h_image
+        monkeypatch.setattr(boxes, "in_h_image", lambda *a: calls.append(1) or real(*a))
+        assert run(["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2", "--B", "15"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["exact_count"] == res["sieve_count"]
+        assert len(calls) == 1
 
     def test_boxcount_auto_primes_use_the_selection_data(self, capsys, monkeypatch):
         # the auto window's prime data come from select_primes, not built again

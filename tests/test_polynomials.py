@@ -94,6 +94,16 @@ class TestEvaluation:
             assert grid[idx] == F.eval(pt) % p
 
 
+    def test_ring_eval_of_arrays_is_eval_mod(self):
+        # X0^7 at 1008 mod 1009 is 1008; an int64 power before reducing wrapped to 309
+        p = 1009
+        F = MultiPoly(2, {(7, 0): 1, (3, 5): 500, (0, 0): 3}, ring=p)
+        xs = np.arange(p - 20, p, dtype=np.int64)
+        grid = broadcast_grid([xs, xs[::-1]])
+        assert np.array_equal(F.eval(grid), F.eval_mod(grid, p))
+        assert MultiPoly(1, {(7,): 1}, ring=p).eval((np.array([p - 1]),)).tolist() == [p - 1]
+        assert F.eval((p - 1, 2)) == F.eval_mod((p - 1, 2), p)
+
     def test_eval_mod_reduces_early_where_the_sum_could_pass_int64(self):
         # at p = 2^61 - 1, five residues p - 1 sum past 2^63; on 0/1 coordinates
         # every product stays below p, so only the running sum could overflow
@@ -243,6 +253,9 @@ class TestResultants:
             resultant_uni(a, b)
         with pytest.raises(ValueError, match="9 is not prime"):
             discriminant_uni(a)
+        # T^9 + 1 mod 9 has derivative 9 T^8 = 0, which must not answer first
+        with pytest.raises(ValueError, match="9 is not prime"):
+            discriminant_uni(UniPoly([1] + [0] * 8 + [1], 9))
 
     def test_vanishes_iff_common_root_in_extensions(self):
         # spec invariant: zero resultant <=> common root over F_{p^j}, j <= 4

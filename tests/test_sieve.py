@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from polysieve import sieve
 from polysieve.boxes import exceptional_set
 from polysieve.fields import PrimeField, mult_char, primes_in
 from polysieve.polynomials import parse_unipoly
@@ -204,14 +205,12 @@ class TestSieveBound:
     def _square_setup(self):
         h = parse_unipoly("T^2")
         primes = tuple(p for p in primes_in(20, 60))[:8]
-        cfg = SieveConfig(h, primes)
-        data = [build_prime_data(h, p) for p in primes]
-        return h, cfg, data
+        return h, SieveConfig(h, primes)
 
     def test_square_indicator_sequence(self):
-        _, cfg, data = self._square_setup()
+        _, cfg = self._square_setup()
         a = {k * k: 1.0 for k in range(1, 51)}
-        rep = sieve_bound_eval(cfg, data, a)
+        rep = sieve_bound_eval(cfg, a)
         assert rep.hypothesis_ok
         assert rep.s_condition_ok
         assert rep.inequality_holds
@@ -219,15 +218,32 @@ class TestSieveBound:
         assert rep.diagonal <= rep.P * sum(a.values()) + 1e-9
 
     def test_nonvalue_support(self):
-        _, cfg, data = self._square_setup()
-        rep = sieve_bound_eval(cfg, data, {k: 1.0 for k in (2, 3, 5, 7, 10)})
+        _, cfg = self._square_setup()
+        rep = sieve_bound_eval(cfg, {k: 1.0 for k in (2, 3, 5, 7, 10)})
         assert rep.v_h == 0.0
         assert rep.inequality_holds
 
     def test_negative_weight_rejected(self):
-        _, cfg, data = self._square_setup()
+        _, cfg = self._square_setup()
         with pytest.raises(ValueError):
-            sieve_bound_eval(cfg, data, {4: -1.0})
+            sieve_bound_eval(cfg, {4: -1.0})
+
+    def test_config_keeps_the_data_it_builds(self, monkeypatch):
+        # each prime's data is built once, kept, and is what the bound reads
+        built = []
+
+        def counting(h, p):
+            built.append(p)
+            return build(h, p)
+
+        build = sieve.build_prime_data
+        monkeypatch.setattr(sieve, "build_prime_data", counting)
+        primes = (23, 29, 31, 37)
+        cfg = SieveConfig(parse_unipoly("T^2"), primes)
+        rep = sieve_bound_eval(cfg, {k * k: 1.0 for k in range(1, 20)})
+        assert built == list(primes)
+        assert [d.p for d in cfg.prime_data] == list(primes)
+        assert rep.P == len(primes) and rep.threshold == len(primes) / 4
 
     def test_surjective_prime_rejected_by_config(self):
         # cubing is onto F_5, so 5 belongs to no sieve prime set for T^3
@@ -258,9 +274,7 @@ class TestSieveBound:
         m = math.prod(primes)
         a = {m * m: 1.0}
         h = parse_unipoly("T^2")
-        cfg = SieveConfig(h, primes)
-        data = [build_prime_data(h, p) for p in primes]
-        rep = sieve_bound_eval(cfg, data, a)
+        rep = sieve_bound_eval(SieveConfig(h, primes), a)
         assert not rep.support_condition_ok
         assert rep.v_h == 1.0
         assert rep.inequality_holds  # exact detectors survive the trap

@@ -14,9 +14,8 @@ from polysieve.fields import cached_field, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly
 from polysieve.varieties import (DEFAULT_BUDGET, ScanResult, UClass, Witness, _certify,
                                  _kernel_basis, _smoothness_walk, classify_u, complete_sums,
-                                 count_affine_fiber, diagonal_dual_oracle,
-                                 fiber_histogram, group_pushforwards, mixed_sum,
-                                 pair_fiber_histogram, singular_fiber_scan, smoothness_scan)
+                                 diagonal_dual_oracle, fiber_histogram, group_pushforwards,
+                                 mixed_sum, singular_fiber_scan, smoothness_scan)
 
 from _oracles import (TupleField, classify_u_direct, complete_sum_table,
                       fiber_histogram_direct, mixsum_grid, pair_fiber_histogram_grid,
@@ -25,19 +24,16 @@ from _oracles import (TupleField, classify_u_direct, complete_sum_table,
 
 class TestFiberCounts:
     def test_spec_examples(self):
-        rec = count_affine_fiber(parse_multipoly("X0^2+X1^2"), 0, 5)
-        assert rec.count == 9
-        assert rec.deviation == 4
-        assert count_affine_fiber(parse_multipoly("X0", n_vars=1), 3, 7).count == 1
+        assert fiber_histogram(parse_multipoly("X0^2+X1^2"), 5)[0] == 9
+        assert fiber_histogram(parse_multipoly("X0", n_vars=1), 7)[3] == 1
 
     def test_pair_marginal_identity_all_fibers(self):
         F = parse_multipoly("X0^2+X1^2+X2^2")
         G = parse_multipoly("X0*X1", n_vars=3)
-        pair = pair_fiber_histogram(F, G, 7)
+        pair = fiber_histogram(F, 7, G)
         single = fiber_histogram(F, 7)
+        assert pair.shape == (7, 7)
         assert np.array_equal(pair.sum(axis=1), single)
-        rec = count_affine_fiber(F, 1, 7, G=G, b=2)
-        assert rec.count == int(pair[1, 2])
 
     def test_histogram_total(self):
         F = parse_multipoly("X0^3+X1^3+X2^3")
@@ -48,10 +44,11 @@ class TestFiberCounts:
         # one group: its p^3 grid is past the budget
         with pytest.raises(BudgetExceeded):
             fiber_histogram(parse_multipoly("X0*X1+X1*X2"), 101, budget=10**4)
-        # three groups: their p-point grids and two folds of 2p - 1 = 201 cells,
-        # each padded to the 5-smooth 216 = 2^3 3^3
+        # three groups: their p-point grids, the p cells of each group's bincount
+        # (a pair charges its p^2 cells per block), and two folds of
+        # 2p - 1 = 201 cells, each padded to the 5-smooth 216 = 2^3 3^3
         F, p = parse_multipoly("X0^2+X1^2+X2^2"), 101
-        cost = 3 * p + 2 * 216
+        cost = 3 * (p + p) + 2 * 216
         assert fiber_histogram(F, p, budget=cost).sum() == p**3
         with pytest.raises(BudgetExceeded, match=f" {cost} points"):
             fiber_histogram(F, p, budget=cost - 1)
@@ -204,7 +201,7 @@ class TestPairHistogramsAndMixedSums:
     @example((*_pair("X0^2+X1^2+X2^2+X3^2+X4^2+X5^2", "X0*X1+2"), 3), 6)  # three blocks
     def test_match_full_grid(self, case, seed):
         F, G, p = case
-        hist = pair_fiber_histogram(F, G, p)
+        hist = fiber_histogram(F, p, G)
         assert hist.dtype == np.int64
         assert np.array_equal(hist, pair_fiber_histogram_grid(F, G, p))
         rng = np.random.default_rng(seed)
@@ -230,7 +227,7 @@ class TestPairHistogramsAndMixedSums:
         p, (F, G) = 1009, _pair("X0^2+X1^2+2*X2^2", "X0-X1")
         tracemalloc.start()
         try:
-            hist = pair_fiber_histogram(F, G, p)
+            hist = fiber_histogram(F, p, G)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -253,14 +250,17 @@ class TestPairHistogramsAndMixedSums:
         assert abs(got - mixsum_grid(F, G, t, p)) <= 1e-9 * max(1.0, abs(got))
 
     def test_budget_charges_group_grids_and_blocks(self):
+        def pair_histogram(F, G, p, budget):
+            return fiber_histogram(F, p, G, budget)
+
         p, t = 7, np.ones(7)
         cases = [
             (mixed_sum, _pair("X0^2+X1^2+X2^2", "X0+X1"), 3 * p + p, (t, p)),  # groups of 1
             (mixed_sum, _pair("X0^2+X1^2", "X0*X1"), p**2 + p, (t, p)),        # one group
-            (pair_fiber_histogram, _pair("X0^2+X1^2", "X0*X1"), 2 * p**2, (p,)),
+            (pair_histogram, _pair("X0^2+X1^2", "X0*X1"), 2 * p**2, (p,)),
             # blocks {X0, X1} and {X2}: their grids, p^2 cells each, and one fold of
             # (2p - 1)^2 cells padded to 15^2
-            (pair_fiber_histogram, _pair("X0^2+X1^2+X2^2", "X0-X1"),
+            (pair_histogram, _pair("X0^2+X1^2+X2^2", "X0-X1"),
              p**2 + p + 2 * p**2 + 15**2, (p,)),
         ]
         for fn, (F, G), cost, args in cases:
@@ -282,11 +282,11 @@ class TestPairHistogramsAndMixedSums:
 
         monkeypatch.setattr(np.fft, "irfftn", off(((1, 2), 1)))
         with pytest.raises(InvariantViolation, match="total"):
-            pair_fiber_histogram(F, G, 5)
+            fiber_histogram(F, 5, G)
         # the total still holds: only the checksum sees it
         monkeypatch.setattr(np.fft, "irfftn", off(((1, 2), 1), ((3, 0), -1)))
         with pytest.raises(InvariantViolation, match="checksum"):
-            pair_fiber_histogram(F, G, 5)
+            fiber_histogram(F, 5, G)
 
     @pytest.mark.parametrize("shape", [(7,), (2, 2), (5, 3), (4, 4, 2)])
     def test_cyclic_fold_matches_direct(self, shape):
@@ -307,7 +307,7 @@ class TestPairHistogramsAndMixedSums:
     def test_fold_past_its_error_bound_refused(self, monkeypatch):
         # five separable variables at p = 1009: the last fold, of mass p^5, runs in limbs
         p, (F, G) = 1009, _pair("X0^2+X1^2+X2^2+X3^2+X4^2", "X0")
-        hist = pair_fiber_histogram(F, G, p)
+        hist = fiber_histogram(F, p, G)
         assert np.array_equal(hist.sum(axis=1), fiber_histogram(F, p))
         assert np.array_equal(hist.sum(axis=0), fiber_histogram(G, p))
         # 0/1 parts have no limbs: 3*10^6 cells of ones are refused before any transform
