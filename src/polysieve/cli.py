@@ -239,13 +239,12 @@ def _run_classify_u(cfg):
     diag = F.as_diagonal()
     if diag is not None:
         coeffs, d = diag
-        oracle = varieties.diagonal_dual_oracle(coeffs, d, u, p)
-        results["diagonal_oracle"] = oracle.kind
-        # a scan capped at k_max cannot see a witness field past the cap
-        beyond_cap = oracle.kind == "bad" and oracle.witness.ext_degree > o["kmax"]
-        if oracle.kind != cls.kind and not (cls.kind == "good" and beyond_cap):
-            raise InvariantViolation(
-                f"scan said {cls.kind} but the diagonal oracle said {oracle.kind}")
+        kind = str(varieties.diagonal_u_classes(coeffs, d, [[c % p for c in u]], p, cfg.budget)[0])
+        results["diagonal_oracle"] = kind
+        # a scan capped at k_max cannot see a witness past it: only then is the oracle asked
+        if kind != cls.kind and not (cls.kind == "good" and varieties.diagonal_dual_oracle(
+                coeffs, d, u, p).witness.ext_degree > o["kmax"]):
+            raise InvariantViolation(f"scan said {cls.kind} but the diagonal oracle said {kind}")
     return ExperimentReport("classify-u", {"F": F.to_text(), **o}, results,
                             semi_decisions={"k_max": o["kmax"]}, seed=cfg.seed)
 
@@ -332,22 +331,15 @@ def _run_poisson_check(cfg):
     results = dict(rec)
     diag = F.as_diagonal()
     if diag is not None:
-        # tally the frequency classes appearing inside the truncation box
+        # classify each distinct residue vector of u in [-s, s]^m once
         coeffs, d = diag
         s = min(rec["u_cutoff"], 8)
-        span = np.indices((2 * s + 1,) * F.n_vars).reshape(F.n_vars, -1).T - s
         for prime in (p, q):
-            # u and lam * u share a class for every unit lam: scale each u so
-            # its leading nonzero entry is 1 and classify each class once
-            us = span % prime
-            lead = us[np.arange(len(us)), np.argmax(us != 0, axis=1)]
-            us = us * cached_field(prime).inv(np.maximum(lead, 1))[:, None] % prime
-            _, first, counts = np.unique(us @ prime ** np.arange(F.n_vars),
-                                         return_index=True, return_counts=True)
-            tally = {"zero": 0, "good": 0, "bad": 0}
-            for u, mult in zip(us[first].tolist(), counts.tolist()):
-                tally[varieties.diagonal_dual_oracle(coeffs, d, tuple(u), prime).kind] += mult
-            results[f"u_class_tally_mod_{prime}"] = tally
+            res, counts = np.unique(np.arange(-s, s + 1) % prime, return_counts=True)
+            idx = np.indices((len(res),) * F.n_vars).reshape(F.n_vars, -1)
+            kinds = varieties.diagonal_u_classes(coeffs, d, res[idx].T, prime, cfg.budget)
+            results[f"u_class_tally_mod_{prime}"] = {  # weighted by the u of each vector
+                k: int(counts[idx].prod(axis=0)[kinds == k].sum()) for k in ("zero", "good", "bad")}
     else:
         results["u_class_tally"] = "skipped (non-diagonal form)"
     return ExperimentReport("poisson-check", {"F": F.to_text(), **o},

@@ -209,10 +209,12 @@ class MultiPoly:
         return acc
 
     def eval_mod(self, point, p):
-        """Evaluation mod p; coordinates may be int64 arrays (broadcast)."""
+        """Evaluation mod p; coordinates may be int64 arrays (broadcast) or ints of any size."""
         if len(point) != self.n_vars:
             raise ValueError(f"expected {self.n_vars} coordinates, got {len(point)}")
-        arrs = [np.asarray(x, dtype=np.int64) % p for x in point]
+        # an int, list or object array is reduced exactly before the int64 cast
+        arrs = [np.asarray(x if getattr(x, "dtype", object) != object else
+                           np.asarray(x, dtype=object) % p, dtype=np.int64) % p for x in point]
         acc = np.zeros(np.broadcast(*arrs).shape, dtype=np.int64)
         # the reduced terms add up unreduced, unless their sum could pass 2^62;
         # a lone term is already reduced

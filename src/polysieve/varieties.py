@@ -6,14 +6,14 @@ question, asked of F or of its section, and answered by one walk.  It is
 certified over the algebraic closure where a Macaulay determinant of the
 partials is nonzero mod p; otherwise it is semi-decided by scanning
 F_{p^j} for j up to an explicit k_max, and every verdict carries that
-cap.  diagonal_dual_oracle decides diagonal forms exactly.
+cap.  diagonal_u_classes decides diagonal forms exactly, by a polynomial.
 """
 
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -403,6 +403,62 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
     x = (reduce(field.add, (field.mul(c, field.embed(b[i])) for c, b in zip(s, basis)))
          for i in range(F.n_vars))
     return UClass("bad", Witness(j, tuple(int(c) for c in x)), k_max)
+
+
+@lru_cache(maxsize=None)
+def dual_polynomial(m, d):
+    """D_{m,d}: the integer form of degree e^(m-2) in a_0..a_(m-1), e = d - 1, with
+    D(y^e) = prod over j in (Z/e)^(m-1) of (y_0 + sum_i zeta^(j_i) y_i), zeta of order e.
+
+    Multiplied out in Z[x]/(x^e - 1)[y] (axis 0 for x, one per y_i, i >= 1; y_0 has the
+    rest of the degree): the K = e^(m-1) factors keep entries >= 0 adding up to m^K.  As
+    zeta -> zeta^k fixes D (gcd(k, e) = 1), a coefficient is its trace over the primitive
+    roots, sum_j c_j r(j) with r Ramanujan's sum, over r(0) = phi(e).  For m = 1, e > 1, D = 1.
+    """
+    e, K = d - 1, (d - 1) ** (m - 1)
+    prod = np.zeros((e,) + (K + 1,) * (m - 1), dtype=np.int64 if e * m**K < 2**63 else object)
+    prod[(0,) * m] = 1
+    for js in itertools.product(range(e), repeat=m - 1):  # exponents stay <= K: rolls never wrap
+        prod = prod + sum(np.roll(prod, (j, 1), axis=(0, i)) for i, j in enumerate(js, 1))
+    r = np.rint([sum(math.cos(2 * math.pi * j * k / e) for k in range(e) if math.gcd(k, e) == 1)
+                 for j in range(e)]).astype(np.int64)
+    coeffs = np.tensordot(r, prod[(slice(None),) + (slice(None, None, e),) * (m - 1)], 1) // r[0]
+    return MultiPoly(m, {(K // e - sum(k),) + k: int(c) for k, c in np.ndenumerate(coeffs) if c})
+
+
+def diagonal_u_classes(coeffs, d, residues, p, budget=DEFAULT_BUDGET):
+    """The kind ("zero", "good" or "bad") of each row u of residues against F = sum c_i X_i^d
+    mod p, as diagonal_dual_oracle gives it: tangency at u != 0 forces x_i^e = u_i / c_i (e =
+    d - 1, x scaled), so F(x) = sum u_i x_i, and u is bad exactly when D_{m,d}(a) = 0 mod p,
+    a_i = u_i^d / c_i (dual_polynomial), for every prime p prime to d prod c_i, p | e included,
+    as root multisets reduce mod p.  D's build, then its monomials times the rows, are charged
+    first; the rows take one numpy pass, a lone row Python ints.
+    """
+    m, e, cred = len(coeffs), d - 1, [int(c) % p for c in coeffs]
+    if d < 2 or d % p == 0 or not all(cred) or not is_prime(p):
+        raise ValueError("need p coprime to d and to every coefficient, p prime and d >= 2")
+    K = e ** (m - 1)
+    spent = _charge(0, K * m * e * (K + 1) ** (m - 1), budget)
+    D = dual_polynomial(m, d)
+    _charge(spent, len(D.terms) * len(residues), budget)
+    if len(residues) == 1:  # one u: Python ints cost less than numpy's fixed cost per call
+        u = [int(x) % p for x in residues[0]]
+        bad = D.eval([pow(x, d, p) * pow(c, -1, p) % p for c, x in zip(cred, u)]) % p == 0
+        return np.array(["bad" if bad else "good"] if any(u) else ["zero"])
+    if p * p >= _INT64_SAFE:
+        raise OverflowError(f"products of residues mod {p} would overflow 64-bit integers")
+    u = np.asarray(residues, dtype=np.int64) % p
+    a = np.array([pow(c, -1, p) for c in cred], dtype=np.int64)
+    for _ in range(d):
+        a = a * u % p
+    expo = np.array(list(D.terms), dtype=np.int64).reshape(-1, m)
+    powers = np.ones((expo.max() + 1,) + a.shape, dtype=np.int64)
+    for k in range(1, len(powers)):
+        powers[k] = powers[k - 1] * a % p
+    vals = np.array([c % p for c in D.terms.values()], dtype=np.int64)[:, None]
+    for i in range(m):  # times a_i^expo[t, i], one (monomials, rows) array at a time
+        vals = vals * powers[expo[:, i], :, i] % p
+    return np.array(["zero", "good", "bad"])[np.where(u.any(1), 1 + (vals.sum(0) % p == 0), 0)]
 
 
 def diagonal_dual_oracle(coeffs, d, u, p):

@@ -104,6 +104,16 @@ class TestEvaluation:
         assert MultiPoly(1, {(7,): 1}, ring=p).eval((np.array([p - 1]),)).tolist() == [p - 1]
         assert F.eval((p - 1, 2)) == F.eval_mod((p - 1, 2), p)
 
+    def test_eval_mod_takes_big_integer_coordinates(self):
+        # Python ints past int64 are reduced mod p before the cast, alone or mixed in a list
+        assert MultiPoly(1, {(2,): 1}, ring=7).eval_mod((10**20,), 7) == 10**40 % 7
+        assert MultiPoly(1, {(2,): 1}, ring=7).eval((10**20,)) == 10**40 % 7
+        F = MultiPoly(2, {(2, 0): 3, (1, 1): -5, (0, 3): 2, (0, 0): 1})
+        xs, ys = [10**20, 3, -10**30, 5], [7, 10**25, 1, -(2**70)]
+        want = [F.eval((x, y)) % 11 for x, y in zip(xs, ys)]
+        assert F.eval_mod((xs, ys), 11).tolist() == want
+        assert F.eval_mod((np.array(xs, dtype=object), ys), 11).tolist() == want
+
     def test_eval_mod_reduces_early_where_the_sum_could_pass_int64(self):
         # at p = 2^61 - 1, five residues p - 1 sum past 2^63; on 0/1 coordinates
         # every product stays below p, so only the running sum could overflow

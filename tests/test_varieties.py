@@ -14,8 +14,9 @@ from polysieve.fields import cached_field, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly
 from polysieve.varieties import (DEFAULT_BUDGET, ScanResult, UClass, Witness, _certify,
                                  _kernel_basis, _smoothness_walk, classify_u, complete_sums,
-                                 diagonal_dual_oracle, fiber_histogram, group_pushforwards,
-                                 mixed_sum, singular_fiber_scan, smoothness_scan)
+                                 diagonal_dual_oracle, diagonal_u_classes, dual_polynomial,
+                                 fiber_histogram, group_pushforwards, mixed_sum,
+                                 singular_fiber_scan, smoothness_scan)
 
 from _oracles import (TupleField, classify_u_direct, complete_sum_table,
                       fiber_histogram_direct, mixsum_grid, pair_fiber_histogram_grid,
@@ -743,6 +744,84 @@ class TestDiagonalOracle:
             scan = classify_u(F, u, p, k_max=2)
             oracle = diagonal_dual_oracle(coeffs, d, u, p)
             assert scan.kind == oracle.kind, (p, d, coeffs, u)
+
+
+@st.composite
+def diagonal_cases(draw):
+    """(coeffs, d, rows, p): m in 2..4, d in 2..4, p <= 23 coprime to d and every c_i."""
+    m, d = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    p = draw(st.sampled_from([q for q in primes_in(2, 23) if d % q]))
+    coeffs = draw(st.lists(st.integers(-40, 40).filter(lambda c: c % p), min_size=m, max_size=m))
+    rows = draw(st.lists(st.lists(st.integers(-60, 60), min_size=m, max_size=m),
+                         min_size=1, max_size=6))
+    return coeffs, d, rows, p
+
+
+class TestDualPolynomial:
+    @settings(max_examples=150, deadline=None)
+    @given(diagonal_cases())
+    @example(([1, 1, 1], 3, [[1, 1, 0], [1, 2, 3], [0, 0, 0]], 2))  # p | d - 1
+    @example(([1, 2, 1, 1], 4, [[1, 1, 1, 0], [1, 2, 2, 1]], 3))  # p | d - 1
+    @example(([1, 1, 1, 1], 3, [[-2, -2, -1, -1]], 5))  # the witness lies over F_25 only
+    def test_kernel_equals_the_oracle(self, case):
+        coeffs, d, rows, p = case
+        if (d - 1) % p:
+            want = [diagonal_dual_oracle(coeffs, d, u, p).kind for u in rows]
+        else:  # the oracle needs p prime to d - 1; here d - 1 = p, and x -> x^p is onto
+            # each field, so a tangency point is F_p-rational and the scan of P(F_p) decides
+            F = MultiPoly(len(coeffs), {tuple(d * (i == j) for j in range(len(coeffs))): c
+                                        for i, c in enumerate(coeffs)})
+            want = [classify_u_direct(F.terms, F.n_vars, u, tuple_fields(p, 1))[0] for u in rows]
+        assert diagonal_u_classes(coeffs, d, rows, p).tolist() == want
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_quadric_dual_is_the_sum(self, m):
+        assert dual_polynomial(m, 2) == MultiPoly(m, {tuple(int(i == j) for j in range(m)): 1
+                                                      for i in range(m)})
+
+    def test_ternary_cubic_dual(self):
+        want = parse_multipoly("X0^2+X1^2+X2^2-2*X0*X1-2*X0*X2-2*X1*X2")
+        assert dual_polynomial(3, 3) == want
+        D = dual_polynomial(4, 4)  # degree e^(m-2) = 9 in four variables
+        assert (len(D.terms), D.total_degree, D.height()) == (220, 9, 120312)
+
+    @pytest.mark.parametrize("coeffs, d, p", [([1, 5, 1], 2, 5), ([1, 1, 1], 3, 3),
+                                              ([2, 1, 1], 4, 2)])
+    def test_refuses_what_the_oracle_refuses(self, coeffs, d, p):
+        with pytest.raises(ValueError, match="need p coprime to d and to every coefficient"):
+            diagonal_dual_oracle(coeffs, d, (1, 1, 1), p)
+        with pytest.raises(ValueError, match="need p coprime to d and to every coefficient"):
+            diagonal_u_classes(coeffs, d, [[1, 1, 1]], p)
+
+    def test_a_lone_row_takes_any_prime(self):
+        p = 2147483659  # p^2 passes int64: only the Python-int path can take it
+        for u, kind in [((1, 1, 2), "bad"), ((1, 1, 1), "good")]:
+            assert diagonal_dual_oracle([1, 1, -2], 2, u, p).kind == kind
+            assert diagonal_u_classes([1, 1, -2], 2, [u], p).tolist() == [kind]
+        with pytest.raises(OverflowError):
+            diagonal_u_classes([1, 1, -2], 2, [(1, 1, 2), (1, 1, 1)], p)
+
+    def test_budget_is_charged_before_the_build(self, monkeypatch):
+        # D_{4,4}: 27 factors, 4 passes, 3 * 28^3 cells
+        build = 27 * 4 * 3 * 28**3
+        monkeypatch.setattr("polysieve.varieties.dual_polynomial",
+                            lambda m, d: pytest.fail("built past the budget"))
+        with pytest.raises(BudgetExceeded):
+            diagonal_u_classes([1, 1, 1, 1], 4, [[1, 2, 3, 4]], 5, budget=build - 1)
+
+    def test_budget_is_charged_before_the_evaluation(self):
+        rows = np.random.default_rng(1).integers(0, 7, size=(10**4, 4))
+        build, cells = 27 * 4 * 3 * 28**3, 220 * 10**4  # (monomials, rows) int64: 17.6 MB
+        diagonal_u_classes([1, 1, 1, 1], 4, rows[:1], 7, budget=build + 220)  # D built once
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded):
+                diagonal_u_classes([1, 1, 1, 1], 4, rows, 7, budget=build + cells - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(diagonal_u_classes([1, 1, 1, 1], 4, rows, 7, budget=build + cells)) == 10**4
 
 
 class TestSingularFiberScan:
