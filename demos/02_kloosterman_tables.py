@@ -7,12 +7,12 @@ power-twisted transforms.
 
 import numpy as np
 
-from polysieve import (PrimeField, fourier_transform, kloosterman,
+from polysieve import (ExtField, fourier_transform, kloosterman,
                        primes_in, pullback_power, pullback_scale,
                        second_moment, te_transform)
 
 print("=== the tables ===")
-f13 = PrimeField(13)
+f13 = ExtField(13)
 kl2 = kloosterman(2, f13)
 print("Kl_2 on F_13 (all real):")
 print(np.round(kl2.values.real, 4))
@@ -20,13 +20,13 @@ print(f"Kl_2(0) = {kl2.values[0]} (empty product)")
 
 print("\n=== sup-norm bound ===")
 for m in (2, 3, 4):
-    peak = max(np.abs(kloosterman(m, PrimeField(p)).values).max()
+    peak = max(np.abs(kloosterman(m, ExtField(p)).values).max()
                for p in primes_in(5, 100))
     print(f"max |Kl_{m}| over p <= 100: {peak:.4f}  (bound: {m})")
 
 print("\n=== exact sum identity ===")
 for p in (13, 61, 197):
-    s = kloosterman(2, PrimeField(p)).values.sum()
+    s = kloosterman(2, ExtField(p)).values.sum()
     print(f"sum Kl_2(a; {p}) = {s.real:+.6f}, -p^-1/2 = {-p**-0.5:+.6f}")
 
 print("\n=== Fourier transform, -q^(-1/2) normalization ===")
@@ -51,7 +51,7 @@ print(f"scaling commutes as a dilation on the other side: gap "
 print("\n=== second moments (quasi-orthogonality) ===")
 print("p    |Kl_2|^2 mean   after x -> x^2     after x -> x^3")
 for p in (13, 37, 97):
-    field = PrimeField(p)
+    field = ExtField(p)
     t = kloosterman(2, field)
     row = [second_moment(t),
            second_moment(pullback_power(t, 2, field)),

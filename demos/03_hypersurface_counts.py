@@ -9,7 +9,7 @@ closed-form oracle.
 import numpy as np
 
 from polysieve import (classify_u, diagonal_dual_oracle, fiber_histogram,
-                       parse_multipoly, singular_fiber_scan, smoothness_scan)
+                       parse_multipoly, smoothness_scan)
 
 F = parse_multipoly("X0^2+X1^2+X2^2")
 G = parse_multipoly("X0*X1", n_vars=3)
@@ -55,11 +55,3 @@ for p in (5, 7, 11):
                 agree += (classify_u(F, u, p, k_max=2).kind
                           == diagonal_dual_oracle([1, 1, 1], 2, u, p).kind)
 print(f"  {agree}/{total} verdicts match")
-
-print("\n=== singular fibers of a family ===")
-f = parse_multipoly("X0^3 - 3*X0 + X1^2")
-sing = singular_fiber_scan(f, p=7, k_max=2)
-print(f"values where x^3 - 3x + y^2 = lam degenerates over F_7: "
-      f"{sorted(sing)}")
-print("(the critical values of the defining polynomial, found by the")
-print(" lam-independent minor system)")

@@ -6,7 +6,7 @@ g over a product modulus pq splits exactly into a product of per-prime
 sums with CRT-adjusted frequencies.
 """
 
-from polysieve import (PrimeField, SmoothWeight, complete_sum_g,
+from polysieve import (ExtField, SmoothWeight, complete_sum_g,
                        crt_factor_check, kloosterman, mult_char,
                        parse_multipoly, poisson_compare)
 
@@ -23,14 +23,14 @@ print("transform decay:", ", ".join(f"wh({x})={W.wh(x):.1e}"
 print("\n=== complete sums g(u, t) ===")
 F = parse_multipoly("X0^2+X1^2+X2^2")
 p = 13
-t = kloosterman(2, PrimeField(p))
+t = kloosterman(2, ExtField(p))
 for u in ((0, 0, 0), (1, 0, 0), (1, 2, 3)):
     g = complete_sum_g(F, t, u, p)
     print(f"g({u}) = {g:+.3f}, |g|/p^1.5 = {abs(g) / p**1.5:.3f}")
 
 print("\n=== CRT factorization ===")
-leg3 = mult_char(PrimeField(3), 2, 1)
-leg5 = mult_char(PrimeField(5), 2, 1)
+leg3 = mult_char(ExtField(3), 2, 1)
+leg5 = mult_char(ExtField(5), 2, 1)
 F2 = parse_multipoly("X0^2+X1^2")
 rec = crt_factor_check(F2, (1, 1), 3, 5, leg3, leg5)
 print(f"mod-15 sum:      {rec['lhs']:+.6f}")
@@ -39,8 +39,8 @@ print(f"gap: {rec['error']:.2e}")
 
 print("\n=== truncated Poisson against the direct weighted sum ===")
 for (pp, qq) in ((3, 5), (5, 7)):
-    t_p = mult_char(PrimeField(pp), 2, 1)
-    t_q = mult_char(PrimeField(qq), 2, 1)
+    t_p = mult_char(ExtField(pp), 2, 1)
+    t_q = mult_char(ExtField(qq), 2, 1)
     rec = poisson_compare(F, pp, qq, t_p, t_q, B=10, u_cutoff=8)
     print(f"(p, q) = ({pp}, {qq}): direct {rec['direct']:+.4f}, "
           f"poisson {rec['poisson']:+.4f}")

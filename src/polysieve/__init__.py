@@ -7,8 +7,7 @@ from .boxes import (BoxHistogram, BoxProblem, SmoothWeight, bound_ratio_scan,
                     poisson_compare, select_primes, sieve_filtered_count)
 from .errors import (BudgetExceeded, InvariantViolation, PolyParseError,
                      PolysieveError)
-from .fields import (ExtField, PrimeField, additive_char, find_primitive_root,
-                     mult_char, primes_in)
+from .fields import ExtField, additive_char, mult_char, primes_in
 from .polynomials import (MultiPoly, UniPoly, critical_value_poly,
                           discriminant_uni, parse_multipoly, parse_unipoly,
                           resultant_uni)
@@ -21,6 +20,6 @@ from .tracefn import (TraceFunction, constant_trace, correlation, delta_trace,
                       fourier_transform, kloosterman, pullback_power,
                       pullback_scale, second_moment, te_transform)
 from .varieties import (UClass, Witness, classify_u, diagonal_dual_oracle, diagonal_u_classes,
-                        fiber_histogram, singular_fiber_scan, smoothness_scan)
+                        fiber_histogram, smoothness_scan)
 
 __version__ = "0.1.0"

@@ -1,13 +1,13 @@
-"""Arithmetic contexts for F_p and F_{p^k}.
+"""Arithmetic contexts for F_q, q = p^k: ExtField(p, k), with F_p = ExtField(p, 1).
 
-Both field classes precompute exp/log tables for the unit group (cyclic),
-so multiplication, powering and inversion vectorize as integer index
-arithmetic plus table gathers.  Elements are plain ints: residues for
-F_p, base-p digit encodings c_0 + c_1*p + ... + c_{k-1}*p^{k-1} for
-F_{p^k}.  Each field also keeps a digit table (row i: base-p digit i of
-every element); lane_tables packs those digits into base-2p lanes of one
-int64, so sums of elements are integer sums read back by one gather.
-Contexts are immutable after construction.
+A field precomputes exp/log tables for the unit group (cyclic), so
+multiplication, powering and inversion vectorize as integer index
+arithmetic plus table gathers.  Elements are plain ints, the base-p digit
+encodings c_0 + c_1*p + ... + c_{k-1}*p^{k-1} (residues when k = 1).
+Each field also keeps a digit table (row i: base-p digit i of every
+element); lane_tables packs those digits into base-2p lanes of one int64,
+so sums of elements are integer sums read back by one gather.  Contexts
+are immutable after construction.
 """
 
 import math
@@ -15,8 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-_PRIME_CAP = 2_000_000  # full dlog tables only; keep desk scale
-_EXT_Q_CAP = 1_000_000
+_Q_CAP = 2_000_000  # full dlog tables only; keep desk scale
 EXT_DEGREE_CAP = 4  # largest k for which ExtField(p, k) builds tables
 
 
@@ -54,109 +53,6 @@ def prime_factors(n):
 def primes_in(lo, hi):
     """Primes p with lo <= p <= hi."""
     return [p for p in range(max(2, lo), hi + 1) if is_prime(p)]
-
-
-def find_primitive_root(p):
-    """Smallest g whose multiplicative order mod p is p-1."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p == 2:
-        return 1
-    factors = prime_factors(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // ell, p) != 1 for ell in factors):
-            return g
-    raise RuntimeError("no primitive root found")  # unreachable for prime p
-
-
-class PrimeField:
-    """F_p with primitive root, dlog table and additive-character table."""
-
-    def __init__(self, p):
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if p > _PRIME_CAP:
-            raise ValueError(f"p={p} beyond the dlog-table cap {_PRIME_CAP}")
-        self.p = p
-        self.q = p
-        self.k = 1
-        self.g = find_primitive_root(p)
-        # baby steps g^i (i < s) times giant steps g^(s*j): g^(s*j + i);
-        # every product stays below p^2 < 2^42
-        s = math.isqrt(p - 1) + 1
-        baby = np.ones(s, dtype=np.int64)
-        giant = np.ones(s, dtype=np.int64)
-        for i in range(1, s):
-            baby[i] = baby[i - 1] * self.g % p
-        step = pow(self.g, s, p)
-        for j in range(1, s):
-            giant[j] = giant[j - 1] * step % p
-        exp = (giant[:, None] * baby[None, :] % p).ravel()[:max(p - 1, 1)]
-        self.exp_table = exp
-        log = np.full(p, -1, dtype=np.int64)
-        log[exp] = np.arange(len(exp))
-        self.log_table = log
-        self.psi_table = np.exp(2j * np.pi * np.arange(p) / p)
-        self.digit_table = np.arange(p, dtype=np.int64)[None, :]
-        self.trace_table = self.digit_table[0]
-
-    def __repr__(self):
-        return f"PrimeField(p={self.p})"
-
-    def dlog(self, u):
-        """Exponent e in [0, p-2] with g^e = u; u must be a unit."""
-        u = int(u) % self.p
-        if u == 0:
-            raise ValueError("dlog of 0 is undefined")
-        return int(self.log_table[u])
-
-    def exp(self, e):
-        return int(self.exp_table[e % (self.p - 1)]) if self.p > 2 else 1
-
-    def elements(self):
-        return np.arange(self.q, dtype=np.int64)
-
-    def units(self):
-        return np.arange(1, self.q, dtype=np.int64)
-
-    def embed(self, c):
-        return int(c) % self.p
-
-    # array-friendly ring ops
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def pow(self, a, e):
-        if np.isscalar(a):
-            return pow(int(a), int(e), self.p)
-        out = np.ones_like(a)
-        base = a % self.p
-        e = int(e)
-        while e > 0:
-            if e & 1:
-                out = out * base % self.p
-            base = base * base % self.p
-            e >>= 1
-        return out
-
-    def inv(self, a):
-        if np.isscalar(a):
-            a = int(a) % self.p
-            if a == 0:
-                raise ZeroDivisionError("inverse of 0")
-            return pow(a, self.p - 2, self.p)
-        if np.any(a % self.p == 0):
-            raise ZeroDivisionError("inverse of 0")
-        return self.pow(a, self.p - 2)
-
-    def trace(self, x):
-        return x % self.p
 
 
 def _poly_mul_mod(a, b, modulus, p):
@@ -233,16 +129,20 @@ def _irreducible(coeffs, p):
 
 
 class ExtField:
-    """F_{p^k} as F_p[T]/(modulus) with exp/log and trace tables."""
+    """F_{p^k} as F_p[T]/(modulus) with exp/log and trace tables; k = 1 is F_p.
 
-    def __init__(self, p, k, modulus=None):
+    g is the encoding of the generator that exp_table powers, the least
+    encoding of any generator: the smallest primitive root when k = 1.
+    """
+
+    def __init__(self, p, k=1, modulus=None):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if not 1 <= k <= EXT_DEGREE_CAP:
             raise ValueError(f"extension degree {k} unsupported (cap is {EXT_DEGREE_CAP})")
         q = p**k
-        if q > _EXT_Q_CAP:
-            raise ValueError(f"q=p^k={q} beyond the table cap {_EXT_Q_CAP}")
+        if q > _Q_CAP:
+            raise ValueError(f"q=p^k={q} beyond the table cap {_Q_CAP}")
         self.p = p
         self.k = k
         self.q = q
@@ -269,12 +169,11 @@ class ExtField:
         p, k, q = self.p, self.k, self.q
         # find a generator of the unit group by scalar powering
         factors = prime_factors(q - 1) if q > 2 else []
-        gen = None
         for cand in range(1, q):
-            tup = _digits(cand, p, k)
-            if all(self._scalar_pow(tup, (q - 1) // ell) != self._one_tup()
+            gen = _digits(cand, p, k)
+            if all(self._scalar_pow(gen, (q - 1) // ell) != self._one_tup()
                    for ell in factors):
-                gen = tup
+                self.g = cand
                 break
         # baby steps gen^i (i < s) times giant steps gen^(s*j): gen^(s*j + i),
         # about 2*sqrt(q) scalar products and one outer product of digits
@@ -334,9 +233,10 @@ class ExtField:
         return int(c) % self.p
 
     def dlog(self, u):
+        """Exponent e in [0, q-2] with g^e = u; u must be a unit in [1, q)."""
         u = int(u)
-        if u == 0:
-            raise ValueError("dlog of 0 is undefined")
+        if not 0 < u < self.q:
+            raise ValueError(f"dlog needs a unit of F_{self.q}, not {u}")
         return int(self.log_table[u])
 
     def add(self, a, b):
@@ -412,7 +312,7 @@ def exponent_tables(field, d):
 @lru_cache(maxsize=64)
 def cached_field(p, k=1):
     """Shared immutable field contexts; construction is the only mutation."""
-    return PrimeField(p) if k == 1 else ExtField(p, k)
+    return ExtField(p, k)
 
 
 def additive_char(field, x):
@@ -428,7 +328,7 @@ def mult_char(field, r, j):
     """
     from .tracefn import TraceFunction
 
-    if not isinstance(field, PrimeField):
+    if field.k != 1:
         raise ValueError("mult_char is defined on prime fields")
     p = field.p
     if r < 1 or (p - 1) % r != 0:

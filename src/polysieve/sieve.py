@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import InvariantViolation
-from .fields import PrimeField, is_prime, mult_char
+from .fields import cached_field, is_prime, mult_char
 from .polynomials import UniPoly, critical_value_poly
 
 
@@ -132,9 +132,11 @@ def power_decomposition_check(d, p):
     """Max deviation of 1_{d-th powers} from its character average on units.
 
     Both sides of the order-d character decomposition are evaluated on
-    all of F_p^x; requires d | p - 1.
+    all of F_p^x; requires d >= 1 and d | p - 1.
     """
-    field = PrimeField(p)
+    if d < 1:
+        raise ValueError(f"d={d} must be at least 1")
+    field = cached_field(p)
     if (p - 1) % d != 0:
         raise ValueError(f"{d} does not divide p-1={p - 1}")
     units = np.arange(1, p)
@@ -324,13 +326,11 @@ def power_sieve_rhs(d, primes, a):
     violates the support condition.
     """
     P = len(primes)
-    fields = {}
     chis = {}
     for p in primes:
         if (p - 1) % d:
             raise ValueError(f"p={p} is not 1 mod d={d}")
-        fields[p] = PrimeField(p)
-        chis[p] = [mult_char(fields[p], d, j) for j in range(1, d)]
+        chis[p] = [mult_char(cached_field(p), d, j) for j in range(1, d)]
     ns = sorted(a)  # plain ints: values may exceed int64
     ws = np.array([a[n] for n in ns], dtype=float)
     res = {p: np.array([n % p for n in ns], dtype=np.int64) for p in primes}

@@ -343,8 +343,8 @@ def _smoothness_walk(form, p, k_max, budget=DEFAULT_BUDGET, certify=False):
         ok, spent = _certify(form, p, j, k_max, spent, budget) if certify else (False, spent)
         if ok:
             return ScanResult(True, k_max)
+        spent = _charge(spent, _class_points(p**j, m), budget)
         field = cached_field(p, j)
-        spent = _charge(spent, _class_points(field.q, m), budget)
         for coords in _projective_classes(field, m):
             pts = _zeros_of(form, field, coords)
             for gpoly in partials:
@@ -533,50 +533,3 @@ def diagonal_dual_oracle(coeffs, d, u, p):
             return UClass("bad", Witness(r, tuple(pt)))
     return UClass("good")
 
-
-def singular_fiber_scan(f, g=None, p=None, k_max=2, budget=DEFAULT_BUDGET):
-    """Values lam in F_p where V(f - lam) (or V(g) and V(f - lam)) is singular.
-
-    Singularity means a point over F_{p^j}, j <= k_max, where the
-    derivative matrix of the defining equations drops rank; the
-    lam-independent minor polynomials are built once and reused.
-    Returns {lam: witness}.
-    """
-    if p is None:
-        raise ValueError("p required")
-    _check_scan_args(p, k_max)
-    m = f.n_vars
-    if g is not None and g.n_vars != m:
-        raise ValueError("arities differ")
-    fp = f.reduce_mod(p) if f.ring is None else f
-    gp = g.reduce_mod(p) if (g is not None and g.ring is None) else g
-    grad_f = fp.gradient()
-    if gp is None:
-        conditions = list(grad_f)  # critical points: grad f = 0
-        membership = []
-    else:
-        grad_g = gp.gradient()
-        conditions = []
-        for i in range(m):
-            for jj in range(i + 1, m):
-                conditions.append(grad_f[i] * grad_g[jj] - grad_f[jj] * grad_g[i])
-        membership = [gp]
-    out = {}
-    spent = 0
-    for j in range(1, k_max + 1):
-        field = cached_field(p, j)
-        q = field.q
-        spent = _charge(spent, q**m * (len(conditions) + len(membership) + 1), budget)
-        pts = broadcast_grid([np.arange(q, dtype=np.int64)] * m)
-        for poly in membership + conditions:
-            pts = _zeros_of(poly, field, pts)
-            if not pts[0].size:
-                break
-        if not pts[0].size:
-            continue
-        lam_vals = fp.eval_field(field, pts)
-        for n in np.flatnonzero(lam_vals < p):  # F_p elements embed as 0..p-1
-            lam = int(lam_vals[n])
-            if lam not in out:
-                out[lam] = Witness(j, tuple(int(c[n]) for c in pts))
-    return out

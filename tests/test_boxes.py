@@ -17,7 +17,7 @@ from polysieve.boxes import (BoxProblem, SmoothWeight, _bump_derivative_l1, _den
                              poisson_compare, select_primes,
                              sieve_filtered_count)
 from polysieve.errors import BudgetExceeded, InvariantViolation
-from polysieve.fields import PrimeField, mult_char, primes_in
+from polysieve.fields import ExtField, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly, parse_unipoly
 from polysieve.sieve import build_prime_data, h_image_table, in_h_image
 from polysieve.tracefn import TraceFunction, constant_trace, kloosterman
@@ -416,13 +416,13 @@ class TestDiscriminantProfile:
 
 class TestCompleteSums:
     def test_full_sum_of_ones(self):
-        f5 = PrimeField(5)
+        f5 = ExtField(5)
         F = parse_multipoly("X0^2+X1^2")
         assert complete_sum_g(F, constant_trace(f5), (0, 0), 5) == \
             pytest.approx(25)
 
     def test_legendre_quadric_example(self):
-        f3 = PrimeField(3)
+        f3 = ExtField(3)
         F = parse_multipoly("X0^2+X1^2")
         val = complete_sum_g(F, mult_char(f3, 2, 1), (0, 0), 3)
         assert val == pytest.approx(0, abs=1e-9)
@@ -434,7 +434,7 @@ class TestCompleteSums:
             F = MultiPoly(2, {(2, 0): int(rng.integers(1, p)),
                               (0, 2): int(rng.integers(1, p)),
                               (1, 1): int(rng.integers(0, p))})
-            t = kloosterman(2, PrimeField(p))
+            t = kloosterman(2, ExtField(p))
             grouped = complete_sum_g(F, t, (0, 0), p)
             direct = 0j
             for x in range(p):
@@ -444,7 +444,7 @@ class TestCompleteSums:
 
     def test_table_matches_pointwise(self):
         p = 7
-        t = kloosterman(2, PrimeField(p))
+        t = kloosterman(2, ExtField(p))
         table = complete_sum_table(F_QUADRIC, t.values, p)
         for u in ((0, 0, 0), (1, 2, 3), (6, 0, 5)):
             assert table[u] == pytest.approx(complete_sum_g(F_QUADRIC, t, u, p),
@@ -456,7 +456,7 @@ class TestCompleteSums:
 
         p = 5
         F = parse_multipoly("X0^2 + 2*X0*X1 + 3*X1^2")
-        t = kloosterman(2, PrimeField(p))
+        t = kloosterman(2, ExtField(p))
         for u in ((1, 0), (2, 3), (4, 4)):
             direct = 0j
             for x in range(p):
@@ -472,21 +472,21 @@ class TestCrtFactorization:
     def test_legendre_example(self):
         F = parse_multipoly("X0^2+X1^2")
         rec = crt_factor_check(F, (1, 1), 3, 5,
-                               mult_char(PrimeField(3), 2, 1),
-                               mult_char(PrimeField(5), 2, 1))
+                               mult_char(ExtField(3), 2, 1),
+                               mult_char(ExtField(5), 2, 1))
         assert rec["error"] <= 1e-9
 
     def test_constant_traces_exact(self):
         F = parse_multipoly("X0^2+X1^2")
         rec = crt_factor_check(F, (2, 3), 3, 7,
-                               constant_trace(PrimeField(3)),
-                               constant_trace(PrimeField(7)))
+                               constant_trace(ExtField(3)),
+                               constant_trace(ExtField(7)))
         assert rec["rel_error"] <= 1e-12
 
     def test_u_zero_reduces_componentwise(self):
         F = parse_multipoly("X0^2+X1^2")
-        t3 = kloosterman(2, PrimeField(3))
-        t5 = kloosterman(2, PrimeField(5))
+        t3 = kloosterman(2, ExtField(3))
+        t5 = kloosterman(2, ExtField(5))
         rec = crt_factor_check(F, (0, 0), 3, 5, t3, t5)
         g1 = complete_sum_g(F, t3, (0, 0), 3)
         g2 = complete_sum_g(F, t5.conj(), (0, 0), 5)
@@ -494,7 +494,7 @@ class TestCrtFactorization:
 
     def test_equal_primes_rejected(self):
         F = parse_multipoly("X0^2+X1^2")
-        t = constant_trace(PrimeField(5))
+        t = constant_trace(ExtField(5))
         with pytest.raises(ValueError):
             crt_factor_check(F, (0, 0), 5, 5, t, t)
 
@@ -508,8 +508,8 @@ class TestCrtFactorization:
                               (1, 1): int(rng.integers(0, 4))})
             u = [int(x) for x in rng.integers(0, p * q, size=2)]
             rec = crt_factor_check(F, u, p, q,
-                                   kloosterman(2, PrimeField(p)),
-                                   mult_char(PrimeField(q), 2, 1))
+                                   kloosterman(2, ExtField(p)),
+                                   mult_char(ExtField(q), 2, 1))
             assert rec["rel_error"] <= 1e-6
 
 
@@ -566,21 +566,21 @@ class TestSmoothWeight:
 class TestPoissonCompare:
     def test_pure_identity_with_trivial_traces(self):
         rec = poisson_compare(F_QUADRIC, 3, 5,
-                              constant_trace(PrimeField(3)),
-                              constant_trace(PrimeField(5)),
+                              constant_trace(ExtField(3)),
+                              constant_trace(ExtField(5)),
                               B=10, u_cutoff=8)
         assert rec["error"] <= rec["tail_bound"] + 1e-6
 
     def test_legendre_agreement(self):
         rec = poisson_compare(F_QUADRIC, 3, 5,
-                              mult_char(PrimeField(3), 2, 1),
-                              mult_char(PrimeField(5), 2, 1),
+                              mult_char(ExtField(3), 2, 1),
+                              mult_char(ExtField(5), 2, 1),
                               B=10, u_cutoff=8)
         assert rec["error"] <= rec["tail_bound"] + 1e-6
 
     def test_auto_cutoff_targets_small_tail(self):
-        t3 = mult_char(PrimeField(3), 2, 1)
-        t5 = mult_char(PrimeField(5), 2, 1)
+        t3 = mult_char(ExtField(3), 2, 1)
+        t5 = mult_char(ExtField(5), 2, 1)
         rec = poisson_compare(F_QUADRIC, 3, 5, t3, t5, B=10)
         W = SmoothWeight(10)
         main_scale = (10 * W.wh(0.0)) ** 3  # sup bounds are 1 here
@@ -590,12 +590,12 @@ class TestPoissonCompare:
     def test_box_values_overflow_guarded(self):
         F = parse_multipoly("2305843009213693952*X0^2+X1^2+X2^2")  # 2^61 X0^2
         with pytest.raises(OverflowError):
-            poisson_compare(F, 3, 5, constant_trace(PrimeField(3)),
-                            constant_trace(PrimeField(5)), B=2, u_cutoff=2)
+            poisson_compare(F, 3, 5, constant_trace(ExtField(3)),
+                            constant_trace(ExtField(5)), B=2, u_cutoff=2)
 
     def test_cutoff_zero_semantics(self):
-        t3 = mult_char(PrimeField(3), 2, 1)
-        t5 = mult_char(PrimeField(5), 2, 1)
+        t3 = mult_char(ExtField(3), 2, 1)
+        t5 = mult_char(ExtField(5), 2, 1)
         rec = poisson_compare(F_QUADRIC, 3, 5, t3, t5, B=10, u_cutoff=0)
         W = SmoothWeight(10)
         g0 = complete_sum_g(F_QUADRIC, t3, (0, 0, 0), 3) \
@@ -610,7 +610,7 @@ class TestSumBounds:
         rng = np.random.default_rng(31)
         worst = 0.0
         for p in primes_in(5, 61):
-            t = kloosterman(2, PrimeField(p))
+            t = kloosterman(2, ExtField(p))
             found = 0
             while found < 3:
                 u = [int(x) for x in rng.integers(0, p, size=3)]
@@ -630,7 +630,7 @@ class TestSumBounds:
         good_at_bad_scale = {}
         bad_at_bad_scale = {}
         for p in (13, 29, 61):
-            leg = mult_char(PrimeField(p), 2, 1)
+            leg = mult_char(ExtField(p), 2, 1)
             bad_u = next(
                 (u0, u1, u2)
                 for u0 in range(1, p) for u1 in range(p) for u2 in range(p)
@@ -678,7 +678,7 @@ GROUPED_FORMS = ["X0^2+2*X1^2+3*X2^2", "X0^2+X0*X1+X2^3", "X0*X1+X1*X2+X2^2",
 
 
 def trace_on(kind, p):
-    field = PrimeField(p)
+    field = ExtField(p)
     if kind == "kl":
         return kloosterman(2, field)
     if kind == "chi" and p > 2:
@@ -736,7 +736,7 @@ class TestGroupedSums:
         p = 10007
         F = parse_multipoly("X0^3+X1^3+2*X2^3")
         u = (1, 2, 3)
-        field = PrimeField(p)
+        field = ExtField(p)
         t = TraceFunction(p, field.psi_table.copy(), "psi", 1.0)
         a = np.arange(p, dtype=np.int64)
         factors = [complex(np.exp(2j * np.pi * ((c * a**3 + ui * a) % p) / p).sum())
@@ -757,7 +757,7 @@ class TestGroupedSums:
 
     def test_budget_charges_group_grids(self):
         p = 101
-        t = kloosterman(2, PrimeField(p))
+        t = kloosterman(2, ExtField(p))
         # p^3 = 1030301 is past the budget; the group grids and spectra are 404 points
         got = complete_sum_g(F_QUADRIC, t, (1, 2, 3), p, budget=10**4)
         want = complete_sum_grid(F_QUADRIC, t.values, (1, 2, 3), p)

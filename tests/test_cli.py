@@ -85,6 +85,14 @@ class TestSubcommands:
     def test_sieve_check_bad_divisor(self, capsys):
         assert run(["sieve-check", "--d", "3", "--p", "5"]) == 1
 
+    @pytest.mark.parametrize("d", ["0", "-2"])
+    def test_sieve_check_nonpositive_order_is_input_error(self, d, capsys):
+        # d = 0 used to end in a ZeroDivisionError, d = -2 in an invariant violation
+        assert run(["sieve-check", "--d", d, "--p", "7"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: d={d} must be at least 1\n"
+
     def test_klsum_report(self, capsys):
         assert run(["klsum", "--m", "2", "--p", "13",
                     "--F", "X1^3+X2^3+X3^3"]) == 0
@@ -181,7 +189,7 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("p", ["1013", "1019"])
     def test_classify_u_cross_check_past_the_table_cap(self, p, capsys, monkeypatch):
-        # F_{p^2} passes the 10^6-entry table cap: the dual polynomial needs no field,
+        # F_{p^2} has over 10^6 elements: the dual polynomial needs no field,
         # and the oracle is asked for a witness degree only on a disagreement
         monkeypatch.setattr(varieties, "diagonal_dual_oracle",
                             lambda *a: pytest.fail("the cross-check called the oracle"))

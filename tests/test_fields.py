@@ -4,70 +4,95 @@ import numpy as np
 import pytest
 
 from polysieve import polynomials
-from polysieve.fields import (ExtField, PrimeField, additive_char, cached_field,
-                              exponent_tables, find_primitive_root, lane_tables, mult_char,
-                              primes_in)
+from polysieve.fields import (ExtField, additive_char, cached_field, exponent_tables,
+                              lane_tables, mult_char, primes_in)
 
 from _oracles import TupleField, eval_field_direct, ext_exp_table_loop, smallest_generator
 
 
 class TestPrimitiveRoot:
     def test_spec_values(self):
-        assert find_primitive_root(2) == 1
-        assert find_primitive_root(5) == 2
-        assert find_primitive_root(7) == 3
+        assert ExtField(2).g == 1
+        assert ExtField(5).g == 2
+        assert ExtField(7).g == 3
 
     def test_matches_order_oracle(self):
         for p in primes_in(2, 60):
-            assert find_primitive_root(p) == smallest_generator(p)
+            assert cached_field(p).g == smallest_generator(p)
 
     def test_rejects_composites(self):
         for n in (1, 4, 15, 91):
-            with pytest.raises(ValueError):
-                find_primitive_root(n)
+            with pytest.raises(ValueError, match="not prime"):
+                ExtField(n)
+            with pytest.raises(ValueError, match="not prime"):
+                cached_field(n)
 
 
 class TestPrimeField:
     def test_dlog_examples(self):
-        f5 = PrimeField(5)
+        f5 = ExtField(5)
         assert f5.g == 2
         assert f5.dlog(1) == 0
         assert f5.dlog(4) == 2
-        assert PrimeField(7).dlog(6) == 3
+        assert ExtField(7).dlog(6) == 3
 
     def test_dlog_zero_rejected(self):
         with pytest.raises(ValueError):
-            PrimeField(5).dlog(0)
+            ExtField(5).dlog(0)
+
+    @pytest.mark.parametrize("p, k", [(5, 1), (5, 2), (2, 3)])
+    def test_dlog_outside_the_field_rejected(self, p, k):
+        f = ExtField(p, k)
+        assert f.dlog(f.q - 1) == f.log_table[f.q - 1]
+        for u in (-1, f.q, f.q + 1):
+            with pytest.raises(ValueError, match="needs a unit"):
+                f.dlog(u)
 
     def test_dlog_roundtrip_all_units(self):
-        f = PrimeField(13)
+        f = ExtField(13)
         for u in range(1, 13):
-            assert f.exp(f.dlog(u)) == u
+            assert f.exp_table[f.dlog(u)] == u
 
     def test_table_consistency(self):
         for p in (2, 3, 17, 101):
-            f = PrimeField(p)
+            f = ExtField(p)
             assert np.array_equal(f.exp_table[f.log_table[f.units()]], f.units())
 
 
     @pytest.mark.parametrize("p", [2, 3, 101, 3001, 100003])
     def test_exp_table_is_powers_of_g(self, p):
-        f = PrimeField(p)
+        f = cached_field(p)
+        assert f.k == 1 and f.q == p
         n = len(f.exp_table)
         assert n == max(p - 1, 1)
         for i in sorted({0, n // 2, n - 1, *np.random.default_rng(p).integers(0, n, 40)}):
             assert f.exp_table[i] == pow(f.g, int(i), p)
         assert np.array_equal(f.log_table[f.exp_table], np.arange(n))
+        assert np.array_equal(np.sort(f.exp_table), np.arange(1, p))
+
+    @pytest.mark.parametrize("p, k", [(2000003, 1), (1423, 2)])
+    def test_q_cap_refused_before_any_table(self, p, k, monkeypatch):
+        # 2000003 is prime, and 1423^2 = 2,024,929: both just past the one cap on q
+        monkeypatch.setattr(ExtField, "_build_tables", lambda self: pytest.fail("tables built"))
+        monkeypatch.setattr(ExtField, "_smallest_irreducible",
+                            staticmethod(lambda p, k: pytest.fail("modulus searched")))
+        with pytest.raises(ValueError, match="beyond the table cap 2000000"):
+            ExtField(p, k)
+
+    def test_q_cap_is_one_cap_for_every_k(self):
+        # q = 1009^2 = 1,018,081 > 10^6: the one cap on q holds at k = 2 as well
+        f = ExtField(1009, 2)
+        assert f.q == 1009**2 and len(f.exp_table) == f.q - 1
 
 
 class TestAdditiveChar:
     def test_values(self):
-        f5 = PrimeField(5)
+        f5 = ExtField(5)
         assert additive_char(f5, 0) == pytest.approx(1.0)
         assert additive_char(f5, 1) == pytest.approx(cmath.exp(2j * cmath.pi / 5))
 
     def test_homomorphism(self):
-        for field in (PrimeField(7), ExtField(3, 2)):
+        for field in (ExtField(7), ExtField(3, 2)):
             xs = field.elements()
             for x in xs:
                 lhs = additive_char(field, field.add(x, xs))
@@ -75,7 +100,7 @@ class TestAdditiveChar:
                 assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_full_sum_vanishes(self):
-        for field in (PrimeField(2), PrimeField(3), PrimeField(13),
+        for field in (ExtField(2), ExtField(3), ExtField(13),
                       ExtField(2, 2), ExtField(3, 2),
                       ExtField(5, 2)):
             assert abs(additive_char(field, field.elements()).sum()) < 1e-9
@@ -91,7 +116,7 @@ class TestAdditiveChar:
 
 class TestMultChar:
     def test_spec_values(self):
-        f5 = PrimeField(5)
+        f5 = ExtField(5)
         chi2 = mult_char(f5, 2, 1)
         assert chi2.values[4] == pytest.approx(1.0)
         chi4 = mult_char(f5, 4, 1)
@@ -99,12 +124,12 @@ class TestMultChar:
         assert chi4.values[4] == pytest.approx(-1.0)
 
     def test_trivial_character(self):
-        chi = mult_char(PrimeField(11), 5, 0)
+        chi = mult_char(ExtField(11), 5, 0)
         assert np.allclose(chi.values[1:], 1.0)
         assert chi.values[0] == 0
 
     def test_exact_order(self):
-        f13 = PrimeField(13)
+        f13 = ExtField(13)
         for r in (2, 3, 4, 6, 12):
             for j in range(r):
                 chi = mult_char(f13, r, j)
@@ -113,14 +138,14 @@ class TestMultChar:
                 assert chi.meta["order"] == expected
 
     def test_orthogonality(self):
-        f = PrimeField(13)
+        f = ExtField(13)
         for r, j in ((2, 1), (3, 1), (4, 3), (12, 5)):
             chi = mult_char(f, r, j)
             assert abs(chi.values[1:].sum()) < 1e-9
 
     def test_bad_order_rejected(self):
         with pytest.raises(ValueError):
-            mult_char(PrimeField(7), 4, 1)
+            mult_char(ExtField(7), 4, 1)
 
 
 class TestExtField:
@@ -211,7 +236,7 @@ class TestExtField:
         assert cached_field(7, 2) is cached_field(7, 2)
 
     def test_digit_table_rows(self):
-        assert np.array_equal(PrimeField(5).digit_table, [np.arange(5)])
+        assert np.array_equal(ExtField(5).digit_table, [np.arange(5)])
         f = ExtField(3, 2)
         assert f.digit_table.shape == (2, 9)
         assert np.array_equal(f.digit_table[0] + 3 * f.digit_table[1], np.arange(9))

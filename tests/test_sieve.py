@@ -5,7 +5,7 @@ import pytest
 
 from polysieve import sieve
 from polysieve.boxes import exceptional_set
-from polysieve.fields import PrimeField, mult_char, primes_in
+from polysieve.fields import ExtField, mult_char, primes_in
 from polysieve.polynomials import parse_unipoly
 from polysieve.sieve import (SieveConfig, SievePrimeData, build_prime_data,
                              detector, h_image_table, in_h_image,
@@ -102,7 +102,7 @@ class TestPowerDecomposition:
 
     def test_pointwise_values_mod5(self):
         # 2 is a non-residue, 4 a residue mod 5
-        f5 = PrimeField(5)
+        f5 = ExtField(5)
         chi = mult_char(f5, 2, 1)
         assert (1 + chi.values[2]) / 2 == pytest.approx(0.0)
         assert (1 + chi.values[4]) / 2 == pytest.approx(1.0)
@@ -111,12 +111,19 @@ class TestPowerDecomposition:
         with pytest.raises(ValueError):
             power_decomposition_check(3, 5)
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_nonpositive_order_rejected_before_any_field(self, d, monkeypatch):
+        monkeypatch.setattr("polysieve.sieve.cached_field",
+                            lambda *a: pytest.fail("a field was built"))
+        with pytest.raises(ValueError, match="at least 1"):
+            power_decomposition_check(d, 7)
+
     def test_detector_character_consistency(self):
         # for h = T^d on units: D_p(n) = (1/d) sum_{chi != 1} chi(n) + (1-d)/(dp)
         for d, p in ((2, 13), (3, 13), (4, 17), (5, 11)):
             h = parse_unipoly(f"T^{d}")
             data = build_prime_data(h, p)
-            field = PrimeField(p)
+            field = ExtField(p)
             chis = [mult_char(field, d, j) for j in range(1, d)]
             for n in range(1, p):
                 char_part = sum(c.values[n] for c in chis) / d

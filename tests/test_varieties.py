@@ -16,7 +16,7 @@ from polysieve.varieties import (DEFAULT_BUDGET, ScanResult, UClass, Witness, _c
                                  _kernel_basis, _smoothness_walk, classify_u, complete_sums,
                                  diagonal_dual_oracle, diagonal_u_classes, dual_polynomial,
                                  fiber_histogram, group_pushforwards, mixed_sum,
-                                 singular_fiber_scan, smoothness_scan)
+                                 smoothness_scan)
 
 from _oracles import (TupleField, classify_u_direct, complete_sum_table,
                       fiber_histogram_direct, mixsum_grid, pair_fiber_histogram_grid,
@@ -349,6 +349,16 @@ class TestSmoothness:
         assert not res2.smooth
         assert res2.witness.ext_degree == 2 or not res1.smooth
 
+    @pytest.mark.parametrize("k_max", [0, -1])
+    def test_scans_reject_k_max_below_one(self, k_max):
+        F = parse_multipoly("X0^2+X1^2+X2^2")
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            smoothness_scan(F, 5, k_max=k_max)
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            classify_u(F, (1, 0, 0), 5, k_max=k_max)
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            classify_u(F, (0, 0, 0), 5, k_max=k_max)  # the zero class too
+
 
 class TestClassifyU:
     def test_zero_type(self):
@@ -449,6 +459,18 @@ class TestScanBudget:
         least = least_budget(lambda b: classify_u(H, u, 5, 2, b), 10**4)
         assert least == 776 == projective_grid(5, 2, 2) + 94
         assert classify_u(H, u, 5, 2, budget=least) == want
+
+    def test_level_charged_before_its_field_is_built(self, monkeypatch):
+        # P^2(F_529) has 280,371 classes: a budget of 5000 refuses level 2
+        # before F_{23^2} and its tables are built
+        asked = []
+        monkeypatch.setattr("polysieve.varieties.cached_field",
+                            lambda p, k=1: asked.append((p, k)) or cached_field(p, k))
+        form = parse_multipoly("X0^2+X1^2+X2^2").reduce_mod(23)
+        with pytest.raises(BudgetExceeded):
+            _smoothness_walk(form, 23, 2, budget=5000)
+        assert asked == [(23, 1)]
+        assert projective_grid(23, 1, 2) < 5000 < projective_grid(23, 2, 2)
 
     def test_certificate_matrix_charged_before_it_is_built(self):
         # a plane cubic has a 15 x 15 Macaulay matrix; P^2(F_101) has more than
@@ -823,38 +845,3 @@ class TestDualPolynomial:
         assert peak < 2**20
         assert len(diagonal_u_classes([1, 1, 1, 1], 4, rows, 7, budget=build + cells)) == 10**4
 
-
-class TestSingularFiberScan:
-    @pytest.mark.parametrize("k_max", [0, -1])
-    def test_scans_reject_k_max_below_one(self, k_max):
-        F = parse_multipoly("X0^2+X1^2+X2^2")
-        with pytest.raises(ValueError, match="k_max must be at least 1"):
-            smoothness_scan(F, 5, k_max=k_max)
-        with pytest.raises(ValueError, match="k_max must be at least 1"):
-            classify_u(F, (1, 0, 0), 5, k_max=k_max)
-        with pytest.raises(ValueError, match="k_max must be at least 1"):
-            classify_u(F, (0, 0, 0), 5, k_max=k_max)  # the zero class too
-        with pytest.raises(ValueError, match="k_max must be at least 1"):
-            singular_fiber_scan(F, p=5, k_max=k_max)
-
-    def test_plane_curve(self):
-        out = singular_fiber_scan(parse_multipoly("X0^2+X1^2"), p=5, k_max=2)
-        assert set(out) == {0}
-
-    def test_linear_no_critical_points(self):
-        out = singular_fiber_scan(parse_multipoly("X0", n_vars=1), p=7, k_max=2)
-        assert out == {}
-
-    def test_with_hyperplane_section(self):
-        f = parse_multipoly("X0^2+X1^2+X2^2")
-        g = parse_multipoly("X0", n_vars=3)
-        out = singular_fiber_scan(f, g, p=5, k_max=2)
-        assert set(out) == {0}
-
-    def test_witness_is_singular_point(self):
-        f = parse_multipoly("X0^3 - 3*X0 + X1^2")
-        out = singular_fiber_scan(f, p=7, k_max=1)
-        for lam, wit in out.items():
-            assert f.eval_mod(wit.point, 7) == lam
-            for g in f.gradient():
-                assert g.eval_mod(wit.point, 7) == 0
