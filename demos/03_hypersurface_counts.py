@@ -2,13 +2,13 @@
 
 Fiber sizes hover around p^(n-1) with square-root-scale deviations;
 hyperplane frequencies split into zero/good/bad against the reduction
-of the hypersurface, and for diagonal forms the split has an exact
-closed-form oracle.
+of the hypersurface, and for diagonal forms the dual polynomial decides
+the split exactly.
 """
 
 import numpy as np
 
-from polysieve import (classify_u, diagonal_dual_oracle, fiber_histogram,
+from polysieve import (classify_u, diagonal_u_classes, fiber_histogram,
                        parse_multipoly, smoothness_scan)
 
 F = parse_multipoly("X0^2+X1^2+X2^2")
@@ -41,7 +41,7 @@ for u in ((5, 10, 0), (1, 2, 0), (1, 0, 0)):
         if cls.witness else ""
     print(f"u = {u}: {cls.kind}{extra}")
 
-print("\nexact diagonal oracle agrees (sum u_i^2/c_i = 0 detects tangency):")
+print("\nthe dual polynomial agrees (sum u_i^2/c_i = 0 detects tangency):")
 agree = 0
 total = 0
 for p in (5, 7, 11):
@@ -53,5 +53,5 @@ for p in (5, 7, 11):
                     continue
                 total += 1
                 agree += (classify_u(F, u, p, k_max=2).kind
-                          == diagonal_dual_oracle([1, 1, 1], 2, u, p).kind)
+                          == diagonal_u_classes([1, 1, 1], 2, [u], p)[0])
 print(f"  {agree}/{total} verdicts match")

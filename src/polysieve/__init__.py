@@ -19,7 +19,7 @@ from .sieve import (SieveConfig, SievePrimeData, build_prime_data, detector,
 from .tracefn import (TraceFunction, constant_trace, correlation, delta_trace,
                       fourier_transform, kloosterman, pullback_power,
                       pullback_scale, second_moment, te_transform)
-from .varieties import (UClass, Witness, classify_u, diagonal_dual_oracle, diagonal_u_classes,
+from .varieties import (UClass, Witness, classify_u, diagonal_u_classes, diagonal_witness_degree,
                         fiber_histogram, smoothness_scan)
 
 __version__ = "0.1.0"

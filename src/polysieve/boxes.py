@@ -164,9 +164,9 @@ def box_histogram(F, B, budget=DEFAULT_BUDGET):
     return BoxHistogram(*hist)
 
 
-def exact_count(f, hist):
+def exact_count(f, hist, budget=DEFAULT_BUDGET):
     """Exact N(f, F, B): the multiplicities of the box values in f(Z)."""
-    return int(hist.counts[in_h_image(f, hist.values)].sum())
+    return int(hist.counts[in_h_image(f, hist.values, budget=budget)].sum())
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ class FilteredCount:
         return self.rejected_by_sieve / self.total_points if self.total_points else 0.0
 
 
-def sieve_filtered_count(f, hist, prime_data):
+def sieve_filtered_count(f, hist, prime_data, budget=DEFAULT_BUDGET):
     """Count with the per-prime image prefilter, then exact verification.
 
     The filter runs over the distinct box values; every tally weighs a
@@ -193,7 +193,7 @@ def sieve_filtered_count(f, hist, prime_data):
     keep = np.ones(len(hist.values), dtype=bool)
     for data in prime_data:
         keep &= data.image[hist.values % data.p]
-    hit = in_h_image(f, hist.values)
+    hit = in_h_image(f, hist.values, budget=budget)
     total = hist.total_points
     survivors = int(hist.counts[keep].sum())
     out = FilteredCount(count=int(hist.counts[keep & hit].sum()),
@@ -467,8 +467,9 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, budget=DEFAULT_BUDGET):
     g_q(pbar u) from complete_sums on the U_N = min(W, N) distinct window
     residues (W = 2 u_cutoff + 1) and sums them against What through the
     D <= W distinct residue pairs, one axis at a time; a non-separable F
-    costs one p^m and one q^m table, as before.  The box, the tables and
-    the passes are charged to the budget up front.
+    costs one p^m and one q^m table, as before.  The group grids, each
+    fold's pairs (at most min(points so far, pq) times min(group points,
+    pq)), the tables and the passes are charged to the budget up front.
     """
     m = F.n_vars
     W = SmoothWeight(B)
@@ -493,13 +494,17 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, budget=DEFAULT_BUDGET):
     rp, ip = np.unique(qbar * side % p, return_inverse=True)
     rq, iq = np.unique(pbar * side % q, return_inverse=True)
     pairs, ipair = np.unique(ip * len(rq) + iq, return_inverse=True)
-    cost = ((2 * B + 1)**m + len(pairs) * max(len(rp), len(rq))**(m - 1)
+    groups = _variable_groups(F)
+    grids = [(2 * B + 1)**len(idx) for idx, _ in groups]
+    cost = (sum(grids) + sum(min(math.prod(grids[:k]), N) * min(g, N)
+                             for k, g in enumerate(grids[1:], 1))
+            + len(pairs) * max(len(rp), len(rq))**(m - 1)
             + _sums_plan(F, p, [rp] * m)[1] + _sums_plan(F, q, [rq] * m)[1])
     if cost > budget:
         raise BudgetExceeded(f"Poisson arrays of {cost} points exceed budget {budget}")
     # direct: the bump-weighted histogram of F mod pq on the box, folded over the groups
     bump, hist = W.weight_1d(np.arange(-B, B + 1)), None
-    for _, sub in _variable_groups(F):
+    for _, sub in groups:
         res, inv = np.unique(box_value_array(sub, B, budget) % N, return_inverse=True)
         part = res, np.bincount(inv, reduce(np.multiply.outer, [bump] * sub.n_vars).ravel())
         hist = part if hist is None else _fold(hist, part)
@@ -540,7 +545,7 @@ def bound_ratio_scan(f, F, b_grid, budget=DEFAULT_BUDGET):
     rows = []
     for B in b_grid:
         n = BoxProblem(f, F, B).n
-        count = exact_count(f, box_histogram(F, B, budget))
+        count = exact_count(f, box_histogram(F, B, budget), budget)
         denom_main = B ** (n + 1 / (n + 2)) * math.log(B) ** ((n + 1) / (n + 2))
         rows.append({
             "B": B,

@@ -241,9 +241,9 @@ def _run_classify_u(cfg):
         coeffs, d = diag
         kind = str(varieties.diagonal_u_classes(coeffs, d, [[c % p for c in u]], p, cfg.budget)[0])
         results["diagonal_oracle"] = kind
-        # a scan capped at k_max cannot see a witness past it: only then is the oracle asked
-        if kind != cls.kind and not (cls.kind == "good" and varieties.diagonal_dual_oracle(
-                coeffs, d, u, p).witness.ext_degree > o["kmax"]):
+        # a scan capped at k_max cannot see a witness past it: only then is the rule asked
+        if kind != cls.kind and not (cls.kind == "good" and varieties.diagonal_witness_degree(
+                coeffs, d, u, p) > o["kmax"]):
             raise InvariantViolation(f"scan said {cls.kind} but the diagonal oracle said {kind}")
     return ExperimentReport("classify-u", {"F": F.to_text(), **o}, results,
                             semi_decisions={"k_max": o["kmax"]}, seed=cfg.seed)
@@ -291,9 +291,9 @@ def _run_boxcount(cfg):
         primes = [d.p for d in data]
         window = [min(primes), max(primes)]
     hist = boxes.box_histogram(F, o["B"], cfg.budget)
-    filtered = boxes.sieve_filtered_count(f, hist, data)
     exc = boxes.exceptional_set(f, data, hist.v_max, threshold_mode=o["threshold"],
-                                budget=cfg.budget).tolist()
+                                budget=cfg.budget).tolist()  # its charge refuses before the walk
+    filtered = boxes.sieve_filtered_count(f, hist, data, cfg.budget)
     results = {
         "B": o["B"], "n": problem.n, "heights": problem.heights,
         "exact_count": filtered.exact, "sieve_count": filtered.count,

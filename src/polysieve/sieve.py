@@ -16,9 +16,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import BudgetExceeded, InvariantViolation
 from .fields import cached_field, is_prime, mult_char
 from .polynomials import UniPoly, critical_value_poly
+from .varieties import _INT64_SAFE, DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -168,27 +169,28 @@ def _critical_radius(h):
     return 1 + max((abs(c) for c in dh.coeffs), default=0)
 
 
-def h_image_table(h, n_max):
+def h_image_table(h, n_max, budget=DEFAULT_BUDGET):
     """Sorted array of {h(t) : t in Z} values with |h(t)| <= n_max.
 
-    The scan walks outward from 0 and stops once past both the window
-    and the critical zone, so no value inside the window is missed.
+    Each such t is a root of h - v for some |v| <= n_max, so |t| <= R, Fujiwara's
+    bound 2 max(|c_i / c_d|^(1/(d-i)), ((|c_0| + n_max) / (2 |c_d|))^(1/d)), rounded
+    up plus one.  The 2R + 1 points are charged first, then evaluated in blocks of 2^20:
+    in int64 where sum |c_i| R^d fits it, in Python ints otherwise.
     """
-    if h.degree < 1:
+    d = h.degree
+    if d < 1:
         raise ValueError("constant h")
-    crit = _critical_radius(h)
-    vals = []
-    for direction in (1, -1):
-        t = 0 if direction == 1 else -1
-        while True:
-            v = h.eval(t)
-            if abs(v) <= n_max:
-                vals.append(v)
-            elif abs(t) > crit:
-                break
-            t += direction
-    return np.array(sorted(set(vals)), dtype=np.int64) \
-        if vals else np.empty(0, dtype=np.int64)
+    low = [(abs(h.coeffs[0]) + n_max) / 2] + [abs(c) for c in h.coeffs[1:d]]
+    reach = math.ceil(2 * max((x / abs(h.lc)) ** (1 / (d - i)) for i, x in enumerate(low))) + 1
+    if 2 * reach + 1 > budget:
+        raise BudgetExceeded(f"image walk of {2 * reach + 1} values exceeds budget {budget}")
+    exact = np.int64 if sum(map(abs, h.coeffs)) * reach**d < _INT64_SAFE else object
+    hits = []
+    for lo in range(-reach, reach + 1, 1 << 20):
+        vals = h.eval(np.arange(lo, min(lo + (1 << 20), reach + 1), dtype=np.int64).astype(exact))
+        hits.append(vals[np.abs(vals) <= n_max].astype(np.int64))
+    vals = np.sort(np.concatenate(hits))
+    return vals[np.diff(vals, prepend=vals[:1] - 1) != 0]
 
 
 def integer_preimage_exists(h, n):
@@ -234,11 +236,12 @@ def _tail_has_root(h, n, crit, right):
     return False
 
 
-def in_h_image(h, ns, table=None):
-    """Exact membership n in h(Z), elementwise over an integer array."""
+def in_h_image(h, ns, table=None, budget=DEFAULT_BUDGET):
+    """Exact membership n in h(Z), elementwise over an integer array; the table
+    walk, where no table is given, is charged to the budget."""
     ns = np.asarray(ns, dtype=np.int64)
     if table is None:
-        table = h_image_table(h, int(np.abs(ns).max()) if ns.size else 0)
+        table = h_image_table(h, int(np.abs(ns).max()) if ns.size else 0, budget)
     if table.size == 0:
         return np.zeros(ns.shape, dtype=bool)
     idx = np.searchsorted(table, ns)
@@ -323,8 +326,10 @@ def power_sieve_rhs(d, primes, a):
     Returns first, cross and their sum: P^-1 sum a(n) + P^-2 sum over
     p != q and nontrivial order-d character pairs of |sum a(n) chi_p(n)
     conj(chi_q(n))|.  Demonstrates the failure mode when the sequence
-    violates the support condition.
+    violates the support condition.  Requires d >= 1.
     """
+    if d < 1:
+        raise ValueError(f"d={d} must be at least 1")
     P = len(primes)
     chis = {}
     for p in primes:

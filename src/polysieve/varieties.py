@@ -20,7 +20,7 @@ import numpy as np
 
 from .convolve import fold, fold_cells, wrap
 from .errors import BudgetExceeded
-from .fields import EXT_DEGREE_CAP, cached_field, is_prime
+from .fields import cached_field, is_prime, prime_factors
 from .polynomials import MultiPoly, _det_bareiss, broadcast_grid
 
 DEFAULT_BUDGET = 10**8
@@ -428,8 +428,8 @@ def dual_polynomial(m, d):
 
 def diagonal_u_classes(coeffs, d, residues, p, budget=DEFAULT_BUDGET):
     """The kind ("zero", "good" or "bad") of each row u of residues against F = sum c_i X_i^d
-    mod p, as diagonal_dual_oracle gives it: tangency at u != 0 forces x_i^e = u_i / c_i (e =
-    d - 1, x scaled), so F(x) = sum u_i x_i, and u is bad exactly when D_{m,d}(a) = 0 mod p,
+    mod p: tangency at u != 0 forces x_i^e = u_i / c_i (e = d - 1, x scaled), so
+    F(x) = sum u_i x_i, and u is bad exactly when D_{m,d}(a) = 0 mod p,
     a_i = u_i^d / c_i (dual_polynomial), for every prime p prime to d prod c_i, p | e included,
     as root multisets reduce mod p.  D's build, then its monomials times the rows, are charged
     first; the rows take one numpy pass, a lone row Python ints.
@@ -461,75 +461,33 @@ def diagonal_u_classes(coeffs, d, residues, p, budget=DEFAULT_BUDGET):
     return np.array(["zero", "good", "bad"])[np.where(u.any(1), 1 + (vals.sum(0) % p == 0), 0)]
 
 
-def diagonal_dual_oracle(coeffs, d, u, p):
-    """Exact tangency classification for the diagonal form sum c_i X_i^d.
+def diagonal_witness_degree(coeffs, d, u, p):
+    """The degree r of the least F_{p^r} that holds every tangency point of u != 0 mod p
+    against F = sum c_i X_i^d, in closed form: integer arithmetic, no field table.
 
-    For d = 2 this is the closed-form criterion sum u_i^2 / c_i = 0 mod p.
-    For d > 2 the tangency system reduces to x_i^(d-1) = b_i with one
-    shared scale; the witness field is found exactly and all root
-    combinations are enumerated.  Requires p coprime to d and all c_i.
+    Scaled to x_i0 = 1 (i0 the first i with u_i != 0), a tangency point has x_i = 0 where
+    u_i = 0 and x_i^e = b_i = c_i0 u_i / (u_i0 c_i) elsewhere, e = d - 1.  With e = p^a e',
+    p prime to e', and x -> x^p a bijection fixing b_i, that is x_i^e' = b_i, and all e'
+    roots lie in F_{p^r} exactly when e' ord_p(b_i) divides p^r - 1.  So r is the order of
+    p mod L = e' lcm_i ord_p(b_i), at most e' as p = 1 mod each ord_p(b_i).
     """
-    m = len(coeffs)
-    if len(u) != m:
+    cred, ured = [int(c) % p for c in coeffs], [int(x) % p for x in u]
+    if d < 2 or d % p == 0 or not all(cred) or not is_prime(p):
+        raise ValueError("need p coprime to d and to every coefficient, p prime and d >= 2")
+    if len(ured) != len(cred):
         raise ValueError("u arity mismatch")
-    cred = [int(c) % p for c in coeffs]
-    if d % p == 0 or any(c == 0 for c in cred):
-        raise ValueError("need p coprime to d and to every coefficient")
-    ured = [int(c) % p for c in u]
-    if all(c == 0 for c in ured):
-        return UClass("zero")
-    if d == 2:
-        s = sum(ui * ui * pow(ci, p - 2, p) for ui, ci in zip(ured, cred)) % p
-        if s == 0:
-            # witness in F_p itself: x_i = u_i / (2 c_i)
-            inv2 = pow(2, p - 2, p)
-            pt = tuple(ui * pow(ci, p - 2, p) * inv2 % p
-                       for ui, ci in zip(ured, cred))
-            return UClass("bad", Witness(1, pt))
-        return UClass("good")
-    # d > 2: indices with u_i != 0 carry x_i^(d-1) = b_i, others are 0
-    live = [i for i, c in enumerate(ured) if c]
-    i0 = live[0]
-    b = {}
-    for i in live[1:]:
-        b[i] = (cred[i0] * ured[i] % p) * pow(ured[i0] * cred[i] % p, p - 2, p) % p
+    live = [i for i, x in enumerate(ured) if x]
+    if not live:
+        raise ValueError("u = 0 mod p has no tangency points")
     e = d - 1
-    ords = {i: (p - 1) // math.gcd(cached_field(p).dlog(bi), p - 1) for i, bi in b.items()}
-    r = None
-    for cand in range(1, EXT_DEGREE_CAP + 1):
-        qq = p**cand - 1
-        if qq % e:
-            continue
-        if all(qq // e % ords[i] == 0 for i in b):
-            r = cand
-            break
-    if r is None:
-        raise ValueError(f"witness field exceeds the degree cap {EXT_DEGREE_CAP}")
-    field = cached_field(p, r)
-    qm1 = field.q - 1
-    zeta = field.exp_table[qm1 // e] if e > 1 else 1
-    roots = {}
-    for i, bi in b.items():
-        L = int(field.log_table[bi])
-        base = int(field.exp_table[(L // e) % qm1]) if L % e == 0 else None
-        if base is None:  # L is divisible by e by choice of r
-            raise RuntimeError("inconsistent root extraction")
-        roots[i] = [base]
-        for _ in range(e - 1):
-            roots[i].append(int(field.mul(roots[i][-1], zeta)))
-    # check sum_{i in live} u_i x_i = 0 over all root combinations
-    combos = [()]
+    while e % p == 0:
+        e //= p
+    i0, orders = live[0], [1]
     for i in live[1:]:
-        combos = [c + (x,) for c in combos for x in roots[i]]
-    for combo in combos:
-        acc = field.embed(ured[i0])  # x_{i0} = 1
-        for i, x in zip(live[1:], combo):
-            acc = field.add(acc, field.mul(x, field.embed(ured[i])))
-        if acc == 0:
-            pt = [0] * m
-            pt[i0] = 1
-            for i, x in zip(live[1:], combo):
-                pt[i] = int(x)
-            return UClass("bad", Witness(r, tuple(pt)))
-    return UClass("good")
-
+        b = cred[i0] * ured[i] * pow(ured[i0] * cred[i], -1, p) % p
+        orders.append(p - 1)
+        for q in prime_factors(p - 1):
+            while orders[-1] % q == 0 and pow(b, orders[-1] // q, p) == 1:
+                orders[-1] //= q
+    L = e * math.lcm(*orders)
+    return next(r for r in range(1, e + 1) if pow(p, r, L) == 1 % L)

@@ -397,6 +397,83 @@ def classify_u_direct(F_terms, n_vars, u, fields):
     return "good", None, None
 
 
+def diagonal_dual_oracle(coeffs, d, u, p):
+    """Exact tangency classification for the diagonal form sum c_i X_i^d.
+
+    For d = 2 this is the closed-form criterion sum u_i^2 / c_i = 0 mod p.
+    For d > 2 the tangency system reduces to x_i^(d-1) = b_i with one
+    shared scale; the witness field is found exactly and all root
+    combinations are enumerated over the library's F_{p^r} tables.  Requires
+    p coprime to d and all c_i, and finds the witness field only where p
+    does not divide d - 1.
+    """
+    from polysieve.fields import EXT_DEGREE_CAP, cached_field
+    from polysieve.varieties import UClass, Witness
+
+    m = len(coeffs)
+    if len(u) != m:
+        raise ValueError("u arity mismatch")
+    cred = [int(c) % p for c in coeffs]
+    if d % p == 0 or any(c == 0 for c in cred):
+        raise ValueError("need p coprime to d and to every coefficient")
+    ured = [int(c) % p for c in u]
+    if all(c == 0 for c in ured):
+        return UClass("zero")
+    if d == 2:
+        s = sum(ui * ui * pow(ci, p - 2, p) for ui, ci in zip(ured, cred)) % p
+        if s == 0:
+            # witness in F_p itself: x_i = u_i / (2 c_i)
+            inv2 = pow(2, p - 2, p)
+            pt = tuple(ui * pow(ci, p - 2, p) * inv2 % p
+                       for ui, ci in zip(ured, cred))
+            return UClass("bad", Witness(1, pt))
+        return UClass("good")
+    # d > 2: indices with u_i != 0 carry x_i^(d-1) = b_i, others are 0
+    live = [i for i, c in enumerate(ured) if c]
+    i0 = live[0]
+    b = {}
+    for i in live[1:]:
+        b[i] = (cred[i0] * ured[i] % p) * pow(ured[i0] * cred[i] % p, p - 2, p) % p
+    e = d - 1
+    ords = {i: (p - 1) // math.gcd(cached_field(p).dlog(bi), p - 1) for i, bi in b.items()}
+    r = None
+    for cand in range(1, EXT_DEGREE_CAP + 1):
+        qq = p**cand - 1
+        if qq % e:
+            continue
+        if all(qq // e % ords[i] == 0 for i in b):
+            r = cand
+            break
+    if r is None:
+        raise ValueError(f"witness field exceeds the degree cap {EXT_DEGREE_CAP}")
+    field = cached_field(p, r)
+    qm1 = field.q - 1
+    zeta = field.exp_table[qm1 // e] if e > 1 else 1
+    roots = {}
+    for i, bi in b.items():
+        L = int(field.log_table[bi])
+        base = int(field.exp_table[(L // e) % qm1]) if L % e == 0 else None
+        if base is None:  # L is divisible by e by choice of r
+            raise RuntimeError("inconsistent root extraction")
+        roots[i] = [base]
+        for _ in range(e - 1):
+            roots[i].append(int(field.mul(roots[i][-1], zeta)))
+    # check sum_{i in live} u_i x_i = 0 over all root combinations
+    combos = [()]
+    for i in live[1:]:
+        combos = [c + (x,) for c in combos for x in roots[i]]
+    for combo in combos:
+        acc = field.embed(ured[i0])  # x_{i0} = 1
+        for i, x in zip(live[1:], combo):
+            acc = field.add(acc, field.mul(x, field.embed(ured[i])))
+        if acc == 0:
+            pt = [0] * m
+            pt[i0] = 1
+            for i, x in zip(live[1:], combo):
+                pt[i] = int(x)
+            return UClass("bad", Witness(r, tuple(pt)))
+    return UClass("good")
+
 # ---------------------------------------------------------------------------
 # full-grid complete sums and dense transform kernels (numpy, no grouping)
 

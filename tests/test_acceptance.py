@@ -22,10 +22,9 @@ from polysieve.sieve import (SieveConfig, build_prime_data,
                              sieve_bound_eval)
 from polysieve.tracefn import (constant_trace, kloosterman, pullback_power,
                                second_moment)
-from polysieve.varieties import (classify_u, diagonal_dual_oracle,
-                                 fiber_histogram)
+from polysieve.varieties import classify_u, fiber_histogram
 
-from _oracles import box_count_per_point
+from _oracles import box_count_per_point, diagonal_dual_oracle
 
 F_QUADRIC = parse_multipoly("X0^2+X1^2+X2^2")
 F_CUBIC = parse_multipoly("X0^3+X1^3+X2^3")

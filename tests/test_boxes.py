@@ -21,11 +21,10 @@ from polysieve.fields import ExtField, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly, parse_unipoly
 from polysieve.sieve import build_prime_data, h_image_table, in_h_image
 from polysieve.tracefn import TraceFunction, constant_trace, kloosterman
-from polysieve.varieties import diagonal_dual_oracle
 
 from _oracles import (box_count_direct, box_count_per_point, box_histogram_direct,
                       complete_sum_grid, complete_sum_table, crt_lhs_grid,
-                      integer_root_of, poisson_dual_grid)
+                      diagonal_dual_oracle, integer_root_of, poisson_dual_grid)
 
 F_QUADRIC = parse_multipoly("X0^2+X1^2+X2^2")
 F_CUBIC = parse_multipoly("X0^3+X1^3+X2^3")
@@ -259,7 +258,8 @@ class TestValueTable:
     def test_lookup_agrees_with_root_isolation(self):
         # spec invariant: table lookups match direct integer-root solving
         rng = np.random.default_rng(4)
-        for f_text in ("T^2", "T^3", "T^3-3*T", "2*T^3+1", "T^4+T"):
+        for f_text in ("T^2", "T^3", "T^3-3*T", "2*T^3+1", "T^4+T", "T^2-1000000",
+                       "-T^3+T+20000"):  # the last two come back to the window far out
             f = parse_unipoly(f_text)
             table = h_image_table(f, 25000)
             vals = rng.integers(-25000, 25001, size=2500)
@@ -269,6 +269,16 @@ class TestValueTable:
                 assert (root is not None) == bool(hit), (f_text, v)
                 if root is not None:
                     assert f.eval(root) == v
+
+    def test_counts_charge_the_image_walk(self):
+        # v_max = 300: T^2 is walked over |t| <= ceil(2 sqrt(300 / 2)) + 1 = 26
+        f, hist = parse_unipoly("T^2"), box_histogram(F_QUADRIC, 10)
+        with pytest.raises(BudgetExceeded, match="image walk of 53 values"):
+            exact_count(f, hist, budget=52)
+        with pytest.raises(BudgetExceeded, match="image walk of 53 values"):
+            sieve_filtered_count(f, hist, [], budget=52)
+        assert exact_count(f, hist, budget=53) == sieve_filtered_count(f, hist, [], 53).count \
+            == per_point_count(f, F_QUADRIC, 10)
 
 
 class TestSieveFilteredCount:
@@ -772,16 +782,28 @@ class TestGroupedSums:
                 crt_factor_check(F, (1, 2, 3), 5, 7, trace_on("kl", 5), trace_on("kl", 7),
                                  budget=35**2)
             with pytest.raises(BudgetExceeded):
-                # box 9^3; window pass 7 pairs * 7^2; X0*X1 absorbs the s-sum,
-                # (5^2 + 5) * 5 and (7^2 + 7) * 7; X2^2 rows 5 * 5 and 7 * 7: 1688
+                # grids 9^2 + 9, fold pairs min(81, 35) * 9; window pass 7 pairs * 7^2;
+                # X0*X1 absorbs the s-sum, (5^2 + 5) * 5 and (7^2 + 7) * 7; X2^2 rows
+                # 5 * 5 and 7 * 7: 1364
                 poisson_compare(F, 5, 7, trace_on("kl", 5), trace_on("kl", 7), B=4,
-                                u_cutoff=3, budget=1687)
+                                u_cutoff=3, budget=1363)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**16  # refused before any grid was built
         poisson_compare(F, 5, 7, trace_on("kl", 5), trace_on("kl", 7), B=4,
-                        u_cutoff=3, budget=1688)
+                        u_cutoff=3, budget=1364)
+
+    def test_budget_bounds_the_fold_pairs(self, monkeypatch):
+        # four groups of 121 points mod 143: the charge bounds the folds at 121 * 121
+        # and 143 * 121 pairs, not at the 121^4 points of the box
+        pairs, real = [], boxes._fold
+        monkeypatch.setattr(boxes, "_fold",
+                            lambda a, b: pairs.append(len(a[0]) * len(b[0])) or real(a, b))
+        F = parse_multipoly("X0^2+X1^2+X2^2+X3^2")
+        poisson_compare(F, 11, 13, trace_on("chi", 11), trace_on("chi", 13), B=60, u_cutoff=4)
+        assert len(pairs) == 3 and sum(pairs) == 27120
+        assert all(n <= bound for n, bound in zip(pairs, [121 * 121, 143 * 121, 143 * 121]))
 
     @pytest.mark.parametrize("form, p, q, cutoff", [
         ("X0*X1+X2*X3+X2^2", 3, 5, 2),   # two groups of two: one absorbs, one gives rows

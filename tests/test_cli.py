@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 import polysieve
-from polysieve import boxes, cli, varieties
+from polysieve import boxes, cli, sieve, varieties
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.polynomials import parse_multipoly
 from polysieve.reports import ExperimentReport, load_report, report_json, strip_timings
 
-from _oracles import jsonable
+from _oracles import diagonal_dual_oracle, jsonable
 
 SRC = str(Path(polysieve.__file__).resolve().parents[1])
 
@@ -187,12 +187,23 @@ class TestSubcommands:
         assert (out["results"]["class"], out["results"]["diagonal_oracle"]) == ("bad", "bad")
         assert out["results"]["witness"]["ext_degree"] == 2
 
+    def test_classify_u_witness_degree_where_p_divides_d_minus_1(self, capsys):
+        # d - 1 = 6 at p = 2: x^6 = 1 means x^3 = 1, whose roots lie over F_4
+        argv = ["classify-u", "--F", "X0^7+X1^7+X2^7", "--u", "1,1,1", "--p", "2"]
+        assert run([*argv, "--kmax", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["results"]["class"], out["results"]["diagonal_oracle"]) == ("good", "bad")
+        assert run([*argv, "--kmax", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["results"]["class"], out["results"]["diagonal_oracle"]) == ("bad", "bad")
+        assert out["results"]["witness"]["ext_degree"] == 2
+
     @pytest.mark.parametrize("p", ["1013", "1019"])
     def test_classify_u_cross_check_past_the_table_cap(self, p, capsys, monkeypatch):
         # F_{p^2} has over 10^6 elements: the dual polynomial needs no field,
-        # and the oracle is asked for a witness degree only on a disagreement
-        monkeypatch.setattr(varieties, "diagonal_dual_oracle",
-                            lambda *a: pytest.fail("the cross-check called the oracle"))
+        # and the witness degree is asked for only on a disagreement
+        monkeypatch.setattr(varieties, "diagonal_witness_degree",
+                            lambda *a: pytest.fail("the cross-check called the rule"))
         assert run(["classify-u", "--F", "X0^3+X1^3+X2^3", "--u", "1,2,3", "--p", p]) == 0
         out = json.loads(capsys.readouterr().out)
         assert (out["results"]["class"], out["results"]["diagonal_oracle"]) == ("good", "good")
@@ -251,11 +262,19 @@ class TestSubcommands:
         # the exact and the sieve count come from one membership test of the box values
         calls = []
         real = boxes.in_h_image
-        monkeypatch.setattr(boxes, "in_h_image", lambda *a: calls.append(1) or real(*a))
+        monkeypatch.setattr(boxes, "in_h_image",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
         assert run(["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2", "--B", "15"]) == 0
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["exact_count"] == res["sieve_count"]
         assert len(calls) == 1
+
+    def test_boxcount_refuses_a_huge_range_before_the_image_walk(self, capsys, monkeypatch):
+        # v_max = 9 * 10^13 + 18: the exceptional set's 2 v_max + 1 charge comes first
+        monkeypatch.setattr(sieve, "h_image_table", lambda *a: pytest.fail("walked f(Z)"))
+        assert run(["boxcount", "--f", "T^2", "--F", "10000000000000*X0^2+X1^2+X2^2",
+                    "--B", "3"]) == 1
+        assert "2 * v_max + 1 = 180000000000037 exceeds budget" in capsys.readouterr().err
 
     def test_boxcount_auto_primes_use_the_selection_data(self, capsys, monkeypatch):
         # the auto window's prime data come from select_primes, not built again
@@ -324,6 +343,12 @@ class TestSubcommands:
                     "--q", "5", "--B", "8", "--cutoff", "6"]) == 0
 
 
+    def test_poisson_check_charges_the_grids_not_the_box(self, capsys):
+        # 121^4 box points, but 4 * 121 grid points and 49,247 fold pairs at most
+        assert run(["poisson-check", "--F", "X0^2+X1^2+X2^2+X3^2", "--p", "11", "--q", "13",
+                    "--B", "60", "--cutoff", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["u_cutoff"] == 4
+
     @pytest.mark.parametrize("F", ["X0^2+3*X1^2+X2^2", "X0^3+X1^3+X2^3"])
     def test_poisson_tally_refuses_p_dividing_d_or_a_coefficient(self, F, capsys):
         assert run(["poisson-check", "--F", F, "--p", "3", "--q", "5", "--B", "4",
@@ -336,10 +361,9 @@ class TestSubcommands:
     ])
     def test_poisson_tally_once_per_residue_class(self, F, coeffs, d, capsys,
                                                   monkeypatch):
-        # the tally classifies each residue vector by the dual polynomial, never the oracle
-        oracle = varieties.diagonal_dual_oracle
-        monkeypatch.setattr(varieties, "diagonal_dual_oracle",
-                            lambda *a: pytest.fail("the tally called the oracle"))
+        # the tally classifies each residue vector by the dual polynomial alone
+        monkeypatch.setattr(varieties, "diagonal_witness_degree",
+                            lambda *a: pytest.fail("the tally called the witness-degree rule"))
         assert run(["poisson-check", "--F", F, "--p", "5", "--q", "7", "--B", "6",
                     "--cutoff", "10"]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
@@ -348,7 +372,7 @@ class TestSubcommands:
             # the per-vector loop over [-8, 8]^3
             expected = {"zero": 0, "good": 0, "bad": 0}
             for u in itertools.product(span, repeat=3):
-                expected[oracle(coeffs, d, u, prime).kind] += 1
+                expected[diagonal_dual_oracle(coeffs, d, u, prime).kind] += 1
             assert results[f"u_class_tally_mod_{prime}"] == expected
 
     @pytest.mark.parametrize("argv", [

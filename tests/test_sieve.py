@@ -5,6 +5,7 @@ import pytest
 
 from polysieve import sieve
 from polysieve.boxes import exceptional_set
+from polysieve.errors import BudgetExceeded
 from polysieve.fields import ExtField, mult_char, primes_in
 from polysieve.polynomials import parse_unipoly
 from polysieve.sieve import (SieveConfig, SievePrimeData, build_prime_data,
@@ -118,6 +119,13 @@ class TestPowerDecomposition:
         with pytest.raises(ValueError, match="at least 1"):
             power_decomposition_check(d, 7)
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_power_sieve_rhs_refuses_nonpositive_order(self, d, monkeypatch):
+        monkeypatch.setattr("polysieve.sieve.cached_field",
+                            lambda *a: pytest.fail("a field was built"))
+        with pytest.raises(ValueError, match="at least 1"):
+            power_sieve_rhs(d, [5, 7], {1: 1.0})
+
     def test_detector_character_consistency(self):
         # for h = T^d on units: D_p(n) = (1/d) sum_{chi != 1} chi(n) + (1-d)/(dp)
         for d, p in ((2, 13), (3, 13), (4, 17), (5, 11)):
@@ -181,6 +189,25 @@ class TestImageTables:
     def test_squares(self):
         table = h_image_table(parse_unipoly("T^2"), 100)
         assert list(table) == [k * k for k in range(11)]
+
+    @pytest.mark.parametrize("text, n_max, want", [
+        ("T^2-7", 10, [-7, -6, -3, 2, 9]),
+        ("T^2-1000000000000", 100, [0]),  # h(10^6) = 0, far past the critical radius 3
+        ("-T^3+T+1000000", 100, [100]),   # h(100) = 100
+    ])
+    def test_walk_reaches_past_the_critical_radius(self, text, n_max, want):
+        assert h_image_table(parse_unipoly(text), n_max).tolist() == want
+
+    def test_walk_is_charged_before_it_starts(self, monkeypatch):
+        # Fujiwara: every t with |t^2| <= 10^4 has |t| <= ceil(2 sqrt(10^4 / 2)) + 1 = 143
+        h = parse_unipoly("T^2")
+        with monkeypatch.context() as m:
+            m.setattr(type(h), "eval", lambda *a: pytest.fail("walked before the charge"))
+            with pytest.raises(BudgetExceeded, match="image walk of 287 values"):
+                h_image_table(h, 10**4, budget=286)
+            with pytest.raises(BudgetExceeded, match="image walk of 287 values"):
+                in_h_image(h, np.array([10**4]), budget=286)
+        assert h_image_table(h, 10**4, budget=287).tolist() == [k * k for k in range(101)]
 
     def test_matches_direct_scan(self):
         h = parse_unipoly("T^3-3*T")

@@ -14,13 +14,13 @@ from polysieve.fields import cached_field, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly
 from polysieve.varieties import (DEFAULT_BUDGET, ScanResult, UClass, Witness, _certify,
                                  _kernel_basis, _smoothness_walk, classify_u, complete_sums,
-                                 diagonal_dual_oracle, diagonal_u_classes, dual_polynomial,
+                                 diagonal_u_classes, diagonal_witness_degree, dual_polynomial,
                                  fiber_histogram, group_pushforwards, mixed_sum,
                                  smoothness_scan)
 
 from _oracles import (TupleField, classify_u_direct, complete_sum_table,
-                      fiber_histogram_direct, mixsum_grid, pair_fiber_histogram_grid,
-                      smoothness_scan_direct)
+                      diagonal_dual_oracle, fiber_histogram_direct, mixsum_grid,
+                      pair_fiber_histogram_grid, smoothness_scan_direct)
 
 
 class TestFiberCounts:
@@ -719,6 +719,17 @@ class TestMacaulayCertificate:
             assert classify_u(F, u, p, k_max) == section_walk(F, u, p, k_max)
 
 
+@st.composite
+def witness_degree_cases(draw):
+    """(coeffs, d, rows, p): m in 2..4, d in 2..5, p <= 23 prime to d (d - 1) and every c_i."""
+    m, d = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    p = draw(st.sampled_from([q for q in primes_in(2, 23) if d * (d - 1) % q]))
+    coeffs = draw(st.lists(st.integers(-40, 40).filter(lambda c: c % p), min_size=m, max_size=m))
+    rows = draw(st.lists(st.lists(st.integers(-60, 60), min_size=m, max_size=m),
+                         min_size=1, max_size=12))
+    return coeffs, d, rows, p
+
+
 class TestDiagonalOracle:
     def test_spec_examples(self):
         assert diagonal_dual_oracle([1, 1, 1], 2, (1, 2, 0), 5).kind == "bad"
@@ -766,6 +777,50 @@ class TestDiagonalOracle:
             scan = classify_u(F, u, p, k_max=2)
             oracle = diagonal_dual_oracle(coeffs, d, u, p)
             assert scan.kind == oracle.kind, (p, d, coeffs, u)
+
+    @settings(max_examples=120, deadline=None)
+    @given(witness_degree_cases())
+    @example(([1, 1, 1, 1], 3, [[-2, -2, -1, -1]], 5))  # the witness lies over F_25 only
+    @example(([1, 1, 1, 1, 1], 5, [[1, 2, 3, 4, 5], [1, 1, 1, 1, 3]], 3))
+    def test_witness_degree_equals_the_oracle(self, case):
+        coeffs, d, rows, p = case
+        for u in rows:
+            cls = diagonal_dual_oracle(coeffs, d, u, p)
+            if cls.kind == "bad":
+                assert diagonal_witness_degree(coeffs, d, u, p) == cls.witness.ext_degree
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(3, 2), (4, 3), (5, 2), (7, 2), (7, 3)]),
+           st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+           st.lists(st.integers(-20, 20), min_size=3, max_size=3))
+    @example((7, 2), [1, 1, 1], [1, 1, 1])  # x^6 = 1 means x^3 = 1: F_4
+    @example((7, 3), [1, 1, 1], [1, 1, -1])
+    def test_witness_degree_where_p_divides_d_minus_1(self, dp, coeffs, u):
+        # the oracle refuses p | d - 1; a walk capped at the rule's degree finds a witness
+        d, p = dp
+        if any(c % p == 0 for c in coeffs) or diagonal_u_classes(coeffs, d, [u], p)[0] != "bad":
+            return
+        r = diagonal_witness_degree(coeffs, d, u, p)
+        assert r <= 4
+        F = MultiPoly(3, {tuple(d * (i == j) for j in range(3)): c for i, c in enumerate(coeffs)})
+        assert classify_u(F, u, p, k_max=r).kind == "bad"
+
+    @pytest.mark.parametrize("coeffs, d, u, p, r", [
+        ([1, 1, 1], 2, (1, 2, 0), 5, 1),        # a quadric's witness is F_p-rational
+        ([1, 1, 1, 1], 3, (-2, -2, -1, -1), 5, 2),
+        ([1, 1, 1], 7, (1, 1, 1), 2, 2),        # e = 6 = 2 * 3: x^3 = 1 needs F_4
+        ([1, 1, 1], 4, (1, 1, 1), 3, 1),        # e = 3 = p: x^3 = 1 has the one root 1
+    ])
+    def test_witness_degree_examples(self, coeffs, d, u, p, r):
+        assert diagonal_witness_degree(coeffs, d, u, p) == r
+
+    @pytest.mark.parametrize("coeffs, d, u, p", [
+        ([1, 5, 1], 2, (1, 1, 1), 5), ([1, 1, 1], 3, (1, 1, 1), 3), ([1, 1, 1], 3, (1, 1, 1), 4),
+        ([1, 1, 1], 1, (1, 1, 1), 5), ([1, 1, 1], 3, (1, 1), 5), ([1, 1, 1], 3, (5, 0, 10), 5),
+    ])
+    def test_witness_degree_refuses(self, coeffs, d, u, p):
+        with pytest.raises(ValueError):
+            diagonal_witness_degree(coeffs, d, u, p)
 
 
 @st.composite
