@@ -8,6 +8,8 @@ the sieve inequality checkable with an explicit constant.
 
 import math
 
+import numpy as np
+
 from polysieve import (SieveConfig, build_prime_data, detector,
                        membership_filter, multiplicity_weight, parse_unipoly,
                        power_sieve_rhs, primes_in, sieve_bound_eval)
@@ -18,7 +20,7 @@ for p in (7, 11, 13):
     data = build_prime_data(h, p)
     print(f"p={p:<3} |h(F_p)|={data.image_size:<3} "
           f"bound p-(p-1)/d={p - (p-1)/3:<6.2f} tight={data.bound_tight}  "
-          f"critical values in F_p: {sorted(data.exceptional)}")
+          f"critical values in F_p: {np.flatnonzero(data.exceptional).tolist()}")
 
 print("\n=== detector values ===")
 d7 = build_prime_data(parse_unipoly("T^2"), 7)

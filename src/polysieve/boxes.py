@@ -27,7 +27,7 @@ from .convolve import fold, fold_cells
 from .errors import BudgetExceeded, InvariantViolation
 from .fields import prime_factors, primes_in
 from .polynomials import MultiPoly, UniPoly, broadcast_grid, discriminant_uni
-from .sieve import build_prime_data, in_h_image, sieve_threshold
+from .sieve import in_h_image, membership_filter, pick_primes, sieve_threshold
 from .varieties import (_INT64_SAFE, DEFAULT_BUDGET, _sums_plan, _variable_groups,
                         complete_sums, fiber_histogram, smoothness_scan)
 
@@ -190,9 +190,7 @@ def sieve_filtered_count(f, hist, prime_data, budget=DEFAULT_BUDGET):
     over Z survive every prime), so count equals the exact count, which
     the result also carries (exact); this is asserted.
     """
-    keep = np.ones(len(hist.values), dtype=bool)
-    for data in prime_data:
-        keep &= data.image[hist.values % data.p]
+    keep = membership_filter(prime_data, hist.values)
     hit = in_h_image(f, hist.values, budget=budget)
     total = hist.total_points
     survivors = int(hist.counts[keep].sum())
@@ -231,34 +229,21 @@ def select_primes(problem, k_max=2, budget=DEFAULT_BUDGET):
     expo = (n + 1) / (n + 2)
     q_param = B**expo * math.log(B) ** (1 / (n + 2))
     lo, hi = math.ceil(q_param), math.floor(2 * q_param)
-    candidates = [p for p in primes_in(lo, hi) if p > problem.f.degree]
+    detecting, skipped = pick_primes(problem.f, primes_in(max(lo, problem.f.degree + 1), hi))
     diag = problem.F.as_diagonal()
-    semi = diag is None
-    picked = []
-    skipped = {}
-    for p in candidates:
-        try:
-            data = build_prime_data(problem.f, p)
-        except ValueError as exc:
-            skipped[p] = f"degenerate: {exc}"
-            continue
-        if data.surjective:
-            skipped[p] = "f surjective"
-            continue
-        if diag is not None:
-            coeffs, d = diag
-            good = (d % p != 0) and all(c % p for c in coeffs)
+    for p in [data.p for data in detecting]:
+        if diag is not None:  # good exactly where p divides neither d nor a coefficient
+            good = all(c % p for c in (*diag[0], diag[1]))
         else:
             good = smoothness_scan(problem.F.reduce_mod(p), p, k_max, budget).smooth
         if not good:
             skipped[p] = "bad reduction"
-            continue
-        picked.append(data)
+    picked = tuple(data for data in detecting if data.p not in skipped)
     if not picked:
         raise ValueError(
             f"no usable primes in the window [{lo}, {hi}]; widen B or pass primes")
-    return PrimeSelection(tuple(d.p for d in picked), q_param, (lo, hi), semi, k_max, skipped,
-                          tuple(picked))
+    return PrimeSelection(tuple(d.p for d in picked), q_param, (lo, hi), diag is None, k_max,
+                          dict(sorted(skipped.items())), picked)
 
 
 def exceptional_set(f, prime_data, v_max, threshold_mode="lemma",
@@ -267,18 +252,16 @@ def exceptional_set(f, prime_data, v_max, threshold_mode="lemma",
 
     Returns the sorted int64 array of k in [-M, M] with
     #{p : k mod p in S_{f,p}} >= threshold, M = v_max, the largest |F|
-    over the box (BoxHistogram.v_max).  Per prime, a length-p table of the
-    exceptional residues is tiled over the range, starting at -M mod p.
+    over the box (BoxHistogram.v_max).  Per prime, the exceptional bitmap is
+    tiled over the range, starting at -M mod p.
     """
     size = 2 * v_max + 1
     if size > budget:
         raise BudgetExceeded(f"2 * v_max + 1 = {size} exceeds budget {budget}")
     threshold = sieve_threshold(len(prime_data), f.degree, threshold_mode)
     counts = np.zeros(size, dtype=np.int32)  # one per prime at most
-    for data in prime_data:
-        table = np.zeros(data.p, dtype=bool)
-        table[list(data.exceptional)] = True
-        counts += np.resize(np.roll(table, v_max), size)  # entry i is table[(i - M) % p]
+    for data in prime_data:  # entry i is exceptional[(i - M) % p]
+        counts += np.resize(np.roll(data.exceptional, v_max), size)
     return np.flatnonzero(counts >= threshold) - v_max
 
 
@@ -471,6 +454,8 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, budget=DEFAULT_BUDGET):
     fold's pairs (at most min(points so far, pq) times min(group points,
     pq)), the tables and the passes are charged to the budget up front.
     """
+    if p == q:
+        raise ValueError("p and q must be distinct")
     m = F.n_vars
     W = SmoothWeight(B)
     N = p * q

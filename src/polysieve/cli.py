@@ -64,6 +64,8 @@ def _positive_int(text):
 
 
 def _cutoff(text):
+    if text != "auto" and int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be auto or at least 0, got {text}")
     return None if text == "auto" else int(text)
 
 
@@ -75,14 +77,7 @@ def _resolve_primes(policy, h, pmax):
     then refuses one on which h is onto F_p.
     """
     if policy == "auto":
-        out = []
-        for p in primes_in(h.degree + 1, pmax):
-            try:
-                data = sieve.build_prime_data(h, p)
-            except ValueError:
-                continue
-            if not data.surjective:
-                out.append(data)
+        out, _ = sieve.pick_primes(h, primes_in(h.degree + 1, pmax))
         if not out:
             raise ValueError(f"no non-surjective primes for h up to {pmax}")
         return out
@@ -204,7 +199,7 @@ def _run_sieve_detect(cfg):
         bound = data.p - (data.p - 1) / data.d
         rows.append({
             "p": data.p, "image_size": data.image_size,
-            "exceptional": ";".join(str(x) for x in sorted(data.exceptional)),
+            "exceptional": ";".join(map(str, np.flatnonzero(data.exceptional))),
             "bound_tight": data.bound_tight,
             "image_bound": bound,
             "bound_slack": bound - data.image_size,
@@ -214,14 +209,10 @@ def _run_sieve_detect(cfg):
     tables = {"primes": rows}
     if o.get("n"):
         ns = _int_list(o["n"])
-        det_rows = []
-        for n in ns:
-            det_rows.append({
-                "n": n,
-                **{f"D_{d.p}": sieve.detector(d, n) for d in data_list},
-                "member": sieve.membership_filter(data_list, n),
-            })
-        tables["detectors"] = det_rows
+        cols = {f"D_{d.p}": sieve.detector(d, ns).tolist() for d in data_list}
+        cols["member"] = sieve.membership_filter(data_list, ns).tolist()
+        tables["detectors"] = [{"n": n, **{k: v[i] for k, v in cols.items()}}
+                               for i, n in enumerate(ns)]
     return ExperimentReport("sieve-detect", dict(o), results, tables=tables,
                             seed=cfg.seed)
 
@@ -351,8 +342,8 @@ def _run_crt_check(cfg):
     F = parse_multipoly(o["F"]) if o.get("F") else None
     rows = []
     if o.get("u"):
-        if F is None:
-            raise ValueError("explicit crt-check needs --F")
+        if F is None or o["p"] is None or o["q"] is None:
+            raise ValueError("explicit crt-check needs --F, --p and --q")
         u = _int_list(o["u"])
         p, q = o["p"], o["q"]
         t_p = _trace_for(o["trace"], p)
@@ -363,6 +354,8 @@ def _run_crt_check(cfg):
     else:
         rng = np.random.default_rng(cfg.seed)
         ps = primes_in(3, o["pmax"])
+        if len(ps) < 2:
+            raise ValueError(f"fewer than two primes up to pmax = {o['pmax']}")
         for _ in range(o["draws"]):
             p, q = map(int, rng.choice(ps, size=2, replace=False))
             Fr = MultiPoly(2, {(2, 0): int(rng.integers(1, 5)),
@@ -488,7 +481,7 @@ def build_parser():
     sp.add_argument("--q", type=int)
     sp.add_argument("--u")
     sp.add_argument("--trace", default="chi:2:1")
-    sp.add_argument("--draws", type=int, default=50)
+    sp.add_argument("--draws", type=_positive_int, default=50)
     sp.add_argument("--pmax", type=int, default=31)
     return parser
 

@@ -282,6 +282,14 @@ def gather(table, idx):
     return table.take(idx, mode="clip", out=idx if np.ndim(idx) else None)
 
 
+def _residues(x, p):
+    """x mod p as int64, elementwise: an integer array is cast and reduced; an int, a
+    list or an object array is reduced exactly first, so it may hold ints past int64."""
+    if getattr(x, "dtype", object) == object:
+        x = np.asarray(x, dtype=object) % p
+    return np.asarray(x, dtype=np.int64) % p
+
+
 @lru_cache(maxsize=64)
 def lane_tables(field):
     """(pack, unpack, repack): base-p digit i of an element in lane i, base 2p.

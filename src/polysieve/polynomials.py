@@ -15,7 +15,7 @@ from collections import Counter
 import numpy as np
 
 from .errors import PolyParseError
-from .fields import exponent_tables, gather, is_prime, lane_tables
+from .fields import _residues, exponent_tables, gather, is_prime, lane_tables
 
 
 def _red(c, ring):
@@ -94,13 +94,6 @@ class UniPoly:
     def to_text(self):
         return _poly_text([((i,), c) for i, c in enumerate(self.coeffs) if c],
                           names=lambda e: "T" if e else None)
-
-    def roots_mod(self):
-        """All roots in F_p (ring must be a prime p)."""
-        if self.ring is None:
-            raise ValueError("roots_mod needs a mod-p polynomial")
-        xs = np.arange(self.ring, dtype=np.int64)
-        return set(int(x) for x in xs[self.eval(xs) == 0])
 
 
 def _iadd(a, b):
@@ -212,9 +205,7 @@ class MultiPoly:
         """Evaluation mod p; coordinates may be int64 arrays (broadcast) or ints of any size."""
         if len(point) != self.n_vars:
             raise ValueError(f"expected {self.n_vars} coordinates, got {len(point)}")
-        # an int, list or object array is reduced exactly before the int64 cast
-        arrs = [np.asarray(x if getattr(x, "dtype", object) != object else
-                           np.asarray(x, dtype=object) % p, dtype=np.int64) % p for x in point]
+        arrs = [_residues(x, p) for x in point]
         acc = np.zeros(np.broadcast(*arrs).shape, dtype=np.int64)
         # the reduced terms add up unreduced, unless their sum could pass 2^62;
         # a lone term is already reduced

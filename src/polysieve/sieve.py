@@ -1,23 +1,25 @@
 """The polynomial sieve with exact per-prime detectors.
 
 For h in Z[T] of degree d >= 2 and a prime p > d with h(F_p) != F_p,
-the per-prime data records the value-set bitmap, the multiplicity table
-nu, and the exceptional set of critical values.  The detector
+the per-prime data records bitmaps over F_p of the value set and of the
+exceptional set of critical values, and the multiplicity table nu.  The detector
 
     D_p(n) = 1_{h(F_p)}(n mod p) - |h(F_p)| / p
 
 is an exactly computable stand-in for the nontrivial part of the
 indicator decomposition: it has mean zero on F_p and is at least
-(p-1)/(dp) on every residue that h hits.
+(p-1)/(dp) on every residue that h hits.  It, the membership filter and the
+multiplicity weight take one integer, or an array or list of any size.
 """
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import BudgetExceeded, InvariantViolation
-from .fields import cached_field, is_prime, mult_char
+from .fields import _residues, cached_field, is_prime, mult_char
 from .polynomials import UniPoly, critical_value_poly
 from .varieties import _INT64_SAFE, DEFAULT_BUDGET
 
@@ -30,7 +32,7 @@ class SievePrimeData:
     d: int                 # degree of h mod p
     image: np.ndarray      # bool bitmap over F_p for h(F_p)
     image_size: int
-    exceptional: frozenset # critical values of h landing in F_p
+    exceptional: np.ndarray  # bool bitmap over F_p of the critical values of h
     nu: np.ndarray         # nu[n] = |{x in F_p : h(x) = n}|
 
     def __post_init__(self):
@@ -42,6 +44,8 @@ class SievePrimeData:
             raise InvariantViolation("nu and image bitmap disagree")
         if int(self.nu.sum()) != self.p:
             raise InvariantViolation("nu must sum to p")
+        if self.exceptional.shape != (self.p,):
+            raise InvariantViolation("the exceptional bitmap must have length p")
         if self.image_size < self.p:
             # value-set bound for non-surjective h (proof of the sieve lemma)
             if self.image_size > self.p - (self.p - 1) / self.d:
@@ -105,14 +109,10 @@ def build_prime_data(h, p):
     if hp.degree < 2:
         raise ValueError(f"h degenerates mod {p}")
     xs = np.arange(p, dtype=np.int64)
-    vals = hp.eval(xs)
-    nu = np.bincount(vals, minlength=p)
+    nu = np.bincount(hp.eval(xs), minlength=p)
     image = nu >= 1
-    r = critical_value_poly(hp, p)
-    exceptional = frozenset(r.roots_mod())
-    return SievePrimeData(p=p, d=hp.degree, image=image,
-                          image_size=int(image.sum()),
-                          exceptional=exceptional, nu=nu)
+    return SievePrimeData(p=p, d=hp.degree, image=image, image_size=int(image.sum()),
+                          exceptional=critical_value_poly(hp, p).eval(xs) == 0, nu=nu)
 
 
 def detecting_prime_data(h, p):
@@ -123,10 +123,31 @@ def detecting_prime_data(h, p):
     return data
 
 
+def pick_primes(h, primes):
+    """The data of each prime on which h detects, and why each other prime is skipped:
+    "degenerate: <reason>" where build_prime_data refuses it, "f surjective" where h
+    is onto F_p."""
+    picked, skipped = [], {}
+    for p in primes:
+        try:
+            data = build_prime_data(h, p)
+        except ValueError as exc:
+            skipped[p] = f"degenerate: {exc}"
+            continue
+        if data.surjective:
+            skipped[p] = "f surjective"
+        else:
+            picked.append(data)
+    return picked, skipped
+
+
+def _scalar_or_array(out):
+    return out if out.ndim else out.item()
+
+
 def detector(data, n):
     """D_p(n) = 1_{h(F_p)}(n mod p) - |h(F_p)|/p, always in (-1, 1)."""
-    hit = bool(data.image[int(n) % data.p])
-    return (1.0 if hit else 0.0) - data.image_size / data.p
+    return _scalar_or_array(data.image[_residues(n, data.p)] - data.image_size / data.p)
 
 
 def power_decomposition_check(d, p):
@@ -153,14 +174,16 @@ def power_decomposition_check(d, p):
 
 def multiplicity_weight(data, n, alpha):
     """alpha + (nu(n) - 1)(d - nu(n)): the concrete per-residue sieve weight."""
-    nu = int(data.nu[int(n) % data.p])
-    return alpha + (nu - 1) * (data.d - nu)
+    nu = data.nu[_residues(n, data.p)]
+    return _scalar_or_array(alpha + (nu - 1) * (data.d - nu))
 
 
 def membership_filter(prime_data, n):
     """True iff n mod p lies in h(F_p) for every prime; False proves n not in h(Z)."""
-    n = int(n)
-    return all(bool(data.image[n % data.p]) for data in prime_data)
+    keep = np.ones(np.shape(n), dtype=bool)
+    for data in prime_data:
+        keep &= data.image[_residues(n, data.p)]
+    return _scalar_or_array(keep)
 
 
 def _critical_radius(h):
@@ -169,45 +192,55 @@ def _critical_radius(h):
     return 1 + max((abs(c) for c in dh.coeffs), default=0)
 
 
+def _values_within(h, reach, budget, what):
+    """h(t) for |t| <= reach, in blocks of 2^20 points once all 2 reach + 1 are charged:
+    in int64 where sum |c_i| reach^d fits it, in Python ints otherwise."""
+    if 2 * reach + 1 > budget:
+        raise BudgetExceeded(f"{what} of {2 * reach + 1} values exceeds budget {budget}")
+    exact = np.int64 if sum(map(abs, h.coeffs)) * reach**h.degree < _INT64_SAFE else object
+    for lo in range(-reach, reach + 1, 1 << 20):
+        yield h.eval(np.arange(lo, min(lo + (1 << 20), reach + 1), dtype=np.int64).astype(exact))
+
+
 def h_image_table(h, n_max, budget=DEFAULT_BUDGET):
     """Sorted array of {h(t) : t in Z} values with |h(t)| <= n_max.
 
     Each such t is a root of h - v for some |v| <= n_max, so |t| <= R, Fujiwara's
     bound 2 max(|c_i / c_d|^(1/(d-i)), ((|c_0| + n_max) / (2 |c_d|))^(1/d)), rounded
-    up plus one.  The 2R + 1 points are charged first, then evaluated in blocks of 2^20:
-    in int64 where sum |c_i| R^d fits it, in Python ints otherwise.
+    up plus one; the 2R + 1 points are charged, then evaluated (_values_within).
     """
     d = h.degree
     if d < 1:
         raise ValueError("constant h")
     low = [(abs(h.coeffs[0]) + n_max) / 2] + [abs(c) for c in h.coeffs[1:d]]
     reach = math.ceil(2 * max((x / abs(h.lc)) ** (1 / (d - i)) for i, x in enumerate(low))) + 1
-    if 2 * reach + 1 > budget:
-        raise BudgetExceeded(f"image walk of {2 * reach + 1} values exceeds budget {budget}")
-    exact = np.int64 if sum(map(abs, h.coeffs)) * reach**d < _INT64_SAFE else object
-    hits = []
-    for lo in range(-reach, reach + 1, 1 << 20):
-        vals = h.eval(np.arange(lo, min(lo + (1 << 20), reach + 1), dtype=np.int64).astype(exact))
-        hits.append(vals[np.abs(vals) <= n_max].astype(np.int64))
-    vals = np.sort(np.concatenate(hits))
+    vals = np.sort(np.concatenate([v[np.abs(v) <= n_max].astype(np.int64)
+                                   for v in _values_within(h, reach, budget, "image walk")]))
     return vals[np.diff(vals, prepend=vals[:1] - 1) != 0]
+
+
+@lru_cache(maxsize=16)
+def _critical_zone(h):
+    """Sorted values of h on [-crit, crit], charged to DEFAULT_BUDGET first."""
+    return np.sort(np.concatenate(list(
+        _values_within(h, _critical_radius(h), DEFAULT_BUDGET, "critical zone"))))
 
 
 def integer_preimage_exists(h, n):
     """Whether h(t) = n for some integer t; exact for arbitrarily large n.
 
-    Scans the critical zone directly, then binary-searches the two
-    strictly monotone tails with exact integer arithmetic.
+    Looks n up among the critical zone's values, computed once per h, then
+    binary-searches the two strictly monotone tails with exact integer arithmetic.
     """
     if h.degree == 1:
         a, b = h.lc, h.coeffs[0]
         return (n - b) % a == 0
     if h.degree < 1:
         return h.eval(0) == n
+    zone = _critical_zone(h)
+    if int(zone[0]) <= n <= int(zone[-1]) and zone[np.searchsorted(zone, n)] == n:
+        return True
     crit = _critical_radius(h)
-    for t in range(-crit, crit + 1):
-        if h.eval(t) == n:
-            return True
     return (_tail_has_root(h, n, crit, right=True)
             or _tail_has_root(h, n, crit, right=False))
 
@@ -288,17 +321,13 @@ def sieve_bound_eval(config, a):
     d = config.h.degree
     member = np.array([integer_preimage_exists(config.h, n) for n in ns])
     v_h = float(ws[member].sum())
-    dsum = np.zeros(len(ns))
-    dsq = np.zeros(len(ns))
-    s_count = np.zeros(len(ns))
+    dsum, dsq, s_count = np.zeros((3, len(ns)))
     for data in config.prime_data:
-        res = np.array([n % data.p for n in ns], dtype=np.int64)
-        dvals = data.image[res].astype(float) - data.image_size / data.p
+        res = _residues(ns, data.p)
+        dvals = detector(data, res)
         dsum += dvals
         dsq += dvals**2
-        if data.exceptional:
-            exc = np.array(sorted(data.exceptional), dtype=np.int64)
-            s_count += np.isin(res, exc)
+        s_count += data.exceptional[res]
     total = float(ws @ dsum**2)
     diagonal = float(ws @ dsq)
     thresh = config.threshold()
@@ -331,24 +360,14 @@ def power_sieve_rhs(d, primes, a):
     if d < 1:
         raise ValueError(f"d={d} must be at least 1")
     P = len(primes)
-    chis = {}
+    ns = sorted(a)  # plain ints: values may exceed int64
+    ws = np.array([a[n] for n in ns], dtype=float)
+    chis = {}  # the nontrivial order-d characters mod p at the sequence values
     for p in primes:
         if (p - 1) % d:
             raise ValueError(f"p={p} is not 1 mod d={d}")
-        chis[p] = [mult_char(cached_field(p), d, j) for j in range(1, d)]
-    ns = sorted(a)  # plain ints: values may exceed int64
-    ws = np.array([a[n] for n in ns], dtype=float)
-    res = {p: np.array([n % p for n in ns], dtype=np.int64) for p in primes}
-    cross = 0.0
-    for p in primes:
-        for q in primes:
-            if p == q:
-                continue
-            for cp in chis[p]:
-                vp = cp.values[res[p]]
-                for cq in chis[q]:
-                    vq = np.conj(cq.values[res[q]])
-                    cross += abs(np.sum(ws * vp * vq))
+        chis[p] = [mult_char(cached_field(p), d, j).values[_residues(ns, p)] for j in range(1, d)]
+    cross = sum(abs(np.sum(ws * vp * np.conj(vq))) for p in primes for q in primes if p != q
+                for vp in chis[p] for vq in chis[q]) / P**2
     first = float(ws.sum()) / P
-    return {"first_term": first, "cross_term": cross / P**2,
-            "rhs": first + cross / P**2}
+    return {"first_term": first, "cross_term": cross, "rhs": first + cross}

@@ -332,8 +332,8 @@ class TestSelectPrimes:
         sel = select_primes(BoxProblem(f, F_QUADRIC, 100))
         assert tuple(d.p for d in sel.prime_data) == sel.primes
         for got, want in zip(sel.prime_data, prime_data_for(f, sel.primes)):
-            assert (got.d, got.image_size, got.exceptional) == (want.d, want.image_size,
-                                                                 want.exceptional)
+            assert (got.d, got.image_size) == (want.d, want.image_size)
+            assert np.array_equal(got.exceptional, want.exceptional)
             assert np.array_equal(got.image, want.image) and np.array_equal(got.nu, want.nu)
         assert sel == dataclasses.replace(sel, prime_data=())  # no part of equality
 
@@ -380,7 +380,7 @@ class TestExceptionalSet:
         P, d = len(primes), f.degree
         expected = []
         for k in range(-500, 501):
-            hits = sum(1 for dd in data if (k % dd.p) in dd.exceptional)
+            hits = sum(1 for dd in data if dd.exceptional[k % dd.p])
             if hits >= P / (2 * d):
                 expected.append(k)
         assert got.dtype == np.int64 and got.tolist() == expected
@@ -420,7 +420,7 @@ class TestDiscriminantProfile:
             for k in range(-30, 31):
                 disc = discriminant_profile(f, k)["disc"]
                 for d in data:
-                    if (k % d.p) in d.exceptional:
+                    if d.exceptional[k % d.p]:
                         assert disc % d.p == 0, (f_text, k, d.p)
 
 

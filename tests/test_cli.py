@@ -251,6 +251,17 @@ class TestSubcommands:
         dets = out["tables"]["detectors"]
         assert dets[0]["member"] is True and dets[1]["member"] is False
 
+    def test_sieve_detect_rows_past_int64(self, capsys):
+        # one detector call per prime over the whole --n list, 10^30 included
+        assert run(["sieve-detect", "--h", "T^2", "--primes", "list:3,7",
+                    "--n", "9,10,1000000000000000000000000000000"]) == 0
+        dets = json.loads(capsys.readouterr().out)["tables"]["detectors"]
+        assert dets == [
+            {"D_3": 0.33333333333333337, "D_7": 0.4285714285714286, "member": True, "n": 9},
+            {"D_3": 0.33333333333333337, "D_7": -0.5714285714285714, "member": False, "n": 10},
+            {"D_3": 0.33333333333333337, "D_7": 0.4285714285714286, "member": True,
+             "n": 10**30}]
+
     def test_boxcount_counts_agree(self, capsys):
         assert run(["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2",
                     "--B", "15"]) == 0
@@ -277,13 +288,17 @@ class TestSubcommands:
         assert "2 * v_max + 1 = 180000000000037 exceeds budget" in capsys.readouterr().err
 
     def test_boxcount_auto_primes_use_the_selection_data(self, capsys, monkeypatch):
-        # the auto window's prime data come from select_primes, not built again
+        # the auto window's prime data come from select_primes, one build per window
+        # prime, and are not built again
         argv = ["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X0*X1", "--B", "12"]
         assert run(argv) == 0
         want = strip_timings(json.loads(capsys.readouterr().out))
-        monkeypatch.setattr(cli.sieve, "build_prime_data", lambda *a: pytest.fail("rebuilt"))
+        built, build = [], cli.sieve.build_prime_data
+        monkeypatch.setattr(cli.sieve, "build_prime_data",
+                            lambda h, p: built.append(p) or build(h, p))
         assert run(argv) == 0
         assert strip_timings(json.loads(capsys.readouterr().out)) == want
+        assert built == cli.primes_in(*want["results"]["window"])
 
     def test_boxcount_empty_prime_list(self, capsys):
         assert run(["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2",
@@ -338,9 +353,36 @@ class TestSubcommands:
         assert run(["crt-check", "--F", "X0^2+X1^2", "--p", "3", "--q", "5",
                     "--u", "1,1"]) == 0
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--u", "1,2", "--p", "5"], "needs --F, --p and --q"),
+        (["--u", "1,2", "--q", "5"], "needs --F, --p and --q"),
+        (["--draws", "0"], "--draws: must be at least 1, got 0"),
+        (["--draws", "-2"], "--draws: must be at least 1, got -2"),
+        (["--pmax", "3"], "fewer than two primes up to pmax"),
+    ])
+    def test_crt_check_input_errors(self, argv, message, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_trace_for", lambda *a: pytest.fail("built a table"))
+        monkeypatch.setattr(cli, "mult_char", lambda *a: pytest.fail("built a table"))
+        assert run(["crt-check", "--F", "X0^2+X1^2", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
     def test_poisson_check(self, capsys):
         assert run(["poisson-check", "--F", "X0^2+X1^2+X2^2", "--p", "3",
                     "--q", "5", "--B", "8", "--cutoff", "6"]) == 0
+
+    @pytest.mark.parametrize("cutoff", ["-1", "-7"])
+    def test_poisson_negative_cutoff_refused_at_parse_time(self, cutoff, capsys):
+        argv = ["poisson-check", "--F", "X0^2+X1^2", "--p", "3", "--q", "5",
+                f"--cutoff={cutoff}"]
+        with pytest.raises(ValueError, match=f"--cutoff: must be auto or at least 0, got {cutoff}"):
+            cli.parse_config(argv)
+        assert run(argv) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_poisson_equal_primes_refused(self, capsys):
+        assert run(["poisson-check", "--F", "X0^2+X1^2", "--p", "3", "--q", "3"]) == 1
+        assert capsys.readouterr().err == "error: p and q must be distinct\n"
 
 
     def test_poisson_check_charges_the_grids_not_the_box(self, capsys):

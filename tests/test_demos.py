@@ -1,9 +1,13 @@
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from polysieve import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,3 +20,19 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
     if demo.startswith("03_"):
         assert "sum_b N(a,b) == N(a) for all a: True" in proc.stdout
+
+
+def _readme_commands():
+    """Every `polysieve ...` line of the README's command-line code block."""
+    text = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line.*?```\n(.*?)```", text, re.S).group(1)
+    return [line for line in block.splitlines() if line.startswith("polysieve ")]
+
+
+def test_readme_lists_commands():
+    assert len(_readme_commands()) >= 12
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_runs(line, capsys):
+    assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err

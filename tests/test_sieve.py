@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysieve import sieve
 from polysieve.boxes import exceptional_set
-from polysieve.errors import BudgetExceeded
+from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import ExtField, mult_char, primes_in
-from polysieve.polynomials import parse_unipoly
+from polysieve.polynomials import UniPoly, parse_unipoly
 from polysieve.sieve import (SieveConfig, SievePrimeData, build_prime_data,
                              detector, h_image_table, in_h_image,
                              integer_preimage_exists, membership_filter,
@@ -35,11 +37,11 @@ class TestPrimeData:
         assert list(np.where(data.image)[0]) == [0, 1, 2, 4]
         assert data.image_size == 4
         assert data.bound_tight  # 4 = 7 - 6/2
-        assert set(data.exceptional) == {0}
+        assert set(np.flatnonzero(data.exceptional)) == {0}
 
     def test_cubic_exceptional(self):
         data = build_prime_data(parse_unipoly("T^3-3*T"), 5)
-        assert set(data.exceptional) == {2, 3}
+        assert set(np.flatnonzero(data.exceptional)) == {2, 3}
 
     def test_small_prime_rejected(self):
         with pytest.raises(ValueError):
@@ -50,7 +52,13 @@ class TestPrimeData:
         nu = np.bincount(np.arange(9) ** 2 % 9, minlength=9)
         with pytest.raises(ValueError, match="9 is not prime"):
             SievePrimeData(p=9, d=2, image=nu >= 1, image_size=int((nu >= 1).sum()),
-                           exceptional=frozenset({0}), nu=nu)
+                           exceptional=np.arange(9) == 0, nu=nu)
+
+    def test_exceptional_bitmap_must_cover_F_p(self):
+        data = build_prime_data(parse_unipoly("T^2"), 7)
+        with pytest.raises(InvariantViolation, match="length p"):
+            SievePrimeData(p=7, d=2, image=data.image, image_size=data.image_size,
+                           exceptional=data.exceptional[:5], nu=data.nu)
 
     def test_image_bound_holds_across_bank(self):
         # |h(F_p)| <= p - (p-1)/d whenever the image is proper
@@ -185,6 +193,44 @@ class TestMembership:
         assert rate8 < 0.05  # eight primes cut the survivors hard
 
 
+# the scalar definitions, one Python int at a time
+def _detector_1(data, n):
+    return (1.0 if data.image[n % data.p] else 0.0) - data.image_size / data.p
+
+
+def _weight_1(data, n, alpha):
+    nu = int(data.nu[n % data.p])
+    return alpha + (nu - 1) * (data.d - nu)
+
+
+class TestArrayKernels:
+    DATA = {text: [d for _, d in good_primes(parse_unipoly(text), 40)] for text in H_BANK}
+
+    @settings(max_examples=60)
+    @given(st.sampled_from(H_BANK), st.booleans(),
+           st.lists(st.integers(-2**63, 2**63 - 1), max_size=12),
+           st.lists(st.integers(-10**40, 10**40), max_size=12), st.integers(-3, 3))
+    def test_array_equals_scalar_definition(self, text, as_int64, small, huge, alpha):
+        # int64 arrays, and lists holding ints past int64, both go elementwise
+        prime_data = self.DATA[text]
+        ns = small if as_int64 else small + huge
+        arg = np.array(ns, dtype=np.int64) if as_int64 else ns
+        for data in prime_data:
+            got = detector(data, arg)
+            assert isinstance(got, np.ndarray)
+            assert got.tolist() == [_detector_1(data, n) for n in ns]
+            assert multiplicity_weight(data, arg, alpha).tolist() == [
+                _weight_1(data, n, alpha) for n in ns]
+        assert membership_filter(prime_data, arg).tolist() == [
+            all(data.image[n % data.p] for data in prime_data) for n in ns]
+
+    def test_scalar_input_gives_a_python_scalar(self):
+        data = build_prime_data(parse_unipoly("T^2"), 7)
+        assert type(detector(data, 10**30)) is float
+        assert type(multiplicity_weight(data, 3, 1)) is int
+        assert membership_filter([data], 10) is False and membership_filter([], 10) is True
+
+
 class TestImageTables:
     def test_squares(self):
         table = h_image_table(parse_unipoly("T^2"), 100)
@@ -233,6 +279,29 @@ class TestImageTables:
         t = 10**12
         assert integer_preimage_exists(h3, t**3 - 3 * t)
         assert not integer_preimage_exists(h3, t**3 - 3 * t + 1)
+
+
+    def test_preimage_zone_is_one_array_pass(self, monkeypatch):
+        # crit = 1 + 10^6: no scalar evaluation inside the zone, only on the tails
+        h = parse_unipoly("T^2+1000000*T")
+        sieve._critical_zone.cache_clear()
+        real = UniPoly.eval
+
+        def scalar_outside_zone(self, x):
+            if np.ndim(x) == 0 and abs(int(x)) < 10**6 + 1:
+                pytest.fail(f"scalar evaluation at {x} inside the zone")
+            return real(self, x)
+
+        monkeypatch.setattr(UniPoly, "eval", scalar_outside_zone)
+        assert not integer_preimage_exists(h, 7)
+        assert integer_preimage_exists(h, real(h, -999_999))
+        assert integer_preimage_exists(h, real(h, 3 * 10**6))
+
+    def test_preimage_zone_is_charged_first(self, monkeypatch):
+        # h' = 2T + 10^9, so crit = 1 + 10^9: 2 crit + 1 points pass the default budget 10^8
+        monkeypatch.setattr(UniPoly, "eval", lambda *a: pytest.fail("evaluated"))
+        with pytest.raises(BudgetExceeded, match="critical zone of 2000000003 values"):
+            integer_preimage_exists(parse_unipoly("T^2+1000000000*T"), 7)
 
 
 class TestSieveBound:
