@@ -24,12 +24,12 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .convolve import fold, fold_cells
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import DEFAULT_BUDGET, InvariantViolation, charge
 from .fields import prime_factors, primes_in
 from .polynomials import MultiPoly, UniPoly, broadcast_grid, discriminant_uni
 from .sieve import in_h_image, membership_filter, pick_primes, sieve_threshold
-from .varieties import (_INT64_SAFE, DEFAULT_BUDGET, _sums_plan, _variable_groups,
-                        complete_sums, fiber_histogram, smoothness_scan)
+from .varieties import (_INT64_SAFE, _sums_plan, _variable_groups, complete_sums,
+                        fiber_histogram, smoothness_scan)
 
 
 @dataclass(frozen=True)
@@ -69,11 +69,9 @@ def _check_values(F, B):
         raise OverflowError("box values would overflow 64-bit integers")
 
 
-def box_value_array(F, B, budget=DEFAULT_BUDGET):
-    """F evaluated on the full integer box, flattened int64 array."""
-    npts = (2 * B + 1) ** F.n_vars
-    if npts > budget:
-        raise BudgetExceeded(f"(2B+1)^{F.n_vars} = {npts} exceeds budget {budget}")
+def box_value_array(F, B):
+    """F evaluated on the full integer box, flattened int64 array; the caller
+    charges its (2B+1)^m points."""
     _check_values(F, B)
     coords = broadcast_grid([np.arange(-B, B + 1, dtype=np.int64)] * F.n_vars)
     return np.ravel(F.eval(coords))
@@ -138,21 +136,15 @@ def box_histogram(F, B, budget=DEFAULT_BUDGET):
     if (2 * B + 1) ** F.n_vars >= 2**63:
         raise OverflowError("box point counts would overflow 64-bit integers")
     spent, hist = 0, None
-
-    def charge(points):
-        nonlocal spent
-        spent += points
-        if spent > budget:
-            raise BudgetExceeded(f"box histogram of {spent} points exceeds budget {budget}")
-
     for _, sub in _variable_groups(F):
-        charge((2 * B + 1) ** sub.n_vars)
-        part = np.unique(box_value_array(sub, B, budget), return_counts=True)
+        spent = charge(spent, (2 * B + 1) ** sub.n_vars, budget, "box histogram")
+        part = np.unique(box_value_array(sub, B), return_counts=True)
         if hist is None:
             hist = part
             continue
         n = _dense_length(hist, part)
-        charge(len(hist[0]) * len(part[0]) if n is None else n)
+        spent = charge(spent, len(hist[0]) * len(part[0]) if n is None else n, budget,
+                       "box histogram")
         if n is None:
             hist = _fold(hist, part)
             continue
@@ -252,16 +244,15 @@ def exceptional_set(f, prime_data, v_max, threshold_mode="lemma",
 
     Returns the sorted int64 array of k in [-M, M] with
     #{p : k mod p in S_{f,p}} >= threshold, M = v_max, the largest |F|
-    over the box (BoxHistogram.v_max).  Per prime, the exceptional bitmap is
-    tiled over the range, starting at -M mod p.
+    over the box (BoxHistogram.v_max).  Per prime, each exceptional residue s
+    counts once at every k = s mod p of the range, one strided slice.
     """
-    size = 2 * v_max + 1
-    if size > budget:
-        raise BudgetExceeded(f"2 * v_max + 1 = {size} exceeds budget {budget}")
+    size = charge(0, 2 * v_max + 1, budget, "exceptional set")
     threshold = sieve_threshold(len(prime_data), f.degree, threshold_mode)
     counts = np.zeros(size, dtype=np.int32)  # one per prime at most
-    for data in prime_data:  # entry i is exceptional[(i - M) % p]
-        counts += np.resize(np.roll(data.exceptional, v_max), size)
+    for data in prime_data:  # entry i is k = i - M
+        for s in np.flatnonzero(data.exceptional):
+            counts[(s + v_max) % data.p::data.p] += 1
     return np.flatnonzero(counts >= threshold) - v_max
 
 
@@ -301,8 +292,10 @@ def crt_factor_check(F, u, p, q, t_p, t_q, budget=DEFAULT_BUDGET):
     if len(u) != F.n_vars:
         raise ValueError("u arity mismatch")
     N = p * q
+    freqs = [[int(c) % N] for c in u]
+    charge(0, _sums_plan(F, N, freqs)[1], budget, "complete sums")  # before the pq table
     table = t_p.values[np.arange(N) % p] * np.conj(t_q.values[np.arange(N) % q])
-    lhs = complex(complete_sums(F, table, N, [[int(c) % N] for c in u], budget).item())
+    lhs = complex(complete_sums(F, table, N, freqs, budget).item())
     qbar, pbar = pow(q, -1, p), pow(p, -1, q)
     g1 = complete_sum_g(F, t_p, [qbar * int(c) % p for c in u], p, budget)
     g2 = complete_sum_g(F, t_q.conj(), [pbar * int(c) % q for c in u], q, budget)
@@ -452,7 +445,8 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, budget=DEFAULT_BUDGET):
     D <= W distinct residue pairs, one axis at a time; a non-separable F
     costs one p^m and one q^m table, as before.  The group grids, each
     fold's pairs (at most min(points so far, pq) times min(group points,
-    pq)), the tables and the passes are charged to the budget up front.
+    pq)), the tables, the passes and the trapezoid grid of the window are
+    charged to the budget up front, after the auto search's own window.
     """
     if p == q:
         raise ValueError("p and q must be distinct")
@@ -466,11 +460,16 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, budget=DEFAULT_BUDGET):
         xi = B * np.arange(-c, c + 1) / N
         return B * W.wh(xi), B * W.wh_error(xi)
 
+    def window_cells(c):  # the (2c + 1) x N_nodes/2 trapezoid grid that window(c) builds
+        return (2 * c + 1) * (_freqs(B * c / N)[1] // 2)
+
     def tail_bound_over(wh_u, err_u):  # S ((A + E + T)^m - A^m) over the window u = -c..c
         A = np.abs(wh_u).sum()
         return S * ((A + err_u.sum() + W.tail_sum_bound(N, len(wh_u) // 2)) ** m - A**m)
 
+    spent = 0
     if u_cutoff is None:
+        spent = charge(0, window_cells(128), budget, "Poisson arrays")
         wh_u, err_u = window(128)
         u_cutoff = next((c for c in range(2, 130, 2) if tail_bound_over(
             wh_u[128 - c:129 + c], err_u[128 - c:129 + c]) <= 1e-4 * S * wh_u[128]**m), 128)
@@ -484,13 +483,13 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, budget=DEFAULT_BUDGET):
     cost = (sum(grids) + sum(min(math.prod(grids[:k]), N) * min(g, N)
                              for k, g in enumerate(grids[1:], 1))
             + len(pairs) * max(len(rp), len(rq))**(m - 1)
-            + _sums_plan(F, p, [rp] * m)[1] + _sums_plan(F, q, [rq] * m)[1])
-    if cost > budget:
-        raise BudgetExceeded(f"Poisson arrays of {cost} points exceed budget {budget}")
+            + _sums_plan(F, p, [rp] * m)[1] + _sums_plan(F, q, [rq] * m)[1]
+            + window_cells(u_cutoff))
+    charge(spent, cost, budget, "Poisson arrays")
     # direct: the bump-weighted histogram of F mod pq on the box, folded over the groups
     bump, hist = W.weight_1d(np.arange(-B, B + 1)), None
     for _, sub in groups:
-        res, inv = np.unique(box_value_array(sub, B, budget) % N, return_inverse=True)
+        res, inv = np.unique(box_value_array(sub, B) % N, return_inverse=True)
         part = res, np.bincount(inv, reduce(np.multiply.outer, [bump] * sub.n_vars).ravel())
         hist = part if hist is None else _fold(hist, part)
     direct = complex(hist[1] @ (t_p.values[hist[0] % p] * np.conj(t_q.values[hist[0] % q])))

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import boxes, sieve, varieties
-from .errors import InvariantViolation, PolysieveError
+from .errors import DEFAULT_BUDGET, InvariantViolation, PolysieveError, charge
 from .fields import cached_field, is_prime, mult_char, primes_in
 from .polynomials import MultiPoly, parse_multipoly, parse_unipoly
 from .reports import ExperimentReport, emit_report, report_json
@@ -69,12 +69,12 @@ def _cutoff(text):
     return None if text == "auto" else int(text)
 
 
-def _resolve_primes(policy, h, pmax):
+def _resolve_primes(policy, h, pmax, budget):
     """SievePrimeData for each prime the policy picks, each built once.
 
     auto keeps the primes in (deg h, pmax] on which h is not onto F_p;
-    list:p1,p2,... checks every entry is prime before building any data,
-    then refuses one on which h is onto F_p.
+    list:p1,p2,... checks every entry is prime and charges its p points
+    before building any data, then refuses one on which h is onto F_p.
     """
     if policy == "auto":
         out, _ = sieve.pick_primes(h, primes_in(h.degree + 1, pmax))
@@ -85,9 +85,11 @@ def _resolve_primes(policy, h, pmax):
         ps = _int_list(policy[5:])
         if not ps:
             raise ValueError("empty prime list")
+        spent = 0
         for p in ps:
             if not is_prime(p):
                 raise ValueError(f"--primes list entry {p} is not prime")
+            spent = charge(spent, p, budget, "prime data")
         return [sieve.detecting_prime_data(h, p) for p in ps]
     raise ValueError(f"unknown prime policy {policy!r} (use auto or list:...)")
 
@@ -113,7 +115,7 @@ def _run_klsum(cfg):
         "residual_ratio": abs(total - main) / p ** (m / 2),
         "trace_label": t.label,
     }
-    return ExperimentReport("klsum", {"F": F.to_text(), **o}, results, seed=cfg.seed)
+    return ExperimentReport("klsum", dict(o), results, seed=cfg.seed)
 
 
 def _run_tracesum(cfg):
@@ -145,8 +147,7 @@ def _run_tracesum(cfg):
         "residual_ratio": abs(total - main) / scale,
         "trace_label": t.label, "sup_bound": t.sup_bound,
     }
-    return ExperimentReport("tracesum", {"F": F.to_text(), **o}, results,
-                            seed=cfg.seed)
+    return ExperimentReport("tracesum", dict(o), results, seed=cfg.seed)
 
 
 def _run_mixsum(cfg):
@@ -174,7 +175,7 @@ def _run_mixsum(cfg):
     results = {"p": p, "n_vars": m, "sum": total, "abs": abs(total),
                "ratio_half_power": abs(total) / p ** (m / 2),
                "trace_label": t.label, **extra}
-    return ExperimentReport("mixsum", {"F": F.to_text(), **o}, results,
+    return ExperimentReport("mixsum", dict(o), results,
                             semi_decisions=semi, seed=cfg.seed)
 
 
@@ -192,7 +193,7 @@ def _run_sieve_check(cfg):
 def _run_sieve_detect(cfg):
     o = cfg.options
     h = parse_unipoly(o["h"])
-    data_list = _resolve_primes(o["primes"], h, o["pmax"])
+    data_list = _resolve_primes(o["primes"], h, o["pmax"], cfg.budget)
     primes = [data.p for data in data_list]
     rows = []
     for data in data_list:
@@ -236,7 +237,7 @@ def _run_classify_u(cfg):
         if kind != cls.kind and not (cls.kind == "good" and varieties.diagonal_witness_degree(
                 coeffs, d, u, p) > o["kmax"]):
             raise InvariantViolation(f"scan said {cls.kind} but the diagonal oracle said {kind}")
-    return ExperimentReport("classify-u", {"F": F.to_text(), **o}, results,
+    return ExperimentReport("classify-u", dict(o), results,
                             semi_decisions={"k_max": o["kmax"]}, seed=cfg.seed)
 
 
@@ -260,7 +261,7 @@ def _run_fibers(cfg):
     results = {"p": p, "rows": len(rows),
                "max_abs_normalized_deviation":
                    max(abs(r["normalized_deviation"]) for r in rows)}
-    return ExperimentReport("fibers", {"F": F.to_text(), **o}, results,
+    return ExperimentReport("fibers", dict(o), results,
                             tables={"fibers": rows}, seed=cfg.seed)
 
 
@@ -270,6 +271,7 @@ def _run_boxcount(cfg):
     F = parse_multipoly(o["F"])
     problem = boxes.BoxProblem(f, F, o["B"])
     semi = {}
+    hist = boxes.box_histogram(F, o["B"], cfg.budget)  # refused before any prime data
     if o["primes"] == "auto":
         selection = boxes.select_primes(problem, k_max=o["kmax"], budget=cfg.budget)
         primes = list(selection.primes)
@@ -278,10 +280,9 @@ def _run_boxcount(cfg):
         if selection.semi_decided:
             semi["good_reduction_k_max"] = selection.k_max
     else:
-        data = _resolve_primes(o["primes"], f, 10**6)
+        data = _resolve_primes(o["primes"], f, 10**6, cfg.budget)
         primes = [d.p for d in data]
         window = [min(primes), max(primes)]
-    hist = boxes.box_histogram(F, o["B"], cfg.budget)
     exc = boxes.exceptional_set(f, data, hist.v_max, threshold_mode=o["threshold"],
                                 budget=cfg.budget).tolist()  # its charge refuses before the walk
     filtered = boxes.sieve_filtered_count(f, hist, data, cfg.budget)
@@ -295,8 +296,7 @@ def _run_boxcount(cfg):
         "threshold_mode": o["threshold"],
     }
     tables = {"exceptional": [{"k": k} for k in exc]}
-    return ExperimentReport("boxcount", {"f": f.to_text(), "F": F.to_text(), **o},
-                            results, tables=tables, semi_decisions=semi,
+    return ExperimentReport("boxcount", dict(o), results, tables=tables, semi_decisions=semi,
                             seed=cfg.seed)
 
 
@@ -306,7 +306,7 @@ def _run_bound_scan(cfg):
     F = parse_multipoly(o["F"])
     grid = _int_list(o["B_grid"])
     scan = boxes.bound_ratio_scan(f, F, grid, cfg.budget)
-    return ExperimentReport("bound-scan", {"f": f.to_text(), "F": F.to_text(), **o},
+    return ExperimentReport("bound-scan", dict(o),
                             {"spread": scan["spread"], "B_grid": grid},
                             tables={"ratios": scan["rows"]}, seed=cfg.seed)
 
@@ -333,8 +333,7 @@ def _run_poisson_check(cfg):
                 k: int(counts[idx].prod(axis=0)[kinds == k].sum()) for k in ("zero", "good", "bad")}
     else:
         results["u_class_tally"] = "skipped (non-diagonal form)"
-    return ExperimentReport("poisson-check", {"F": F.to_text(), **o},
-                            results, seed=cfg.seed)
+    return ExperimentReport("poisson-check", dict(o), results, seed=cfg.seed)
 
 
 def _run_crt_check(cfg):
@@ -395,7 +394,7 @@ def build_parser():
     parser = _Parser(prog="polysieve", description=__doc__)
     parser.add_argument("--out", help="write report JSON (+ CSV tables) here")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=varieties.DEFAULT_BUDGET,
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="max polynomial evaluations per scan")
     # the shared flags are also accepted after the subcommand
     common = _Parser(add_help=False)

@@ -9,6 +9,17 @@ class BudgetExceeded(PolysieveError):
     """A scan or sum would exceed its evaluation budget."""
 
 
+DEFAULT_BUDGET = 10**8
+
+
+def charge(spent, points, budget, what):
+    """spent + points, or BudgetExceeded, before the work, where that passes budget."""
+    spent += points
+    if spent > budget:
+        raise BudgetExceeded(f"{what} of {spent} points exceeds budget {budget}")
+    return spent
+
+
 class InvariantViolation(PolysieveError):
     """A runtime self-check failed; maps to CLI exit code 2."""
 

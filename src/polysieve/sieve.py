@@ -18,10 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BudgetExceeded, InvariantViolation
+from .errors import DEFAULT_BUDGET, InvariantViolation, charge
 from .fields import _residues, cached_field, is_prime, mult_char
 from .polynomials import UniPoly, critical_value_poly
-from .varieties import _INT64_SAFE, DEFAULT_BUDGET
+from .varieties import _INT64_SAFE
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,7 @@ def _critical_radius(h):
 def _values_within(h, reach, budget, what):
     """h(t) for |t| <= reach, in blocks of 2^20 points once all 2 reach + 1 are charged:
     in int64 where sum |c_i| reach^d fits it, in Python ints otherwise."""
-    if 2 * reach + 1 > budget:
-        raise BudgetExceeded(f"{what} of {2 * reach + 1} values exceeds budget {budget}")
+    charge(0, 2 * reach + 1, budget, what)
     exact = np.int64 if sum(map(abs, h.coeffs)) * reach**h.degree < _INT64_SAFE else object
     for lo in range(-reach, reach + 1, 1 << 20):
         yield h.eval(np.arange(lo, min(lo + (1 << 20), reach + 1), dtype=np.int64).astype(exact))
@@ -269,12 +268,11 @@ def _tail_has_root(h, n, crit, right):
     return False
 
 
-def in_h_image(h, ns, table=None, budget=DEFAULT_BUDGET):
+def in_h_image(h, ns, budget=DEFAULT_BUDGET):
     """Exact membership n in h(Z), elementwise over an integer array; the table
-    walk, where no table is given, is charged to the budget."""
+    walk is charged to the budget."""
     ns = np.asarray(ns, dtype=np.int64)
-    if table is None:
-        table = h_image_table(h, int(np.abs(ns).max()) if ns.size else 0, budget)
+    table = h_image_table(h, int(np.abs(ns).max()) if ns.size else 0, budget)
     if table.size == 0:
         return np.zeros(ns.shape, dtype=bool)
     idx = np.searchsorted(table, ns)

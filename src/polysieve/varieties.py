@@ -19,11 +19,10 @@ from typing import Optional
 import numpy as np
 
 from .convolve import fold, fold_cells, wrap
-from .errors import BudgetExceeded
+from .errors import DEFAULT_BUDGET, charge
 from .fields import cached_field, is_prime, prime_factors
 from .polynomials import MultiPoly, _det_bareiss, broadcast_grid
 
-DEFAULT_BUDGET = 10**8
 _INT64_SAFE = 2**62
 
 
@@ -115,8 +114,7 @@ def fiber_histogram(F, p, G=None, budget=DEFAULT_BUDGET):
             blocks.append([grp])
     sizes = [sum(len(g[0]) for g in block) for block in blocks]
     cost = sum(p**k + p**r for k in sizes) + (len(blocks) - 1) * fold_cells([(p,) * r] * 2)
-    if cost > budget:
-        raise BudgetExceeded(f"fiber histogram of {cost} points exceeds budget {budget}")
+    charge(0, cost, budget, "fiber histogram")
     hists = []
     for block, k in zip(blocks, sizes):
         axes = iter(broadcast_grid([np.arange(p, dtype=np.int64)] * k))
@@ -172,8 +170,7 @@ def complete_sums(F, t_values, N, freqs, budget=DEFAULT_BUDGET):
     if N * N >= _INT64_SAFE:
         raise OverflowError(f"products of residues mod {N} would overflow 64-bit integers")
     groups, cost = _sums_plan(F, N, freqs)
-    if cost > budget:
-        raise BudgetExceeded(f"complete sums of {cost} points exceed budget {budget}")
+    charge(0, cost, budget, "complete sums")
     (top_idx, top), *others = groups
     spec = np.ones((N, 1), dtype=np.complex128)  # prod_g G_g(s, x'_g), x' in C order
     for idx, sub in others:
@@ -201,9 +198,7 @@ def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
     if F.n_vars != G.n_vars:
         raise ValueError("F and G must share arity")
     groups = _variable_groups(F, G)
-    cost = sum(p**len(idx) for idx, _, _ in groups) + p
-    if cost > budget:
-        raise BudgetExceeded(f"mixed sum over {cost} points exceeds budget {budget}")
+    charge(0, sum(p**len(idx) for idx, _, _ in groups) + p, budget, "mixed sum")
     pushed = [group_pushforwards(sub, [[0]] * len(idx), p, twist)[0]
               for idx, sub, twist in groups]
     if len(pushed) > 1:
@@ -233,14 +228,6 @@ def _zeros_of(poly, field, coords):
     values = poly.eval_field(field, coords)
     hits = np.flatnonzero(values == 0)
     return [np.broadcast_to(c, values.shape).flat[hits] for c in coords]
-
-
-def _charge(spent, evaluations, budget):
-    """spent + evaluations, or BudgetExceeded before the work if that passes budget."""
-    spent += evaluations
-    if spent > budget:
-        raise BudgetExceeded(f"scan would need {spent} evaluations")
-    return spent
 
 
 def _check_scan_args(p, k_max):
@@ -299,7 +286,7 @@ def _certify(form, p, j, k_max, spent=0, budget=DEFAULT_BUDGET):
     lead = [next(i for i, e in enumerate(a) if e >= d) for a in monos]
     extra = [r for r, a in enumerate(monos) if sum(e >= d for e in a) > 1]
     for cols in itertools.islice(_coordinate_changes(k), grid // N**3):
-        spent = _charge(spent, N * N, budget)
+        spent = charge(spent, N * N, budget, "smoothness scan")
         grads = form.substitute(cols).gradient()
         rows = [[0] * N for _ in monos]
         for row, a, i in zip(rows, monos, lead):
@@ -343,14 +330,14 @@ def _smoothness_walk(form, p, k_max, budget=DEFAULT_BUDGET, certify=False):
         ok, spent = _certify(form, p, j, k_max, spent, budget) if certify else (False, spent)
         if ok:
             return ScanResult(True, k_max)
-        spent = _charge(spent, _class_points(p**j, m), budget)
+        spent = charge(spent, _class_points(p**j, m), budget, "smoothness scan")
         field = cached_field(p, j)
         for coords in _projective_classes(field, m):
             pts = _zeros_of(form, field, coords)
             for gpoly in partials:
                 if not pts[0].size:
                     break
-                spent = _charge(spent, pts[0].size, budget)
+                spent = charge(spent, pts[0].size, budget, "smoothness scan")
                 pts = _zeros_of(gpoly, field, pts)
             if pts[0].size:
                 return ScanResult(False, k_max, Witness(j, tuple(int(c[0]) for c in pts)))
@@ -438,9 +425,9 @@ def diagonal_u_classes(coeffs, d, residues, p, budget=DEFAULT_BUDGET):
     if d < 2 or d % p == 0 or not all(cred) or not is_prime(p):
         raise ValueError("need p coprime to d and to every coefficient, p prime and d >= 2")
     K = e ** (m - 1)
-    spent = _charge(0, K * m * e * (K + 1) ** (m - 1), budget)
+    spent = charge(0, K * m * e * (K + 1) ** (m - 1), budget, "dual polynomial")
     D = dual_polynomial(m, d)
-    _charge(spent, len(D.terms) * len(residues), budget)
+    charge(spent, len(D.terms) * len(residues), budget, "dual polynomial")
     if len(residues) == 1:  # one u: Python ints cost less than numpy's fixed cost per call
         u = [int(x) % p for x in residues[0]]
         bad = D.eval([pow(x, d, p) * pow(c, -1, p) % p for c, x in zip(cred, u)]) % p == 0

@@ -19,7 +19,7 @@ from polysieve.boxes import (BoxProblem, SmoothWeight, _bump_derivative_l1, _den
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import ExtField, mult_char, primes_in
 from polysieve.polynomials import MultiPoly, parse_multipoly, parse_unipoly
-from polysieve.sieve import build_prime_data, h_image_table, in_h_image
+from polysieve.sieve import build_prime_data, in_h_image
 from polysieve.tracefn import TraceFunction, constant_trace, kloosterman
 
 from _oracles import (box_count_direct, box_count_per_point, box_histogram_direct,
@@ -261,9 +261,8 @@ class TestValueTable:
         for f_text in ("T^2", "T^3", "T^3-3*T", "2*T^3+1", "T^4+T", "T^2-1000000",
                        "-T^3+T+20000"):  # the last two come back to the window far out
             f = parse_unipoly(f_text)
-            table = h_image_table(f, 25000)
             vals = rng.integers(-25000, 25001, size=2500)
-            mask = in_h_image(f, vals, table)
+            mask = in_h_image(f, vals)
             for v, hit in zip(vals, mask):
                 root = integer_root_of(f, int(v))
                 assert (root is not None) == bool(hit), (f_text, v)
@@ -273,9 +272,9 @@ class TestValueTable:
     def test_counts_charge_the_image_walk(self):
         # v_max = 300: T^2 is walked over |t| <= ceil(2 sqrt(300 / 2)) + 1 = 26
         f, hist = parse_unipoly("T^2"), box_histogram(F_QUADRIC, 10)
-        with pytest.raises(BudgetExceeded, match="image walk of 53 values"):
+        with pytest.raises(BudgetExceeded, match="image walk of 53 points"):
             exact_count(f, hist, budget=52)
-        with pytest.raises(BudgetExceeded, match="image walk of 53 values"):
+        with pytest.raises(BudgetExceeded, match="image walk of 53 points"):
             sieve_filtered_count(f, hist, [], budget=52)
         assert exact_count(f, hist, budget=53) == sieve_filtered_count(f, hist, [], 53).count \
             == per_point_count(f, F_QUADRIC, 10)
@@ -522,6 +521,20 @@ class TestCrtFactorization:
                                    mult_char(ExtField(q), 2, 1))
             assert rec["rel_error"] <= 1e-6
 
+    def test_plan_is_charged_before_the_pq_table(self):
+        # N = pq = 10403: X0*X1 absorbs the s-sum, (N^2 + N) points for its one row,
+        # and X2^2 gives one row of N; the table of t_p conj(t_q) alone is 16 N bytes
+        F, N = parse_multipoly("X0*X1+X2^2"), 101 * 103
+        t_p, t_q = trace_on("kl", 101), trace_on("kl", 103)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=f"complete sums of {N * N + 2 * N} points"):
+                crt_factor_check(F, (1, 2, 3), 101, 103, t_p, t_q, budget=N * N + 2 * N - 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * N
+
 
 class TestSmoothWeight:
     def test_center_value(self):
@@ -612,6 +625,18 @@ class TestPoissonCompare:
             * complete_sum_g(F_QUADRIC, t5.conj(), (0, 0, 0), 5)
         expected = g0 * W.what((0, 0, 0)) / 15**3
         assert rec["poisson"] == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("p, q, B, cutoff, budget, cost", [
+        (11, 13, 3 * 10**6, None, 10**8, 257 * 2**23),  # the auto search's window
+        (3, 5, 100, 1000, 2000, 2001 * 2**14 + 804),     # the window past the box arrays
+    ])
+    def test_window_grid_is_charged_before_it_is_built(self, monkeypatch, p, q, B, cutoff,
+                                                       budget, cost):
+        # wh's trapezoid grid has len(xi) rows of N/2 nodes, N >= 4 max|xi| a power of two
+        monkeypatch.setattr(SmoothWeight, "wh", lambda *a: pytest.fail("built the window"))
+        F = parse_multipoly("X0^2+X1^2")
+        with pytest.raises(BudgetExceeded, match=f"Poisson arrays of {cost} points"):
+            poisson_compare(F, p, q, trace_on("chi", p), trace_on("chi", q), B, cutoff, budget)
 
 
 class TestSumBounds:
@@ -784,15 +809,16 @@ class TestGroupedSums:
             with pytest.raises(BudgetExceeded):
                 # grids 9^2 + 9, fold pairs min(81, 35) * 9; window pass 7 pairs * 7^2;
                 # X0*X1 absorbs the s-sum, (5^2 + 5) * 5 and (7^2 + 7) * 7; X2^2 rows
-                # 5 * 5 and 7 * 7: 1364
+                # 5 * 5 and 7 * 7; the window's trapezoid grid, 7 rows * 4096 / 2
+                # nodes: 1364 + 14336 = 15700
                 poisson_compare(F, 5, 7, trace_on("kl", 5), trace_on("kl", 7), B=4,
-                                u_cutoff=3, budget=1363)
+                                u_cutoff=3, budget=15699)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**16  # refused before any grid was built
         poisson_compare(F, 5, 7, trace_on("kl", 5), trace_on("kl", 7), B=4,
-                        u_cutoff=3, budget=1364)
+                        u_cutoff=3, budget=15700)
 
     def test_budget_bounds_the_fold_pairs(self, monkeypatch):
         # four groups of 121 points mod 143: the charge bounds the folds at 121 * 121

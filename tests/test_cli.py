@@ -19,6 +19,13 @@ from _oracles import diagonal_dual_oracle, jsonable
 SRC = str(Path(polysieve.__file__).resolve().parents[1])
 
 
+def test_budget_refusals_go_through_charge():
+    # errors.charge is the one place in the package that raises BudgetExceeded
+    raising = [path.name for path in Path(SRC, "polysieve").glob("*.py")
+               if "BudgetExceeded(" in path.read_text()]
+    assert raising == ["errors.py"]
+
+
 def run(argv):
     return cli.main(argv)
 
@@ -285,7 +292,29 @@ class TestSubcommands:
         monkeypatch.setattr(sieve, "h_image_table", lambda *a: pytest.fail("walked f(Z)"))
         assert run(["boxcount", "--f", "T^2", "--F", "10000000000000*X0^2+X1^2+X2^2",
                     "--B", "3"]) == 1
-        assert "2 * v_max + 1 = 180000000000037 exceeds budget" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "exceptional set of 180000000000037 points exceeds budget" in err
+
+    def test_boxcount_refuses_a_huge_box_before_the_prime_window(self, capsys, monkeypatch):
+        # grids 2 * 600001, then the first fold's 300001^2 pairs: refused before
+        # select_primes builds the data of the window's primes
+        monkeypatch.setattr(cli.sieve, "build_prime_data",
+                            lambda *a: pytest.fail("built prime data"))
+        assert run(["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2", "--B", "300000"]) == 1
+        assert "box histogram of 90001800003 points exceeds budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["sieve-detect", "--h", "T^2"],
+        ["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2", "--B", "0"],  # a 5-point histogram
+    ])
+    def test_listed_primes_are_charged_before_their_data(self, argv, capsys, monkeypatch):
+        monkeypatch.setattr(cli.sieve, "build_prime_data",
+                            lambda *a: pytest.fail("built prime data"))
+        assert run(argv + ["--primes", "list:7,20000003", "--budget", "1000"]) == 1
+        assert "prime data of 20000010 points exceeds budget 1000" in capsys.readouterr().err
+        # primality is checked before the charge
+        assert run(argv + ["--primes", "list:9", "--budget", "8"]) == 1
+        assert "--primes list entry 9 is not prime" in capsys.readouterr().err
 
     def test_boxcount_auto_primes_use_the_selection_data(self, capsys, monkeypatch):
         # the auto window's prime data come from select_primes, one build per window
