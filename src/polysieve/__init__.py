@@ -16,9 +16,9 @@ from .sieve import (SieveConfig, SievePrimeData, build_prime_data, detector,
                     integer_preimage_exists, membership_filter,
                     multiplicity_weight, power_decomposition_check,
                     power_sieve_rhs, sieve_bound_eval)
-from .tracefn import (TraceFunction, constant_trace, correlation, delta_trace,
-                      fourier_transform, kloosterman, pullback_power,
-                      pullback_scale, second_moment, te_transform)
+from .tracefn import (TraceFunction, constant_trace, fourier_transform,
+                      kloosterman, pullback_power, pullback_scale,
+                      second_moment, te_transform)
 from .varieties import (UClass, Witness, classify_u, diagonal_u_classes, diagonal_witness_degree,
                         fiber_histogram, smoothness_scan)
 

@@ -396,10 +396,6 @@ class SmoothWeight:
                * (a**-k + 2 * a**(1 - k) / ((k - 1) * n)))
         return out if out.ndim else float(out)
 
-    def what(self, v):
-        """Transform of W at a frequency vector v: prod B * wh(B v_i)."""
-        return float(np.prod(self.B * self.wh(self.B * np.asarray(v, dtype=float))))
-
     def wh_bound(self, xi):
         """Analytic envelope min(||w||_1, ||w^(k)||_1 / (2 pi |xi|)^k), both rounded up."""
         xi = np.abs(np.asarray(xi, dtype=float))

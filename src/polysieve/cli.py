@@ -72,12 +72,15 @@ def _cutoff(text):
 def _resolve_primes(policy, h, pmax, budget):
     """SievePrimeData for each prime the policy picks, each built once.
 
-    auto keeps the primes in (deg h, pmax] on which h is not onto F_p;
-    list:p1,p2,... checks every entry is prime and charges its p points
-    before building any data, then refuses one on which h is onto F_p.
+    auto charges the p points of every prime in (deg h, pmax], then keeps
+    those on which h is not onto F_p; list:p1,p2,... checks every entry is
+    prime and charges its p points before building any data, then refuses
+    one on which h is onto F_p.
     """
     if policy == "auto":
-        out, _ = sieve.pick_primes(h, primes_in(h.degree + 1, pmax))
+        candidates = primes_in(h.degree + 1, pmax)
+        charge(0, sum(candidates), budget, "prime data")
+        out, _ = sieve.pick_primes(h, candidates)
         if not out:
             raise ValueError(f"no non-surjective primes for h up to {pmax}")
         return out
@@ -181,6 +184,7 @@ def _run_mixsum(cfg):
 
 def _run_sieve_check(cfg):
     o = cfg.options
+    charge(0, (o["d"] - 1) * o["p"], cfg.budget, "character tables")  # d - 1 tables of p values
     err = sieve.power_decomposition_check(o["d"], o["p"])
     if err > 1e-9:
         raise InvariantViolation(

@@ -1,8 +1,8 @@
 """Arithmetic contexts for F_q, q = p^k: ExtField(p, k), with F_p = ExtField(p, 1).
 
 A field precomputes exp/log tables for the unit group (cyclic), so
-multiplication, powering and inversion vectorize as integer index
-arithmetic plus table gathers.  Elements are plain ints, the base-p digit
+multiplication and powering vectorize as integer index arithmetic plus
+table gathers.  Elements are plain ints, the base-p digit
 encodings c_0 + c_1*p + ... + c_{k-1}*p^{k-1} (residues when k = 1).
 Each field also keeps a digit table (row i: base-p digit i of every
 element); lane_tables packs those digits into base-2p lanes of one int64,
@@ -135,7 +135,7 @@ class ExtField:
     encoding of any generator: the smallest primitive root when k = 1.
     """
 
-    def __init__(self, p, k=1, modulus=None):
+    def __init__(self, p, k=1):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if not 1 <= k <= EXT_DEGREE_CAP:
@@ -146,13 +146,7 @@ class ExtField:
         self.p = p
         self.k = k
         self.q = q
-        if modulus is None:
-            modulus = self._smallest_irreducible(p, k)
-        if len(modulus) != k + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree k")
-        if k > 1 and not _irreducible(modulus, p):
-            raise ValueError("modulus is reducible")
-        self.modulus = tuple(c % p for c in modulus)
+        self.modulus = self._smallest_irreducible(p, k)
         self._build_tables()
 
     @staticmethod
@@ -226,9 +220,6 @@ class ExtField:
     def elements(self):
         return np.arange(self.q, dtype=np.int64)
 
-    def units(self):
-        return self.exp_table.copy()
-
     def embed(self, c):
         return int(c) % self.p
 
@@ -245,12 +236,6 @@ class ExtField:
         out = gather(unpack, pack[a] + pack[b])
         return out if out.ndim else int(out)
 
-    def neg(self, a):
-        """p - c in every lane (in [1, p], so below 2p), read back as an element."""
-        pack, unpack, _ = lane_tables(self)
-        out = gather(unpack, self.p * ((2 * self.p) ** self.k - 1) // (2 * self.p - 1) - pack[a])
-        return out if out.ndim else int(out)
-
     def mul(self, a, b):
         """g^(log a + log b) from the degree-1 exponent table, read back as an element."""
         logs, exps = exponent_tables(self, 1)
@@ -262,14 +247,6 @@ class ExtField:
         la = self.log_table[a]
         out = self.exp_table[(la * int(e)) % (self.q - 1)]
         out = np.where(la < 0, 0 if e else 1, out)
-        return out if out.ndim else int(out)
-
-    def inv(self, a):
-        a = np.asarray(a, dtype=np.int64)
-        la = self.log_table[a]
-        if np.any(la < 0):
-            raise ZeroDivisionError("inverse of 0")
-        out = self.exp_table[(-la) % (self.q - 1)]
         return out if out.ndim else int(out)
 
     def trace(self, x):
@@ -345,6 +322,4 @@ def mult_char(field, r, j):
     values = np.zeros(p, dtype=np.complex128)
     units = np.arange(1, p)
     values[units] = np.exp(2j * np.pi * j * field.log_table[units] / r)
-    order = r // math.gcd(j, r) if j else 1
-    return TraceFunction(q=p, values=values, label=f"chi(p={p},r={r},j={j})",
-                         sup_bound=1.0, meta={"order": order})
+    return TraceFunction(q=p, values=values, label=f"chi(p={p},r={r},j={j})", sup_bound=1.0)

@@ -57,9 +57,6 @@ class UniPoly:
     def __repr__(self):
         return f"UniPoly({self.to_text()!r}, ring={self.ring})"
 
-    def __call__(self, x):
-        return self.eval(x)
-
     def eval(self, x):
         """Horner evaluation; x may be an int or an integer array."""
         if np.isscalar(x) or isinstance(x, int):
@@ -148,42 +145,6 @@ class MultiPoly:
 
     def reduce_mod(self, p):
         return MultiPoly(self.n_vars, self.terms, ring=p)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return MultiPoly(self.n_vars, terms, self.ring)
-
-    def __neg__(self):
-        return MultiPoly(self.n_vars, {e: -c for e, c in self.terms.items()},
-                         self.ring)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return MultiPoly(self.n_vars,
-                             {e: c * other for e, c in self.terms.items()},
-                             self.ring)
-        other = self._coerce(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, 0) + c1 * c2
-        return MultiPoly(self.n_vars, terms, self.ring)
-
-    __rmul__ = __mul__
-
-    def _coerce(self, other):
-        if isinstance(other, int):
-            return MultiPoly(self.n_vars, {(0,) * self.n_vars: other}, self.ring)
-        if other.n_vars != self.n_vars or other.ring != self.ring:
-            raise ValueError("incompatible polynomials")
-        return other
 
     def eval(self, point):
         """Exact evaluation at a tuple of ints (or int arrays); over F_p, eval_mod."""
@@ -281,29 +242,6 @@ class MultiPoly:
                     terms[tuple(e)] = c * expo[i]
             out.append(MultiPoly(self.n_vars, terms, self.ring))
         return out
-
-    def homogenize(self, new_var_index=0):
-        """Insert a fresh variable and pad every term up to the total degree.
-
-        Dehomogenizing (setting the new variable to 1) recovers the input.
-        """
-        d = max(self.total_degree, 0)
-        terms = {}
-        for expo, c in self.terms.items():
-            e = list(expo)
-            e.insert(new_var_index, d - sum(expo))
-            terms[tuple(e)] = c
-        return MultiPoly(self.n_vars + 1, terms, self.ring)
-
-    def drop_var(self, index, value=1):
-        """Substitute a constant for one variable (inverse of homogenize)."""
-        terms = {}
-        for expo, c in self.terms.items():
-            e = list(expo)
-            pw = e.pop(index)
-            key = tuple(e)
-            terms[key] = terms.get(key, 0) + c * value**pw
-        return MultiPoly(self.n_vars - 1, terms, self.ring)
 
     def substitute(self, vectors):
         """self(sum_r y_r vectors[r]): a polynomial in len(vectors) variables y."""
@@ -476,7 +414,7 @@ def _parse_terms(text):
     return terms
 
 
-def parse_unipoly(text, ring=None):
+def parse_unipoly(text):
     """Parse a polynomial in the single variable T."""
     terms = _parse_terms(text)
     coeffs = {}
@@ -489,10 +427,10 @@ def parse_unipoly(text, ring=None):
     vec = [0] * size
     for e, c in coeffs.items():
         vec[e] = c
-    return UniPoly(vec, ring)
+    return UniPoly(vec)
 
 
-def parse_multipoly(text, n_vars=None, ring=None):
+def parse_multipoly(text, n_vars=None):
     """Parse a polynomial in variables X0..Xk.
 
     Without an explicit n_vars, indices are shifted so the smallest one
@@ -517,7 +455,7 @@ def parse_multipoly(text, n_vars=None, ring=None):
     for c, expos in terms:
         key = tuple(expos.get(i + shift, 0) for i in range(n_vars))
         out[key] = out.get(key, 0) + c
-    return MultiPoly(n_vars, out, ring)
+    return MultiPoly(n_vars, out)
 
 
 # ---------------------------------------------------------------------------

@@ -113,13 +113,3 @@ def _csv_cell(v):
     if isinstance(v, float):
         return repr(v)
     return v
-
-
-def load_report(path):
-    return json.loads(Path(path).read_text())
-
-
-def strip_timings(report_dict):
-    out = dict(report_dict)
-    out.pop("timings", None)
-    return out

@@ -7,7 +7,7 @@ O(q log q) on any F_q, and builds no q x q kernel.
 """
 
 import csv
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,28 +17,28 @@ class TraceFunction:
     """Table of complex values on F_q.
 
     sup_bound is a declared bound on max |value|; construction fails if
-    the table exceeds it by more than 1e-9.
+    the table exceeds it by more than 1e-9, or holds a value that is not finite.
     """
 
     q: int
     values: np.ndarray
     label: str
     sup_bound: float
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
         object.__setattr__(self, "values", vals)
         if len(vals) != self.q:
             raise ValueError(f"table length {len(vals)} != q={self.q}")
+        if not np.isfinite(vals).all():
+            raise ValueError(f"table {self.label} holds a value that is not finite")
         peak = float(np.abs(vals).max()) if self.q else 0.0
         if peak > self.sup_bound + 1e-9:
             raise ValueError(
                 f"table peak {peak:.6g} exceeds declared sup bound {self.sup_bound}")
 
     def conj(self):
-        return TraceFunction(self.q, np.conj(self.values),
-                             f"conj({self.label})", self.sup_bound, dict(self.meta))
+        return TraceFunction(self.q, np.conj(self.values), f"conj({self.label})", self.sup_bound)
 
     def to_csv(self, path):
         """Rows a, re, im."""
@@ -49,15 +49,8 @@ class TraceFunction:
                 writer.writerow([a, repr(float(v.real)), repr(float(v.imag))])
 
 
-def constant_trace(field, value=1.0, label="const"):
-    return TraceFunction(field.q, np.full(field.q, value, dtype=np.complex128),
-                         label, abs(value))
-
-
-def delta_trace(field, at=0):
-    vals = np.zeros(field.q, dtype=np.complex128)
-    vals[at % field.q] = 1.0
-    return TraceFunction(field.q, vals, f"delta({at})", 1.0)
+def constant_trace(field):
+    return TraceFunction(field.q, np.ones(field.q, dtype=np.complex128), "const", 1.0)
 
 
 def kloosterman(m, field):
@@ -66,7 +59,9 @@ def kloosterman(m, field):
     Kl_m(a) = (-1)^(m-1) q^(-(m-1)/2) sum over unit tuples y_1...y_m = a
     of psi(y_1 + ... + y_m); Kl_m(0) = 0 (empty sum).  The sum is the
     m-fold multiplicative convolution of the unit-restricted psi table,
-    computed as one FFT power, O(q log q) on any F_q.
+    computed as one FFT power, O(q log q) on any F_q.  The transform is
+    scaled by q^(-1/2) before the power, so its entries stay of modulus
+    at most 1 and no m overflows.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -74,10 +69,9 @@ def kloosterman(m, field):
     # work in the exponent domain: unit g^i <-> index i, so the
     # multiplicative convolution becomes a cyclic convolution
     psi_units = field.psi_table[field.exp_table]
-    acc = np.fft.ifft(np.fft.fft(psi_units) ** m)
+    acc = np.fft.ifft((np.fft.fft(psi_units) / np.sqrt(q)) ** m)
     table = np.zeros(q, dtype=np.complex128)
-    table[field.exp_table] = acc
-    table *= (-1) ** (m - 1) / float(q) ** ((m - 1) / 2)
+    table[field.exp_table] = acc * ((-1) ** (m - 1) * np.sqrt(q))
     return TraceFunction(q, table, f"Kl{m}(q={q})", float(m))
 
 
@@ -144,10 +138,3 @@ def pullback_scale(t, alpha, field):
 def second_moment(t):
     """(1/q) sum |t(x)|^2."""
     return float(np.mean(np.abs(t.values) ** 2))
-
-
-def correlation(t1, t2):
-    """(1/q) sum t1(x) conj(t2(x))."""
-    if t1.q != t2.q:
-        raise ValueError("tables live on different fields")
-    return complex(np.mean(t1.values * np.conj(t2.values)))

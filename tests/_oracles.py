@@ -284,7 +284,6 @@ class TupleField:
                          for tb in tups] for ta in tups]
         self.mul_tab = [[self.encode(_poly_mul_mod(ta, tb, modulus, p))
                          for tb in tups] for ta in tups]
-        self.neg_tab = [self.encode(tuple(-a % p for a in ta)) for ta in tups]
 
     @classmethod
     def like(cls, field):
@@ -303,9 +302,6 @@ class TupleField:
 
     def add(self, a, b):
         return self.add_tab[a][b]
-
-    def neg(self, a):
-        return self.neg_tab[a]
 
     def mul(self, a, b):
         return self.mul_tab[a][b]
@@ -391,7 +387,7 @@ def classify_u_direct(F_terms, n_vars, u, fields):
             if eval_field_direct(F_terms, tf, x) != 0:
                 continue
             g = [eval_field_direct(gt, tf, x) for gt in grads]
-            if all(tf.add(tf.mul(g[a], ured[b]), tf.neg(tf.mul(g[b], ured[a]))) == 0
+            if all(tf.mul(g[a], ured[b]) == tf.mul(g[b], ured[a])
                    for a in range(n_vars) for b in range(a + 1, n_vars)):
                 return "bad", j, tuple(x)
     return "good", None, None

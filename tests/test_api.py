@@ -1,0 +1,62 @@
+"""The public API holds only what the program runs.
+
+Every public module-level function and public method in src/polysieve
+must be named by some code in src/polysieve (outside __init__.py, whose
+re-exports are not uses), demos/ or perfbench/*.py: as a name, an
+attribute, an import, or a dotted string such as a tracing-hook key.
+A capability that only its own tests reach belongs in tests/.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "polysieve"
+
+
+def _public_definitions():
+    """(module, qualified name, name) of every public function and method."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members = [(node.name, node)]
+            elif isinstance(node, ast.ClassDef):
+                members = [(f"{node.name}.{item.name}", item) for item in node.body
+                           if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+            else:
+                continue
+            for qualname, item in members:
+                if not item.name.startswith("_"):
+                    yield path.stem, qualname, item.name
+
+
+def _names_used():
+    """Every identifier that code outside the definitions' own lines refers to."""
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += list((ROOT / "demos").glob("*.py")) + list((ROOT / "perfbench").glob("*.py"))
+    used = set()
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and re.fullmatch(r"[\w.]+", node.value):
+                used.update(node.value.split("."))
+    return used
+
+
+def test_every_public_name_has_a_caller():
+    used = _names_used()
+    unused = [f"{module}.{qualname}" for module, qualname, name in _public_definitions()
+              if name not in used]
+    assert not unused, f"public names that no program code reaches: {unused}"
+
+
+def test_the_walk_sees_the_package():
+    names = {qualname for _, qualname, _ in _public_definitions()}
+    assert {"kloosterman", "ExtField.pow", "MultiPoly.eval_field", "report_json"} <= names

@@ -557,8 +557,8 @@ class TestSmoothWeight:
 
     def test_transform_is_product(self):
         W = SmoothWeight(5)
-        v = (0.3, 0.7)
-        assert W.what(v) == pytest.approx(
+        v = np.array([0.3, 0.7])
+        assert np.prod(5 * W.wh(5 * v)) == pytest.approx(
             (5 * W.wh(5 * 0.3)) * (5 * W.wh(5 * 0.7)))
 
     # ||w^(k)||_1 and wh(xi) to 40 digits (mpmath quadrature); ||w'||_1 = 2/e
@@ -623,7 +623,7 @@ class TestPoissonCompare:
         W = SmoothWeight(10)
         g0 = complete_sum_g(F_QUADRIC, t3, (0, 0, 0), 3) \
             * complete_sum_g(F_QUADRIC, t5.conj(), (0, 0, 0), 5)
-        expected = g0 * W.what((0, 0, 0)) / 15**3
+        expected = g0 * np.prod(10 * W.wh(10 * np.zeros(3))) / 15**3
         assert rec["poisson"] == pytest.approx(expected, abs=1e-9)
 
     @pytest.mark.parametrize("p, q, B, cutoff, budget, cost", [

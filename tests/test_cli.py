@@ -12,7 +12,7 @@ import polysieve
 from polysieve import boxes, cli, sieve, varieties
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.polynomials import parse_multipoly
-from polysieve.reports import ExperimentReport, load_report, report_json, strip_timings
+from polysieve.reports import ExperimentReport, report_json
 
 from _oracles import diagonal_dual_oracle, jsonable
 
@@ -28,6 +28,14 @@ def test_budget_refusals_go_through_charge():
 
 def run(argv):
     return cli.main(argv)
+
+
+def load_report(path):
+    return json.loads(Path(path).read_text())
+
+
+def strip_timings(report_dict):
+    return {k: v for k, v in report_dict.items() if k != "timings"}
 
 
 def run_child(args):
@@ -106,6 +114,17 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert out["results"]["n_vars"] == 3
         assert out["results"]["ratio_half_power"] <= 10
+
+    @pytest.mark.parametrize("m", ["308", "309"])
+    def test_klsum_large_m_is_valid_json(self, m, capsys):
+        # 308 used to print NaN, 309 to fail with a float overflow
+        assert run(["klsum", "--m", m, "--p", "101", "--F", "X0^2+X1^2"]) == 0
+
+        def refuse(name):
+            raise AssertionError(f"{name} in the report")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        assert out["results"]["abs"] <= int(m) * 101
 
     def test_tracesum(self, capsys):
         assert run(["tracesum", "--trace", "chi:2:1", "--p", "11",
@@ -315,6 +334,26 @@ class TestSubcommands:
         # primality is checked before the charge
         assert run(argv + ["--primes", "list:9", "--budget", "8"]) == 1
         assert "--primes list entry 9 is not prime" in capsys.readouterr().err
+
+    def test_auto_primes_are_charged_before_their_data(self, capsys, monkeypatch):
+        # every prime in (deg h, pmax] is charged its p points before any data is built
+        monkeypatch.setattr(cli.sieve, "build_prime_data",
+                            lambda *a: pytest.fail("built prime data"))
+        argv = ["sieve-detect", "--h", "T^2", "--pmax", "20000", "--budget", "1000"]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == \
+            "error: prime data of 21171189 points exceeds budget 1000\n"
+        # the default pmax = 100 charges 3 + 5 + ... + 97 = 1058
+        assert run(["sieve-detect", "--h", "T^2", "--budget", "1057"]) == 1
+        assert "prime data of 1058 points exceeds budget 1057" in capsys.readouterr().err
+
+    def test_sieve_check_is_charged_before_its_tables(self, capsys, monkeypatch):
+        # d - 1 character tables of p values each, charged before the check runs
+        monkeypatch.setattr(cli.sieve, "power_decomposition_check",
+                            lambda *a: pytest.fail("ran the check"))
+        assert run(["sieve-check", "--d", "10006", "--p", "10007", "--budget", "1000"]) == 1
+        assert capsys.readouterr().err == \
+            "error: character tables of 100120035 points exceeds budget 1000\n"
 
     def test_boxcount_auto_primes_use_the_selection_data(self, capsys, monkeypatch):
         # the auto window's prime data come from select_primes, one build per window

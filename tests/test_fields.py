@@ -1,4 +1,5 @@
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ class TestPrimeField:
     def test_table_consistency(self):
         for p in (2, 3, 17, 101):
             f = ExtField(p)
-            assert np.array_equal(f.exp_table[f.log_table[f.units()]], f.units())
+            assert np.array_equal(f.exp_table[f.log_table[f.exp_table]], f.exp_table)
 
 
     @pytest.mark.parametrize("p", [2, 3, 101, 3001, 100003])
@@ -132,10 +133,11 @@ class TestMultChar:
         f13 = ExtField(13)
         for r in (2, 3, 4, 6, 12):
             for j in range(r):
-                chi = mult_char(f13, r, j)
-                import math
+                chi = mult_char(f13, r, j).values[1:]
                 expected = r // math.gcd(j, r) if j else 1
-                assert chi.meta["order"] == expected
+                # chi^e is trivial on the units exactly when the order divides e
+                orders = [e for e in range(1, r + 1) if np.allclose(chi**e, 1)]
+                assert orders[0] == expected
 
     def test_orthogonality(self):
         f = ExtField(13)
@@ -226,7 +228,7 @@ class TestExtField:
     def test_inverse(self):
         f = ExtField(5, 2)
         for x in range(1, f.q):
-            assert f.mul(x, f.inv(x)) == 1
+            assert f.mul(x, f.pow(x, f.q - 2)) == 1
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):
@@ -294,7 +296,6 @@ class TestExtFieldAgainstTuples:
         mul = f.mul(xs[:, None], xs[None, :])
         assert add.tolist() == tf.add_tab
         assert mul.tolist() == tf.mul_tab
-        assert f.neg(xs).tolist() == tf.neg_tab
 
     @pytest.mark.parametrize("p, k", SMALL_EXT_FIELDS)
     def test_scalars(self, p, k):
@@ -303,6 +304,5 @@ class TestExtFieldAgainstTuples:
         rng = np.random.default_rng(p * 10 + k)
         for a, b in rng.integers(0, f.q, size=(20, 2)).tolist() + [[f.q - 1, f.q - 1]]:
             assert type(f.add(a, b)) is int and f.add(a, b) == tf.add(a, b)
-            assert f.neg(a) == tf.neg(a)
             assert f.mul(a, b) == tf.mul(a, b)
 

@@ -204,19 +204,6 @@ class TestCalculus:
         assert [g.to_text() for g in parse_multipoly("X0*X1").gradient()] \
             == ["X1", "X0"]
 
-    def test_homogenize_examples(self):
-        aff = parse_multipoly("X0^2+X1^2-1")
-        hom = aff.homogenize(0)
-        assert hom.is_homogeneous()
-        assert hom == parse_multipoly("X1^2+X2^2-X0^2", n_vars=3)
-        assert hom.drop_var(0) == aff
-        # already homogeneous: only the arity changes
-        quad = parse_multipoly("X0^2+X1^2")
-        assert quad.homogenize(0).drop_var(0) == quad
-        cubic = parse_multipoly("X0^3+X0", n_vars=1)
-        hom2 = cubic.homogenize(0)
-        assert hom2 == MultiPoly(2, {(0, 3): 1, (2, 1): 1})
-
 
 class TestResultants:
     def test_spec_examples(self):

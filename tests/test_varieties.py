@@ -572,14 +572,18 @@ def scan_inputs(draw, primes=(2, 3, 5, 7), side=49):
         monos = draw(st.lists(st.sampled_from(every), min_size=1, max_size=4, unique=True))
         return MultiPoly(m, {e: draw(coeff) for e in monos})
 
+    def product(A, B):  # the constructor sums the terms that share an exponent
+        return MultiPoly(m, [(tuple(a + b for a, b in zip(ea, eb)), ca * cb)
+                             for ea, ca in A.terms.items() for eb, cb in B.terms.items()])
+
     shape = draw(st.sampled_from(["free", "linear^2", "linear*linear", "quadric*linear"]))
     if shape == "free":
         F = form(draw(st.integers(1, 3)))
     elif shape == "linear^2":
         L = form(1)
-        F = L * L
+        F = product(L, L)
     else:
-        F = form(2 if shape == "quadric*linear" else 1) * form(1)
+        F = product(form(2 if shape == "quadric*linear" else 1), form(1))
     u = tuple(draw(st.integers(-3, 3)) for _ in range(m))
     return F, p, k_max, u
 
