@@ -13,9 +13,8 @@ from .polynomials import (MultiPoly, UniPoly, critical_value_poly,
                           resultant_uni)
 from .reports import ExperimentReport, emit_report, report_json
 from .sieve import (SieveConfig, SievePrimeData, build_prime_data, detector,
-                    integer_preimage_exists, membership_filter,
-                    multiplicity_weight, power_decomposition_check,
-                    power_sieve_rhs, sieve_bound_eval)
+                    membership_filter, multiplicity_weight,
+                    power_decomposition_check, power_sieve_rhs, sieve_bound_eval)
 from .tracefn import (TraceFunction, constant_trace, fourier_transform,
                       kloosterman, pullback_power, pullback_scale,
                       second_moment, te_transform)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import boxes, sieve, varieties
 from .errors import DEFAULT_BUDGET, InvariantViolation, PolysieveError, charge
-from .fields import cached_field, is_prime, mult_char, primes_in
+from .fields import EXT_DEGREE_CAP, cached_field, is_prime, mult_char, primes_in
 from .polynomials import MultiPoly, parse_multipoly, parse_unipoly
 from .reports import ExperimentReport, emit_report, report_json
 from .tracefn import TraceFunction, constant_trace, kloosterman
@@ -61,6 +61,12 @@ def _positive_int(text):
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
     return int(text)
+
+
+def _ext_degree(text):  # --kmax: the walk builds F_{p^j} up to the field cap only
+    if int(text) > EXT_DEGREE_CAP:
+        raise argparse.ArgumentTypeError(f"must be at most {EXT_DEGREE_CAP}, got {text}")
+    return _positive_int(text)
 
 
 def _cutoff(text):
@@ -430,7 +436,7 @@ def build_parser():
     twist = sp.add_mutually_exclusive_group()
     twist.add_argument("--u", help="comma-separated frequency vector")
     twist.add_argument("--G", help="additive-twist polynomial")
-    sp.add_argument("--kmax", type=_positive_int, default=2)
+    sp.add_argument("--kmax", type=_ext_degree, default=2)
 
     sp = sub.add_parser("sieve-check", parents=[common])
     sp.add_argument("--d", type=int, required=True)
@@ -446,7 +452,7 @@ def build_parser():
     sp.add_argument("--F", required=True)
     sp.add_argument("--u", required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--kmax", type=_positive_int, default=2)
+    sp.add_argument("--kmax", type=_ext_degree, default=2)
 
     sp = sub.add_parser("fibers", parents=[common])
     sp.add_argument("--F", required=True)
@@ -460,7 +466,7 @@ def build_parser():
     sp.add_argument("--F", required=True)
     sp.add_argument("--B", type=int, required=True)
     sp.add_argument("--primes", default="auto")
-    sp.add_argument("--kmax", type=_positive_int, default=2)
+    sp.add_argument("--kmax", type=_ext_degree, default=2)
     sp.add_argument("--threshold", choices=("lemma", "logp"), default="lemma")
 
     sp = sub.add_parser("bound-scan", parents=[common])

@@ -14,7 +14,7 @@ multiplicity weight take one integer, or an array or list of any size.
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import reduce
 
 import numpy as np
 
@@ -201,83 +201,85 @@ def _values_within(h, reach, budget, what):
         yield h.eval(np.arange(lo, min(lo + (1 << 20), reach + 1), dtype=np.int64).astype(exact))
 
 
-def h_image_table(h, n_max, budget=DEFAULT_BUDGET):
-    """Sorted array of {h(t) : t in Z} values with |h(t)| <= n_max.
-
-    Each such t is a root of h - v for some |v| <= n_max, so |t| <= R, Fujiwara's
-    bound 2 max(|c_i / c_d|^(1/(d-i)), ((|c_0| + n_max) / (2 |c_d|))^(1/d)), rounded
-    up plus one; the 2R + 1 points are charged, then evaluated (_values_within).
-    """
+def _root_reach(h, n_max):
+    """Fujiwara's bound on |t| over the roots of h - v, |v| <= n_max, rounded up plus one,
+    elementwise over an array n_max:
+    2 max(|c_i / c_d|^(1/(d-i)), ((|c_0| + n_max) / (2 |c_d|))^(1/d))."""
     d = h.degree
     if d < 1:
         raise ValueError("constant h")
     low = [(abs(h.coeffs[0]) + n_max) / 2] + [abs(c) for c in h.coeffs[1:d]]
-    reach = math.ceil(2 * max((x / abs(h.lc)) ** (1 / (d - i)) for i, x in enumerate(low))) + 1
+    return np.ceil(2 * reduce(np.maximum, ((x / abs(h.lc)) ** (1 / (d - i))
+                                           for i, x in enumerate(low)))) + 1
+
+
+def h_image_table(h, n_max, budget=DEFAULT_BUDGET):
+    """Sorted array of {h(t) : t in Z} values with |h(t)| <= n_max: the points
+    |t| <= _root_reach(h, n_max) are charged, then evaluated (_values_within)."""
+    reach = int(_root_reach(h, n_max))
     vals = np.sort(np.concatenate([v[np.abs(v) <= n_max].astype(np.int64)
                                    for v in _values_within(h, reach, budget, "image walk")]))
     return vals[np.diff(vals, prepend=vals[:1] - 1) != 0]
 
 
-@lru_cache(maxsize=16)
-def _critical_zone(h):
-    """Sorted values of h on [-crit, crit], charged to DEFAULT_BUDGET first."""
-    return np.sort(np.concatenate(list(
-        _values_within(h, _critical_radius(h), DEFAULT_BUDGET, "critical zone"))))
-
-
-def integer_preimage_exists(h, n):
-    """Whether h(t) = n for some integer t; exact for arbitrarily large n.
-
-    Looks n up among the critical zone's values, computed once per h, then
-    binary-searches the two strictly monotone tails with exact integer arithmetic.
-    """
-    if h.degree == 1:
-        a, b = h.lc, h.coeffs[0]
-        return (n - b) % a == 0
-    if h.degree < 1:
-        return h.eval(0) == n
-    zone = _critical_zone(h)
-    if int(zone[0]) <= n <= int(zone[-1]) and zone[np.searchsorted(zone, n)] == n:
-        return True
-    crit = _critical_radius(h)
-    return (_tail_has_root(h, n, crit, right=True)
-            or _tail_has_root(h, n, crit, right=False))
-
-
-def _tail_has_root(h, n, crit, right):
-    def val(s):
-        t = crit + s if right else -(crit + s)
-        return h.eval(t)
-
-    inc = val(1) > val(0)
-    if (n < val(0)) if inc else (n > val(0)):
-        return False
-    s_hi = 1
-    while (val(s_hi) < n) if inc else (val(s_hi) > n):
-        s_hi *= 2
-    lo, hi = 0, s_hi
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        v = val(mid)
-        if v == n:
-            return True
-        if (v < n) if inc else (v > n):
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return False
+# One bisection step (a scalar Python-int evaluation and a comparison, about 1 us) costs
+# about as much as 32 table points evaluated in int64 (about 30 ns each) on a 2-core x86-64.
+_STEP_POINTS = 32
 
 
 def in_h_image(h, ns, budget=DEFAULT_BUDGET):
-    """Exact membership n in h(Z), elementwise over an integer array; the table
-    walk is charged to the budget."""
-    ns = np.asarray(ns, dtype=np.int64)
+    """Exact membership n in h(Z), elementwise, for integers of any size.  An int64
+    array is looked up in h_image_table.  Otherwise the table serves the values with
+    |n| <= m, for the largest m whose walk (2 _root_reach(h, m) + 1 points) costs no
+    more than bisecting those values; every other value is looked up among h's values
+    on [-C, C], C = _critical_radius(h), then by one exact bisection on each tail
+    |t| > C, where h is strictly monotone.  The table walk and the zone are charged."""
+    if isinstance(ns, np.ndarray) and ns.dtype == np.int64:
+        return _in_table(h, ns, budget)
+    ns = np.asarray(ns, dtype=object)
+    near = np.asarray(np.abs(ns) < 2**63)  # the table holds int64
+    mags = np.abs(ns[near].astype(np.int64))
+    srt = np.sort(mags)
+    steps = 2 * np.log2(srt / abs(h.lc) + 2)  # two tails up to Cauchy's bound, about |n| / |c_d|
+    cheap = np.flatnonzero(2 * _root_reach(h, srt.astype(float)) + 1
+                           <= _STEP_POINTS * np.cumsum(steps))
+    near[near] = mags <= (srt[cheap[-1]] if cheap.size else -1)
+    out = np.zeros(ns.shape, dtype=bool)
+    if near.any():
+        out[near] = _in_table(h, ns[near].astype(np.int64), budget)
+    if not near.all():
+        crit = _critical_radius(h)
+        zone = np.sort(np.concatenate(list(_values_within(h, crit, budget, "critical zone"))))
+        for i in np.flatnonzero(~near):
+            out.flat[i] = _far_in_image(h, int(ns.flat[i]), zone, crit)
+    return out
+
+
+def _in_table(h, ns, budget):
     table = h_image_table(h, int(np.abs(ns).max()) if ns.size else 0, budget)
     if table.size == 0:
         return np.zeros(ns.shape, dtype=bool)
     idx = np.searchsorted(table, ns)
     idx = np.clip(idx, 0, table.size - 1)
     return table[idx] == ns
+
+
+def _far_in_image(h, n, zone, crit):
+    """n in h(Z) for one int n: in the sorted zone (h on [-crit, crit]) or on a tail,
+    bisected up to Cauchy's bound 1 + (|n| + sum_{i<d} |c_i|) // |c_d| on integer roots."""
+    if int(zone[0]) <= n <= int(zone[-1]) and zone[np.searchsorted(zone, n)] == n:
+        return True
+    reach = 1 + (abs(n) + sum(map(abs, h.coeffs[:-1]))) // abs(h.lc)
+    for sign in (1, -1):
+        up = h.eval(sign * (crit + 1)) > h.eval(sign * crit)
+        lo, hi = crit, reach
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            v = h.eval(sign * mid)
+            if v == n:
+                return True
+            lo, hi = (mid + 1, hi) if (v < n) == up else (lo, mid - 1)
+    return False
 
 
 @dataclass(frozen=True)
@@ -317,7 +319,7 @@ def sieve_bound_eval(config, a):
         raise ValueError("weights must be nonnegative")
     P = len(config.prime_data)
     d = config.h.degree
-    member = np.array([integer_preimage_exists(config.h, n) for n in ns])
+    member = in_h_image(config.h, ns)
     v_h = float(ws[member].sum())
     dsum, dsq, s_count = np.zeros((3, len(ns)))
     for data in config.prime_data:
@@ -333,7 +335,7 @@ def sieve_bound_eval(config, a):
     s_ok = not bool((supported & (s_count >= thresh)).any())
     eligible = supported & member & (s_count < thresh)
     hypothesis_ok = bool((dsum[eligible] >= P / (2 * d) - 1e-12).all())
-    big = np.array([n == 0 or n >= math.exp(P) for n in ns])
+    big = np.array([n == 0 or n > 0 and math.log(n) >= P for n in ns])  # e^P overflows at 710
     support_ok = not bool((supported & big).any())
     report = SieveBoundReport(
         v_h=v_h, total=total, diagonal=diagonal, cross=total - diagonal,

@@ -4,9 +4,10 @@ A frequency u != 0 is tangent (bad) exactly where the hyperplane section
 of V(F) by <x, u> = 0 is singular, so smoothness and tangency are one
 question, asked of F or of its section, and answered by one walk.  It is
 certified over the algebraic closure where a Macaulay determinant of the
-partials is nonzero mod p; otherwise it is semi-decided by scanning
-F_{p^j} for j up to an explicit k_max, and every verdict carries that
-cap.  diagonal_u_classes decides diagonal forms exactly, by a polynomial.
+partials is nonzero mod p, proven singular where only its minor is not;
+otherwise it is semi-decided by scanning F_{p^j} for j up to an explicit
+k_max, and every verdict carries that cap.  diagonal_u_classes decides
+diagonal forms exactly, by a polynomial.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import numpy as np
 
 from .convolve import fold, fold_cells, wrap
 from .errors import DEFAULT_BUDGET, charge
-from .fields import cached_field, is_prime, prime_factors
+from .fields import EXT_DEGREE_CAP, cached_field, is_prime, prime_factors
 from .polynomials import MultiPoly, _det_bareiss, broadcast_grid
 
 _INT64_SAFE = 2**62
@@ -36,7 +37,7 @@ class Witness:
 
 @dataclass(frozen=True)
 class UClass:
-    """Frequency-vector classification: zero, good, or bad (with witness)."""
+    """Frequency-vector classification: zero, good, or bad (with a witness where found)."""
 
     kind: str  # "zero" | "good" | "bad"
     witness: Optional[Witness] = None
@@ -45,13 +46,13 @@ class UClass:
     def __post_init__(self):
         if self.kind not in ("zero", "good", "bad"):
             raise ValueError(f"unknown kind {self.kind!r}")
-        if self.kind == "bad" and self.witness is None:
-            raise ValueError("bad classification requires a witness")
+        if self.kind != "bad" and self.witness is not None:
+            raise ValueError("only a bad classification carries a witness")
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """smoothness_scan outcome; smooth=True is certified or means 'no witness up to k_max'."""
+    """smoothness_scan outcome: certified or proven (_certify), a witness, or none up to k_max."""
 
     smooth: bool
     k_max: int
@@ -231,11 +232,11 @@ def _zeros_of(poly, field, coords):
 
 
 def _check_scan_args(p, k_max):
-    """p prime (the certificate inverts mod p); a cap below 1 scans nothing."""
+    """p prime (the certificate inverts mod p); 1 <= k_max <= EXT_DEGREE_CAP (fields built)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if k_max < 1:
-        raise ValueError(f"k_max must be at least 1, got {k_max}")
+    if not 1 <= k_max <= EXT_DEGREE_CAP:
+        raise ValueError(f"k_max must be at least 1 and at most {EXT_DEGREE_CAP}, got {k_max}")
 
 
 def _class_points(q, m):
@@ -255,26 +256,27 @@ def _coordinate_changes(k):
 
 
 def _certify(form, p, j, k_max, spent=0, budget=DEFAULT_BUDGET):
-    """(certified, spent) ahead of level j of a walk over P^(k-1): certified means
-    the k-variable form's partials have no common zero over the closure of F_p.
+    """(verdict, spent) ahead of level j of a walk over P^(k-1): True (smooth) where the
+    form's k partials have no common zero over the closure of F_p, False (singular) where
+    they have one and p does not divide deg (by Euler), None (undecided) otherwise.
 
     Macaulay's matrix M in degree D = k(d - 1) + 1 (partials of degree d) has
     the row x^a / x_i^d * partial_i for each monomial x^a of degree D, i the
     first index with a_i >= d.  A common zero's degree-D monomials lie in
     ker M, so det M != 0 mod p certifies.  det M = +-Res det A (Macaulay 1902;
-    A the minor on monomials with two a_i >= d); _coordinate_changes keep Res,
-    so they are tried while det A = 0.  M takes about N^3 elimination steps:
-    it runs before level 1, or before level 2 where level 1 costs the walk
-    less (so a witness over F_p costs what the walk alone does), and tries
-    coordinates only while their N^3 fit in the grid points skipped.  Each
-    try charges its N^2 entries first.
+    A the minor on monomials with two a_i >= d): det M = 0 != det A proves
+    Res = 0.  _coordinate_changes keep Res, so they are tried while det A = 0.
+    M takes about N^3 elimination steps: it runs before level 1, or before
+    level 2 where level 1 costs the walk less (so a witness over F_p costs
+    what the walk alone does), and tries coordinates only while their N^3
+    fit in the grid points skipped.  Each try charges its N^2 entries first.
     """
     k, d = (form.n_vars, form.total_degree - 1) if form is not None else (0, 0)
     N = math.comb(k * d, k - 1) if k > 0 and d > 0 else 0  # monomials of degree D
     # a walk level also costs about 10^4 steps a class in numpy set-up: 0.4 ms,
     # against 35 ns an elimination step (measured on a 2-core x86-64 machine)
     if not N or j != (1 if _class_points(p, k) + 10**4 * k > N**3 else 2):
-        return False, spent
+        return None, spent
     grid = 0
     for level in range(j, k_max + 1):  # stops early: k_max may be large
         grid += _class_points(p**level, k)
@@ -295,8 +297,8 @@ def _certify(form, p, j, k_max, spent=0, budget=DEFAULT_BUDGET):
         if _det_bareiss(rows, p):
             return True, spent
         if _det_bareiss([[rows[r][c] for c in extra] for r in extra], p):
-            break  # Res = 0 mod p: no change of coordinates helps
-    return False, spent
+            return (None if (d + 1) % p == 0 else False), spent  # Res = 0 mod p
+    return None, spent
 
 
 def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
@@ -305,11 +307,11 @@ def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
     F is evaluated on each projective class grid; the partials are
     evaluated only on its zeros (about 1/q of the grid), in C order, so
     the witness is the first singular point of the full scan.  The walk
-    stops with ScanResult(smooth=True, k_max) where _certify holds for F
-    mod p, a certificate over the closure; a walk that ends without a
-    witness gives the same result as a semi-decision up to the cap.  The
-    budget is charged one evaluation per grid point for F, before each
-    level, and one per surviving point for each partial, before it runs.
+    stops with ScanResult(smooth=True, k_max) where _certify holds for F mod p, a
+    certificate over the closure; a walk without witness gives smooth=False where
+    _certify proved F singular, else smooth=True as a semi-decision up to the cap.
+    The budget is charged one evaluation per grid point for F, before each level,
+    and one per surviving point for each partial, before it runs.
     """
     if not F.is_homogeneous():
         raise ValueError("smoothness scan needs a homogeneous form")
@@ -322,14 +324,15 @@ def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
 
 def _smoothness_walk(form, p, k_max, budget=DEFAULT_BUDGET, certify=False):
     """The grid walk of smoothness_scan and classify_u; with certify, _certify(form)
-    runs ahead of each level."""
+    runs ahead of each level, and a proven singularity outlasts a walk without witness."""
     m = form.n_vars
     partials = form.gradient()
-    spent = 0
+    spent, smooth = 0, True
     for j in range(1, k_max + 1):
-        ok, spent = _certify(form, p, j, k_max, spent, budget) if certify else (False, spent)
+        ok, spent = _certify(form, p, j, k_max, spent, budget) if certify else (None, spent)
         if ok:
             return ScanResult(True, k_max)
+        smooth = smooth and ok is None
         spent = charge(spent, _class_points(p**j, m), budget, "smoothness scan")
         field = cached_field(p, j)
         for coords in _projective_classes(field, m):
@@ -341,7 +344,7 @@ def _smoothness_walk(form, p, k_max, budget=DEFAULT_BUDGET, certify=False):
                 pts = _zeros_of(gpoly, field, pts)
             if pts[0].size:
                 return ScanResult(False, k_max, Witness(j, tuple(int(c[0]) for c in pts)))
-    return ScanResult(True, k_max)
+    return ScanResult(smooth, k_max)
 
 
 def _kernel_basis(u, p):
@@ -367,10 +370,11 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
     S(s) = F(sum s_r b_r), b a basis of <x, u> = 0, is singular: a
     projective s over F_{p^j}, j <= k_max, with S(s) = 0 and every
     dS/ds_r = grad F(x) . b_r = 0, that is F(x) = 0 and grad F(x) in the
-    span of u at x = sum s_r b_r, which is the witness returned.  good: no
-    such point up to k_max, or certified over the closure where _certify
-    holds for S.  S is walked by smoothness_scan's walk, so the witness is
-    the first one a full scan of the hyperplane would meet; the budget is
+    span of u at x = sum s_r b_r, which is the witness returned (none where
+    _certify proves S singular and the walk finds no point).  good: no such
+    point up to k_max, or certified over the closure where _certify holds
+    for S.  S is walked by smoothness_scan's walk, so the witness is the
+    first one a full scan of the hyperplane would meet; the budget is
     charged one evaluation per grid point for S, before each level, and
     one per surviving point for each partial of S, before it runs.
     """
@@ -383,8 +387,8 @@ def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):
         return UClass("zero", k_max=k_max)
     basis = _kernel_basis(u, p)
     res = _smoothness_walk(F.reduce_mod(p).substitute(basis), p, k_max, budget, certify=True)
-    if res.smooth:
-        return UClass("good", k_max=k_max)
+    if res.smooth or res.witness is None:
+        return UClass("good" if res.smooth else "bad", k_max=k_max)
     j, s = res.witness.ext_degree, res.witness.point
     field = cached_field(p, j)
     x = (reduce(field.add, (field.mul(c, field.embed(b[i])) for c, b in zip(s, basis)))

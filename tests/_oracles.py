@@ -223,6 +223,42 @@ def integer_root_of(f, v):
     return None
 
 
+def integer_preimage_exists(h, n):
+    """Whether h(t) = n for some integer t; exact for ints of any size.
+
+    The exact reference past int64, one Python int at a time: every t in the
+    critical zone |t| <= crit (crit = 1 + max |coeff of h'|, beyond every real
+    critical point), then each strictly monotone tail by a doubling search and
+    a bisection.
+    """
+    if h.degree < 1:
+        return h.eval(0) == n
+    crit = 1 + max(abs(i * c) for i, c in enumerate(h.coeffs))
+    if any(h.eval(t) == n for t in range(-crit, crit + 1)):
+        return True
+    for sign in (1, -1):
+        def val(s):
+            return h.eval(sign * (crit + s))
+
+        inc = val(1) > val(0)
+        if (n < val(0)) if inc else (n > val(0)):
+            continue
+        hi = 1
+        while (val(hi) < n) if inc else (val(hi) > n):
+            hi *= 2
+        lo = 0
+        while lo <= hi:
+            mid = (lo + hi) // 2
+            v = val(mid)
+            if v == n:
+                return True
+            if (v < n) if inc else (v > n):
+                lo = mid + 1
+            else:
+                hi = mid - 1
+    return False
+
+
 def coeffs_from_roots(lc, roots):
     """Integer coefficients (constant first) of lc * prod (T - r)."""
     coeffs = [lc]

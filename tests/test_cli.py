@@ -91,6 +91,14 @@ class TestParsing:
                     parsers += action.choices.values()
 
 
+KMAX_ARGVS = [
+    ["classify-u", "--F", "X0^2+X1^2+X2^2", "--u", "1,0,0", "--p", "5"],
+    ["mixsum", "--trace", "chi:2:1", "--p", "5", "--F", "X0^2+X1^2+X2^2", "--u", "1,0,0"],
+    ["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2", "--B", "10"],  # diagonal: no scan
+    ["boxcount", "--f", "T^2", "--F", "X0^2+X0*X1+X2^2", "--B", "10"],
+]
+
+
 class TestSubcommands:
     def test_sieve_check_ok(self, capsys):
         assert run(["sieve-check", "--d", "3", "--p", "7"]) == 0
@@ -485,19 +493,32 @@ class TestSubcommands:
                 expected[diagonal_dual_oracle(coeffs, d, u, prime).kind] += 1
             assert results[f"u_class_tally_mod_{prime}"] == expected
 
-    @pytest.mark.parametrize("argv", [
-        ["classify-u", "--F", "X0^2+X1^2+X2^2", "--u", "1,0,0", "--p", "5"],
-        ["mixsum", "--trace", "chi:2:1", "--p", "5", "--F", "X0^2+X1^2+X2^2",
-         "--u", "1,0,0"],
-        ["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2", "--B", "10"],  # diagonal: no scan
-        ["boxcount", "--f", "T^2", "--F", "X0^2+X0*X1+X2^2", "--B", "10"],
-    ])
+    @pytest.mark.parametrize("argv", KMAX_ARGVS)
     @pytest.mark.parametrize("kmax", ["0", "-1"])
     def test_kmax_below_one_is_input_error(self, argv, kmax, capsys):
         # a cap below 1 scans nothing, so "good" or good reduction would be vacuous
         assert run(argv + ["--kmax", kmax]) == 1
         assert f"--kmax: must be at least 1, got {kmax}" in capsys.readouterr().err
         assert run(argv + ["--kmax", "1"]) == 0
+
+    @pytest.mark.parametrize("argv", KMAX_ARGVS)
+    @pytest.mark.parametrize("kmax", ["5", "7"])
+    def test_kmax_past_the_field_cap_is_input_error(self, argv, kmax, capsys, monkeypatch):
+        # F_{p^5} has no tables, so a cap past 4 is refused before any walk
+        monkeypatch.setattr(varieties, "_smoothness_walk", lambda *a, **k: pytest.fail("walked"))
+        assert run(argv + ["--kmax", kmax]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: argument --kmax: must be at most 4, got {kmax}\n"
+
+    def test_proven_singular_form_has_no_good_primes(self, capsys):
+        # F = X0 * cubic: 31 and 43 were kept as good reduction, as no walk to F_{p^2}
+        # meets its singular points; the Macaulay determinant proves them singular
+        F = "3*X0*X2^3+2*X0*X1*X2^2-3*X0*X1^2*X2+2*X0*X1^3+2*X0^2*X2^2+2*X0^3*X2+X0^3*X1"
+        assert run(["boxcount", "--f", "T^2", "--F", F, "--B", "40"]) == 1
+        assert capsys.readouterr().err.startswith("error: no usable primes in the window [23, 44]")
+        assert run(["classify-u", "--F", F + "+X3^4", "--u", "0,0,0,1", "--p", "31"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["class"] == "bad" and "witness" not in results
 
     @pytest.mark.parametrize("policy", ["list:4", "list:3,4"])
     def test_prime_list_checked_up_front(self, policy, capsys, monkeypatch):

@@ -12,9 +12,11 @@ from polysieve.fields import ExtField, mult_char, primes_in
 from polysieve.polynomials import UniPoly, parse_unipoly
 from polysieve.sieve import (SieveConfig, SievePrimeData, build_prime_data,
                              detector, h_image_table, in_h_image,
-                             integer_preimage_exists, membership_filter,
-                             multiplicity_weight, power_decomposition_check,
-                             power_sieve_rhs, sieve_bound_eval)
+                             membership_filter, multiplicity_weight,
+                             power_decomposition_check, power_sieve_rhs,
+                             sieve_bound_eval)
+
+from _oracles import integer_preimage_exists, integer_root_of
 
 H_BANK = ["T^2", "T^3", "T^3-3*T", "T^4+T", "2*T^3+1"]
 
@@ -265,23 +267,56 @@ class TestImageTables:
         for text in H_BANK:
             h = parse_unipoly(text)
             ns = range(-2000, 2001, 7)
-            assert in_h_image(h, ns).tolist() == [integer_preimage_exists(h, n) for n in ns]
+            assert in_h_image(h, ns).tolist() == [integer_root_of(h, n) is not None for n in ns]
 
     def test_preimage_huge_values(self):
         h = parse_unipoly("T^2")
         m = 10**30
-        assert integer_preimage_exists(h, m * m)
-        assert not integer_preimage_exists(h, m * m + 1)
+        assert in_h_image(h, [m * m, m * m + 1]).tolist() == [True, False]
         h3 = parse_unipoly("T^3-3*T")
         t = 10**12
-        assert integer_preimage_exists(h3, t**3 - 3 * t)
-        assert not integer_preimage_exists(h3, t**3 - 3 * t + 1)
+        assert in_h_image(h3, [t**3 - 3 * t, t**3 - 3 * t + 1]).tolist() == [True, False]
+        # past a float (10^308): the bisection's bound is an exact integer
+        m = 10**400 + 7
+        assert in_h_image(h, [m * m, m * m - 1, -m * m]).tolist() == [True, False, False]
+        assert in_h_image(h3, [-(m**3 - 3 * m), m**3 - 3 * m - 1]).tolist() == [True, False]
 
+    def test_far_value_found_in_the_zone(self):
+        # h = T^2 + 10^19, crit = 3: past int64 every value of h, and h(0), h(2) lie
+        # in the zone where no tail bisection reaches them
+        h = parse_unipoly("T^2+10000000000000000000")
+        assert in_h_image(h, [10**19, h.eval(1) + 1, h.eval(2)]).tolist() == [True, False, True]
+
+    def test_far_values_skip_the_table_walk(self):
+        # a table to 10^17 walks about 9 10^8 points; two bisections decide the value
+        h = parse_unipoly("T^2")
+        rep = sieve_bound_eval(SieveConfig(h, tuple(primes_in(3, 6000))[:8]), {10**17: 1.0})
+        assert rep.v_h == 0
+        # the zone of T^2 is 7 points, within a budget of 100
+        assert in_h_image(h, [10**17, 10**16, 10**16 + 1], budget=100).tolist() \
+            == [False, True, False]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(-3, 3), min_size=3, max_size=5).filter(lambda c: c[-1] != 0),
+           st.lists(st.integers(-10**9, 10**9), max_size=6),
+           st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(-10**4, 10**4), max_size=6),
+           st.lists(st.integers(2**63, 10**40), max_size=6),
+           st.lists(st.integers(3 * 10**9, 10**13), max_size=3), st.integers(-1, 1))
+    def test_array_membership_equals_the_per_value_search(self, coeffs, small, wide, huge,
+                                                          ts, step):
+        # h of degree 2-4.  An int64 array is one table walk, here to |n| <= 10^9.  A list
+        # mixes values across int64, values past it of either sign, and h(t) + step at
+        # large t on both tails (|h(t)| near 9 10^18 or more)
+        h = UniPoly(coeffs)
+        assert in_h_image(h, np.array(small, dtype=np.int64)).tolist() \
+            == [integer_preimage_exists(h, n) for n in small]
+        ns = wide + [s * n for n in huge for s in (1, -1)] + [h.eval(s * t) + step
+                                                              for t in ts for s in (1, -1)]
+        assert in_h_image(h, ns).tolist() == [integer_preimage_exists(h, n) for n in ns]
 
     def test_preimage_zone_is_one_array_pass(self, monkeypatch):
         # crit = 1 + 10^6: no scalar evaluation inside the zone, only on the tails
         h = parse_unipoly("T^2+1000000*T")
-        sieve._critical_zone.cache_clear()
         real = UniPoly.eval
 
         def scalar_outside_zone(self, x):
@@ -290,15 +325,14 @@ class TestImageTables:
             return real(self, x)
 
         monkeypatch.setattr(UniPoly, "eval", scalar_outside_zone)
-        assert not integer_preimage_exists(h, 7)
-        assert integer_preimage_exists(h, real(h, -999_999))
-        assert integer_preimage_exists(h, real(h, 3 * 10**6))
+        ns = [7, real(h, -999_999), real(h, 3 * 10**10), real(h, -3 * 10**10) + 1, 2**70]
+        assert in_h_image(h, ns).tolist() == [False, True, True, False, False]
 
     def test_preimage_zone_is_charged_first(self, monkeypatch):
         # h' = 2T + 10^9, so crit = 1 + 10^9: 2 crit + 1 points pass the default budget 10^8
         monkeypatch.setattr(UniPoly, "eval", lambda *a: pytest.fail("evaluated"))
         with pytest.raises(BudgetExceeded, match="critical zone of 2000000003 points"):
-            integer_preimage_exists(parse_unipoly("T^2+1000000000*T"), 7)
+            in_h_image(parse_unipoly("T^2+1000000000*T"), [2**62, -10**30])
 
 
 class TestSieveBound:
@@ -383,6 +417,15 @@ class TestSieveBound:
         assert rhs["rhs"] == pytest.approx(1 / len(primes))
         # even with the explicit (2d)^2 constant the character bound fails
         assert (2 * 2) ** 2 * rhs["rhs"] < rep.v_h
+
+    def test_support_flag_past_a_float_exponential(self):
+        # e^710 overflows a float: the support test compares log n with P instead
+        primes = tuple(primes_in(3, 6000))[:710]
+        rep = sieve_bound_eval(SieveConfig(parse_unipoly("T^2"), primes), {4: 1.0})
+        assert rep.P == 710 and rep.support_condition_ok
+        for n in (0, 10**309):  # 10^309 > e^710, itself past a float
+            assert not sieve_bound_eval(SieveConfig(parse_unipoly("T^2"), primes),
+                                        {4: 1.0, n: 1.0}).support_condition_ok
 
     def test_well_supported_sequence_passes_char_form(self):
         # same machinery on an admissible sequence: bound comfortably true

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polysieve import varieties
 from polysieve.convolve import fold, wrap
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import cached_field, mult_char, primes_in
@@ -21,6 +22,9 @@ from polysieve.varieties import (DEFAULT_BUDGET, ScanResult, UClass, Witness, _c
 from _oracles import (TupleField, classify_u_direct, complete_sum_table,
                       diagonal_dual_oracle, fiber_histogram_direct, mixsum_grid,
                       pair_fiber_histogram_grid, smoothness_scan_direct)
+
+REDUCIBLE_QUARTIC = ("3*X0*X2^3+2*X0*X1*X2^2-3*X0*X1^2*X2+2*X0*X1^3+2*X0^2*X2^2+2*X0^3*X2"
+                     "+X0^3*X1")
 
 
 class TestFiberCounts:
@@ -349,8 +353,10 @@ class TestSmoothness:
         assert not res2.smooth
         assert res2.witness.ext_degree == 2 or not res1.smooth
 
-    @pytest.mark.parametrize("k_max", [0, -1])
-    def test_scans_reject_k_max_below_one(self, k_max):
+    @pytest.mark.parametrize("k_max", [0, -1, 5, 6])
+    def test_scans_reject_k_max_below_one(self, k_max, monkeypatch):
+        # F_{p^5} has no tables: a cap past 4 is refused before any walk, like one below 1
+        monkeypatch.setattr(varieties, "_smoothness_walk", lambda *a, **k: pytest.fail("walked"))
         F = parse_multipoly("X0^2+X1^2+X2^2")
         with pytest.raises(ValueError, match="k_max must be at least 1"):
             smoothness_scan(F, 5, k_max=k_max)
@@ -358,6 +364,22 @@ class TestSmoothness:
             classify_u(F, (1, 0, 0), 5, k_max=k_max)
         with pytest.raises(ValueError, match="k_max must be at least 1"):
             classify_u(F, (0, 0, 0), 5, k_max=k_max)  # the zero class too
+
+    def test_proven_singularity_is_not_smooth(self):
+        # F = X0 * cubic is singular where X0 = 0 = cubic; at these primes those points lie
+        # past F_{p^2}, so the walk to k_max = 2 finds none, but at level 2 det M = 0 while
+        # det A != 0, which proves Res = 0 mod p (and p does not divide deg F = 4)
+        F = parse_multipoly(REDUCIBLE_QUARTIC)
+        for p in (31, 43, 67, 79):
+            assert [_certify(F.reduce_mod(p), p, j, 2)[0] for j in (1, 2)] == [None, False]
+        for p in (31, 43):
+            assert _smoothness_walk(F.reduce_mod(p), p, 2) == ScanResult(True, 2)
+            assert smoothness_scan(F, p) == ScanResult(False, 2)
+        # its section by X3 = 0 is F itself: bad, with no witness to report
+        G = parse_multipoly(REDUCIBLE_QUARTIC + "+X3^4")
+        assert classify_u(G, (0, 0, 0, 1), 31) == UClass("bad", k_max=2)
+        with pytest.raises(ValueError, match="only a bad classification carries a witness"):
+            UClass("good", Witness(1, (0, 0, 1)))
 
 
 class TestClassifyU:
@@ -515,9 +537,9 @@ class TestScanBudget:
         F = parse_multipoly("X0^2*X1+X1^2*X2+X2^3").reduce_mod(59)
         assert 15**3 <= projective_grid(59, 1, 2) < 2 * 15**3
         assert _certify(F, 59, 1, 2) == (True, 2 * 15**2)
-        assert _certify(F, 59, 1, 1) == (False, 15**2)
+        assert _certify(F, 59, 1, 1) == (None, 15**2)  # undecided: one try, not certified
         # a singular quadric: det M = 0 and det A = 1 (A is empty), so Res = 0
-        # mod p and no change of coordinates is tried
+        # mod p, proven singular, and no change of coordinates is tried
         assert _certify(parse_multipoly("X0*X1+X1^2", 3).reduce_mod(101), 101, 1, 2) == (False, 3**2)
         assert smoothness_scan(F, 59, 1) == _smoothness_walk(F, 59, 1) == ScanResult(True, 1)
 
