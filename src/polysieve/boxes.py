@@ -9,8 +9,8 @@ fold takes whichever method allocates less: sorted pairwise sums, or the
 certified exact convolution over the value span (convolve.fold).  The
 budget is charged for the group grids and folds as they are built, not
 for the (2B+1)^m box.  Every count works on distinct values weighted by
-multiplicity.  The exact count tests each value against the table of
-f-values; the sieve-accelerated count prefilters values through
+multiplicity.  The exact count tests each value against f's values
+(sieve.in_h_image); the sieve-accelerated count prefilters values through
 per-prime image bitmaps and verifies survivors exactly, so the two
 counts agree by construction (asserted).  Complete sums, the CRT check
 and the Poisson dual work per variable group (varieties.complete_sums),

@@ -213,31 +213,22 @@ def _root_reach(h, n_max):
                                            for i, x in enumerate(low)))) + 1
 
 
-def h_image_table(h, n_max, budget=DEFAULT_BUDGET):
-    """Sorted array of {h(t) : t in Z} values with |h(t)| <= n_max: the points
-    |t| <= _root_reach(h, n_max) are charged, then evaluated (_values_within)."""
-    reach = int(_root_reach(h, n_max))
-    vals = np.sort(np.concatenate([v[np.abs(v) <= n_max].astype(np.int64)
-                                   for v in _values_within(h, reach, budget, "image walk")]))
-    return vals[np.diff(vals, prepend=vals[:1] - 1) != 0]
-
-
 # One bisection step (a scalar Python-int evaluation and a comparison, about 1 us) costs
-# about as much as 32 table points evaluated in int64 (about 30 ns each) on a 2-core x86-64.
+# about as much as 32 walk points evaluated in int64 (about 30 ns each) on a 2-core x86-64.
 _STEP_POINTS = 32
 
 
 def in_h_image(h, ns, budget=DEFAULT_BUDGET):
     """Exact membership n in h(Z), elementwise, for integers of any size.  An int64
-    array is looked up in h_image_table.  Otherwise the table serves the values with
-    |n| <= m, for the largest m whose walk (2 _root_reach(h, m) + 1 points) costs no
-    more than bisecting those values; every other value is looked up among h's values
-    on [-C, C], C = _critical_radius(h), then by one exact bisection on each tail
-    |t| > C, where h is strictly monotone.  The table walk and the zone are charged."""
+    array is looked up in the image walk (_in_table).  Otherwise the walk serves the
+    values with |n| <= m, for the largest m whose walk (2 _root_reach(h, m) + 1 points)
+    costs no more than bisecting those values; every other value is looked up among h's
+    values on [-C, C], C = _critical_radius(h), then by one exact bisection on each tail
+    |t| > C, where h is strictly monotone.  The walk and the zone are charged."""
     if isinstance(ns, np.ndarray) and ns.dtype == np.int64:
         return _in_table(h, ns, budget)
     ns = np.asarray(ns, dtype=object)
-    near = np.asarray(np.abs(ns) < 2**63)  # the table holds int64
+    near = np.asarray(np.abs(ns) < 2**63)  # the walk compares in int64
     mags = np.abs(ns[near].astype(np.int64))
     srt = np.sort(mags)
     steps = 2 * np.log2(srt / abs(h.lc) + 2)  # two tails up to Cauchy's bound, about |n| / |c_d|
@@ -256,12 +247,14 @@ def in_h_image(h, ns, budget=DEFAULT_BUDGET):
 
 
 def _in_table(h, ns, budget):
-    table = h_image_table(h, int(np.abs(ns).max()) if ns.size else 0, budget)
-    if table.size == 0:
-        return np.zeros(ns.shape, dtype=bool)
-    idx = np.searchsorted(table, ns)
-    idx = np.clip(idx, 0, table.size - 1)
-    return table[idx] == ns
+    """ns in h(Z), int64: looked up in each sorted block of h on |t| <= _root_reach."""
+    n_max = int(np.abs(ns).max()) if ns.size else 0
+    out = np.zeros(ns.shape, dtype=bool)
+    for vals in _values_within(h, int(_root_reach(h, n_max)), budget, "image walk"):
+        vals = np.sort(vals[np.abs(vals) <= n_max].astype(np.int64))  # drops the raw block
+        if vals.size:
+            out |= vals[np.searchsorted(vals, ns).clip(0, vals.size - 1)] == ns
+    return out
 
 
 def _far_in_image(h, n, zone, crit):

@@ -22,7 +22,7 @@ import numpy as np
 from .convolve import fold, fold_cells, wrap
 from .errors import DEFAULT_BUDGET, charge
 from .fields import EXT_DEGREE_CAP, cached_field, is_prime, prime_factors
-from .polynomials import MultiPoly, _det_bareiss, broadcast_grid
+from .polynomials import MultiPoly, _det_bareiss, broadcast_grid, grid_slabs
 
 _INT64_SAFE = 2**62
 
@@ -94,10 +94,10 @@ def fiber_histogram(F, p, G=None, budget=DEFAULT_BUDGET):
     With r forms (1 or 2), the joint variable groups (sharing no monomial
     of any form) are packed, largest first, into blocks of at most r
     variables or one group, each counted into a (p,)*r histogram over its
-    own grid; h is their r-dim cyclic convolution, folded pairwise
-    (convolve.fold, wrapped).  A non-separable F (or pair) is one block:
-    one grid, no FFT.  Block grids, p^r per block and each fold's padded
-    cells are charged before any build.
+    own grid, slab by slab (grid_slabs); h is their r-dim cyclic
+    convolution, folded pairwise (convolve.fold, wrapped).  A non-separable
+    F (or pair) is one block, no FFT.  Block grids, p^r per block and each
+    fold's padded cells are charged before any build.
     """
     forms = (F,) if G is None else (F, G)
     r = len(forms)
@@ -118,15 +118,17 @@ def fiber_histogram(F, p, G=None, budget=DEFAULT_BUDGET):
     charge(0, cost, budget, "fiber histogram")
     hists = []
     for block, k in zip(blocks, sizes):
-        axes = iter(broadcast_grid([np.arange(p, dtype=np.int64)] * k))
-        vals = [0] * r  # each group's values span its own axes, so the sum spans the block
-        for idx, *subs in block:
-            own = [next(axes) for _ in idx]
-            vals = [v + sub.eval_mod(own, p) for v, sub in zip(vals, subs)]
-        if len(block) > 1:  # eval_mod reduces one group's values, not their sum
-            vals = [v % p for v in vals]
-        cells = reduce(lambda c, v: c * p + v, vals)
-        hists.append(np.bincount(np.ravel(cells), minlength=p**r).reshape((p,) * r))
+        hists.append(np.zeros((p,) * r, dtype=np.int64))
+        for axes in map(iter, grid_slabs(p, k, p**r)):
+            owns = [[next(axes) for _ in grp[0]] for grp in block]
+            # each group's values span its own axes, so their sum spans the block
+            vals = [reduce(np.add, [grp[i].eval_mod(own, p) for grp, own in zip(block, owns)])
+                    for i in range(1, r + 1)]
+            if len(block) > 1:  # eval_mod reduces one group's values, not their sum
+                vals = [v % p for v in vals]
+            cells = np.ravel(reduce(lambda c, v: c * p + v, vals))
+            hists[-1] += np.bincount(cells, minlength=p**r).reshape((p,) * r)
+            del vals, cells  # so the next slab reuses their memory, not fresh pages
     return reduce(lambda a, b: wrap(fold([a, b]), p), hists)
 
 
@@ -134,20 +136,20 @@ def group_pushforwards(sub, freqs, N, twist=None):
     """Row j: v -> sum over a in (Z/N)^k with sub(a) = v mod N of e((<u_j, a> + twist(a))/N).
 
     u_j runs over the product of freqs (C order, one array per variable);
-    twist is a form on the same k variables, or None for 0.  One
-    phase-weighted bincount of R N^k points for the R rows.
+    twist is a form on the same k variables, or None for 0.  Phase-weighted
+    bincounts of R N^k points for the R rows, one slab at a time (grid_slabs).
     """
-    axes = broadcast_grid([np.arange(N, dtype=np.int64)] * sub.n_vars)
-    vals = np.ravel(sub.eval_mod(axes, N))
     us = np.array(list(itertools.product(*freqs)), dtype=np.int64) % N
-    expo = sum((np.multiply.outer(us[:, i], axis) % N for i, axis in enumerate(axes)
-                if us[:, i].any()), 0 if twist is None else twist.eval_mod(axes, N))
-    expo = np.ravel(np.broadcast_to(expo, (len(us),) + (N,) * sub.n_vars))
     # expo < (k + 1) N: the phase table repeats instead of a pass reducing expo mod N
     phases = np.tile(np.exp(2j * np.pi * np.arange(N) / N), sub.n_vars + 1)
-    idx, size = (np.arange(len(us))[:, None] * N + vals).ravel(), len(us) * N
-    out = np.bincount(idx, phases.real[expo], size) + 1j * np.bincount(idx, phases.imag[expo], size)
-    return out.reshape(len(us), N)
+    size, out = len(us) * N, np.zeros((2, len(us) * N))
+    for axes in grid_slabs(N, sub.n_vars, size, len(us)):
+        expo = sum((np.multiply.outer(us[:, i], axis) % N for i, axis in enumerate(axes)
+                    if us[:, i].any()), 0 if twist is None else twist.eval_mod(axes, N))
+        expo = np.ravel(np.broadcast_to(expo, (len(us),) + np.broadcast(*axes).shape))
+        idx = (np.arange(0, size, N)[:, None] + np.ravel(sub.eval_mod(axes, N))).ravel()
+        out += [np.bincount(idx, w[expo], size) for w in (phases.real, phases.imag)]
+    return (out[0] + 1j * out[1]).reshape(len(us), N)
 
 
 def _sums_plan(F, N, freqs):
@@ -194,7 +196,7 @@ def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
     (group_pushforwards twisted by G_g).  F and G are sums over the
     groups, so the sum is t against the cyclic convolution of the P_g,
     taken by one length-p FFT.  Costs sum_g p^|g| + p, charged before any
-    build; a non-separable pair is one p^n grid and no FFT.
+    build; a non-separable pair is one p^n grid, in slabs, and no FFT.
     """
     if F.n_vars != G.n_vars:
         raise ValueError("F and G must share arity")
@@ -348,19 +350,12 @@ def _smoothness_walk(form, p, k_max, budget=DEFAULT_BUDGET, certify=False):
 
 
 def _kernel_basis(u, p):
-    """Basis over F_p of the hyperplane <x, u> = 0; u not 0 mod p."""
+    """Basis over F_p of <x, u> = 0, u not 0 mod p: e_j - (u_j / u_pivot) e_pivot, j != pivot."""
     u = [int(c) % p for c in u]
     pivot = next(i for i, c in enumerate(u) if c)
     inv = pow(u[pivot], p - 2, p)
-    basis = []
-    for j in range(len(u)):
-        if j == pivot:
-            continue
-        vec = [0] * len(u)
-        vec[j] = 1
-        vec[pivot] = (-u[j] * inv) % p
-        basis.append(vec)
-    return basis
+    return [[int(i == j) if i != pivot else (-u[j] * inv) % p for i in range(len(u))]
+            for j in range(len(u)) if j != pivot]
 
 
 def classify_u(F, u, p, k_max=2, budget=DEFAULT_BUDGET):

@@ -316,7 +316,7 @@ class TestSubcommands:
 
     def test_boxcount_refuses_a_huge_range_before_the_image_walk(self, capsys, monkeypatch):
         # v_max = 9 * 10^13 + 18: the exceptional set's 2 v_max + 1 charge comes first
-        monkeypatch.setattr(sieve, "h_image_table", lambda *a: pytest.fail("walked f(Z)"))
+        monkeypatch.setattr(sieve, "_values_within", lambda *a: pytest.fail("walked f(Z)"))
         assert run(["boxcount", "--f", "T^2", "--F", "10000000000000*X0^2+X1^2+X2^2",
                     "--B", "3"]) == 1
         err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import ExtField, mult_char, primes_in
 from polysieve.polynomials import UniPoly, parse_unipoly
 from polysieve.sieve import (SieveConfig, SievePrimeData, build_prime_data,
-                             detector, h_image_table, in_h_image,
+                             detector, in_h_image,
                              membership_filter, multiplicity_weight,
                              power_decomposition_check, power_sieve_rhs,
                              sieve_bound_eval)
@@ -232,10 +233,15 @@ class TestArrayKernels:
         assert membership_filter([data], 10) is False and membership_filter([], 10) is True
 
 
+def _image_within(h, n_max, budget=10**8):
+    """Every n in h(Z) with |n| <= n_max: in_h_image over the full range, one walk."""
+    ns = np.arange(-n_max, n_max + 1, dtype=np.int64)
+    return ns[in_h_image(h, ns, budget=budget)].tolist()
+
+
 class TestImageTables:
     def test_squares(self):
-        table = h_image_table(parse_unipoly("T^2"), 100)
-        assert list(table) == [k * k for k in range(11)]
+        assert _image_within(parse_unipoly("T^2"), 100) == [k * k for k in range(11)]
 
     @pytest.mark.parametrize("text, n_max, want", [
         ("T^2-7", 10, [-7, -6, -3, 2, 9]),
@@ -243,7 +249,7 @@ class TestImageTables:
         ("-T^3+T+1000000", 100, [100]),   # h(100) = 100
     ])
     def test_walk_reaches_past_the_critical_radius(self, text, n_max, want):
-        assert h_image_table(parse_unipoly(text), n_max).tolist() == want
+        assert _image_within(parse_unipoly(text), n_max) == want
 
     def test_walk_is_charged_before_it_starts(self, monkeypatch):
         # Fujiwara: every t with |t^2| <= 10^4 has |t| <= ceil(2 sqrt(10^4 / 2)) + 1 = 143
@@ -251,17 +257,32 @@ class TestImageTables:
         with monkeypatch.context() as m:
             m.setattr(type(h), "eval", lambda *a: pytest.fail("walked before the charge"))
             with pytest.raises(BudgetExceeded, match="image walk of 287 points"):
-                h_image_table(h, 10**4, budget=286)
+                _image_within(h, 10**4, budget=286)
             with pytest.raises(BudgetExceeded, match="image walk of 287 points"):
                 in_h_image(h, np.array([10**4]), budget=286)
-        assert h_image_table(h, 10**4, budget=287).tolist() == [k * k for k in range(101)]
+        assert _image_within(h, 10**4, budget=287) == [k * k for k in range(101)]
 
     def test_matches_direct_scan(self):
         h = parse_unipoly("T^3-3*T")
-        table = h_image_table(h, 50)
         direct = sorted(set(h.eval(t) for t in range(-60, 61)
                             if abs(h.eval(t)) <= 50))
-        assert list(table) == direct
+        assert _image_within(h, 50) == direct
+
+    def test_walk_holds_one_block(self):
+        # about 9 10^6 walk points in blocks of 2^20: the whole walk kept as int64 and
+        # sorted traced 144.8 MiB.  No square lies in 10^13 + [0, 2000); the appended
+        # squares lie in the middle block, and in the second and eighth of the nine
+        squares = [0, 25, 3162277**2, 3162277**2 + 1]
+        h = parse_unipoly("T^2")
+        ns = np.concatenate([10**13 + np.arange(2000), squares]).astype(np.int64)
+        tracemalloc.start()
+        try:
+            got = in_h_image(h, ns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        assert np.flatnonzero(got).tolist() == [2000, 2001, 2002]
 
     def test_preimage_exists_vs_table(self):
         for text in H_BANK:

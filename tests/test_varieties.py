@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polysieve import varieties
+from polysieve import polynomials, varieties
 from polysieve.convolve import fold, wrap
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import cached_field, mult_char, primes_in
@@ -241,7 +241,8 @@ class TestPairHistogramsAndMixedSums:
         assert (hist.sum(axis=0) == p**2).all()
 
     def test_one_group_twist_traces_no_more_than_the_grid(self):
-        # the full-grid sum traced 47.7 MiB here; this pair is one group of p^2 points
+        # the full-grid sum traced 47.7 MiB here, one pass over the p^2 grid 31.9 MiB;
+        # slabs of about 2^17 points trace about 5 MiB
         p, (F, G) = 1021, _pair("X0^2+2*X1^2", "X0*X1")
         t = mult_char(cached_field(p), 2, 1).values
         mixed_sum(F, G, t, p)
@@ -251,8 +252,22 @@ class TestPairHistogramsAndMixedSums:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 47.7 * 2**20
+        assert peak <= 8 * 2**20
         assert abs(got - mixsum_grid(F, G, t, p)) <= 1e-9 * max(1.0, abs(got))
+
+    def test_one_group_twist_at_a_larger_prime_traces_a_few_slabs(self):
+        # one pass over the p^2 grid traced 275 MiB at p = 3001
+        p, (F, G) = 3001, _pair("X0^2+2*X1^2", "X0*X1")
+        t = mult_char(cached_field(p), 2, 1).values
+        tracemalloc.start()
+        try:
+            got = mixed_sum(F, G, t, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        want = 414.29886268064445 + 1.890137957088789e-09j  # the one-pass sum
+        assert abs(got - want) <= 1e-9 * abs(want)
 
     def test_budget_charges_group_grids_and_blocks(self):
         def pair_histogram(F, G, p, budget):
@@ -321,6 +336,77 @@ class TestPairHistogramsAndMixedSums:
             fold([np.ones(3 * 10**6, dtype=np.int64)] * 2)
         with pytest.raises(OverflowError, match="64-bit"):
             fold([np.full(2, 2**62)] * 2)
+
+
+class TestSlabs:
+    """The streamed kernels against the full-grid oracles, in slabs of a few points."""
+
+    @settings(max_examples=120)
+    @given(pair_inputs(), st.integers(1, 300), st.integers(0, 2**32 - 1))
+    @example((*_pair("X0*X1+X1*X2", "X0+X2"), 7), 98, 0)  # rows 2, 2, 2 and 1 per slab
+    @example((*_pair("X0*X1*X2", "X1*X2"), 7), 280, 1)    # rows 6 and 1
+    @example((*_pair("X0*X1+X2*X3", "X1"), 5), 1, 2)       # one row per slab, blocks of 2
+    def test_fibers_and_mixed_sums_match_the_full_grid(self, case, slab, seed):
+        F, G, p = case
+        t = np.random.default_rng(seed).normal(size=p) + 0.5j
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polynomials, "SLAB_POINTS", slab)
+            single, pair, total = fiber_histogram(F, p), fiber_histogram(F, p, G), \
+                mixed_sum(F, G, t, p)
+        assert single.tolist() == fiber_histogram_direct(F.terms, F.n_vars, p)
+        assert np.array_equal(pair, pair_fiber_histogram_grid(F, G, p))
+        want = mixsum_grid(F, G, t, p)
+        assert abs(total - want) <= 1e-9 * max(1.0, abs(want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([
+        ("4", "1", 5, []),                                           # no variables: one row
+        ("X0^3+2*X0", "X0^2", 7, [[0, 1, 5, -1]]),                   # one variable, 4 rows
+        ("X0*X1+X1*X2^2+X2", "X0*X2+X1", 5, [[0, 1], [2], [3, 4]]),  # three variables, 4 rows
+        ("X0^2+X1*X2", "0", 6, [[1, 5], [0], [2, 3, 4]]),            # composite N, 6 rows
+    ]), st.integers(1, 400))
+    def test_group_pushforwards_match_a_direct_sum(self, case, slab):
+        form, twist, N, freqs = case
+        sub, tw = (parse_multipoly(x, n_vars=len(freqs)) for x in (form, twist))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polynomials, "SLAB_POINTS", slab)
+            got = group_pushforwards(sub, freqs, N, tw)
+        rows = list(itertools.product(*freqs))
+        assert got.shape == (len(rows), N)
+        for j, u in enumerate(rows):
+            want = np.zeros(N, dtype=complex)
+            for a in itertools.product(range(N), repeat=sub.n_vars):
+                expo = sum(x * y for x, y in zip(u, a)) + tw.eval_mod(a, N)
+                want[sub.eval_mod(a, N)] += np.exp(2j * np.pi * expo / N)
+            assert np.abs(got[j] - want).max() < 1e-9, u
+
+    def test_slabs_are_whole_rows_with_a_shorter_last(self):
+        def rows(*args):
+            return [np.broadcast(*g).shape[0] for g in polynomials.grid_slabs(*args)]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polynomials, "SLAB_POINTS", 21)
+            assert [np.broadcast(*g).shape for g in polynomials.grid_slabs(7, 3)] \
+                == [(1, 7, 7)] * 7
+            # the fewest rows whose points, times width values each, reach
+            # max(SLAB_POINTS, cells)
+            assert rows(7, 2) == [3, 3, 1]
+            assert rows(7, 2, 28) == [4, 3]
+            assert rows(7, 2, 0, 2) == [2, 2, 2, 1]
+            assert rows(7, 1) == [7]
+            assert [len(g) for g in polynomials.grid_slabs(7, 0)] == [0]
+
+    def test_ternary_fiber_histogram_traces_a_few_slabs(self):
+        # one pass over the 211^3 grid traced 72.4 MiB
+        F, p = parse_multipoly("X0^2+X0*X1+X1*X2+X2^2"), 211
+        tracemalloc.start()
+        try:
+            hist = fiber_histogram(F, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert hist.sum() == p**3
 
 
 class TestSmoothness:
