@@ -315,15 +315,17 @@ def _bump(t):
 
 @lru_cache(maxsize=None)
 def _bump_derivative_l1(order):
-    """||w^(k)||_1 of the unit bump, k = order >= 1, rounded up.
+    """||w^(k)||_1 of the unit bump, rounded up; k = order = 0 is wh(0) plus its error bound.
 
     w^(k)(s) = P_k(s) (1-s^2)^(-2k) w(s) with integer polynomials P_0 = 1,
-    P_{k+1} = P_k' (1-s^2)^2 + (4ks(1-s^2) - 2s) P_k.  So ||w^(k)||_1 is
+    P_{k+1} = P_k' (1-s^2)^2 + (4ks(1-s^2) - 2s) P_k.  So ||w^(k)||_1, k > 0, is
     the total variation of w^(k-1) over -1, the (Newton-polished) real
     zeros s of P_k in (-1, 1) and 1: a lower bound for any points s, and
     w^(k-1)(s), taken in rationals, has rounding error below eps (2 + 1/u),
     u = 1-s^2, which is added back.
     """
+    if order == 0:
+        return SmoothWeight(1).wh(0.0) + SmoothWeight(1).wh_error(0.0)
     from fractions import Fraction  # pulls in decimal; only the Poisson path needs it
 
     polys = [np.array([1], dtype=object)]  # highest degree first, exact ints
@@ -378,10 +380,11 @@ class SmoothWeight:
 
     def wh(self, xi):
         """1-d transform of the unit bump at a frequency or an array of them."""
-        xi, n = _freqs(xi)
-        t = np.arange(1, n // 2) * (2 / n)  # w is even: the nodes in (0, 1)
+        (xi, n), shape = _freqs(xi), np.shape(xi)
+        xi, where = np.unique(xi, return_inverse=True)  # w is even: one sum per |xi|
+        t = np.arange(1, n // 2) * (2 / n)  # the nodes in (0, 1)
         out = (2 / n) * (math.exp(-1) + 2 * np.cos(2 * np.pi * np.multiply.outer(xi, t))
-                         @ _bump(t))
+                         @ _bump(t))[where].reshape(shape)
         return out if out.ndim else float(out)
 
     def wh_error(self, xi):
@@ -400,7 +403,7 @@ class SmoothWeight:
         """Analytic envelope min(||w||_1, ||w^(k)||_1 / (2 pi |xi|)^k), both rounded up."""
         xi = np.abs(np.asarray(xi, dtype=float))
         with np.errstate(divide="ignore"):
-            out = np.minimum(self.wh(0.0) + self.wh_error(0.0),
+            out = np.minimum(_bump_derivative_l1(0),
                              _bump_derivative_l1(self.kappa) / (2 * math.pi * xi) ** self.kappa)
         return out if out.ndim else float(out)
 
@@ -422,6 +425,13 @@ class SmoothWeight:
                      * terms ** (1 - k) / (k - 1))
 
 
+def _fold_pairs(grids, N):
+    """Per fold of the group grids mod N, its sorted pairs, at most min(points so far, N)
+    min(group points, N), or None where those reach N: one cyclic product of N cells."""
+    pairs = [min(math.prod(grids[:k]), N) * min(g, N) for k, g in enumerate(grids[1:], 1)]
+    return [n if n < N else None for n in pairs]
+
+
 def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, budget=DEFAULT_BUDGET):
     """Weighted box sum versus its truncated Poisson dual, with a tail bound.
 
@@ -434,15 +444,15 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, budget=DEFAULT_BUDGET):
     1e-4 of the main-term scale.  Raises InvariantViolation when the gap
     exceeds tail_bound + 1e-6.
 
-    The box side folds the groups' bump-weighted histograms of F mod pq,
-    as box_histogram does.  The dual side takes g_p(qbar u) and
-    g_q(pbar u) from complete_sums on the U_N = min(W, N) distinct window
-    residues (W = 2 u_cutoff + 1) and sums them against What through the
-    D <= W distinct residue pairs, one axis at a time; a non-separable F
-    costs one p^m and one q^m table, as before.  The group grids, each
-    fold's pairs (at most min(points so far, pq) times min(group points,
-    pq)), the tables, the passes and the trapezoid grid of the window are
-    charged to the budget up front, after the auto search's own window.
+    The box side folds the groups' bump-weighted histograms of F mod N =
+    pq by sorted pairs or a cyclic product of length-N vectors
+    (_fold_pairs).  The dual side takes g_p(qbar u) and g_q(pbar u) from
+    complete_sums on the U_N = min(W, N) distinct window residues (W =
+    2 u_cutoff + 1) and sums them against What through the D <= W distinct
+    residue pairs, one axis at a time; a non-separable F costs one p^m and
+    one q^m table.  The group grids, the folds, the tables, the passes and
+    the trapezoid grid of the window are charged up front, after the auto
+    search's own window, which then holds the final one.
     """
     if p == q:
         raise ValueError("p and q must be distinct")
@@ -463,8 +473,8 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, budget=DEFAULT_BUDGET):
         A = np.abs(wh_u).sum()
         return S * ((A + err_u.sum() + W.tail_sum_bound(N, len(wh_u) // 2)) ** m - A**m)
 
-    spent = 0
-    if u_cutoff is None:
+    spent, searched = 0, u_cutoff is None
+    if searched:
         spent = charge(0, window_cells(128), budget, "Poisson arrays")
         wh_u, err_u = window(128)
         u_cutoff = next((c for c in range(2, 130, 2) if tail_bound_over(
@@ -476,23 +486,32 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, budget=DEFAULT_BUDGET):
     pairs, ipair = np.unique(ip * len(rq) + iq, return_inverse=True)
     groups = _variable_groups(F)
     grids = [(2 * B + 1)**len(idx) for idx, _ in groups]
-    cost = (sum(grids) + sum(min(math.prod(grids[:k]), N) * min(g, N)
-                             for k, g in enumerate(grids[1:], 1))
+    folds = _fold_pairs(grids, N)
+    cost = (sum(grids) + sum(N if n is None else n for n in folds)
             + len(pairs) * max(len(rp), len(rq))**(m - 1)
             + _sums_plan(F, p, [rp] * m)[1] + _sums_plan(F, q, [rq] * m)[1]
             + window_cells(u_cutoff))
     charge(spent, cost, budget, "Poisson arrays")
     # direct: the bump-weighted histogram of F mod pq on the box, folded over the groups
-    bump, hist = W.weight_1d(np.arange(-B, B + 1)), None
-    for _, sub in groups:
-        res, inv = np.unique(box_value_array(sub, B) % N, return_inverse=True)
-        part = res, np.bincount(inv, reduce(np.multiply.outer, [bump] * sub.n_vars).ravel())
+    bump, hist, spec = W.weight_1d(np.arange(-B, B + 1)), None, None
+    for (_, sub), n in zip(groups, [0] + folds):
+        vals = box_value_array(sub, B) % N
+        wts = reduce(np.multiply.outer, [bump] * sub.n_vars).ravel()
+        if n is None:  # cyclic from here on: the spectra of length-N vectors multiply
+            spec = np.fft.rfft(np.bincount(hist[0] % N, hist[1], N)) if spec is None else spec
+            spec *= np.fft.rfft(np.bincount(vals, wts, N))
+            continue
+        res, inv = np.unique(vals, return_inverse=True)
+        part = res, np.bincount(inv, wts)
         hist = part if hist is None else _fold(hist, part)
+    if spec is not None:
+        hist = np.arange(N), np.fft.irfft(spec, N)
     direct = complex(hist[1] @ (t_p.values[hist[0] % p] * np.conj(t_q.values[hist[0] % q])))
     # dual: each window u_i lands on one residue pair (x, y) = (qbar u_i, pbar u_i);
     # w sums What over the u_i of each pair, pairs sorted by x.  Each pass moves
     # one axis of g_q from q-residues y to p-residues x, weighting by w.
-    wh_axis, err_axis = window(u_cutoff)
+    c = u_cutoff  # the auto search's window holds the final one
+    wh_axis, err_axis = (wh_u[128 - c:129 + c], err_u[128 - c:129 + c]) if searched else window(c)
     w = np.bincount(ipair, wh_axis)
     xd, yd = pairs // len(rq), pairs % len(rq)
     starts = np.flatnonzero(np.diff(xd, prepend=-1))

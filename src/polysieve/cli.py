@@ -19,7 +19,7 @@ import numpy as np
 from . import boxes, sieve, varieties
 from .errors import DEFAULT_BUDGET, InvariantViolation, PolysieveError, charge
 from .fields import EXT_DEGREE_CAP, cached_field, is_prime, mult_char, primes_in
-from .polynomials import MultiPoly, parse_multipoly, parse_unipoly
+from .polynomials import MultiPoly, broadcast_grid, parse_multipoly, parse_unipoly
 from .reports import ExperimentReport, emit_report, report_json
 from .tracefn import TraceFunction, constant_trace, kloosterman
 
@@ -325,22 +325,24 @@ def _run_poisson_check(cfg):
     o = cfg.options
     F = parse_multipoly(o["F"])
     p, q = o["p"], o["q"]
-    t_p = _trace_for(o["trace"], p)
-    t_q = _trace_for(o["trace"], q)
-    rec = boxes.poisson_compare(F, p, q, t_p, t_q, o["B"], o["cutoff"],
-                                budget=cfg.budget)
+    t_p, t_q = _trace_for(o["trace"], p), _trace_for(o["trace"], q)
+    rec = boxes.poisson_compare(F, p, q, t_p, t_q, o["B"], o["cutoff"], budget=cfg.budget)
     results = dict(rec)
     diag = F.as_diagonal()
     if diag is not None:
-        # classify each distinct residue vector of u in [-s, s]^m once
+        # classify each distinct residue vector of u in [-s, s]^m once, weighted by its u
         coeffs, d = diag
-        s = min(rec["u_cutoff"], 8)
+        s, m = min(rec["u_cutoff"], 8), F.n_vars
         for prime in (p, q):
             res, counts = np.unique(np.arange(-s, s + 1) % prime, return_counts=True)
-            idx = np.indices((len(res),) * F.n_vars).reshape(F.n_vars, -1)
-            kinds = varieties.diagonal_u_classes(coeffs, d, res[idx].T, prime, cfg.budget)
-            results[f"u_class_tally_mod_{prime}"] = {  # weighted by the u of each vector
-                k: int(counts[idx].prod(axis=0)[kinds == k].sum()) for k in ("zero", "good", "bad")}
+            bad = varieties.diagonal_dual_zeros(coeffs, d, broadcast_grid([res] * m), prime,
+                                                cfg.budget)
+            bad.flat[0] = False  # the first vector is u = 0
+            for _ in range(m):  # contract the first axis against its counts
+                bad = sum(c * b for c, b in zip(counts.tolist(), bad))
+            zero, bad = int(counts[0]) ** m, int(bad)
+            results[f"u_class_tally_mod_{prime}"] = {
+                "zero": zero, "good": (2 * s + 1) ** m - zero - bad, "bad": bad}
     else:
         results["u_class_tally"] = "skipped (non-diagonal form)"
     return ExperimentReport("poisson-check", dict(o), results, seed=cfg.seed)

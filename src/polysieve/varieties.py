@@ -22,7 +22,7 @@ import numpy as np
 from .convolve import fold, fold_cells, wrap
 from .errors import DEFAULT_BUDGET, charge
 from .fields import EXT_DEGREE_CAP, cached_field, is_prime, prime_factors
-from .polynomials import MultiPoly, _det_bareiss, broadcast_grid, grid_slabs
+from .polynomials import SLAB_POINTS, MultiPoly, _det_bareiss, broadcast_grid, grid_slabs
 
 _INT64_SAFE = 2**62
 
@@ -59,6 +59,7 @@ class ScanResult:
     witness: Optional[Witness] = None
 
 
+@lru_cache(maxsize=64)
 def _variable_groups(*forms):
     """(indices, sub-form of each form) for each class of variables that share no monomial.
 
@@ -67,7 +68,7 @@ def _variable_groups(*forms):
     sub-forms, each living on the variables of its class, whose indices
     are listed in order.  A variable absent from every form is a class of
     its own with zero forms; forms in no variables give one empty class.
-    Constant terms go with the first class.
+    Constant terms go with the first class.  Cached, so returned as tuples.
     """
     groups = [[i] for i in range(forms[0].n_vars)]
     for expo in itertools.chain.from_iterable(f.terms for f in forms):
@@ -84,7 +85,7 @@ def _variable_groups(*forms):
             k = 0 if first is None else where[first]
             terms[k][tuple(expo[i] for i in groups[k])] = c
         subs.append([MultiPoly(len(g), t, form.ring) for g, t in zip(groups, terms)])
-    return list(zip(groups, *subs))
+    return tuple(zip(map(tuple, groups), *subs))
 
 
 def fiber_histogram(F, p, G=None, budget=DEFAULT_BUDGET):
@@ -412,39 +413,42 @@ def dual_polynomial(m, d):
     return MultiPoly(m, {(K // e - sum(k),) + k: int(c) for k, c in np.ndenumerate(coeffs) if c})
 
 
+def diagonal_dual_zeros(coeffs, d, axes, p, budget=DEFAULT_BUDGET):
+    """D_{m,d}(a) = 0 mod p, a_i = u_i^d / c_i, on the grid of u the per-axis residue arrays
+    axes broadcast to (D(0) = 0 for m > 1), by eval_mod in slabs of axis 0; ints give one
+    bool.  D's build, then its monomials times the points, are charged first."""
+    m, e, cred = len(coeffs), d - 1, [int(c) % p for c in coeffs]
+    if d < 2 or d % p == 0 or not all(cred) or not is_prime(p):
+        raise ValueError("need p coprime to d and to every coefficient, p prime and d >= 2")
+    lone, K = all(isinstance(x, int) for x in axes), e ** (m - 1)  # lone: one u in ints
+    shape = () if lone else np.broadcast_shapes(*map(np.shape, axes))
+    spent = charge(0, K * m * e * (K + 1) ** (m - 1), budget, "dual polynomial")
+    D = dual_polynomial(m, d)
+    charge(spent, len(D.terms) * math.prod(shape), budget, "dual polynomial")
+    if lone:
+        return D.eval([pow(x, d, p) * pow(c, -1, p) % p for c, x in zip(cred, axes)]) % p == 0
+    if p * p >= _INT64_SAFE:
+        raise OverflowError(f"products of residues mod {p} would overflow 64-bit integers")
+    a = [MultiPoly(1, {(d,): pow(c, -1, p)}).eval_mod([u], p) for c, u in zip(cred, axes)]
+    rows = max(1, SLAB_POINTS * shape[0] // max(math.prod(shape), 1))
+    return np.concatenate([D.eval_mod([x[lo:lo + rows] if len(x) > 1 else x for x in a], p) == 0
+                           for lo in range(0, max(shape[0], 1), rows)])
+
+
 def diagonal_u_classes(coeffs, d, residues, p, budget=DEFAULT_BUDGET):
     """The kind ("zero", "good" or "bad") of each row u of residues against F = sum c_i X_i^d
     mod p: tangency at u != 0 forces x_i^e = u_i / c_i (e = d - 1, x scaled), so
     F(x) = sum u_i x_i, and u is bad exactly when D_{m,d}(a) = 0 mod p,
     a_i = u_i^d / c_i (dual_polynomial), for every prime p prime to d prod c_i, p | e included,
-    as root multisets reduce mod p.  D's build, then its monomials times the rows, are charged
-    first; the rows take one numpy pass, a lone row Python ints.
+    as root multisets reduce mod p: by diagonal_dual_zeros, on the columns, charged first.
     """
-    m, e, cred = len(coeffs), d - 1, [int(c) % p for c in coeffs]
-    if d < 2 or d % p == 0 or not all(cred) or not is_prime(p):
-        raise ValueError("need p coprime to d and to every coefficient, p prime and d >= 2")
-    K = e ** (m - 1)
-    spent = charge(0, K * m * e * (K + 1) ** (m - 1), budget, "dual polynomial")
-    D = dual_polynomial(m, d)
-    charge(spent, len(D.terms) * len(residues), budget, "dual polynomial")
     if len(residues) == 1:  # one u: Python ints cost less than numpy's fixed cost per call
         u = [int(x) % p for x in residues[0]]
-        bad = D.eval([pow(x, d, p) * pow(c, -1, p) % p for c, x in zip(cred, u)]) % p == 0
+        bad = diagonal_dual_zeros(coeffs, d, u, p, budget)
         return np.array(["bad" if bad else "good"] if any(u) else ["zero"])
-    if p * p >= _INT64_SAFE:
-        raise OverflowError(f"products of residues mod {p} would overflow 64-bit integers")
-    u = np.asarray(residues, dtype=np.int64) % p
-    a = np.array([pow(c, -1, p) for c in cred], dtype=np.int64)
-    for _ in range(d):
-        a = a * u % p
-    expo = np.array(list(D.terms), dtype=np.int64).reshape(-1, m)
-    powers = np.ones((expo.max() + 1,) + a.shape, dtype=np.int64)
-    for k in range(1, len(powers)):
-        powers[k] = powers[k - 1] * a % p
-    vals = np.array([c % p for c in D.terms.values()], dtype=np.int64)[:, None]
-    for i in range(m):  # times a_i^expo[t, i], one (monomials, rows) array at a time
-        vals = vals * powers[expo[:, i], :, i] % p
-    return np.array(["zero", "good", "bad"])[np.where(u.any(1), 1 + (vals.sum(0) % p == 0), 0)]
+    u = np.asarray(residues, dtype=np.int64).reshape(len(residues), len(coeffs))
+    bad = diagonal_dual_zeros(coeffs, d, list(u.T), p, budget)
+    return np.array(["zero", "good", "bad"])[np.where((u % p).any(1), 1 + bad, 0)]
 
 
 def diagonal_witness_degree(coeffs, d, u, p):

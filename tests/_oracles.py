@@ -568,6 +568,22 @@ def poisson_dual_grid(F, p, q, tp_values, tq_values, wh_axis):
     return total / (p * q) ** m
 
 
+def poisson_direct_grid(F, p, q, tp_values, tq_values, B):
+    """sum over x in [-B, B]^m of W(x) t_p(F(x)) conj(t_q(F(x))), point by point.
+
+    W(x) = prod_i exp(-1/(1 - (x_i/B)^2)), 0 where |x_i| = B; F(x) is exact
+    from its terms, and the real and imaginary parts are summed by fsum.
+    """
+    w = [math.exp(-1 / (1 - (x / B) ** 2)) if abs(x) < B else 0.0 for x in range(-B, B + 1)]
+    terms = []
+    for x in itertools.product(range(-B, B + 1), repeat=F.n_vars):
+        weight = math.prod(w[xi + B] for xi in x)
+        if weight:
+            v = sum(c * math.prod(xi**e for xi, e in zip(x, expo)) for expo, c in F.terms.items())
+            terms.append(weight * complex(tp_values[v % p]) * complex(tq_values[v % q]).conjugate())
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
 def fourier_dense(values, field, conjugate=False):
     """y -> sum_x psi(xy) values[x] through the q x q kernel psi(x y)."""
     import numpy as np

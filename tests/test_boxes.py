@@ -24,7 +24,8 @@ from polysieve.tracefn import TraceFunction, constant_trace, kloosterman
 
 from _oracles import (box_count_direct, box_count_per_point, box_histogram_direct,
                       complete_sum_grid, complete_sum_table, crt_lhs_grid,
-                      diagonal_dual_oracle, integer_root_of, poisson_dual_grid)
+                      diagonal_dual_oracle, integer_root_of, poisson_direct_grid,
+                      poisson_dual_grid)
 
 F_QUADRIC = parse_multipoly("X0^2+X1^2+X2^2")
 F_CUBIC = parse_multipoly("X0^3+X1^3+X2^3")
@@ -628,11 +629,13 @@ class TestPoissonCompare:
 
     @pytest.mark.parametrize("p, q, B, cutoff, budget, cost", [
         (11, 13, 3 * 10**6, None, 10**8, 257 * 2**23),  # the auto search's window
-        (3, 5, 100, 1000, 2000, 2001 * 2**14 + 804),     # the window past the box arrays
+        (3, 5, 100, 1000, 2000, 2001 * 2**14 + 594),     # the window past the box arrays
     ])
     def test_window_grid_is_charged_before_it_is_built(self, monkeypatch, p, q, B, cutoff,
                                                        budget, cost):
-        # wh's trapezoid grid has len(xi) rows of N/2 nodes, N >= 4 max|xi| a power of two
+        # wh's trapezoid grid has len(xi) rows of N/2 nodes, N >= 4 max|xi| a power of two;
+        # past it, 594 = grids 201 + 201, one cyclic fold of 15 cells (its 15 * 15 pairs
+        # reach pq = 15), and the dual side's 15 pairs * 5 + 27 + 75
         monkeypatch.setattr(SmoothWeight, "wh", lambda *a: pytest.fail("built the window"))
         F = parse_multipoly("X0^2+X1^2")
         with pytest.raises(BudgetExceeded, match=f"Poisson arrays of {cost} points"):
@@ -807,29 +810,41 @@ class TestGroupedSums:
                 crt_factor_check(F, (1, 2, 3), 5, 7, trace_on("kl", 5), trace_on("kl", 7),
                                  budget=35**2)
             with pytest.raises(BudgetExceeded):
-                # grids 9^2 + 9, fold pairs min(81, 35) * 9; window pass 7 pairs * 7^2;
-                # X0*X1 absorbs the s-sum, (5^2 + 5) * 5 and (7^2 + 7) * 7; X2^2 rows
-                # 5 * 5 and 7 * 7; the window's trapezoid grid, 7 rows * 4096 / 2
-                # nodes: 1364 + 14336 = 15700
+                # grids 9^2 + 9; the fold's min(81, 35) * 9 pairs reach 35, so it is one
+                # cyclic product of 35 cells; window pass 7 pairs * 7^2; X0*X1 absorbs
+                # the s-sum, (5^2 + 5) * 5 and (7^2 + 7) * 7; X2^2 rows 5 * 5 and 7 * 7;
+                # the window's trapezoid grid, 7 rows * 4096 / 2 nodes: 1084 + 14336
                 poisson_compare(F, 5, 7, trace_on("kl", 5), trace_on("kl", 7), B=4,
-                                u_cutoff=3, budget=15699)
+                                u_cutoff=3, budget=15419)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**16  # refused before any grid was built
         poisson_compare(F, 5, 7, trace_on("kl", 5), trace_on("kl", 7), B=4,
-                        u_cutoff=3, budget=15700)
+                        u_cutoff=3, budget=15420)
 
     def test_budget_bounds_the_fold_pairs(self, monkeypatch):
-        # four groups of 121 points mod 143: the charge bounds the folds at 121 * 121
-        # and 143 * 121 pairs, not at the 121^4 points of the box
-        pairs, real = [], boxes._fold
+        # four groups of 121 points mod 143: 121 * 121 pairs reach 143 at the first fold,
+        # so each fold is a cyclic product of 143 cells, none sorts pairs, and the charge
+        # is the grids 4 * 121 and 3 * 143 cells, not the 121^4 points of the box, plus the
+        # dual side: 9 pairs * 9^3, (11 + 11) * 9^3 + 3 * 11 * 9 and (13 + 13) * 9^3
+        # + 3 * 13 * 9, and the window's 9 rows * 4096 / 2 nodes: 913 + 60633
+        real = boxes._fold
+        monkeypatch.setattr(boxes, "_fold", lambda a, b: pytest.fail("sorted the pairs"))
+        F = parse_multipoly("X0^2+X1^2+X2^2+X3^2")
+        args = F, 11, 13, trace_on("chi", 11), trace_on("chi", 13)
+        with pytest.raises(BudgetExceeded, match="Poisson arrays of 61546 points"):
+            poisson_compare(*args, B=60, u_cutoff=4, budget=61545)
+        poisson_compare(*args, B=60, u_cutoff=4, budget=61546)
+        # at pq near 10^6 and B = 3 the folds stay sorted pairs: four groups of 7 points,
+        # 4 values each mod pq, 4, 10 and 19 sums so far, within min(points so far, pq) * 7
+        pairs = []
         monkeypatch.setattr(boxes, "_fold",
                             lambda a, b: pairs.append(len(a[0]) * len(b[0])) or real(a, b))
-        F = parse_multipoly("X0^2+X1^2+X2^2+X3^2")
-        poisson_compare(F, 11, 13, trace_on("chi", 11), trace_on("chi", 13), B=60, u_cutoff=4)
-        assert len(pairs) == 3 and sum(pairs) == 27120
-        assert all(n <= bound for n, bound in zip(pairs, [121 * 121, 143 * 121, 143 * 121]))
+        p, q = 997, 1009
+        poisson_compare(F, p, q, trace_on("chi", p), trace_on("chi", q), B=3, u_cutoff=1)
+        assert pairs == [16, 40, 76]
+        assert all(n <= bound for n, bound in zip(pairs, [7 * 7, 49 * 7, 343 * 7]))
 
     @pytest.mark.parametrize("form, p, q, cutoff", [
         ("X0*X1+X2*X3+X2^2", 3, 5, 2),   # two groups of two: one absorbs, one gives rows
@@ -866,3 +881,73 @@ class TestGroupedSums:
         assert abs(rec["poisson"] - want) <= 1e-9 * max(1, abs(want))
         with pytest.raises(BudgetExceeded):
             poisson_compare(F, p, q, t_p, t_q, B=B, u_cutoff=cutoff, budget=p**2 + q**2)
+
+
+POISSON_FORMS = ["X0^2+X1^2", "X0*X1", "X0^2+2*X1^2-X2^2", "X0^3+X1^3+2*X2^3", "X0*X1+X2^2",
+                 "X0^2+X0*X1+X1*X2-X2^2", "X0^2+X1^2+X2^2+X3^2", "X0*X1+X2*X3",
+                 "X0^2+X1*X2*X3", "X0^4-X1^4+X2^2*X3^2"]
+
+
+def forced_folds(mp, method):
+    """Patch the fold choice of poisson_compare: "pairs" or "cyclic" for every fold,
+    or None to leave it; a forced cyclic run may sort no pairs."""
+    real = boxes._fold_pairs
+    if method == "pairs":
+        mp.setattr(boxes, "_fold_pairs",
+                   lambda grids, N: [N if n is None else n for n in real(grids, N)])
+    elif method == "cyclic":
+        mp.setattr(boxes, "_fold_pairs", lambda grids, N: [None] * (len(grids) - 1))
+        mp.setattr(boxes, "_fold", lambda a, b: pytest.fail("sorted the pairs"))
+
+
+class TestPoissonBoxSide:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(POISSON_FORMS), st.sampled_from([(2, 3), (3, 5), (5, 7), (11, 13)]),
+           st.integers(1, 4), st.sampled_from([None, "pairs", "cyclic"]),
+           st.sampled_from(["kl", "chi", "psi"]))
+    @example("X0^2+X1^2+X2^2+X3^2", (11, 13), 4, None, "kl")    # pairs, then cyclic
+    @example("X0^2+2*X1^2-X2^2", (2, 3), 4, None, "chi")        # cyclic at once
+    @example("X0*X1", (3, 5), 3, "cyclic", "kl")                # one group: no fold
+    def test_direct_matches_the_point_sum(self, form, pq, B, method, kind):
+        F = parse_multipoly(form)
+        p, q = pq
+        t_p, t_q = trace_on(kind, p), trace_on("kl", q)
+        with pytest.MonkeyPatch.context() as mp:
+            forced_folds(mp, method)
+            rec = poisson_compare(F, p, q, t_p, t_q, B=B, u_cutoff=1)
+        want = poisson_direct_grid(F, p, q, t_p.values, t_q.values, B)
+        assert abs(rec["direct"] - want) <= 1e-9 * max(1, abs(want))
+
+    def test_fold_choice_follows_the_pairs(self):
+        # groups of 7, 7, 7 points mod 143: 7 * 7 pairs, then min(49, 143) * 7 = 343;
+        # pairs that equal N go cyclic
+        assert boxes._fold_pairs([7, 7, 7], 143) == [49, None]
+        assert boxes._fold_pairs([5, 7], 35) == [None] and boxes._fold_pairs([5, 6], 35) == [30]
+        assert boxes._fold_pairs([7] * 4, 997 * 1009) == [49, 343, 2401]
+        assert boxes._fold_pairs([81], 35) == []
+
+    # the parent's auto cutoffs, tail bounds and sums (kl:2 unless named)
+    @pytest.mark.parametrize("form, p, q, B, kind, cutoff, tail, poisson", [
+        ("X0^2+X1^2+X2^2", 3, 5, 10, "kl", 68, 0.03230003208079779,
+         5.74388730913382 - 2.47485017228997e-15j),
+        ("X0^2+X0*X1+X2^2", 5, 7, 60, "chi", 16, 1.7732953154845745,
+         395.53585041845975 + 2.7679576880237095e-15j),
+        ("X0^2+2*X1^2+X2^2", 11, 13, 30, "kl", 128, 169.34563099732623,
+         35.99154342319029 + 6.911513199168608e-15j),
+        ("X0^2+X1^2+X2^2+X3^2", 5, 7, 12, "psi", 128, 2.9940055515107815,
+         0.32715372804111426 + 0.1798922663808976j),
+    ])
+    def test_auto_cutoff_is_pinned(self, form, p, q, B, kind, cutoff, tail, poisson):
+        rec = poisson_compare(parse_multipoly(form), p, q, trace_on(kind, p), trace_on(kind, q), B)
+        assert rec["u_cutoff"] == cutoff
+        assert abs(rec["tail_bound"] - tail) <= 1e-12 * tail
+        assert abs(rec["poisson"] - poisson) <= 1e-12 * abs(poisson)
+
+    @pytest.mark.parametrize("B, N, c", [(30, 143, 128), (10, 15, 8), (1000, 10403, 40)])
+    def test_window_is_wh_at_each_frequency(self, B, N, c):
+        # one trapezoid sum per |u|, and the node count of the widest frequency throughout
+        W = SmoothWeight(B)
+        xi = B * np.arange(-c, c + 1) / N
+        window = W.wh(xi)
+        assert window.shape == xi.shape and np.array_equal(window, window[::-1])
+        assert all(abs(w - W.wh(x)) <= 1e-15 for w, x in zip(window, xi))

@@ -3,14 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polysieve
 from polysieve import boxes, cli, sieve, varieties
 from polysieve.errors import BudgetExceeded, InvariantViolation
+from polysieve.fields import primes_in
 from polysieve.polynomials import parse_multipoly
 from polysieve.reports import ExperimentReport, report_json
 
@@ -89,6 +93,18 @@ class TestParsing:
                 assert not isinstance(action.default, (list, dict, set))
                 if isinstance(action, argparse._SubParsersAction):
                     parsers += action.choices.values()
+
+
+@st.composite
+def tally_cases(draw):
+    """(m, d, p, q, coeffs, s): m, d in 2..4, p != q primes up to 31 prime to d and to every
+    coefficient, s the cutoff (the tally takes min(s, 8))."""
+    m, d = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    p, q = draw(st.lists(st.sampled_from([r for r in primes_in(2, 31) if d % r]),
+                         min_size=2, max_size=2, unique=True))
+    coeffs = draw(st.lists(st.integers(-6, 6).filter(lambda c: c % p and c % q),
+                           min_size=m, max_size=m))
+    return m, d, p, q, coeffs, draw(st.integers(0, 10 if m < 4 else 4))
 
 
 KMAX_ARGVS = [
@@ -462,7 +478,7 @@ class TestSubcommands:
 
 
     def test_poisson_check_charges_the_grids_not_the_box(self, capsys):
-        # 121^4 box points, but 4 * 121 grid points and 49,247 fold pairs at most
+        # 121^4 box points, but 4 * 121 grid points and three cyclic folds of 143 cells
         assert run(["poisson-check", "--F", "X0^2+X1^2+X2^2+X3^2", "--p", "11", "--q", "13",
                     "--B", "60", "--cutoff", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["u_cutoff"] == 4
@@ -492,6 +508,42 @@ class TestSubcommands:
             for u in itertools.product(span, repeat=3):
                 expected[diagonal_dual_oracle(coeffs, d, u, prime).kind] += 1
             assert results[f"u_class_tally_mod_{prime}"] == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(tally_cases(), st.sampled_from([1, 7, 300, 2**17]))
+    def test_poisson_tally_matches_the_row_classes(self, case, slab):
+        # the tally's grid of residues per axis, in slabs of about `slab` points, against
+        # every u in [-s, s]^m, row by row; the Poisson sums are stubbed, as only u_cutoff
+        # reaches the tally
+        m, d, p, q, coeffs, s = case
+        F = "+".join(f"{c}*X{i}^{d}" for i, c in enumerate(coeffs)).replace("+-", "-")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(boxes, "poisson_compare", lambda *a, **k: {"u_cutoff": s})
+            mp.setattr(varieties, "SLAB_POINTS", slab)
+            results = cli.run_experiment(cli.parse_config(
+                ["poisson-check", f"--F={F}", "--p", str(p), "--q", str(q)])).results
+        rows = list(itertools.product(range(-min(s, 8), min(s, 8) + 1), repeat=m))
+        for prime in (p, q):
+            kinds = varieties.diagonal_u_classes(coeffs, d, rows, prime)
+            want = {k: int((kinds == k).sum()) for k in ("zero", "good", "bad")}
+            assert results[f"u_class_tally_mod_{prime}"] == want
+
+    def test_poisson_tally_is_charged_before_its_grid(self, monkeypatch, capsys):
+        # 6 monomials times 13^6 residue vectors pass the budget: the mod-13 tally is refused
+        # before its grid is built, after the mod-11 one ran in slabs (the 13^6 index rows
+        # once took 791 MB); the Poisson sums, charged and built before it, are stubbed
+        monkeypatch.setattr(boxes, "poisson_compare", lambda *a, **k: {"u_cutoff": 8})
+        argv = ["poisson-check", "--F", "X0^2+X1^2+X2^2+X3^2+X4^2+X5^2", "--p", "11",
+                "--q", "13", "--B", "2", "--cutoff", "8", "--budget", "20000000"]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert "dual polynomial of 28961046 points exceeds budget 20000000" in err
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("argv", KMAX_ARGVS)
     @pytest.mark.parametrize("kmax", ["0", "-1"])
