@@ -531,21 +531,21 @@ def main(argv=None):
         text = report_json(report)
         print(text)
         if config.out:
-            emit_report(report, config.out)
+            emit_report(report, config.out, text)
         return 0
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OverflowError, PolysieveError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # the reader closed stdout; send the rest to devnull so the flush
         # at interpreter exit does not raise a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ValueError, OverflowError, PolysieveError, OSError) as exc:  # OSError: --out
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory {exc}".rstrip(), file=sys.stderr)
         return 1
 
 

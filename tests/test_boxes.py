@@ -120,7 +120,8 @@ def fold_paths(mp, refuse):
     """Patch boxes' two folds to record, in order, the method box_histogram
     takes.  With refuse, the first rounding bound of each dense fold fails:
     it runs in limbs, or, on 0/1 parts, which have none, it is refused and
-    then run again under the real bound."""
+    then run again under the real bound; limbs are the FFT path's, so the
+    shifted sums are never taken then."""
     paths, bound = [], convolve._fft_error_bound
 
     def sparse(*args, real=boxes._fold):
@@ -132,6 +133,7 @@ def fold_paths(mp, refuse):
             paths.append("dense")
             return real(parts)
         top = iter([1.0])
+        mp.setattr(convolve, "_CELL_COST", 0)
         mp.setattr(convolve, "_fft_error_bound", lambda *args: next(top, None) or bound(*args))
         if all(h.max() <= 1 for h in parts):
             paths.append("refused")
@@ -189,6 +191,7 @@ class TestBoxHistogramFold:
 
     def test_fold_certificate_catches_a_wrong_cell(self, monkeypatch):
         real = np.fft.irfftn
+        monkeypatch.setattr(convolve, "_CELL_COST", 0)  # the FFT path: shifted sums never cheaper
 
         def off(*shifts):
             def irfftn(*args, **kwargs):
@@ -238,7 +241,8 @@ class TestBoxHistogramFold:
 
     def test_budget_charged_for_what_is_built_and_overflow_for_the_box(self):
         # B = 10: three 21-point grids, the sorted fold of two 11-value square
-        # histograms, and the FFT fold over the span 0..300, padded to 320
+        # histograms, and the dense fold over the span 0..300, charged at its
+        # padded 320 cells whichever path it takes
         cost = 3 * 21 + 11 * 11 + 320
         assert box_histogram(F_QUADRIC, 10, budget=cost).total_points == 21**3
         with pytest.raises(BudgetExceeded, match=f" {cost} points"):

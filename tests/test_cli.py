@@ -1,8 +1,11 @@
+import csv
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -16,7 +19,7 @@ from polysieve import boxes, cli, sieve, varieties
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import primes_in
 from polysieve.polynomials import parse_multipoly
-from polysieve.reports import ExperimentReport, report_json
+from polysieve.reports import ExperimentReport, _csv_cell, emit_report, report_json
 
 from _oracles import diagonal_dual_oracle, jsonable
 
@@ -582,7 +585,104 @@ class TestSubcommands:
         assert built == []
 
 
+# table cells of every kind report_json meets: exact ints (past 2^64 too), bools and
+# numpy ints, floats with their special values, strs that need escapes, and the
+# values _json_default encodes
+_CELLS = st.one_of(
+    st.integers(), st.integers(2**64, 2**80), st.booleans(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.integers(0, 2**32 - 1).map(np.uint32),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300]),
+    st.floats(allow_nan=False).map(np.float64),
+    st.text(max_size=6), st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é☃", "\U0001f600"]),
+    st.none(), st.complex_numbers(allow_nan=False, max_magnitude=1e6),
+    st.tuples(st.integers(), st.text(max_size=2)), st.frozensets(st.integers(-3, 3)),
+    st.sets(st.one_of(st.integers(0, 3), st.text(max_size=1)), max_size=3))
+
+
+@st.composite
+def report_tables(draw):
+    """0-3 named tables of 0-50 rows and 1-4 columns, each column of one cell
+    kind or of any kind; column names str or (a whole table's) one-digit ints,
+    so numeric and text order agree; some tables ragged."""
+    tables = {}
+    names = st.one_of(st.text("abz_", max_size=3), st.integers(0, 3))  # names of CSV files
+    for name in draw(st.lists(names, max_size=3)):
+        numbered = draw(st.booleans()) and draw(st.booleans())
+        keys = draw(st.lists(st.integers(0, 8) if numbered else st.text(max_size=4),
+                             min_size=1, max_size=4, unique=True))
+        kinds = [draw(st.sampled_from([st.integers(-2**70, 2**70), st.text(max_size=5),
+                                       st.floats(), st.booleans(), _CELLS,
+                                       st.one_of(st.integers(), st.booleans())])) for _ in keys]
+        rows = [{k: draw(kind) for k, kind in zip(keys, kinds)}
+                for _ in range(draw(st.integers(0, 50)))]
+        if rows and draw(st.integers(0, 3)) == 0:  # ragged: a row loses or gains a key
+            row = draw(st.sampled_from(rows))
+            if len(row) > 1 and draw(st.booleans()):
+                del row[keys[0]]
+            else:
+                row[9 if numbered else draw(st.text(min_size=5, max_size=6))] = 1
+        tables[name] = rows
+    return tables
+
+
+def csv_rows_direct(path, rows):
+    """emit_report's CSV written row by row through csv.DictWriter."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: _csv_cell(v) for k, v in row.items()})
+
+
 class TestReports:
+    @settings(max_examples=150, deadline=None)
+    @given(report_tables(), st.sampled_from([{}, {"a": np.int64(2), 3: (1, 2.5)}]))
+    def test_column_encoder_is_the_c_encoder(self, tables, results):
+        report = ExperimentReport("demo", {"B": 4}, results, tables=tables,
+                                  timings={"total_s": 0.5}, seed=1)
+        assert report_json(report) == json.dumps(jsonable(report.to_dict()), sort_keys=True)
+        # the CSVs are the row-by-row DictWriter's, byte for byte
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, rows in tables.items():
+                if rows:
+                    try:
+                        csv_rows_direct(Path(tmp, f"want.{name}.csv"), rows)
+                    except ValueError:  # a row with a key the first row lacks
+                        with pytest.raises(ValueError):
+                            emit_report(report, Path(tmp, "r.json"))
+                        return
+            written = emit_report(report, Path(tmp, "r.json"))
+            assert len(written) == 1 + sum(1 for rows in tables.values() if rows)
+            for path in written[1:]:
+                want = Path(tmp, "want." + path.name.split(".", 1)[1]).read_bytes()
+                assert path.read_bytes() == want
+
+    def test_column_encoder_on_the_cubic_exceptional_table(self):
+        # 10,209 one-column rows of exact ints, and the unchanged single call
+        # for a report without table rows
+        argv = ["boxcount", "--f", "T^2+T", "--F", "X0^3+X1^3+X2^3", "--B", "20"]
+        report = cli.run_experiment(cli.parse_config(argv))
+        assert len(report.tables["exceptional"]) == 10209
+        text = report_json(report)
+        assert text == json.dumps(jsonable(report.to_dict()), sort_keys=True)
+        assert '"tables": {"exceptional": [{"k": ' in text
+        report.tables["exceptional"] = []
+        assert report_json(report) == json.dumps(jsonable(report.to_dict()), sort_keys=True)
+
+    def test_tables_mark_elsewhere_takes_the_single_call(self):
+        report = ExperimentReport("demo", {"mark": "\0tables"}, {}, seed=1,
+                                  tables={"t": [{"k": 1}, {"k": 2}]})
+        assert report_json(report) == json.dumps(jsonable(report.to_dict()), sort_keys=True)
+
+    def test_out_path_that_cannot_be_written_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert run(["--out", str(blocker / "r.json"), "klsum", "--m", "2", "--p", "101",
+                    "--F", "X0^2+X1^2"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["subcommand"] == "klsum"
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_emit_files_and_csv_rows(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert run(["--out", str(out), "fibers", "--F", "X0^2+X1^2",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polysieve import polynomials, varieties
+from polysieve import convolve, polynomials, varieties
 from polysieve.convolve import fold, wrap
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import cached_field, mult_char, primes_in
@@ -291,6 +291,7 @@ class TestPairHistogramsAndMixedSums:
     def test_fold_certificate_catches_a_wrong_cell(self, monkeypatch):
         F, G = _pair("X0^2+X1^2+X2^2", "X0-X1")
         real = np.fft.irfftn
+        monkeypatch.setattr(convolve, "_CELL_COST", 0)  # the FFT path: shifted sums never cheaper
 
         def off(*shifts):
             def irfftn(*args, **kwargs):
