@@ -52,9 +52,8 @@ print("\n=== growth-rate scan ===")
 # (10^9 and 6.4 * 10^10 points) are never built or charged to the budget
 scan = bound_ratio_scan(f, F, [10, 20, 40, 80, 500, 2000])
 print("B     N         N/B^2.25/log^0.75    N/B^2.5   N/B^2")
-for row in scan["rows"]:
-    print(f"{row['B']:<6}{row['count']:<10}{row['ratio_main']:<21.4f}"
-          f"{row['ratio_comparison']:<10.4f}{row['count'] / row['B']**2:.4f}")
+for B, count, main, comparison in zip(*scan["table"].values()):
+    print(f"{B:<6}{count:<10}{main:<21.4f}{comparison:<10.4f}{count / B**2:.4f}")
 print(f"spread of the main ratio: {scan['spread']:.2f} (gate: 10).  Both ratios")
 print("keep shrinking while N/B^2 settles near 4.08: the count grows like B^n,")
 print("below the proven B^(n+1/(n+2)) bound and the classical B^(n+1/2)")

@@ -213,7 +213,8 @@ def select_primes(problem, k_max=2, budget=DEFAULT_BUDGET):
 
     Keeps p with f non-surjective mod p and good reduction for V(F):
     exactly for diagonal F; otherwise by smoothness_scan, either certified
-    over the algebraic closure or with no singular point up to k_max.
+    over the algebraic closure or with no singular point up to k_max.  The
+    p points of every window prime's data are charged before any is built.
     """
     B, n = problem.B, problem.n
     if B < 3:
@@ -221,7 +222,9 @@ def select_primes(problem, k_max=2, budget=DEFAULT_BUDGET):
     expo = (n + 1) / (n + 2)
     q_param = B**expo * math.log(B) ** (1 / (n + 2))
     lo, hi = math.ceil(q_param), math.floor(2 * q_param)
-    detecting, skipped = pick_primes(problem.f, primes_in(max(lo, problem.f.degree + 1), hi))
+    window = primes_in(max(lo, problem.f.degree + 1), hi)
+    charge(0, sum(window), budget, "prime data")
+    detecting, skipped = pick_primes(problem.f, window)
     diag = problem.F.as_diagonal()
     for p in [data.p for data in detecting]:
         if diag is not None:  # good exactly where p divides neither d nor a coefficient
@@ -530,7 +533,8 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, budget=DEFAULT_BUDGET):
 
 
 def bound_ratio_scan(f, F, b_grid, budget=DEFAULT_BUDGET):
-    """N(f, F, B) over a grid of B with the two normalizations.
+    """N(f, F, B) over a grid of B with the two normalizations, as the columns
+    B, count, ratio_main and ratio_comparison of "table", and the "spread".
 
     ratio_main divides by B^(n + 1/(n+2)) (log B)^((n+1)/(n+2)); the
     comparison column divides by B^(n + 1/2).  Asserts max/min of
@@ -541,19 +545,13 @@ def bound_ratio_scan(f, F, b_grid, budget=DEFAULT_BUDGET):
         raise ValueError("empty B grid")
     if min(b_grid) < 2:
         raise ValueError(f"B = {min(b_grid)} in the grid: the normalization needs B >= 2")
-    rows = []
-    for B in b_grid:
-        n = BoxProblem(f, F, B).n
-        count = exact_count(f, box_histogram(F, B, budget), budget)
-        denom_main = B ** (n + 1 / (n + 2)) * math.log(B) ** ((n + 1) / (n + 2))
-        rows.append({
-            "B": B,
-            "count": count,
-            "ratio_main": count / denom_main,
-            "ratio_comparison": count / B ** (n + 0.5),
-        })
-    ratios = [r["ratio_main"] for r in rows]
+    n = BoxProblem(f, F, b_grid[0]).n
+    counts = [exact_count(f, box_histogram(F, B, budget), budget) for B in b_grid]
+    ratios = [c / (B ** (n + 1 / (n + 2)) * math.log(B) ** ((n + 1) / (n + 2)))
+              for B, c in zip(b_grid, counts)]
     spread = max(ratios) / min(ratios) if min(ratios) > 0 else math.inf
-    if len(rows) > 1 and spread > 10:
+    if len(ratios) > 1 and spread > 10:
         raise InvariantViolation(f"main ratio spread {spread:.3g} exceeds 10")
-    return {"rows": rows, "spread": spread}
+    return {"table": {"B": list(b_grid), "count": counts, "ratio_main": ratios,
+                      "ratio_comparison": [c / B ** (n + 0.5) for B, c in zip(b_grid, counts)]},
+            "spread": spread}

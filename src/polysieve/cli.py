@@ -79,9 +79,9 @@ def _resolve_primes(policy, h, pmax, budget):
     """SievePrimeData for each prime the policy picks, each built once.
 
     auto charges the p points of every prime in (deg h, pmax], then keeps
-    those on which h is not onto F_p; list:p1,p2,... checks every entry is
-    prime and charges its p points before building any data, then refuses
-    one on which h is onto F_p.
+    those on which h is not onto F_p; list:p1,p2,... checks the entries are
+    distinct primes and charges their p points before building any data, then
+    refuses one on which h is onto F_p.
     """
     if policy == "auto":
         candidates = primes_in(h.degree + 1, pmax)
@@ -94,6 +94,8 @@ def _resolve_primes(policy, h, pmax, budget):
         ps = _int_list(policy[5:])
         if not ps:
             raise ValueError("empty prime list")
+        if len(set(ps)) != len(ps):
+            raise ValueError("--primes list entries must be distinct")
         spent = 0
         for p in ps:
             if not is_prime(p):
@@ -205,25 +207,23 @@ def _run_sieve_detect(cfg):
     h = parse_unipoly(o["h"])
     data_list = _resolve_primes(o["primes"], h, o["pmax"], cfg.budget)
     primes = [data.p for data in data_list]
-    rows = []
-    for data in data_list:
-        bound = data.p - (data.p - 1) / data.d
-        rows.append({
-            "p": data.p, "image_size": data.image_size,
-            "exceptional": ";".join(map(str, np.flatnonzero(data.exceptional))),
-            "bound_tight": data.bound_tight,
-            "image_bound": bound,
-            "bound_slack": bound - data.image_size,
-        })
+    sizes = [data.image_size for data in data_list]
+    bounds = [data.p - (data.p - 1) / data.d for data in data_list]
     results = {"h": h.to_text(), "primes": primes,
                "ledger": "image_size <= p-(p-1)/d holds for every prime"}
-    tables = {"primes": rows}
+    tables = {"primes": {
+        "p": primes, "image_size": sizes,
+        "exceptional": [";".join(map(str, np.flatnonzero(data.exceptional)))
+                        for data in data_list],
+        "bound_tight": [data.bound_tight for data in data_list],
+        "image_bound": bounds,
+        "bound_slack": [b - size for b, size in zip(bounds, sizes)],
+    }}
     if o.get("n"):
         ns = _int_list(o["n"])
-        cols = {f"D_{d.p}": sieve.detector(d, ns).tolist() for d in data_list}
-        cols["member"] = sieve.membership_filter(data_list, ns).tolist()
-        tables["detectors"] = [{"n": n, **{k: v[i] for k, v in cols.items()}}
-                               for i, n in enumerate(ns)]
+        tables["detectors"] = {"n": ns, **{f"D_{d.p}": sieve.detector(d, ns).tolist()
+                                           for d in data_list},
+                               "member": sieve.membership_filter(data_list, ns).tolist()}
     return ExperimentReport("sieve-detect", dict(o), results, tables=tables,
                             seed=cfg.seed)
 
@@ -261,18 +261,17 @@ def _run_fibers(cfg):
     r = 1 if G is None else 2
     hist = varieties.fiber_histogram(F, p, G, cfg.budget)
     targets = [[o[k] % p] if o.get(k) is not None else range(p) for k in "ab"[:r]]
-    rows = []
-    for cell in itertools.product(*targets):
-        count = int(hist[cell])
-        dev = count - p ** (F.n_vars - r)
-        rows.append({"p": p, "a": cell[0], "b": cell[1] if r == 2 else "", "count": count,
-                     "deviation": dev,
-                     "normalized_deviation": dev / p ** ((F.n_vars - r) / 2)})
-    results = {"p": p, "rows": len(rows),
-               "max_abs_normalized_deviation":
-                   max(abs(r["normalized_deviation"]) for r in rows)}
+    cells = list(itertools.product(*targets))
+    counts = [int(hist[cell]) for cell in cells]
+    devs = [count - p ** (F.n_vars - r) for count in counts]
+    normalized = [dev / p ** ((F.n_vars - r) / 2) for dev in devs]
+    table = {"p": [p] * len(cells), "a": [cell[0] for cell in cells],
+             "b": [cell[1] if r == 2 else "" for cell in cells], "count": counts,
+             "deviation": devs, "normalized_deviation": normalized}
+    results = {"p": p, "rows": len(cells),
+               "max_abs_normalized_deviation": max(map(abs, normalized))}
     return ExperimentReport("fibers", dict(o), results,
-                            tables={"fibers": rows}, seed=cfg.seed)
+                            tables={"fibers": table}, seed=cfg.seed)
 
 
 def _run_boxcount(cfg):
@@ -305,9 +304,8 @@ def _run_boxcount(cfg):
         "exceptional_set_size": len(exc),
         "threshold_mode": o["threshold"],
     }
-    tables = {"exceptional": [{"k": k} for k in exc]}
-    return ExperimentReport("boxcount", dict(o), results, tables=tables, semi_decisions=semi,
-                            seed=cfg.seed)
+    return ExperimentReport("boxcount", dict(o), results, tables={"exceptional": {"k": exc}},
+                            semi_decisions=semi, seed=cfg.seed)
 
 
 def _run_bound_scan(cfg):
@@ -318,7 +316,7 @@ def _run_bound_scan(cfg):
     scan = boxes.bound_ratio_scan(f, F, grid, cfg.budget)
     return ExperimentReport("bound-scan", dict(o),
                             {"spread": scan["spread"], "B_grid": grid},
-                            tables={"ratios": scan["rows"]}, seed=cfg.seed)
+                            tables={"ratios": scan["table"]}, seed=cfg.seed)
 
 
 def _run_poisson_check(cfg):
@@ -351,7 +349,12 @@ def _run_poisson_check(cfg):
 def _run_crt_check(cfg):
     o = cfg.options
     F = parse_multipoly(o["F"]) if o.get("F") else None
-    rows = []
+    table = {}
+
+    def add(**cells):  # one draw, cell by cell onto the table's columns
+        for key, cell in cells.items():
+            table.setdefault(key, []).append(cell)
+
     if o.get("u"):
         if F is None or o["p"] is None or o["q"] is None:
             raise ValueError("explicit crt-check needs --F, --p and --q")
@@ -360,8 +363,7 @@ def _run_crt_check(cfg):
         t_p = _trace_for(o["trace"], p)
         t_q = _trace_for(o["trace"], q)
         rec = boxes.crt_factor_check(F, u, p, q, t_p, t_q, cfg.budget)
-        rows.append({"p": p, "q": q, "u": ",".join(map(str, u)),
-                     "error": rec["error"], "rel_error": rec["rel_error"]})
+        add(p=p, q=q, u=",".join(map(str, u)), error=rec["error"], rel_error=rec["rel_error"])
     else:
         rng = np.random.default_rng(cfg.seed)
         ps = primes_in(3, o["pmax"])
@@ -376,15 +378,14 @@ def _run_crt_check(cfg):
             t_p = mult_char(cached_field(p), 2, 1)
             t_q = mult_char(cached_field(q), 2, 1)
             rec = boxes.crt_factor_check(Fr, u, p, q, t_p, t_q, cfg.budget)
-            rows.append({"p": p, "q": q, "u": ",".join(map(str, u)),
-                         "F": Fr.to_text(),
-                         "error": rec["error"], "rel_error": rec["rel_error"]})
-    worst = max(r["rel_error"] for r in rows)
+            add(p=p, q=q, u=",".join(map(str, u)), F=Fr.to_text(), error=rec["error"],
+                rel_error=rec["rel_error"])
+    worst = max(table["rel_error"])
     if worst > 1e-6:
         raise InvariantViolation(f"CRT relative error {worst:.3e} exceeds 1e-6")
     return ExperimentReport("crt-check", dict(o),
-                            {"draws": len(rows), "max_rel_error": worst},
-                            tables={"draws": rows}, seed=cfg.seed)
+                            {"draws": len(table["p"]), "max_rel_error": worst},
+                            tables={"draws": table}, seed=cfg.seed)
 
 
 _HANDLERS = {

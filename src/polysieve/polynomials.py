@@ -566,48 +566,38 @@ def discriminant_uni(a):
     return quo
 
 
-def critical_value_poly(h, p):
-    """r(s) = Res_T(h - s, h') over F_p, by evaluation and interpolation.
+def critical_value_poly(h, p=None):
+    """r(s) = Res_T(h - s, h'), of degree d - 1 for d = deg h, over F_p or, where p and
+    h.ring are None, over Z: h - s is resolved at s = 0, ..., d - 1 and r is Newton's
+    interpolant through those values, r(s) = sum_k (Delta^k r)(0) / k! s(s-1)...(s-k+1).
 
-    r vanishes exactly at the critical values of h that lie in F_p.
-    Requires p prime, deg(h mod p) >= 2 and h' != 0 mod p.
+    r vanishes exactly at the critical values of h.  Over Z every division by k! is
+    asserted exact.  Over F_p, p must be prime, p > d = deg(h mod p) >= 2 and h' != 0
+    mod p; where p > deg h and p does not divide lc(h), r over F_p is r over Z mod p,
+    since the Sylvester matrices reduce entry by entry.
     """
-    if not is_prime(p):
+    p = h.ring if p is None else p
+    if p is not None and not is_prime(p):
         raise ValueError(f"{p} is not prime")
     hp = h.reduce_mod(p) if h.ring is None else h
     if hp.ring != p:
         raise ValueError("polynomial must live mod p")
     d = hp.degree
     if d < 2:
-        raise ValueError("degree collapsed below 2 mod p")
+        raise ValueError("degree below 2 (mod p)")
     dh = hp.derivative()
     if dh.is_zero():
         raise ValueError("derivative vanishes identically mod p")
-    if p < d + 1:
+    if p is not None and p < d + 1:
         raise ValueError("p too small to interpolate the critical-value polynomial")
-    # r has degree <= d-1, so d sample points determine it
-    xs = list(range(d))
-    ys = [resultant_uni(hp.sub_const(s0), dh) for s0 in xs]
-    return _lagrange_interpolate(xs, ys, p)
-
-
-def _lagrange_interpolate(xs, ys, p):
-    """UniPoly over F_p through the given points."""
-    n = len(xs)
-    coeffs = [0] * n
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        num = [1]  # prod_{j != i} (T - xj)
-        denom = 1
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            new = [0] * (len(num) + 1)
-            for k, c in enumerate(num):
-                new[k + 1] = (new[k + 1] + c) % p
-                new[k] = (new[k] - c * xj) % p
-            num = new
-            denom = denom * (xi - xj) % p
-        scale = yi * pow(denom, p - 2, p) % p
-        for k, c in enumerate(num):
-            coeffs[k] = (coeffs[k] + scale * c) % p
+    ys = [resultant_uni(hp.sub_const(s), dh) for s in range(d)]
+    coeffs, falling = [0] * d, [1]  # falling: s(s-1)...(s-k+1), ascending
+    for k in range(d):
+        fact = math.factorial(k)
+        c, rem = divmod(ys[0], fact) if p is None else (ys[0] * pow(fact, -1, p), 0)
+        if rem:
+            raise ArithmeticError("critical-value interpolation was not exact")
+        coeffs = [a + c * b for a, b in zip(coeffs, falling + [0] * d)]
+        falling = [b - k * a for a, b in zip(falling + [0], [0] + falling)]
+        ys = [b - a for a, b in zip(ys, ys[1:])]
     return UniPoly(coeffs, ring=p)

@@ -1,17 +1,18 @@
 """Structured experiment reports with JSON/CSV emission.
 
 Reports are plain data: a config echo, a results dict, optional named
-tables (lists of flat dicts), timings, and the semi-decision
-disclosures (k_max caps) whenever closure questions were only scanned.
-JSON output is deterministic for a fixed (config, seed) up to the
-timings block.  Tables go to JSON and CSV a column at a time (_columns).
+tables held as columns ({column: list of cells}, all of one length),
+timings, and the semi-decision disclosures (k_max caps) whenever closure
+questions were only scanned.  JSON output is deterministic for a fixed
+(config, seed) up to the timings block.  A table goes to JSON as a list
+of rows, each a flat dict keyed by column, and to CSV as one line per
+row; both are written a column at a time.
 """
 
 import csv
 import json
 from dataclasses import dataclass, field as dc_field
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import InvariantViolation
@@ -37,6 +38,9 @@ class ExperimentReport:
                 raise InvariantViolation(
                     f"exact count {res['exact_count']} != "
                     f"sieve count {res['sieve_count']}")
+        for name, columns in self.tables.items():
+            if len(set(map(len, columns.values()))) > 1:
+                raise InvariantViolation(f"table {name!r} has columns of unequal length")
         return self
 
     def to_dict(self):
@@ -77,25 +81,12 @@ def _json_default(obj):
 _encode = json.JSONEncoder(sort_keys=True, default=_json_default).encode
 
 
-def _columns(rows):
-    """{key: its cells} in first-row order where rows are flat dicts with the
-    same str keys, else None; written out, the bytes of row by row."""
-    if type(rows) is not list or not rows or set(map(type, rows)) != {dict} \
-            or set(map(type, rows[0])) != {str} or set(map(len, rows)) != {len(rows[0])}:
-        return None
-    try:
-        return {k: list(map(itemgetter(k), rows)) for k in rows[0]}
-    except KeyError:
-        return None
-
-
-def _table_json(rows):
-    """rows in JSON, a column at a time: exact ints and strs by the C encoder's
-    own functions, the cells of any other column through _encode."""
-    columns = _columns(rows)
-    if columns is None:
-        return _encode(rows)
-    k, n = len(columns), len(rows)
+def _table_json(columns):
+    """A table's rows in JSON, a column at a time: exact ints and strs by the C
+    encoder's own functions, the cells of any other column through _encode."""
+    n, k = len(next(iter(columns.values()), ())), len(columns)
+    if not n:
+        return "[]"
     flat = [None] * (2 * k * n)  # per row and key: '}, {"key": ' or ', "key": ', then the cell
     for j, key in enumerate(sorted(columns)):
         cells, kinds = columns[key], set(map(type, columns[key]))
@@ -109,45 +100,38 @@ def _table_json(rows):
 def report_json(report):
     """Compact, key-sorted JSON of the report, by json's C encoder.
 
-    Table rows are flat dicts keyed by column name (emit_report writes
-    them as CSV), so only the other blocks are walked for non-str keys;
-    everything else is encoded as it stands, through _json_default.  Tables
-    with rows go in by _table_json, after one call over the other blocks.
+    Only the blocks other than tables are walked for non-str keys; everything
+    is encoded as it stands, through _json_default.  The blocks sorted before
+    and after "tables" are one call each, and the tables go in between by
+    _table_json, with their names and column names as str.
     """
     body = report.to_dict()
-    tables = {str(name): rows for name, rows in body.pop("tables").items()}
+    tables = {str(name): {str(c): cells for c, cells in columns.items()}
+              for name, columns in body.pop("tables").items()}
     body = _str_keys(body)
-    if any(type(rows) is list and rows for rows in tables.values()):
-        body["tables"] = "\0tables"  # holds the tables block's place
-        text, mark = _encode(body), encode_basestring_ascii("\0tables")
-        if text.count(mark) == 1:  # nowhere else in the report
-            return text.replace(mark, "{" + ", ".join(
-                f"{encode_basestring_ascii(name)}: {_table_json(tables[name])}"
-                for name in sorted(tables)) + "}")
-    body["tables"] = tables
-    return _encode(body)
+    head = _encode({k: v for k, v in body.items() if k < "tables"})
+    tail = _encode({k: v for k, v in body.items() if k > "tables"})
+    return head[:-1] + ', "tables": {' + ", ".join(
+        f"{encode_basestring_ascii(name)}: {_table_json(tables[name])}"
+        for name in sorted(tables)) + "}, " + tail[1:]
 
 
 def emit_report(report, out_path, text=None):
     """Write report.json (text, where report_json made it already) plus one CSV
-    per table section, a column at a time where _columns allows; returns paths."""
+    per table with rows, a column at a time; returns the paths written."""
     report.validate()
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text((report_json(report) if text is None else text) + "\n")
     written = [out_path]
-    for name, rows in report.tables.items():
-        if not rows:
+    for name, columns in report.tables.items():
+        if not any(columns.values()):
             continue
         csv_path = out_path.with_name(f"{out_path.stem}.{name}.csv")
-        columns = _columns(rows)
         with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            if columns is None:
-                writer.writerows({k: _csv_cell(v) for k, v in row.items()} for row in rows)
-            else:
-                csv.writer(fh).writerows(zip(*(map(_csv_cell, c) for c in columns.values())))
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            writer.writerows(zip(*(map(_csv_cell, c) for c in columns.values())))
         written.append(csv_path)
     return written
 

@@ -14,7 +14,7 @@ multiplicity weight take one integer, or an array or list of any size.
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -94,10 +94,17 @@ def sieve_threshold(P, d, mode="lemma"):
     return P / (2 * d * math.log(P)) if mode == "logp" and P > 1 else P / (2 * d)
 
 
+# R_h(s) = Res_T(h - s, h') over Z, built once per h, as dual_polynomial is per (m, d)
+_integer_critical_values = lru_cache(maxsize=64)(critical_value_poly)
+
+
 def build_prime_data(h, p):
     """Evaluate h on F_p and compute image, nu and the exceptional set.
 
-    Requires p prime, p > deg h (and the reduction must keep degree >= 2).
+    Requires p prime, p > deg h (and the reduction must keep degree >= 2).  The
+    exceptional set is the zero set of R_h mod p, R_h = _integer_critical_values(h):
+    for p not dividing lc(h) the Sylvester matrices reduce entry by entry.  Where p
+    divides lc(h), h loses degree mod p and its own critical_value_poly is taken.
     """
     if h.ring is not None:
         raise ValueError("h must have integer coefficients")
@@ -111,8 +118,9 @@ def build_prime_data(h, p):
     xs = np.arange(p, dtype=np.int64)
     nu = np.bincount(hp.eval(xs), minlength=p)
     image = nu >= 1
+    crit = critical_value_poly(hp) if h.lc % p == 0 else _integer_critical_values(h).reduce_mod(p)
     return SievePrimeData(p=p, d=hp.degree, image=image, image_size=int(image.sum()),
-                          exceptional=critical_value_poly(hp, p).eval(xs) == 0, nu=nu)
+                          exceptional=crit.eval(xs) == 0, nu=nu)
 
 
 def detecting_prime_data(h, p):

@@ -660,3 +660,30 @@ def jsonable(obj):
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
     return repr(obj)
+
+
+def critical_values_by_gcd(coeffs, p):
+    """Every s in F_p with gcd(f - s, f') != 1 over F_p, by Euclid's algorithm on
+    coefficient lists; f has ascending integer coeffs, deg(f mod p) >= 1 and f' != 0 mod p."""
+    def trim(a):
+        while a and a[-1] % p == 0:
+            a.pop()
+        return a
+
+    def rem(a, b):
+        a, inv = list(a), pow(b[-1], -1, p)
+        while len(trim(a)) >= len(b):
+            q, shift = a[-1] * inv % p, len(a) - len(b)
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - q * c) % p
+        return a
+
+    df = trim([i * c % p for i, c in enumerate(coeffs)][1:])
+    out = []
+    for s in range(p):
+        a, b = trim([(coeffs[0] - s) % p] + [c % p for c in coeffs[1:]]), df
+        while b:
+            a, b = b, rem(a, b)
+        if len(a) > 1:
+            out.append(s)
+    return out

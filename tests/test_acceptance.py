@@ -339,11 +339,11 @@ def test_criterion_10_box_count_ratio_scan():
     with _Budget(120, "criterion 10") as budget:
         scan = bound_ratio_scan(parse_unipoly("T^2"), F_QUADRIC,
                                 [10, 20, 40, 80])
-        rows = scan["rows"]
+        cols = scan["table"]
         assert scan["spread"] <= 10
-        comparison = [r["ratio_comparison"] for r in rows if r["B"] >= 20]
+        comparison = [r for B, r in zip(cols["B"], cols["ratio_comparison"]) if B >= 20]
         assert all(a >= b - 1e-12 for a, b in zip(comparison, comparison[1:]))
-    table = {r["B"]: round(r["ratio_main"], 3) for r in rows}
+    table = {B: round(r, 3) for B, r in zip(cols["B"], cols["ratio_main"])}
     print(f"\nACCEPTANCE 10 PASS: main ratios {table}, spread "
           f"{scan['spread']:.2f} <= 10; comparison column non-increasing "
           f"from B=20 [{budget.elapsed:.1f}s]")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polysieve import boxes, convolve
+from polysieve import boxes, convolve, sieve
 from polysieve.boxes import (BoxProblem, SmoothWeight, _bump_derivative_l1, _dense_length,
                              bound_ratio_scan, box_histogram, complete_sum_g,
                              crt_factor_check, discriminant_profile, exact_count,
@@ -331,6 +331,16 @@ class TestSelectPrimes:
         with pytest.raises(ValueError):
             select_primes(BoxProblem(parse_unipoly("T^2"), F_QUADRIC, 2))
 
+    def test_window_data_is_charged_before_it_is_built(self, monkeypatch):
+        # B = 100: the window [47, 92] holds 47 + 53 + ... + 89 = 682 points of prime data
+        monkeypatch.setattr(sieve, "build_prime_data", lambda *a: pytest.fail("built"))
+        problem = BoxProblem(parse_unipoly("T^2"), F_QUADRIC, 100)
+        with pytest.raises(BudgetExceeded, match="prime data of 682 points exceeds budget 681"):
+            select_primes(problem, budget=681)
+        monkeypatch.undo()
+        assert select_primes(problem, budget=682).primes == (47, 53, 59, 61, 67, 71, 73, 79,
+                                                              83, 89)
+
     def test_carries_the_prime_data_it_built(self):
         f = parse_unipoly("T^3")
         sel = select_primes(BoxProblem(f, F_QUADRIC, 100))
@@ -348,12 +358,17 @@ class TestSelectPrimes:
 
     def test_nondiagonal_window_at_B_2000_is_certified(self):
         # each p is certified by the 3 x 3 Hessian; the walk over P^2(F_{p^2})
-        # would need about p^4 > 6 * 10^10 evaluations.  A budget of 3^2 per
-        # prime admits each matrix and no grid at all.
+        # would need about p^4 > 6 * 10^10 evaluations.  A budget of the window's
+        # prime data, sum p = 54,093 points, admits it and each matrix, and no
+        # grid at all (P^2(F_499) alone has 249,501 points); one point less is refused.
         F = parse_multipoly("X0^2+X0*X1+X2^2")
-        sel = select_primes(BoxProblem(parse_unipoly("T^2"), F, 2000), budget=3**2)
+        problem = BoxProblem(parse_unipoly("T^2"), F, 2000)
+        assert sum(primes_in(497, 993)) == 54093
+        sel = select_primes(problem, budget=54093)
         assert sel.window == (497, 993) and sel.semi_decided
         assert sel.primes == tuple(primes_in(497, 993)) and len(sel.primes) == 73
+        with pytest.raises(BudgetExceeded, match="prime data of 54093 points"):
+            select_primes(problem, budget=54092)
 
     def test_scan_excludes_singular_reduction(self):
         # Gram determinant of this quadric is -42, so reduction mod 7 is
@@ -708,9 +723,8 @@ class TestBoundRatioScan:
 
     def test_small_grid_fields(self):
         out = bound_ratio_scan(parse_unipoly("T^2"), F_QUADRIC, [10, 20])
-        assert len(out["rows"]) == 2
-        assert all({"B", "count", "ratio_main", "ratio_comparison"} <=
-                   set(r) for r in out["rows"])
+        assert list(out["table"]) == ["B", "count", "ratio_main", "ratio_comparison"]
+        assert all(len(column) == 2 for column in out["table"].values())
         assert out["spread"] <= 10
 
 

@@ -575,6 +575,18 @@ class TestSubcommands:
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["class"] == "bad" and "witness" not in results
 
+    @pytest.mark.parametrize("argv", [
+        ["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2", "--B", "10", "--primes",
+         "list:5,7,5,7"],
+        ["sieve-detect", "--h", "T^2", "--primes", "list:3,3"]])
+    def test_repeated_list_prime_is_input_error(self, argv, capsys, monkeypatch):
+        # a repeated prime would count twice towards the threshold P/(2d)
+        built = []
+        monkeypatch.setattr(cli.sieve, "build_prime_data", lambda h, p: built.append(p))
+        assert run(argv) == 1
+        assert capsys.readouterr().err == "error: --primes list entries must be distinct\n"
+        assert built == []
+
     @pytest.mark.parametrize("policy", ["list:4", "list:3,4"])
     def test_prime_list_checked_up_front(self, policy, capsys, monkeypatch):
         built = []
@@ -602,27 +614,30 @@ _CELLS = st.one_of(
 @st.composite
 def report_tables(draw):
     """0-3 named tables of 0-50 rows and 1-4 columns, each column of one cell
-    kind or of any kind; column names str or (a whole table's) one-digit ints,
-    so numeric and text order agree; some tables ragged."""
+    kind or of any kind; table and column names str or int (JSON keys are str)."""
     tables = {}
     names = st.one_of(st.text("abz_", max_size=3), st.integers(0, 3))  # names of CSV files
     for name in draw(st.lists(names, max_size=3)):
-        numbered = draw(st.booleans()) and draw(st.booleans())
-        keys = draw(st.lists(st.integers(0, 8) if numbered else st.text(max_size=4),
-                             min_size=1, max_size=4, unique=True))
-        kinds = [draw(st.sampled_from([st.integers(-2**70, 2**70), st.text(max_size=5),
-                                       st.floats(), st.booleans(), _CELLS,
-                                       st.one_of(st.integers(), st.booleans())])) for _ in keys]
-        rows = [{k: draw(kind) for k, kind in zip(keys, kinds)}
-                for _ in range(draw(st.integers(0, 50)))]
-        if rows and draw(st.integers(0, 3)) == 0:  # ragged: a row loses or gains a key
-            row = draw(st.sampled_from(rows))
-            if len(row) > 1 and draw(st.booleans()):
-                del row[keys[0]]
-            else:
-                row[9 if numbered else draw(st.text(min_size=5, max_size=6))] = 1
-        tables[name] = rows
+        keys = draw(st.lists(st.one_of(st.text(max_size=4), st.integers(0, 12)),
+                             min_size=1, max_size=4, unique_by=str))
+        n = draw(st.integers(0, 50))
+        tables[name] = {key: draw(st.lists(draw(st.sampled_from(
+            [st.integers(-2**70, 2**70), st.text(max_size=5), st.floats(), st.booleans(),
+             _CELLS, st.one_of(st.integers(), st.booleans())])), min_size=n, max_size=n))
+            for key in keys}
     return tables
+
+
+def zipped(tables):
+    """Each table's columns as the list of its rows, flat dicts keyed by column."""
+    return {name: [dict(zip(columns, row)) for row in zip(*columns.values())]
+            for name, columns in tables.items()}
+
+
+def json_direct(report):
+    """The report's JSON by a full walk over its tables as rows."""
+    return json.dumps(jsonable({**report.to_dict(), "tables": zipped(report.tables)}),
+                      sort_keys=True)
 
 
 def csv_rows_direct(path, rows):
@@ -640,39 +655,55 @@ class TestReports:
     def test_column_encoder_is_the_c_encoder(self, tables, results):
         report = ExperimentReport("demo", {"B": 4}, results, tables=tables,
                                   timings={"total_s": 0.5}, seed=1)
-        assert report_json(report) == json.dumps(jsonable(report.to_dict()), sort_keys=True)
+        assert report_json(report) == json_direct(report)
         # the CSVs are the row-by-row DictWriter's, byte for byte
         with tempfile.TemporaryDirectory() as tmp:
-            for name, rows in tables.items():
+            for name, rows in zipped(tables).items():
                 if rows:
-                    try:
-                        csv_rows_direct(Path(tmp, f"want.{name}.csv"), rows)
-                    except ValueError:  # a row with a key the first row lacks
-                        with pytest.raises(ValueError):
-                            emit_report(report, Path(tmp, "r.json"))
-                        return
+                    csv_rows_direct(Path(tmp, f"want.{name}.csv"), rows)
             written = emit_report(report, Path(tmp, "r.json"))
-            assert len(written) == 1 + sum(1 for rows in tables.values() if rows)
+            assert len(written) == 1 + sum(1 for rows in zipped(tables).values() if rows)
             for path in written[1:]:
                 want = Path(tmp, "want." + path.name.split(".", 1)[1]).read_bytes()
                 assert path.read_bytes() == want
 
     def test_column_encoder_on_the_cubic_exceptional_table(self):
-        # 10,209 one-column rows of exact ints, and the unchanged single call
-        # for a report without table rows
+        # 10,209 one-column rows of exact ints, then the same column emptied
         argv = ["boxcount", "--f", "T^2+T", "--F", "X0^3+X1^3+X2^3", "--B", "20"]
         report = cli.run_experiment(cli.parse_config(argv))
-        assert len(report.tables["exceptional"]) == 10209
+        assert len(report.tables["exceptional"]["k"]) == 10209
         text = report_json(report)
-        assert text == json.dumps(jsonable(report.to_dict()), sort_keys=True)
+        assert text == json_direct(report)
         assert '"tables": {"exceptional": [{"k": ' in text
-        report.tables["exceptional"] = []
-        assert report_json(report) == json.dumps(jsonable(report.to_dict()), sort_keys=True)
+        report.tables["exceptional"] = {"k": []}
+        assert report_json(report) == json_direct(report)
 
-    def test_tables_mark_elsewhere_takes_the_single_call(self):
-        report = ExperimentReport("demo", {"mark": "\0tables"}, {}, seed=1,
-                                  tables={"t": [{"k": 1}, {"k": 2}]})
-        assert report_json(report) == json.dumps(jsonable(report.to_dict()), sort_keys=True)
+    def test_tables_splice_leaves_the_other_blocks_alone(self):
+        # the tables go in between the blocks sorted before and after "tables"
+        report = ExperimentReport("demo", {"mark": "\0tables", "tables": '"tables": {}'},
+                                  {"tables": [1]}, seed=1, tables={"t": {"k": [1, 2]}},
+                                  semi_decisions={"tables": {}}, timings={"tables": 0.5})
+        assert report_json(report) == json_direct(report)
+
+    def test_empty_columns_are_an_empty_table_without_csv(self, tmp_path):
+        report = ExperimentReport("demo", {}, {}, tables={"e": {"k": [], "v": []}, "none": {},
+                                                          "t": {"k": [3], "v": ["x"]}})
+        text = report_json(report)
+        assert text == json_direct(report)
+        assert '"tables": {"e": [], "none": [], "t": [{"k": 3, "v": "x"}]}' in text
+        written = emit_report(report, tmp_path / "r.json", text)
+        assert [path.name for path in written] == ["r.json", "r.t.csv"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["r.json", "r.t.csv"]
+        assert (tmp_path / "r.t.csv").read_bytes() == b"k,v\r\n3,x\r\n"
+
+    @pytest.mark.parametrize("columns", [{"a": [1, 2], "b": [1]}, {"a": [], "b": [0]}])
+    def test_columns_of_unequal_length_are_refused(self, columns, tmp_path):
+        report = ExperimentReport("demo", {}, {}, tables={"ok": {"k": [1]}, "t": columns})
+        with pytest.raises(InvariantViolation, match="table 't' has columns of unequal length"):
+            report.validate()
+        with pytest.raises(InvariantViolation):
+            emit_report(report, tmp_path / "r.json")
+        assert not any(tmp_path.iterdir())
 
     def test_out_path_that_cannot_be_written_exits_1(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -718,12 +749,12 @@ class TestReports:
                    "by_p": {5: "good", 7: (np.int64(1), 2.5)}, "flags": {True: 1, False: 0},
                    "nested": [{1: {2: np.float64(-0.5)}}], "none": None,
                    "zero_d": np.array(4), "other": range(3)}
-        tables = {"rows": [{"k": np.int64(-3), "v": complex(0, 1), "t": (1, 2)},
-                           {"k": 4, "v": np.float64(1e-300), "t": frozenset({2})}]}
+        tables = {"rows": {"k": [np.int64(-3), 4], "v": [complex(0, 1), np.float64(1e-300)],
+                           "t": [(1, 2), frozenset({2})]}}
         report = ExperimentReport("demo", {"B": np.int64(9), "mode": "lemma"}, results,
                                   tables=tables, timings={"total_s": 0.125},
                                   semi_decisions={2: "k_max"}, seed=3)
-        want = json.dumps(jsonable(report.to_dict()), sort_keys=True)
+        want = json_direct(report)
         assert json.loads(report_json(report)) == json.loads(want)
         assert report_json(report) == want
 

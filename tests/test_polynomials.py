@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from polysieve import polynomials
 from polysieve.errors import PolyParseError
 from polysieve.fields import cached_field
 from polysieve.polynomials import (MultiPoly, UniPoly, broadcast_grid,
@@ -317,6 +318,28 @@ class TestCriticalValuePoly:
     def test_degenerate_derivative(self):
         with pytest.raises(ValueError):
             critical_value_poly(UniPoly([1, 0, 0, 0, 0, 1], ring=5), 5)  # T^5+1
+
+    @pytest.mark.parametrize("text", ["T^2", "-3*T^2+T", "2*T^3+T+1", "6*T^4-T^3+5",
+                                      "35*T^5-T^2+3*T-7"])
+    def test_over_Z_is_the_resultant_everywhere(self, text):
+        # interpolated through s = 0..d-1, r(s) = Res_T(h - s, h') at every other s too,
+        # and its leading coefficient is (-1)^(d-1) d^d lc(h)^d
+        h = parse_unipoly(text)
+        d, r = h.degree, critical_value_poly(h)
+        assert r.ring is None and r.degree == d - 1
+        assert r.lc == (-1) ** (d - 1) * d**d * h.lc**d
+        for s in range(-30, 31):
+            assert r.eval(s) == resultant_uni(h.sub_const(s), h.derivative())
+
+    @pytest.mark.parametrize("text", ["2*T^3+T+1", "6*T^4-T^3+5", "35*T^5-T^2+3*T-7"])
+    def test_over_Z_refuses_values_off_an_integer_polynomial(self, text, monkeypatch):
+        # one value off by one at s = 0 adds prod_{j=1..d-1} (s - j) / (d-1)!, outside Z[s]
+        # for d >= 3, so the division by (d-1)! is not exact
+        real, calls = polynomials.resultant_uni, itertools.count()
+        monkeypatch.setattr(polynomials, "resultant_uni",
+                            lambda a, b: real(a, b) + (next(calls) == 0))
+        with pytest.raises(ArithmeticError, match="not exact"):
+            critical_value_poly(parse_unipoly(text))
 
     def test_matches_extension_search(self):
         # roots in F_p == critical values over F_{p^j} (j <= 4) landing in F_p

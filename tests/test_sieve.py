@@ -3,21 +3,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polysieve import sieve
 from polysieve.boxes import exceptional_set
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import ExtField, mult_char, primes_in
-from polysieve.polynomials import UniPoly, parse_unipoly
+from polysieve.polynomials import UniPoly, critical_value_poly, parse_unipoly
 from polysieve.sieve import (SieveConfig, SievePrimeData, build_prime_data,
                              detector, in_h_image,
                              membership_filter, multiplicity_weight,
                              power_decomposition_check, power_sieve_rhs,
                              sieve_bound_eval)
 
-from _oracles import integer_preimage_exists, integer_root_of
+from _oracles import critical_values_by_gcd, integer_preimage_exists, integer_root_of
 
 H_BANK = ["T^2", "T^3", "T^3-3*T", "T^4+T", "2*T^3+1"]
 
@@ -34,7 +34,39 @@ def good_primes(h, pmax):
     return out
 
 
+@st.composite
+def leading_coefficient_divisible_polys(draw):
+    """f of degree 2-5 over Z whose leading coefficient, +-1 or +-2 times 1-3 primes of
+    the window (deg f, 200], is not +-1; the other coefficients lie in [-40, 40]."""
+    d = draw(st.integers(2, 5))
+    window = primes_in(d + 1, 200)
+    lc = draw(st.sampled_from([1, -1, 2, -2])) * math.prod(
+        draw(st.lists(st.sampled_from(window), min_size=1, max_size=3)))
+    return UniPoly(draw(st.lists(st.integers(-40, 40), min_size=d, max_size=d)) + [lc])
+
+
+def roots_mod(r):
+    return np.flatnonzero(r.eval(np.arange(r.ring)) == 0).tolist()
+
+
 class TestPrimeData:
+    @settings(max_examples=30, deadline=None)
+    @given(leading_coefficient_divisible_polys())
+    @example(UniPoly([9, 2, -1, 3, 7]))  # 7 T^4 + 3 T^3 - T^2 + 2 T + 9: a cubic mod 7
+    @example(UniPoly([1, 0, 5, 5 * 11]))  # 55 T^3 + 5 T^2 + 1: a quadric mod 11, linear mod 5
+    def test_exceptional_set_is_both_references(self, f):
+        # S_{f,p} from R_f mod p (or, where p | lc(f), from f mod p's own critical-value
+        # polynomial) against the roots of that polynomial over F_p, and against the s
+        # with gcd(f - s, f') != 1 over F_p, found by Euclid's algorithm
+        for p in primes_in(f.degree + 1, 200):
+            if f.reduce_mod(p).degree < 2:
+                with pytest.raises(ValueError, match="degenerates"):
+                    build_prime_data(f, p)
+                continue
+            got = np.flatnonzero(build_prime_data(f, p).exceptional).tolist()
+            assert got == roots_mod(critical_value_poly(f.reduce_mod(p), p)), p
+            assert got == critical_values_by_gcd(f.coeffs, p), p
+
     def test_square_example(self):
         data = build_prime_data(parse_unipoly("T^2"), 7)
         assert list(np.where(data.image)[0]) == [0, 1, 2, 4]
