@@ -189,22 +189,61 @@ def complete_sums(F, t_values, N, freqs, budget=DEFAULT_BUDGET):
     return g.reshape([len(freqs[i]) for i in order]).transpose(np.argsort(order))
 
 
-def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
-    """sum over x in F_p^n of t(F(x)) e(G(x)/p), per joint variable group of (F, G).
+def _scaling_degree(sub, twist, p):
+    """The degree e >= 1 of sub mod p where it and twist mod p (or 0) are forms of degree e
+    in k >= 2 variables, so the group pushes forward by scaling classes; else None."""
+    degs = [{sum(x) for x in f.reduce_mod(p).terms} for f in (sub, twist)]
+    e = min(degs[0], default=0)
+    return e if sub.n_vars >= 2 and e >= 1 and degs[0] | degs[1] == {e} else None
 
-    Each group's pushforward P_g(v) = sum over F_g(a) = v of e(G_g(a)/p)
-    is one phase-weighted bincount over its own p^|g| grid
-    (group_pushforwards twisted by G_g).  F and G are sums over the
-    groups, so the sum is t against the cyclic convolution of the P_g,
-    taken by one length-p FFT.  Costs sum_g p^|g| + p, charged before any
-    build; a non-separable pair is one p^n grid, in slabs, and no FFT.
+
+def _scaling_pushforward(F, G, p, e):
+    """group_pushforwards(F, [[0]] * k, p, G)[0] for forms of degree e (_scaling_degree),
+    over the (p^k - 1)/(p - 1) representatives y of P^(k-1) (first nonzero coordinate 1).
+
+    x = c y scales both forms by c^e.  With d = gcd(e, p - 1) and H = (F_p^*)^e, v != 0 is
+    c^e F(y) for d values of c exactly where v / F(y) is in H: P(v) = d sum_r R[j(v), r]
+    e(vr/p), R[j, r] = #{y : F(y) in coset j of H, G(y)/F(y) = r}.  P(0) = 1 + sum_w Z(w)
+    S(w), Z(w) = #{y : F(y) = 0, G(y) = w} (row d of R), S(w) = sum_c e(c^e w/p) = d sum
+    over a in H of e(aw/p).  One bincount into (d + 1) p cells, in slabs, and one FFT."""
+    k, d, side = F.n_vars, math.gcd(e, p - 1), np.arange(p, dtype=np.int64)
+    n, one = (d + 1) * p, np.ones(1, dtype=np.int64)
+    # a's coset of H is labelled by the d-th root of unity a^((p-1)/d); 0 goes to row d
+    roots, inv = (MultiPoly(1, {(x,): 1}).eval_mod([side], p) for x in ((p - 1) // d, p - 2))
+    lab = np.concatenate([[d], np.unique(roots[1:], return_inverse=True)[1]])
+    inv[0], R = 1, np.zeros(n, dtype=np.int64)  # F(y) = 0 keeps w = G(y)
+    for lead in range(k):
+        for axes in grid_slabs(p, k - 1 - lead, n):
+            y = [one * 0] * lead + [one] + axes
+            fv = F.eval_mod(y, p)
+            R += np.bincount((lab[fv] * p + G.eval_mod(y, p) * inv[fv] % p).ravel(), minlength=n)
+    T = p * np.fft.ifft(R.reshape(d + 1, p), axis=1)
+    P = d * T[lab, side]
+    P[0] = 1 + d * T[d, lab == lab[1]].sum()
+    return P
+
+
+def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
+    """sum over x in F_p^n of t(F(x)) e(G(x)/p), p prime, per joint variable group of (F, G).
+
+    Each group's pushforward P_g(v) = sum over F_g(a) = v of e(G_g(a)/p) is one
+    phase-weighted bincount over its own p^|g| grid (group_pushforwards twisted by G_g)
+    or, for forms of one degree mod p, over the classes of P^(|g|-1) (_scaling_pushforward).
+    F and G are sums over the groups, so the sum is t against the cyclic convolution of
+    the P_g, by one length-p FFT.  Grids, or classes, (d + 1) p cells and two length-p
+    tables, and p are charged before any build; a non-separable pair is one group.
     """
     if F.n_vars != G.n_vars:
         raise ValueError("F and G must share arity")
-    groups = _variable_groups(F, G)
-    charge(0, sum(p**len(idx) for idx, _, _ in groups) + p, budget, "mixed sum")
-    pushed = [group_pushforwards(sub, [[0]] * len(idx), p, twist)[0]
-              for idx, sub, twist in groups]
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if p * p >= _INT64_SAFE:
+        raise OverflowError(f"products of residues mod {p} would overflow 64-bit integers")
+    groups = [(sub, tw, _scaling_degree(sub, tw, p)) for _, sub, tw in _variable_groups(F, G)]
+    charge(0, p + sum(p**s.n_vars if e is None else (p**s.n_vars - 1) // (p - 1)
+                      + (math.gcd(e, p - 1) + 3) * p for s, _, e in groups), budget, "mixed sum")
+    pushed = [group_pushforwards(sub, [[0]] * sub.n_vars, p, tw)[0] if e is None
+              else _scaling_pushforward(sub, tw, p, e) for sub, tw, e in groups]
     if len(pushed) > 1:
         pushed = [np.fft.ifft(np.prod(np.fft.fft(pushed, axis=1), axis=0))]
     return complex(np.asarray(t_values) @ pushed[0])

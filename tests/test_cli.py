@@ -193,11 +193,21 @@ class TestSubcommands:
         assert "not allowed with" in capsys.readouterr().err
 
     def test_mixsum_G_charged_to_budget(self, capsys):
-        # one joint group: its p^2 grid and the length-p sum
+        # one joint group of forms of degree 2, d = gcd(2, p - 1) = 2: its p + 1 classes,
+        # (d + 1) p cells and two length-p tables, then the length-p sum: 8 + 35 + 7
         argv = ["mixsum", "--trace", "kl:2", "--p", "7", "--F", "X0^2+X1^2", "--G", "X0*X1"]
-        assert run(argv + ["--budget", "10"]) == 1
-        assert "56 points exceeds budget 10" in capsys.readouterr().err
-        assert run(argv + ["--budget", "56"]) == 0
+        assert run(argv + ["--budget", "49"]) == 1
+        assert "50 points exceeds budget 49" in capsys.readouterr().err
+        assert run(argv + ["--budget", "50"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["--p", "10007", "--F", "X0^2+2*X1^2", "--G", "X0*X1"],  # a p^2 = 10^8 grid
+        ["--p", "1009", "--F", "X0^2+X1*X2", "--G", "X0*X2"],    # a p^3 = 10^9 grid
+    ])
+    def test_mixsum_G_over_projective_classes(self, argv, capsys):
+        # the p^(k-1) classes of P^(k-1), not the p^k grid, fit the default budget
+        assert run(["mixsum", "--trace", "chi:2:1", *argv]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["abs"] > 0
 
     def test_G_sums_per_joint_group_at_p_1009(self, capsys):
         # the full grids would have p^3 = 10^9 points

@@ -204,6 +204,19 @@ class TestPairHistogramsAndMixedSums:
     @example((*_pair("X0^2+X2^3+1", "X0+3", 4), 7), 4)             # absent X1 and X3, constants
     @example((*_pair("X0^3+X1*X2", "0"), 11), 5)                   # zero G
     @example((*_pair("X0^2+X1^2+X2^2+X3^2+X4^2+X5^2", "X0*X1+2"), 3), 6)  # three blocks
+    # forms of one degree e mod p: one pass over the classes of P^(k-1), d = gcd(e, p - 1)
+    @example((*_pair("X0^2+2*X1^2", "X0*X1"), 11), 7)             # e = 2, d = 2
+    @example((*_pair("X0^3+X1^3", "X0*X1^2"), 7), 8)              # e = 3, d = 3
+    @example((*_pair("X0^3+2*X1^3+X0*X1^2", "X0^2*X1"), 13), 9)   # e = 3, d = 3
+    @example((*_pair("X0^4+X0*X1^3+3*X1^4", "X0^2*X1^2"), 13), 10)  # e = 4, d = 4
+    @example((*_pair("X0^2+X1^2", "X0*X1"), 2), 11)               # p = 2: d = 1
+    @example((*_pair("X0^3+X1^3+X0*X1^2", "X0^2*X1"), 3), 12)     # e = 3 at 3: d = 1
+    @example((*_pair("X0^2+X1^2", "7*X0*X1"), 7), 13)             # twist zero mod p
+    @example((*_pair("7*X0^2+7*X1^2", "X0*X1"), 7), 14)           # F zero mod p: the grid
+    @example((*_pair("X0*X1", "X0^2+3*X1^2"), 11), 15)            # F(y) = 0 on two classes
+    @example((*_pair("X0^2+X1*X2", "X0*X2"), 7), 16)              # a ternary group
+    @example((*_pair("X0*X1+X2*X3", "X0*X3+X1*X2"), 5), 17)       # a quaternary group
+    @example((*_pair("7*X0^3+X0*X1", "X1^2"), 7), 18)             # homogeneous only mod 7
     def test_match_full_grid(self, case, seed):
         F, G, p = case
         hist = fiber_histogram(F, p, G)
@@ -213,6 +226,33 @@ class TestPairHistogramsAndMixedSums:
         t = rng.normal(size=p) + 1j * rng.normal(size=p)
         want = mixsum_grid(F, G, t, p)
         assert abs(mixed_sum(F, G, t, p) - want) <= 1e-9 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("F, G, p, classes", [
+        ("X0^2+2*X1^2", "X0*X1", 11, True),
+        ("X0^2+X1^2", "7*X0*X1", 7, True),        # G zero mod p
+        ("7*X0^3+X0*X1", "X1^2", 7, True),        # degree 2 mod 7
+        ("X0*X1+X2*X3", "X0*X3+X1*X2", 5, True),
+        ("7*X0^2+7*X1^2", "X0*X1", 7, False),     # F zero mod p
+        ("X0^2+X1^2", "X0*X1+X0", 7, False),      # G not a form
+        ("X0^2+X1^2", "X0^2*X1", 7, False),       # degrees 2 and 3
+        ("X0^2+X1^3", "X0*X1", 7, False),         # F not a form
+        ("X0^2+X1^2", "X0+X1", 7, False),         # groups of one variable
+    ])
+    def test_class_pass_takes_the_forms_of_one_degree(self, F, G, p, classes, monkeypatch):
+        taken = "group_pushforwards" if classes else "_scaling_pushforward"
+        monkeypatch.setattr(varieties, taken, lambda *a: pytest.fail(f"{taken} ran"))
+        F, G = _pair(F, G)
+        t = np.random.default_rng(p).normal(size=p)
+        want = mixsum_grid(F, G, t, p)
+        assert abs(mixed_sum(F, G, t, p) - want) <= 1e-9 * max(1.0, abs(want))
+
+    def test_modulus_checked_before_any_build(self):
+        F, G = _pair("X0^2+X1^2", "X0*X1")
+        with pytest.raises(ValueError, match="9 is not prime"):
+            mixed_sum(F, G, np.ones(9), 9)
+        # past 2^31 residue products overflow int64, while p + 1 classes fit a large budget
+        with pytest.raises(OverflowError, match="64-bit"):
+            mixed_sum(F, G, np.ones(1), 2**31 + 11, budget=10**12)  # 2^31 + 11 is prime
 
     def test_linear_twist_is_the_complete_sum(self):
         # sum t(F(x)) e(<u, x>/p) two ways at p = 1009, where the grid has p^3 points
@@ -241,8 +281,8 @@ class TestPairHistogramsAndMixedSums:
         assert (hist.sum(axis=0) == p**2).all()
 
     def test_one_group_twist_traces_no_more_than_the_grid(self):
-        # the full-grid sum traced 47.7 MiB here, one pass over the p^2 grid 31.9 MiB;
-        # slabs of about 2^17 points trace about 5 MiB
+        # the full-grid sum traced 47.7 MiB here, one pass over the p^2 grid 31.9 MiB,
+        # slabs of about 2^17 points 5.1 MiB; the p + 1 classes of P^1 trace 0.15 MiB
         p, (F, G) = 1021, _pair("X0^2+2*X1^2", "X0*X1")
         t = mult_char(cached_field(p), 2, 1).values
         mixed_sum(F, G, t, p)
@@ -252,11 +292,12 @@ class TestPairHistogramsAndMixedSums:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20
+        assert peak < 2**19
         assert abs(got - mixsum_grid(F, G, t, p)) <= 1e-9 * max(1.0, abs(got))
 
     def test_one_group_twist_at_a_larger_prime_traces_a_few_slabs(self):
-        # one pass over the p^2 grid traced 275 MiB at p = 3001
+        # one pass over the p^2 grid traced 275 MiB at p = 3001, its slabs 5.3 MiB,
+        # the p + 1 classes of P^1 0.44 MiB
         p, (F, G) = 3001, _pair("X0^2+2*X1^2", "X0*X1")
         t = mult_char(cached_field(p), 2, 1).values
         tracemalloc.start()
@@ -265,7 +306,7 @@ class TestPairHistogramsAndMixedSums:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < 2**20
         want = 414.29886268064445 + 1.890137957088789e-09j  # the one-pass sum
         assert abs(got - want) <= 1e-9 * abs(want)
 
@@ -276,7 +317,9 @@ class TestPairHistogramsAndMixedSums:
         p, t = 7, np.ones(7)
         cases = [
             (mixed_sum, _pair("X0^2+X1^2+X2^2", "X0+X1"), 3 * p + p, (t, p)),  # groups of 1
-            (mixed_sum, _pair("X0^2+X1^2", "X0*X1"), p**2 + p, (t, p)),        # one group
+            # one group of forms of degree 2, d = gcd(2, p - 1) = 2: its p + 1 classes,
+            # (d + 1) p cells and two length-p tables, then the sum
+            (mixed_sum, _pair("X0^2+X1^2", "X0*X1"), (p + 1) + (2 + 3) * p + p, (t, p)),
             (pair_histogram, _pair("X0^2+X1^2", "X0*X1"), 2 * p**2, (p,)),
             # blocks {X0, X1} and {X2}: their grids, p^2 cells each, and one fold of
             # (2p - 1)^2 cells padded to 15^2
@@ -347,6 +390,19 @@ class TestSlabs:
     @example((*_pair("X0*X1+X1*X2", "X0+X2"), 7), 98, 0)  # rows 2, 2, 2 and 1 per slab
     @example((*_pair("X0*X1*X2", "X1*X2"), 7), 280, 1)    # rows 6 and 1
     @example((*_pair("X0*X1+X2*X3", "X1"), 5), 1, 2)       # one row per slab, blocks of 2
+    # class-pass slabs hold at least the (d + 1) p cells, so only classes with two or more
+    # free axes (k - 1 - lead >= 2) span several
+    @example((*_pair("X0^2+X1*X2", "X0*X2"), 7), 1, 3)               # d = 2, 3 rows a slab
+    @example((*_pair("X0^3+X1*X2^2", "X0*X1*X2"), 7), 5, 4)          # d = 3
+    @example((*_pair("X0^3+X1^2*X2+X2^3", "X0^2*X2"), 13), 1, 5)     # d = 3
+    @example((*_pair("X0^4+X1^3*X2+X2^4", "X0^2*X1*X2"), 13), 1, 6)  # d = 4
+    @example((*_pair("X0^2+X1*X2", "X0*X1"), 2), 1, 7)               # p = 2: d = 1
+    @example((*_pair("X0^3+X1^2*X2", "X0*X1*X2"), 3), 1, 8)          # e = 3 at 3: d = 1
+    @example((*_pair("X0^2+X1*X2", "7*X0*X2"), 7), 1, 9)             # twist zero mod p
+    @example((*_pair("7*X0^2+7*X1*X2", "X0*X2"), 7), 1, 10)          # F zero mod p: the grid
+    @example((*_pair("X0*X1+X1*X2", "X0^2+X2^2"), 11), 1, 11)        # many zeros
+    @example((*_pair("X0*X1+X2*X3", "X0*X3+X1*X2"), 5), 1, 12)       # a quaternary group
+    @example((*_pair("7*X0^3+X0*X1+X2^2", "X1*X2"), 7), 1, 13)       # homogeneous only mod 7
     def test_fibers_and_mixed_sums_match_the_full_grid(self, case, slab, seed):
         F, G, p = case
         t = np.random.default_rng(seed).normal(size=p) + 0.5j
