@@ -75,6 +75,11 @@ def _cutoff(text):
     return None if text == "auto" else int(text)
 
 
+def _witness(cls):  # a UClass's witness as a report block, where it has one
+    w = cls.witness
+    return {} if w is None else {"witness": {"ext_degree": w.ext_degree, "point": list(w.point)}}
+
+
 def _resolve_primes(policy, h, pmax, budget):
     """SievePrimeData for each prime the policy picks, each built once.
 
@@ -171,10 +176,7 @@ def _run_mixsum(cfg):
         u = _int_list(o["u"])
         total = boxes.complete_sum_g(F, t, u, p, cfg.budget)
         cls = varieties.classify_u(F, u, p, k_max=o["kmax"], budget=cfg.budget)
-        extra = {"u": u, "u_class": cls.kind}
-        if cls.witness is not None:
-            extra["witness"] = {"ext_degree": cls.witness.ext_degree,
-                                "point": list(cls.witness.point)}
+        extra = {"u": u, "u_class": cls.kind, **_witness(cls)}
         semi = {"k_max": o["kmax"]}
     elif o.get("G"):
         G = parse_multipoly(o["G"], n_vars=F.n_vars)
@@ -234,12 +236,11 @@ def _run_classify_u(cfg):
     u = _int_list(o["u"])
     p = o["p"]
     cls = varieties.classify_u(F, u, p, k_max=o["kmax"], budget=cfg.budget)
-    results = {"u": u, "p": p, "class": cls.kind}
-    if cls.witness is not None:
-        results["witness"] = {"ext_degree": cls.witness.ext_degree,
-                              "point": list(cls.witness.point)}
+    results = {"u": u, "p": p, "class": cls.kind, **_witness(cls)}
     diag = F.as_diagonal()
-    if diag is not None:
+    if diag is not None and not varieties._diagonal_applies(*diag, p):
+        results["diagonal_oracle"] = "not applicable (bad reduction or d < 2)"
+    elif diag is not None:
         coeffs, d = diag
         kind = str(varieties.diagonal_u_classes(coeffs, d, [[c % p for c in u]], p, cfg.budget)[0])
         results["diagonal_oracle"] = kind
@@ -332,6 +333,9 @@ def _run_poisson_check(cfg):
         coeffs, d = diag
         s, m = min(rec["u_cutoff"], 8), F.n_vars
         for prime in (p, q):
+            if not varieties._diagonal_applies(coeffs, d, prime):
+                results[f"u_class_tally_mod_{prime}"] = "skipped (bad reduction or d < 2)"
+                continue
             res, counts = np.unique(np.arange(-s, s + 1) % prime, return_counts=True)
             bad = varieties.diagonal_dual_zeros(coeffs, d, broadcast_grid([res] * m), prime,
                                                 cfg.budget)

@@ -189,6 +189,19 @@ def complete_sums(F, t_values, N, freqs, budget=DEFAULT_BUDGET):
     return g.reshape([len(freqs[i]) for i in order]).transpose(np.argsort(order))
 
 
+def _class_points(q, m):
+    """Points of P^(m-1)(F_q) over all projective classes."""
+    return sum(q**(m - 1 - lead) for lead in range(m))
+
+
+def _projective_slabs(N, k, cells=0):
+    """P^(k-1) over [0, N) by its leading coordinate 1, the axes after it in grid_slabs: C order."""
+    zero, one = np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    for lead in range(k):
+        for axes in grid_slabs(N, k - 1 - lead, cells):
+            yield [zero] * lead + [one] + axes
+
+
 def _scaling_degree(sub, twist, p):
     """The degree e >= 1 of sub mod p where it and twist mod p (or 0) are forms of degree e
     in k >= 2 variables, so the group pushes forward by scaling classes; else None."""
@@ -199,24 +212,21 @@ def _scaling_degree(sub, twist, p):
 
 def _scaling_pushforward(F, G, p, e):
     """group_pushforwards(F, [[0]] * k, p, G)[0] for forms of degree e (_scaling_degree),
-    over the (p^k - 1)/(p - 1) representatives y of P^(k-1) (first nonzero coordinate 1).
+    over the (p^k - 1)/(p - 1) representatives y of P^(k-1), in _projective_slabs.
 
     x = c y scales both forms by c^e.  With d = gcd(e, p - 1) and H = (F_p^*)^e, v != 0 is
     c^e F(y) for d values of c exactly where v / F(y) is in H: P(v) = d sum_r R[j(v), r]
     e(vr/p), R[j, r] = #{y : F(y) in coset j of H, G(y)/F(y) = r}.  P(0) = 1 + sum_w Z(w)
     S(w), Z(w) = #{y : F(y) = 0, G(y) = w} (row d of R), S(w) = sum_c e(c^e w/p) = d sum
-    over a in H of e(aw/p).  One bincount into (d + 1) p cells, in slabs, and one FFT."""
+    over a in H of e(aw/p).  One bincount into (d + 1) p cells a slab, and one FFT."""
     k, d, side = F.n_vars, math.gcd(e, p - 1), np.arange(p, dtype=np.int64)
-    n, one = (d + 1) * p, np.ones(1, dtype=np.int64)
     # a's coset of H is labelled by the d-th root of unity a^((p-1)/d); 0 goes to row d
     roots, inv = (MultiPoly(1, {(x,): 1}).eval_mod([side], p) for x in ((p - 1) // d, p - 2))
     lab = np.concatenate([[d], np.unique(roots[1:], return_inverse=True)[1]])
-    inv[0], R = 1, np.zeros(n, dtype=np.int64)  # F(y) = 0 keeps w = G(y)
-    for lead in range(k):
-        for axes in grid_slabs(p, k - 1 - lead, n):
-            y = [one * 0] * lead + [one] + axes
-            fv = F.eval_mod(y, p)
-            R += np.bincount((lab[fv] * p + G.eval_mod(y, p) * inv[fv] % p).ravel(), minlength=n)
+    inv[0], R = 1, np.zeros((d + 1) * p, dtype=np.int64)  # F(y) = 0 keeps w = G(y)
+    for y in _projective_slabs(p, k, R.size):
+        fv = F.eval_mod(y, p)
+        R += np.bincount((lab[fv] * p + G.eval_mod(y, p) * inv[fv] % p).ravel(), minlength=R.size)
     T = p * np.fft.ifft(R.reshape(d + 1, p), axis=1)
     P = d * T[lab, side]
     P[0] = 1 + d * T[d, lab == lab[1]].sum()
@@ -228,7 +238,7 @@ def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
 
     Each group's pushforward P_g(v) = sum over F_g(a) = v of e(G_g(a)/p) is one
     phase-weighted bincount over its own p^|g| grid (group_pushforwards twisted by G_g)
-    or, for forms of one degree mod p, over the classes of P^(|g|-1) (_scaling_pushforward).
+    or, for forms of one degree mod p, over the _class_points of P^(|g|-1) (_scaling_pushforward).
     F and G are sums over the groups, so the sum is t against the cyclic convolution of
     the P_g, by one length-p FFT.  Grids, or classes, (d + 1) p cells and two length-p
     tables, and p are charged before any build; a non-separable pair is one group.
@@ -240,7 +250,7 @@ def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
     if p * p >= _INT64_SAFE:
         raise OverflowError(f"products of residues mod {p} would overflow 64-bit integers")
     groups = [(sub, tw, _scaling_degree(sub, tw, p)) for _, sub, tw in _variable_groups(F, G)]
-    charge(0, p + sum(p**s.n_vars if e is None else (p**s.n_vars - 1) // (p - 1)
+    charge(0, p + sum(p**s.n_vars if e is None else _class_points(p, s.n_vars)
                       + (math.gcd(e, p - 1) + 3) * p for s, _, e in groups), budget, "mixed sum")
     pushed = [group_pushforwards(sub, [[0]] * sub.n_vars, p, tw)[0] if e is None
               else _scaling_pushforward(sub, tw, p, e) for sub, tw, e in groups]
@@ -249,25 +259,9 @@ def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
     return complex(np.asarray(t_values) @ pushed[0])
 
 
-def _projective_classes(field, m):
-    """Yield coordinate arrays covering P^(m-1)(F_q) once each.
-
-    Classes are indexed by the leading nonzero position: earlier
-    coordinates 0, that one 1, later ones free.
-    """
-    for lead in range(m):
-        free = m - 1 - lead
-        ones = (1,) * max(free, 1)
-        yield ([np.zeros(ones, dtype=np.int64)] * lead + [np.ones(ones, dtype=np.int64)]
-               + broadcast_grid([np.arange(field.q, dtype=np.int64)] * free))
-
-
 def _zeros_of(poly, field, coords):
-    """The points of the grid broadcast from coords where poly vanishes.
-
-    One flat array per coordinate, read at the flat indices of the zeros in
-    C order, so the first entry is the first zero a full scan would meet.
-    """
+    """The points of the grid broadcast from coords where poly vanishes: one flat array per
+    coordinate, read at the zeros' flat indices in C order, so the first is the first met."""
     values = poly.eval_field(field, coords)
     hits = np.flatnonzero(values == 0)
     return [np.broadcast_to(c, values.shape).flat[hits] for c in coords]
@@ -279,11 +273,6 @@ def _check_scan_args(p, k_max):
         raise ValueError(f"{p} is not prime")
     if not 1 <= k_max <= EXT_DEGREE_CAP:
         raise ValueError(f"k_max must be at least 1 and at most {EXT_DEGREE_CAP}, got {k_max}")
-
-
-def _class_points(q, m):
-    """Points of P^(m-1)(F_q) over all projective classes."""
-    return sum(q**(m - 1 - lead) for lead in range(m))
 
 
 def _coordinate_changes(k):
@@ -346,8 +335,8 @@ def _certify(form, p, j, k_max, spent=0, budget=DEFAULT_BUDGET):
 def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
     """Search for a projective singular point of V(F) over F_{p^j}, j <= k_max.
 
-    F is evaluated on each projective class grid; the partials are
-    evaluated only on its zeros (about 1/q of the grid), in C order, so
+    F is evaluated on P^(m-1)(F_{p^j}) slab by slab (_projective_slabs); the
+    partials only on each slab's zeros (about 1/q of it), in C order, so
     the witness is the first singular point of the full scan.  The walk
     stops with ScanResult(smooth=True, k_max) where _certify holds for F mod p, a
     certificate over the closure; a walk without witness gives smooth=False where
@@ -365,8 +354,9 @@ def smoothness_scan(F, p, k_max=2, budget=DEFAULT_BUDGET):
 
 
 def _smoothness_walk(form, p, k_max, budget=DEFAULT_BUDGET, certify=False):
-    """The grid walk of smoothness_scan and classify_u; with certify, _certify(form)
-    runs ahead of each level, and a proven singularity outlasts a walk without witness."""
+    """The walk of smoothness_scan and classify_u, one of its _projective_slabs at a time:
+    the first witness of a slab is the first of a full scan, since slabs run in C order.  With
+    certify, _certify(form) runs ahead of each level; a proven singularity outlasts the walk."""
     m = form.n_vars
     partials = form.gradient()
     spent, smooth = 0, True
@@ -377,7 +367,7 @@ def _smoothness_walk(form, p, k_max, budget=DEFAULT_BUDGET, certify=False):
         smooth = smooth and ok is None
         spent = charge(spent, _class_points(p**j, m), budget, "smoothness scan")
         field = cached_field(p, j)
-        for coords in _projective_classes(field, m):
+        for coords in _projective_slabs(field.q, m):
             pts = _zeros_of(form, field, coords)
             for gpoly in partials:
                 if not pts[0].size:
@@ -452,12 +442,17 @@ def dual_polynomial(m, d):
     return MultiPoly(m, {(K // e - sum(k),) + k: int(c) for k, c in np.ndenumerate(coeffs) if c})
 
 
+def _diagonal_applies(coeffs, d, p):
+    """The diagonal closed forms' hypotheses at the prime p: d >= 2, p prime to d and every c_i."""
+    return d >= 2 and all(int(c) % p for c in (*coeffs, d))
+
+
 def diagonal_dual_zeros(coeffs, d, axes, p, budget=DEFAULT_BUDGET):
     """D_{m,d}(a) = 0 mod p, a_i = u_i^d / c_i, on the grid of u the per-axis residue arrays
     axes broadcast to (D(0) = 0 for m > 1), by eval_mod in slabs of axis 0; ints give one
     bool.  D's build, then its monomials times the points, are charged first."""
     m, e, cred = len(coeffs), d - 1, [int(c) % p for c in coeffs]
-    if d < 2 or d % p == 0 or not all(cred) or not is_prime(p):
+    if not (is_prime(p) and _diagonal_applies(coeffs, d, p)):
         raise ValueError("need p coprime to d and to every coefficient, p prime and d >= 2")
     lone, K = all(isinstance(x, int) for x in axes), e ** (m - 1)  # lone: one u in ints
     shape = () if lone else np.broadcast_shapes(*map(np.shape, axes))
@@ -501,7 +496,7 @@ def diagonal_witness_degree(coeffs, d, u, p):
     p mod L = e' lcm_i ord_p(b_i), at most e' as p = 1 mod each ord_p(b_i).
     """
     cred, ured = [int(c) % p for c in coeffs], [int(x) % p for x in u]
-    if d < 2 or d % p == 0 or not all(cred) or not is_prime(p):
+    if not (is_prime(p) and _diagonal_applies(coeffs, d, p)):
         raise ValueError("need p coprime to d and to every coefficient, p prime and d >= 2")
     if len(ured) != len(cred):
         raise ValueError("u arity mismatch")

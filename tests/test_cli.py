@@ -271,6 +271,23 @@ class TestSubcommands:
         out = json.loads(capsys.readouterr().out)
         assert (out["results"]["class"], out["results"]["diagonal_oracle"]) == ("good", "good")
 
+    @pytest.mark.parametrize("argv, kind, point", [
+        (["--F", "X0^2+X1^2+X2^2", "--u", "1,2,3", "--p", "2"], "bad", [1, 0, 1]),  # 2 | d
+        (["--F", "X0^2+X1^2+3*X2^2", "--u", "1,1,0", "--p", "3"], "bad", [0, 0, 1]),  # the vertex
+        (["--F", "X0+X1", "--u", "1,2", "--p", "5"], "good", None),                 # d = 1
+    ])
+    def test_classify_u_oracle_not_applicable_off_its_hypotheses(self, argv, kind, point,
+                                                                 capsys, monkeypatch):
+        # the closed forms need d >= 2 and p prime to d and every coefficient: elsewhere the
+        # scan answers alone and neither closed form is asked
+        for name in ("diagonal_u_classes", "diagonal_witness_degree"):
+            monkeypatch.setattr(varieties, name, lambda *a, name=name: pytest.fail(f"asked {name}"))
+        assert run(["classify-u", *argv]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["diagonal_oracle"] == "not applicable (bad reduction or d < 2)"
+        assert results["class"] == kind
+        assert results.get("witness", {}).get("point") == point
+
     def test_classify_u_contradiction_within_the_cap_exits_2(self, capsys, monkeypatch):
         # the oracle's witness for u = (1, 2, 0) lies over F_5, inside any cap
         monkeypatch.setattr(varieties, "classify_u",
@@ -496,11 +513,21 @@ class TestSubcommands:
                     "--B", "60", "--cutoff", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["u_cutoff"] == 4
 
-    @pytest.mark.parametrize("F", ["X0^2+3*X1^2+X2^2", "X0^3+X1^3+X2^3"])
-    def test_poisson_tally_refuses_p_dividing_d_or_a_coefficient(self, F, capsys):
-        assert run(["poisson-check", "--F", F, "--p", "3", "--q", "5", "--B", "4",
-                    "--cutoff", "4"]) == 1
-        assert "need p coprime to d and to every coefficient" in capsys.readouterr().err
+    @pytest.mark.parametrize("F, coeffs, d, q", [
+        pytest.param("X0^2+X1^2+3*X2^2", [1, 1, 3], 2, 5, id="p-divides-c"),
+        pytest.param("X0^3+X1^3+X2^3", [1, 1, 1], 3, 7, id="p-divides-d"),
+    ])
+    def test_poisson_tally_skips_a_prime_of_bad_reduction(self, F, coeffs, d, q, capsys):
+        # the Poisson sums still run at p = 3; only its tally is skipped, not q's
+        assert run(["poisson-check", "--F", F, "--p", "3", "--q", str(q), "--trace", "psi",
+                    "--B", "4", "--cutoff", "4"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["u_class_tally_mod_3"] == "skipped (bad reduction or d < 2)"
+        kinds = varieties.diagonal_u_classes(coeffs, d, list(itertools.product(range(-4, 5),
+                                                                               repeat=3)), q)
+        assert results[f"u_class_tally_mod_{q}"] == {
+            k: int((kinds == k).sum()) for k in ("zero", "good", "bad")}
+        assert results["error"] <= results["tail_bound"]
 
     @pytest.mark.parametrize("F, coeffs, d", [
         ("X0^2+2*X1^2+3*X2^2", [1, 2, 3], 2),

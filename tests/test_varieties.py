@@ -768,6 +768,33 @@ class TestScanMemory:
         assert want.smooth
         assert peak < 3.5 * 529**2 * 8
 
+    def test_tangency_over_F_2209_traces_a_few_slabs(self):
+        # the section is a plane cubic whose tangency lies over F_{47^2} only; walking each
+        # 2209^2-point class of P^2 whole traced 112 MiB, its slabs of 2^17 points 3.2 MiB
+        F = parse_multipoly("X0^3+X1^3+X2^3+X3^3")
+        want = UClass("bad", Witness(2, (46, 1, 188, 2021)), 2)
+        assert classify_u(F, (-3, -3, 1, 1), 47) == want  # builds the field and its tables
+        tracemalloc.start()
+        try:
+            assert classify_u(F, (-3, -3, 1, 1), 47) == want
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def in_slabs(scan):
+    """scan() with each walk slab one point or one row of its class, a few rows, and the
+    default (a class a slab here): the first witness of the first slab holding one must be
+    the first a full scan of the class meets, so every result is the same."""
+    results = []
+    for slab in (1, 64, polynomials.SLAB_POINTS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polynomials, "SLAB_POINTS", slab)
+            results.append(scan())
+    assert results[1:] == results[:-1], results
+    return results[0]
+
 
 class TestScansAgainstNestedLoops:
     @settings(max_examples=120)
@@ -798,13 +825,13 @@ class TestScansAgainstNestedLoops:
             return
         fields = tuple_fields(p, k_max)
         smooth, j, pt = smoothness_scan_direct(F.terms, F.n_vars, fields)
-        res = smoothness_scan(F, p, k_max=k_max)
+        res = in_slabs(lambda: smoothness_scan(F, p, k_max=k_max))
         assert res.smooth == smooth
         assert (res.witness is None) == smooth
         if not smooth:
             assert (res.witness.ext_degree, res.witness.point) == (j, pt)
         kind, j, pt = classify_u_direct(F.terms, F.n_vars, u, fields)
-        cls = classify_u(F, u, p, k_max=k_max)
+        cls = in_slabs(lambda: classify_u(F, u, p, k_max=k_max))
         assert cls.kind == kind
         if kind == "bad":
             assert (cls.witness.ext_degree, cls.witness.point) == (j, pt)
@@ -928,7 +955,7 @@ class TestDiagonalOracle:
                     if ured in seen or all(c == 0 for c in ured):
                         continue
                     seen.add(ured)
-                    scan = classify_u(F, u, p, k_max=2)
+                    scan = in_slabs(lambda: classify_u(F, u, p, k_max=2))
                     oracle = diagonal_dual_oracle([1, 1, 1], d, u, p)
                     assert scan.kind == oracle.kind, (d, p, u)
 
@@ -943,7 +970,7 @@ class TestDiagonalOracle:
             u = [int(c) for c in rng.integers(0, p, size=3)]
             if all(c % p == 0 for c in u):
                 continue
-            scan = classify_u(F, u, p, k_max=2)
+            scan = in_slabs(lambda: classify_u(F, u, p, k_max=2))
             oracle = diagonal_dual_oracle(coeffs, d, u, p)
             assert scan.kind == oracle.kind, (p, d, coeffs, u)
 
