@@ -28,8 +28,8 @@ from .errors import DEFAULT_BUDGET, InvariantViolation, charge
 from .fields import prime_factors, primes_in
 from .polynomials import MultiPoly, UniPoly, broadcast_grid, discriminant_uni
 from .sieve import in_h_image, membership_filter, pick_primes, sieve_threshold
-from .varieties import (_INT64_SAFE, _sums_plan, _variable_groups, complete_sums,
-                        fiber_histogram, smoothness_scan)
+from .varieties import (_INT64_SAFE, _diagonal_applies, _sums_plan, _variable_groups,
+                        complete_sums, fiber_histogram, smoothness_scan)
 
 
 @dataclass(frozen=True)
@@ -228,7 +228,7 @@ def select_primes(problem, k_max=2, budget=DEFAULT_BUDGET):
     diag = problem.F.as_diagonal()
     for p in [data.p for data in detecting]:
         if diag is not None:  # good exactly where p divides neither d nor a coefficient
-            good = all(c % p for c in (*diag[0], diag[1]))
+            good = _diagonal_applies(*diag, p)
         else:
             good = smoothness_scan(problem.F.reduce_mod(p), p, k_max, budget).smooth
         if not good:
@@ -279,7 +279,7 @@ def complete_sum_g(F, t, u, p, budget=DEFAULT_BUDGET):
     if len(u) != F.n_vars:
         raise ValueError("u arity mismatch")
     if not any(int(c) % p for c in u):
-        return complex(fiber_histogram(F, p, budget=budget) @ t.values)
+        return complex((fiber_histogram(F, p, budget=budget) * t.values).sum())
     return complex(complete_sums(F, t.values, p, [[int(c) % p] for c in u], budget).item())
 
 

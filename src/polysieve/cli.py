@@ -146,7 +146,7 @@ def _run_tracesum(cfg):
         # sum of t(F(x)) over the zero set of G: group by the F-fiber
         G = parse_multipoly(o["G"], n_vars=m)
         pair = varieties.fiber_histogram(F, p, G, cfg.budget)
-        total = complex(pair[:, 0] @ t.values)
+        total = complex((pair[:, 0] * t.values).sum())
         main = p ** (m - 2) * complex(t.values.sum())
         scale = p ** ((m - 1) / 2)
         domain = f"V({G.to_text()})"

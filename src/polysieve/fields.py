@@ -1,17 +1,14 @@
 """Arithmetic contexts for F_q, q = p^k: ExtField(p, k), with F_p = ExtField(p, 1).
 
-A field precomputes exp/log tables for the unit group (cyclic), so
-multiplication and powering vectorize as integer index arithmetic plus
-table gathers.  Elements are plain ints, the base-p digit
-encodings c_0 + c_1*p + ... + c_{k-1}*p^{k-1} (residues when k = 1).
-Each field also keeps a digit table (row i: base-p digit i of every
-element); lane_tables packs those digits into base-2p lanes of one int64,
-so sums of elements are integer sums read back by one gather.  Contexts
-are immutable after construction.
+Elements are plain ints, the base-p digit encodings c_0 + c_1*p + ... of
+c_0 + c_1*T + ... in F_p[T]/(modulus).  A field precomputes exp/log tables of
+the cyclic unit group and digit, trace and psi tables, so products and powers
+are index arithmetic plus table gathers and sums are digit sums mod p.  Every
+table comes from the companion matrix of the modulus (ExtField._build_tables).
+Contexts are immutable after construction.
 """
 
-import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -55,41 +52,17 @@ def primes_in(lo, hi):
     return [p for p in range(max(2, lo), hi + 1) if is_prime(p)]
 
 
-def _poly_mul_mod(a, b, modulus, p):
-    """Multiply coefficient tuples mod (modulus, p); modulus monic."""
-    k = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(k):
-                prod[i - k + j] = (prod[i - k + j] - c * modulus[j]) % p
-    out = prod[:k] + [0] * (k - len(prod))
-    return tuple(x % p for x in out[:k])
+def _matpow(m, e, p):
+    """m^e mod p for a square matrix m given as a list of rows, by binary powering."""
+    def mul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
 
-
-def _poly_mul_outer(a, b, modulus, p):
-    """Products a[j] * b[i] mod (modulus, p) for every pair of rows.
-
-    a and b are digit arrays of shape (r, k) and (s, k), digit t being
-    the coefficient of T^t; the result has shape (r, s, k).  Before the
-    final reduction entries stay below p * (p+1)^(k-1) in magnitude.
-    """
-    k = len(modulus) - 1
-    prod = np.zeros((len(a), len(b), 2 * k - 1), dtype=np.int64)
-    for i in range(k):
-        for j in range(k):
-            prod[:, :, i + j] += np.multiply.outer(a[:, i], b[:, j])
-    prod %= p
-    for t in range(2 * k - 2, k - 1, -1):  # T^t = T^(t-k) * (T^k - modulus)
-        for j in range(k):
-            prod[:, :, t - k + j] -= prod[:, :, t] * modulus[j]
-    return prod[:, :, :k] % p
+    out = [[int(i == j) for j in range(len(m))] for i in range(len(m))]
+    while e:
+        if e & 1:
+            out = mul(out, m)
+        m, e = mul(m, m), e >> 1
+    return out
 
 
 def _poly_divides(div, poly, p):
@@ -161,58 +134,43 @@ class ExtField:
 
     def _build_tables(self):
         p, k, q = self.p, self.k, self.q
-        # find a generator of the unit group by scalar powering
-        factors = prime_factors(q - 1) if q > 2 else []
-        for cand in range(1, q):
-            gen = _digits(cand, p, k)
-            if all(self._scalar_pow(gen, (q - 1) // ell) != self._one_tup()
-                   for ell in factors):
-                self.g = cand
-                break
-        # baby steps gen^i (i < s) times giant steps gen^(s*j): gen^(s*j + i),
-        # about 2*sqrt(q) scalar products and one outer product of digits
-        s = math.isqrt(q - 1) + 1
-        baby, giant = [self._one_tup()], [self._one_tup()]
-        step = self._scalar_pow(gen, s)
-        for _ in range(1, s):
-            baby.append(_poly_mul_mod(baby[-1], gen, self.modulus, p))
-            giant.append(_poly_mul_mod(giant[-1], step, self.modulus, p))
-        digits = _poly_mul_outer(np.array(giant), np.array(baby), self.modulus, p)
-        exp = (digits @ p ** np.arange(k, dtype=np.int64)).ravel()[:q - 1]
-        self.exp_table = exp
-        log = np.full(q, -1, dtype=np.int64)
-        log[exp] = np.arange(len(exp))
-        self.log_table = log
-        # trace to F_p is linear: evaluate it on the power basis only
-        basis_traces = []
-        for i in range(k):
-            tup = tuple(1 if j == i else 0 for j in range(k))
-            acc_t = (0,) * k
-            cur = tup
-            for _ in range(k):
-                acc_t = tuple((a + b) % p for a, b in zip(acc_t, cur))
-                cur = self._scalar_pow(cur, p)
-            if any(acc_t[1:]):  # trace must land in the base field
-                raise RuntimeError("trace computation left the base field")
-            basis_traces.append(acc_t[0])
+        # the companion matrix C of the modulus is times T on digit columns, so times the
+        # element with digits d is sum_t d_t C^t, and Tr(T^t) = trace C^t
+        C = [[int(i == j + 1) if j < k - 1 else -self.modulus[i] % p for j in range(k)]
+             for i in range(k)]
+        powers = [_matpow(C, t, p) for t in range(k)]
+
+        def times(x):
+            return [[sum(d * c[i][j] for d, c in zip(_digits(x, p, k), powers)) % p
+                     for j in range(k)] for i in range(k)]
+
+        # the least generator; F_p^* is too small to hold one when k >= 2
+        factors = prime_factors(q - 1)
+        self.g = next(x for x in range(p if k > 1 else 1, q) if all(
+            _matpow(times(x), (q - 1) // ell, p) != powers[0] for ell in factors))
+        # digit rows g^0 ... g^(n-1), doubled by G^n in one array; sums stay below k p^2
+        rows = np.zeros((q - 1, k), dtype=np.int64)
+        rows[0, 0] = 1
+        step, n = np.array(times(self.g), dtype=np.int64).T, 1
+        while n < q - 1:
+            m = min(n, q - 1 - n)
+            np.remainder(rows[:m] @ step, p, out=rows[n:n + m])
+            step, n = step @ step % p, n + m
+        self.exp_table = rows @ p ** np.arange(k, dtype=np.int64)
+        del rows
+        self.log_table = np.full(q, -1, dtype=np.int64)
+        self.log_table[self.exp_table] = np.arange(q - 1)
         # row i: base-p digit i of every element
         self.digit_table = (np.arange(q, dtype=np.int64)[None, :]
                             // p ** np.arange(k, dtype=np.int64)[:, None]) % p
+        # the trace on the power basis, checked against the Frobenius sum
+        # T^t + T^(tp) + ... + T^(tp^(k-1)) read from the tables
+        basis_traces = [sum(c[i][i] for i in range(k)) % p for c in powers]
+        for t, tr in enumerate(basis_traces):
+            if reduce(self.add, (self.pow(p**t, p**i) for i in range(k))) != tr:
+                raise RuntimeError(f"the Frobenius sum of T^{t} is not trace C^{t} = {tr}")
         self.trace_table = np.array(basis_traces, dtype=np.int64) @ self.digit_table % p
         self.psi_table = np.exp(2j * np.pi * self.trace_table / p)
-
-    def _one_tup(self):
-        return (1,) + (0,) * (self.k - 1)
-
-    def _scalar_pow(self, tup, e):
-        out = self._one_tup()
-        base = tup
-        while e > 0:
-            if e & 1:
-                out = _poly_mul_mod(out, base, self.modulus, self.p)
-            base = _poly_mul_mod(base, base, self.modulus, self.p)
-            e >>= 1
-        return out
 
     def __repr__(self):
         return f"ExtField(p={self.p}, k={self.k})"
@@ -231,15 +189,15 @@ class ExtField:
         return int(self.log_table[u])
 
     def add(self, a, b):
-        """Sum in base-2p lanes: pack both, add, one gather back to an element."""
-        pack, unpack, _ = lane_tables(self)
-        out = gather(unpack, pack[a] + pack[b])
+        """Sum digit by digit mod p."""
+        digits = (self.digit_table.T[a] + self.digit_table.T[b]) % self.p
+        out = digits @ self.p ** np.arange(self.k)
         return out if out.ndim else int(out)
 
     def mul(self, a, b):
-        """g^(log a + log b) from the degree-1 exponent table, read back as an element."""
-        logs, exps = exponent_tables(self, 1)
-        out = gather(lane_tables(self)[1], gather(exps, logs[a] + logs[b]))
+        """g^(log a + log b), 0 where a or b is 0."""
+        la, lb = self.log_table[a], self.log_table[b]
+        out = np.where((la < 0) | (lb < 0), 0, self.exp_table[(la + lb) % (self.q - 1)])
         return out if out.ndim else int(out)
 
     def pow(self, a, e):
@@ -254,44 +212,12 @@ class ExtField:
         return out if out.ndim else int(out)
 
 
-def gather(table, idx):
-    """table[idx], written over idx when it is an array; idx past the end reads the last entry."""
-    return table.take(idx, mode="clip", out=idx if np.ndim(idx) else None)
-
-
 def _residues(x, p):
     """x mod p as int64, elementwise: an integer array is cast and reduced; an int, a
     list or an object array is reduced exactly first, so it may hold ints past int64."""
     if getattr(x, "dtype", object) == object:
         x = np.asarray(x, dtype=object) % p
     return np.asarray(x, dtype=np.int64) % p
-
-
-@lru_cache(maxsize=64)
-def lane_tables(field):
-    """(pack, unpack, repack): base-p digit i of an element in lane i, base 2p.
-
-    A sum of two packed elements has every lane below 2p - 1: unpack reads
-    it back as an element, repack as a packed element.  pack has q entries,
-    unpack and repack (2p)^k = 2^k q each.
-    """
-    p, k = field.p, field.k
-    lanes = (2 * p) ** np.arange(k, dtype=np.int64)
-    digits = np.arange((2 * p) ** k)[None, :] // lanes[:, None] % (2 * p) % p
-    return lanes @ field.digit_table, p ** np.arange(k) @ digits, lanes @ digits
-
-
-@lru_cache(maxsize=64)
-def exponent_tables(field, d):
-    """(logs, exps): log x with log 0 = S = (d+1)(q-1); packed g^e for e < S, 0 at S.
-
-    For c != 0 and sum e_i <= d, log c + sum e_i logs[x_i] is below S unless
-    some x_i with e_i > 0 is 0, and at least S if one is, so the monomial is
-    exps[min(that, S)], with no remainder mod q-1.  exps has S + 1 entries.
-    """
-    logs = field.log_table.copy()
-    logs[0] = (d + 1) * (field.q - 1)
-    return logs, np.append(np.tile(lane_tables(field)[0][field.exp_table], d + 1), 0)
 
 
 @lru_cache(maxsize=64)

@@ -11,11 +11,12 @@ e.g. "X1^2 + 3*X2^2 - 1" or "2*T^3+1".
 
 import math
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import PolyParseError
-from .fields import _residues, exponent_tables, gather, is_prime, lane_tables
+from .fields import _residues, is_prime
 
 
 def _red(c, ring):
@@ -98,6 +99,38 @@ def _iadd(a, b):
     if isinstance(a, np.ndarray) and np.broadcast(a, b).shape == a.shape:
         return np.add(a, b, out=a)
     return a + b
+
+
+def _gather(table, idx):
+    """table[idx], written over idx when it is an array; idx past the end reads the last entry."""
+    return table.take(idx, mode="clip", out=idx if np.ndim(idx) else None)
+
+
+@lru_cache(maxsize=64)
+def _lane_tables(field):
+    """(pack, unpack, repack): base-p digit i of an element in lane i, base 2p.
+
+    A sum of two packed elements has every lane below 2p - 1: unpack reads
+    it back as an element, repack as a packed element.  pack has q entries,
+    unpack and repack (2p)^k = 2^k q each.
+    """
+    p, k = field.p, field.k
+    lanes = (2 * p) ** np.arange(k, dtype=np.int64)
+    digits = np.arange((2 * p) ** k)[None, :] // lanes[:, None] % (2 * p) % p
+    return lanes @ field.digit_table, p ** np.arange(k) @ digits, lanes @ digits
+
+
+@lru_cache(maxsize=64)
+def _exponent_tables(field, d):
+    """(logs, exps): log x with log 0 = S = (d+1)(q-1); packed g^e for e < S, 0 at S.
+
+    For c != 0 and sum e_i <= d, log c + sum e_i logs[x_i] is below S unless
+    some x_i with e_i > 0 is 0, and at least S if one is, so the monomial is
+    exps[min(that, S)], with no remainder mod q-1.  exps has S + 1 entries.
+    """
+    logs = field.log_table.copy()
+    logs[0] = (d + 1) * (field.q - 1)
+    return logs, np.append(np.tile(_lane_tables(field)[0][field.exp_table], d + 1), 0)
 
 
 class MultiPoly:
@@ -190,8 +223,8 @@ class MultiPoly:
         """Evaluation with coordinates given as field element indices in [0, q).
 
         A monomial c * prod x_i^e_i is one gather of packed digits at
-        log c + sum e_i log x_i, clipped at the sentinel log 0 (fields.
-        exponent_tables).  Terms of one broadcast shape add first, then the
+        log c + sum e_i log x_i, clipped at the sentinel log 0
+        (_exponent_tables).  Terms of one broadcast shape add first, then the
         shapes, smallest first; each sum of two is reduced by one gather in
         place, repack while more follow and unpack to indices at the last.
         """
@@ -205,16 +238,16 @@ class MultiPoly:
                 shape = np.broadcast(*(arrs[i] for i, _ in used)).shape
                 groups.setdefault(shape, []).append((field.embed(c), used))
         terms = [t for g in groups.values() for t in g]
-        logs, exps = exponent_tables(field, max((sum(e for _, e in u) for _, u in terms),
-                                                default=0))
+        logs, exps = _exponent_tables(field, max((sum(e for _, e in u) for _, u in terms),
+                                                 default=0))
         log_of = {i: logs[arrs[i]] for i in {i for _, used in terms for i, _ in used}}
-        _, unpack, repack = lane_tables(field)
+        _, unpack, repack = _lane_tables(field)
         left = len(terms) - 1  # additions still to come
 
         def add(a, b):  # written over a where a has the shape of the sum
             nonlocal left
             left -= 1
-            return gather(repack if left else unpack, _iadd(a, b))
+            return _gather(repack if left else unpack, _iadd(a, b))
 
         out = None
         for shape in sorted(groups, key=math.prod):
@@ -223,9 +256,9 @@ class MultiPoly:
                 ex = logs[c]
                 for i, e in used:
                     ex = _iadd(ex, e * log_of[i] if e > 1 else log_of[i])
-                part = gather(exps, ex) if part is None else add(part, gather(exps, ex))
+                part = _gather(exps, ex) if part is None else add(part, _gather(exps, ex))
             out = part if out is None else add(part, out)
-        out = 0 if out is None else gather(unpack, out) if len(terms) == 1 else out
+        out = 0 if out is None else _gather(unpack, out) if len(terms) == 1 else out
         if np.shape(out) != (shape := np.broadcast(*arrs).shape):
             out = np.broadcast_to(out, shape).copy()
         return out if np.ndim(out) else int(out)

@@ -256,7 +256,7 @@ def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
               else _scaling_pushforward(sub, tw, p, e) for sub, tw, e in groups]
     if len(pushed) > 1:
         pushed = [np.fft.ifft(np.prod(np.fft.fft(pushed, axis=1), axis=0))]
-    return complex(np.asarray(t_values) @ pushed[0])
+    return complex((np.asarray(t_values) * pushed[0]).sum())
 
 
 def _zeros_of(poly, field, coords):

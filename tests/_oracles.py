@@ -136,6 +136,37 @@ def box_histogram_direct(F_terms, n_vars, B):
     return values, [tally[v] for v in values]
 
 
+def poly_mul_mod(a, b, modulus, p):
+    """Schoolbook product of two length-k coefficient tuples mod (modulus, p), modulus monic."""
+    k = len(modulus) - 1
+    prod = [0] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] += ai * bj
+    for i in range(2 * k - 2, k - 1, -1):  # T^i = T^(i-k) * (T^k - modulus)
+        for j in range(k):
+            prod[i - k + j] -= prod[i] * modulus[j]
+    return tuple(c % p for c in prod[:k])
+
+
+def tuple_pow(a, e, modulus, p):
+    """a^e mod (modulus, p) for a coefficient tuple a, by binary powering with poly_mul_mod."""
+    out = (1,) + (0,) * (len(a) - 1)
+    while e:
+        if e & 1:
+            out = poly_mul_mod(out, a, modulus, p)
+        a, e = poly_mul_mod(a, a, modulus, p), e >> 1
+    return out
+
+
+def frobenius_sum(x, modulus, p):
+    """x + x^p + ... + x^(p^(k-1)) for a coefficient tuple x of length k."""
+    powers = [tuple(x)]
+    for _ in range(len(x) - 1):
+        powers.append(tuple_pow(powers[-1], p, modulus, p))
+    return tuple(sum(col) % p for col in zip(*powers))
+
+
 def ext_exp_table_loop(p, modulus):
     """Powers 1, g, g^2, ... of the first unit g of order q - 1 in F_p[T]/(modulus).
 
@@ -143,8 +174,6 @@ def ext_exp_table_loop(p, modulus):
     products until the power returns to 1, and the first whose walk
     visits all q - 1 units is the generator.  Returns the encodings.
     """
-    from polysieve.fields import _poly_mul_mod
-
     k = len(modulus) - 1
     q = p**k
 
@@ -157,10 +186,10 @@ def ext_exp_table_loop(p, modulus):
     one = decode(1)
     for cand in range(1, q):
         g = decode(cand)
-        walk, acc = [1], _poly_mul_mod(one, g, modulus, p)
+        walk, acc = [1], poly_mul_mod(one, g, modulus, p)
         while acc != one:
             walk.append(encode(acc))
-            acc = _poly_mul_mod(acc, g, modulus, p)
+            acc = poly_mul_mod(acc, g, modulus, p)
         if len(walk) == q - 1:
             return walk
     raise AssertionError("no generator")
@@ -299,7 +328,7 @@ def poly_eval_everywhere(coeffs, field):
 
 
 class TupleField:
-    """F_{p^k} as coefficient tuples over F_p, multiplied by _poly_mul_mod.
+    """F_{p^k} as coefficient tuples over F_p, multiplied by poly_mul_mod.
 
     Elements are exchanged as the same integer encodings the library
     uses (digit i is the coefficient of T^i), but every operation decodes
@@ -309,8 +338,6 @@ class TupleField:
     """
 
     def __init__(self, p, modulus):
-        from polysieve.fields import _poly_mul_mod
-
         self.p = p
         self.k = len(modulus) - 1
         self.q = p**self.k
@@ -318,7 +345,7 @@ class TupleField:
         tups = [self.decode(x) for x in elems]
         self.add_tab = [[self.encode(tuple((a + b) % p for a, b in zip(ta, tb)))
                          for tb in tups] for ta in tups]
-        self.mul_tab = [[self.encode(_poly_mul_mod(ta, tb, modulus, p))
+        self.mul_tab = [[self.encode(poly_mul_mod(ta, tb, modulus, p))
                          for tb in tups] for ta in tups]
 
     @classmethod

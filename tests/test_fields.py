@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from polysieve import polynomials
-from polysieve.fields import (ExtField, additive_char, cached_field, exponent_tables,
-                              lane_tables, mult_char, primes_in)
+from polysieve.fields import ExtField, additive_char, cached_field, mult_char, primes_in
+from polysieve.polynomials import _exponent_tables, _lane_tables
 
-from _oracles import TupleField, eval_field_direct, ext_exp_table_loop, smallest_generator
+from _oracles import (TupleField, eval_field_direct, ext_exp_table_loop, frobenius_sum,
+                      poly_mul_mod, smallest_generator)
 
 
 class TestPrimitiveRoot:
@@ -248,11 +249,11 @@ class TestPackedTables:
     @pytest.mark.parametrize("p, k", [(2, 1), (7, 1), (2, 4), (3, 2), (5, 2), (23, 2), (3, 4)])
     def test_sizes_at_their_bounds(self, p, k):
         f = cached_field(p, k)
-        pack, unpack, repack = lane_tables(f)
+        pack, unpack, repack = _lane_tables(f)
         assert len(pack) == f.q
         assert len(unpack) == len(repack) == (2 * p) ** k == 2**k * f.q
         for d in (0, 1, 4):
-            logs, exps = exponent_tables(f, d)
+            logs, exps = _exponent_tables(f, d)
             assert len(logs) == f.q
             assert len(exps) == (d + 1) * (f.q - 1) + 1
             assert logs[0] == len(exps) - 1 and exps[-1] == 0
@@ -261,7 +262,7 @@ class TestPackedTables:
     def test_lanes_read_back_every_sum(self, p, k):
         f = cached_field(p, k)
         tf = TupleField.like(f)
-        pack, unpack, repack = lane_tables(f)
+        pack, unpack, repack = _lane_tables(f)
         xs = np.arange(f.q)
         sums = pack[xs[:, None]] + pack[xs[None, :]]
         assert unpack[sums].tolist() == tf.add_tab
@@ -270,8 +271,8 @@ class TestPackedTables:
     def test_exponent_table_degree_bounded_by_q(self, monkeypatch):
         # x^e = x^((e-1) mod (q-1) + 1) on F_q, so X0^1000 asks for degree 8 over F_9
         asked = []
-        real = polynomials.exponent_tables
-        monkeypatch.setattr(polynomials, "exponent_tables",
+        real = polynomials._exponent_tables
+        monkeypatch.setattr(polynomials, "_exponent_tables",
                             lambda field, d: asked.append(d) or real(field, d))
         F = polynomials.parse_multipoly("X0^1000+X1^3", n_vars=2)
         xs = np.arange(9)
@@ -306,3 +307,27 @@ class TestExtFieldAgainstTuples:
             assert type(f.add(a, b)) is int and f.add(a, b) == tf.add(a, b)
             assert f.mul(a, b) == tf.mul(a, b)
 
+
+def _decode(x, p, k):
+    return tuple(int(x) // p**i % p for i in range(k))
+
+
+class TestCompanionTables:
+    @pytest.mark.parametrize("p, k", SMALL_EXT_FIELDS + [(23, 2), (101, 2)])
+    def test_trace_is_frobenius_sum(self, p, k):
+        f = ExtField(p, k)
+        for x in range(f.q):
+            trace = (f.trace_table[x],) + (0,) * (k - 1)
+            assert frobenius_sum(_decode(x, p, k), f.modulus, p) == trace
+
+    # for each k >= 2 the largest prime p with p^k <= 2*10^6, the table cap
+    @pytest.mark.parametrize("p, k", [(1409, 2), (113, 3), (37, 4)])
+    def test_near_the_cap(self, p, k):
+        f = ExtField(p, k)
+        assert np.array_equal(np.sort(f.exp_table), np.arange(1, f.q))
+        g = _decode(f.g, p, k)
+        for i in np.random.default_rng(p).integers(0, f.q - 1, 1000).tolist():
+            x, gx = (_decode(f.exp_table[j % (f.q - 1)], p, k) for j in (i, i + 1))
+            assert gx == poly_mul_mod(x, g, f.modulus, p)
+            trace = (f.trace_table[f.exp_table[i]],) + (0,) * (k - 1)
+            assert frobenius_sum(x, f.modulus, p) == trace
