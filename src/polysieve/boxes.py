@@ -12,9 +12,9 @@ for the (2B+1)^m box.  Every count works on distinct values weighted by
 multiplicity.  The exact count tests each value against f's values
 (sieve.in_h_image); the sieve-accelerated count prefilters values through
 per-prime image bitmaps and verifies survivors exactly, so the two
-counts agree by construction (asserted).  Complete sums, the CRT check
-and the Poisson dual work per variable group (varieties.complete_sums),
-O(sum_g N^|g| log N).
+counts agree by construction (asserted).  A sum at one frequency u, the
+CRT check's mod-pq side too, is F's pushforward twisted by <u, x>
+(varieties.mixed_sum); the Poisson window's sums, varieties.complete_sums.
 """
 
 import math
@@ -28,8 +28,9 @@ from .errors import DEFAULT_BUDGET, InvariantViolation, charge
 from .fields import prime_factors, primes_in
 from .polynomials import MultiPoly, UniPoly, broadcast_grid, discriminant_uni
 from .sieve import in_h_image, membership_filter, pick_primes, sieve_threshold
-from .varieties import (_INT64_SAFE, _diagonal_applies, _sums_plan, _variable_groups,
-                        complete_sums, fiber_histogram, smoothness_scan)
+from .varieties import (_INT64_SAFE, _diagonal_applies, _pushforward, _sums_plan,
+                        _variable_groups, complete_sums, fiber_histogram, mixed_sum,
+                        smoothness_scan)
 
 
 @dataclass(frozen=True)
@@ -270,9 +271,9 @@ def discriminant_profile(f, k):
 def complete_sum_g(F, t, u, p, budget=DEFAULT_BUDGET):
     """g(u, t) = sum over a in F_p^m of t(F(a)) e(<a, u>/p).
 
-    The u = 0 sum is grouped by fiber (the exact integer
-    fiber_histogram); general u comes from complete_sums, at cost
-    O(sum_g p^|g| log p) over the variable groups.
+    The u = 0 sum is grouped by fiber (the exact integer fiber_histogram);
+    u != 0 is mixed_sum with the linear twist <u, x>, one pushforward per
+    variable group, a slab of its p^|g| grid at a time: O(sum_g p^|g| + p log p).
     """
     if t.q != p:
         raise ValueError("trace table does not live on F_p")
@@ -280,14 +281,15 @@ def complete_sum_g(F, t, u, p, budget=DEFAULT_BUDGET):
         raise ValueError("u arity mismatch")
     if not any(int(c) % p for c in u):
         return complex((fiber_histogram(F, p, budget=budget) * t.values).sum())
-    return complex(complete_sums(F, t.values, p, [[int(c) % p] for c in u], budget).item())
+    ux = MultiPoly(len(u), zip(np.eye(len(u), dtype=int), [int(c) % p for c in u]))  # <u, x>
+    return mixed_sum(F, ux, t.values, p, budget)
 
 
 def crt_factor_check(F, u, p, q, t_p, t_q, budget=DEFAULT_BUDGET):
     """Compare the mod-pq complete sum against its CRT product form.
 
-    lhs = sum over a mod pq of t_p(F(a)) conj(t_q(F(a))) e(<a,u>/pq) by
-    complete_sums at N = pq, O(sum_g N^|g| log N), not by factoring; rhs =
+    lhs = sum over a mod pq of t_p(F(a)) conj(t_q(F(a))) e(<a,u>/pq): the pq table against
+    F's pushforward twisted by <u, x> mod pq, built first, over grids (Z/pq is no field); rhs =
     g(qbar u, t_p) * g(pbar u, conj t_q), qbar = q^-1 mod p, pbar = p^-1 mod q.
     """
     if p == q:
@@ -295,17 +297,16 @@ def crt_factor_check(F, u, p, q, t_p, t_q, budget=DEFAULT_BUDGET):
     if len(u) != F.n_vars:
         raise ValueError("u arity mismatch")
     N = p * q
-    freqs = [[int(c) % N] for c in u]
-    charge(0, _sums_plan(F, N, freqs)[1], budget, "complete sums")  # before the pq table
+    ux = MultiPoly(len(u), zip(np.eye(len(u), dtype=int), [int(c) % N for c in u]))
+    pushed = _pushforward(F, ux, N, budget)  # charged, then built, before the pq table
     table = t_p.values[np.arange(N) % p] * np.conj(t_q.values[np.arange(N) % q])
-    lhs = complex(complete_sums(F, table, N, freqs, budget).item())
+    lhs = complex((table * pushed).sum())
     qbar, pbar = pow(q, -1, p), pow(p, -1, q)
     g1 = complete_sum_g(F, t_p, [qbar * int(c) % p for c in u], p, budget)
     g2 = complete_sum_g(F, t_q.conj(), [pbar * int(c) % q for c in u], q, budget)
     rhs = g1 * g2
     err = abs(lhs - rhs)
-    rel = err / max(abs(lhs), 1.0)
-    return {"lhs": lhs, "rhs": rhs, "error": err, "rel_error": rel}
+    return {"lhs": lhs, "rhs": rhs, "error": err, "rel_error": err / max(abs(lhs), 1.0)}
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +510,7 @@ def poisson_compare(F, p, q, t_p, t_q, B, u_cutoff=None, budget=DEFAULT_BUDGET):
         hist = part if hist is None else _fold(hist, part)
     if spec is not None:
         hist = np.arange(N), np.fft.irfft(spec, N)
-    direct = complex(hist[1] @ (t_p.values[hist[0] % p] * np.conj(t_q.values[hist[0] % q])))
+    direct = complex((t_p.values[hist[0] % p] * np.conj(t_q.values[hist[0] % q]) * hist[1]).sum())
     # dual: each window u_i lands on one residue pair (x, y) = (qbar u_i, pbar u_i);
     # w sums What over the u_i of each pair, pairs sorted by x.  Each pass moves
     # one axis of g_q from q-residues y to p-residues x, weighting by w.

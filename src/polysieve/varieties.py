@@ -164,7 +164,8 @@ def _sums_plan(F, N, freqs):
 def complete_sums(F, t_values, N, freqs, budget=DEFAULT_BUDGET):
     """g(x) = sum over a in (Z/N)^m of t(F(a)) e(<a, x>/N), x in the product of freqs.
 
-    freqs lists the residues of each variable; g is indexed by position.
+    boxes.poisson_compare's window spectra (one x is mixed_sum's twist by <x, a>).  freqs
+    lists the residues of each variable; g is indexed by position.
     With t(v) = sum_s c(s) e(sv/N), g(x) = sum_s c(s) prod_g G_g(s, x_g),
     G_g the DFT of a group's twisted pushforward (group_pushforwards).  A
     largest group absorbs the s-sum: g(., x') is the DFT over its N^k grid
@@ -203,11 +204,11 @@ def _projective_slabs(N, k, cells=0):
 
 
 def _scaling_degree(sub, twist, p):
-    """The degree e >= 1 of sub mod p where it and twist mod p (or 0) are forms of degree e
-    in k >= 2 variables, so the group pushes forward by scaling classes; else None."""
+    """The degree e >= 1 of sub mod p where p is prime and sub and twist mod p (or 0) are forms
+    of degree e in k >= 2 variables, so the group pushes forward by scaling classes; else None."""
     degs = [{sum(x) for x in f.reduce_mod(p).terms} for f in (sub, twist)]
     e = min(degs[0], default=0)
-    return e if sub.n_vars >= 2 and e >= 1 and degs[0] | degs[1] == {e} else None
+    return e if sub.n_vars >= 2 and e >= 1 and degs[0] | degs[1] == {e} and is_prime(p) else None
 
 
 def _scaling_pushforward(F, G, p, e):
@@ -233,30 +234,33 @@ def _scaling_pushforward(F, G, p, e):
     return P
 
 
-def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
-    """sum over x in F_p^n of t(F(x)) e(G(x)/p), p prime, per joint variable group of (F, G).
+def _pushforward(F, G, N, budget=DEFAULT_BUDGET):
+    """P(v) = sum over x in (Z/N)^n with F(x) = v of e(G(x)/N): per joint variable group of
+    (F, G) one phase-weighted bincount over its N^|g| grid (group_pushforwards twisted by G_g)
+    or, where _scaling_degree holds, over the _class_points of P^(|g|-1) (_scaling_pushforward),
+    then the groups' cyclic convolution by one length-N FFT.  Grids, or classes, (d + 1) N
+    cells and two length-N tables, and N are charged before any build."""
+    if N * N >= _INT64_SAFE:
+        raise OverflowError(f"products of residues mod {N} would overflow 64-bit integers")
+    groups = [(sub, tw, _scaling_degree(sub, tw, N)) for _, sub, tw in _variable_groups(F, G)]
+    cost = N + sum(N**s.n_vars if e is None else _class_points(N, s.n_vars)
+                   + (math.gcd(e, N - 1) + 3) * N for s, _, e in groups)
+    charge(0, cost, budget, "complete sums")
+    pushed = [group_pushforwards(sub, [[0]] * sub.n_vars, N, tw)[0] if e is None
+              else _scaling_pushforward(sub, tw, N, e) for sub, tw, e in groups]
+    if len(pushed) > 1:
+        pushed = [np.fft.ifft(np.prod(np.fft.fft(pushed, axis=1), axis=0))]
+    return pushed[0]
 
-    Each group's pushforward P_g(v) = sum over F_g(a) = v of e(G_g(a)/p) is one
-    phase-weighted bincount over its own p^|g| grid (group_pushforwards twisted by G_g)
-    or, for forms of one degree mod p, over the _class_points of P^(|g|-1) (_scaling_pushforward).
-    F and G are sums over the groups, so the sum is t against the cyclic convolution of
-    the P_g, by one length-p FFT.  Grids, or classes, (d + 1) p cells and two length-p
-    tables, and p are charged before any build; a non-separable pair is one group.
-    """
+
+def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
+    """sum over x in F_p^n of t(F(x)) e(G(x)/p), p prime: t against _pushforward(F, G, p);
+    one frequency u is the linear twist G = <u, x> (boxes.complete_sum_g)."""
     if F.n_vars != G.n_vars:
         raise ValueError("F and G must share arity")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p * p >= _INT64_SAFE:
-        raise OverflowError(f"products of residues mod {p} would overflow 64-bit integers")
-    groups = [(sub, tw, _scaling_degree(sub, tw, p)) for _, sub, tw in _variable_groups(F, G)]
-    charge(0, p + sum(p**s.n_vars if e is None else _class_points(p, s.n_vars)
-                      + (math.gcd(e, p - 1) + 3) * p for s, _, e in groups), budget, "mixed sum")
-    pushed = [group_pushforwards(sub, [[0]] * sub.n_vars, p, tw)[0] if e is None
-              else _scaling_pushforward(sub, tw, p, e) for sub, tw, e in groups]
-    if len(pushed) > 1:
-        pushed = [np.fft.ifft(np.prod(np.fft.fft(pushed, axis=1), axis=0))]
-    return complex((np.asarray(t_values) * pushed[0]).sum())
+    return complex((np.asarray(t_values) * _pushforward(F, G, p, budget)).sum())
 
 
 def _zeros_of(poly, field, coords):

@@ -562,6 +562,21 @@ def complete_sum_grid(F, table, u, N):
     return complex((np.asarray(table)[vals] * np.exp(2j * np.pi * expo / N)).sum())
 
 
+def complete_sum_slices(F, table, u, N):
+    """complete_sum_grid one slice x_0 = c at a time, by integer evaluation of F: it holds
+    N^(m-1) points, not N^m, so an N^3 sum at N near 200 stays small."""
+    import numpy as np
+
+    pts = np.meshgrid(*[np.arange(N, dtype=np.int64)] * (F.n_vars - 1), indexing="ij")
+    rest = sum(int(c) * x for c, x in zip(u[1:], pts)) % N
+    total = 0j
+    for c in range(N):
+        vals = F.eval([np.full_like(rest, c), *pts]) % N
+        expo = (int(u[0]) * c + rest) % N
+        total += complex((np.asarray(table)[vals] * np.exp(2j * np.pi * expo / N)).sum())
+    return total
+
+
 def crt_lhs_grid(F, u, p, q, tp_values, tq_values):
     """The mod-pq sum of t_p(F(a)) conj(t_q(F(a))) e(<a,u>/pq) over the full grid."""
     import numpy as np

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from polysieve import boxes, convolve, sieve
+from polysieve import boxes, convolve, sieve, varieties
 from polysieve.boxes import (BoxProblem, SmoothWeight, _bump_derivative_l1, _dense_length,
                              bound_ratio_scan, box_histogram, complete_sum_g,
                              crt_factor_check, discriminant_profile, exact_count,
@@ -23,7 +23,8 @@ from polysieve.sieve import build_prime_data, in_h_image
 from polysieve.tracefn import TraceFunction, constant_trace, kloosterman
 
 from _oracles import (box_count_direct, box_count_per_point, box_histogram_direct,
-                      complete_sum_grid, complete_sum_table, crt_lhs_grid,
+                      complete_sum_grid, complete_sum_slices, complete_sum_table,
+                      crt_lhs_grid,
                       diagonal_dual_oracle, integer_root_of, poisson_direct_grid,
                       poisson_dual_grid)
 
@@ -810,6 +811,73 @@ class TestGroupedSums:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20  # the p^3 grid would need 8 TB
+
+    @staticmethod
+    def _traced(call):
+        """call() and the traced peak of a second, warm call."""
+        call()
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_non_separable_twist_streams_its_grid(self):
+        # one group of three variables and the twist <u, x> of degree 1: the pushforward
+        # streams the p^3 grid in slabs (4.1 MiB traced), where one N^m table traced 287 MiB
+        p, u = 211, (1, 2, 3)
+        F = parse_multipoly("X0^2+X0*X1+X1*X2+X2^2")
+        t = trace_on("chi", p)
+        got, peak = self._traced(lambda: complete_sum_g(F, t, u, p))
+        assert peak < 16 * 2**20
+        want = complete_sum_slices(F, t.values, u, p)
+        assert abs(got - want) <= 1e-9 * max(1, abs(want))
+
+    def test_crt_left_side_streams_its_grid(self):
+        # mod pq = 221 the cubic's 221^3 grid is streamed in slabs (5.6 MiB traced), where
+        # one N^m table traced 330 MiB; the oracle sums it one slice of 221^2 at a time
+        p, q, u = 13, 17, (1, 2, 3)
+        F = parse_multipoly("X0^3+X1^3+X2^3+X0*X1*X2")
+        t_p, t_q = trace_on("kl", p), trace_on("kl", q)
+        rec, peak = self._traced(lambda: crt_factor_check(F, u, p, q, t_p, t_q))
+        assert peak < 16 * 2**20
+        v = np.arange(p * q)
+        table = t_p.values[v % p] * np.conj(t_q.values[v % q])
+        want = complete_sum_slices(F, table, u, p * q)
+        assert abs(rec["lhs"] - want) <= 1e-9 * max(1, abs(want))
+        assert rec["rel_error"] <= 1e-9
+
+    def test_composite_modulus_takes_the_grid(self, monkeypatch):
+        # mod 35 the twist vanishes on the group {X0, X1}: (X0*X1, 0) are forms of one degree,
+        # yet Z/35 is no field, so scaling classes do not push the group forward
+        F, p, q = parse_multipoly("X0*X1+X2^2"), 5, 7
+        t_p, t_q = trace_on("kl", p), trace_on("kl", q)
+        want = crt_lhs_grid(F, (0, 0, 1), p, q, t_p.values, t_q.values)
+        for u in [(0, 0, 1), (35, 70, 1)]:
+            got = crt_factor_check(F, u, p, q, t_p, t_q)["lhs"]
+            assert abs(got - want) <= 1e-9 * max(1, abs(want)), u
+        # with the guard lifted the class pass runs at 35: its coset labels of (Z/35)^* are
+        # not the d + 1 rows it counts into
+        monkeypatch.setattr(varieties, "is_prime", lambda n: True)
+        with pytest.raises(ValueError):
+            crt_factor_check(F, (0, 0, 1), p, q, t_p, t_q)
+
+    def test_one_frequency_takes_no_window_spectra(self, monkeypatch):
+        # complete_sums serves the Poisson window alone; one u, mod p or mod pq, is a twist
+        calls, real = [], varieties.complete_sums
+
+        def spy(F, t_values, N, *args):
+            calls.append(N)
+            return real(F, t_values, N, *args)
+
+        for module in (boxes, varieties):
+            monkeypatch.setattr(module, "complete_sums", spy)
+        F, t5, t7 = parse_multipoly("X0*X1+X2^2"), trace_on("kl", 5), trace_on("kl", 7)
+        complete_sum_g(F, t5, (1, 2, 3), 5)
+        crt_factor_check(F, (1, 2, 3), 5, 7, t5, t7)
+        assert calls == []
+        poisson_compare(F, 5, 7, t5, t7, B=4, u_cutoff=2)
+        assert sorted(calls) == [5, 7]
 
     def test_budget_charges_group_grids(self):
         p = 101
