@@ -64,9 +64,11 @@ class BoxProblem:
 
 
 def _check_values(F, B):
-    """Refuse F whose values on [-B, B]^m could pass int64."""
-    bound = sum(abs(c) * max(B, 1) ** sum(e) for e, c in F.terms.items())
-    if bound >= _INT64_SAFE:
+    """Refuse F whose values on [-B, B]^m could pass int64: first by bit length, where
+    one term's B^|e| >= 2^(|e| floor(log2 B)) reaches 2^62, so no larger power is built."""
+    bits = max(B, 1).bit_length() - 1
+    if any(sum(e) * bits >= 62 for e in F.terms) or sum(
+            abs(c) * max(B, 1) ** sum(e) for e, c in F.terms.items()) >= _INT64_SAFE:
         raise OverflowError("box values would overflow 64-bit integers")
 
 

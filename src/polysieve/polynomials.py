@@ -6,11 +6,19 @@ values; every operation returns a fresh object.
 
 Text format (the CLI surface): sums of monomials with integer
 coefficients, variables X0..Xn for multivariate and T for univariate,
-e.g. "X1^2 + 3*X2^2 - 1" or "2*T^3+1".
+e.g. "X1^2 + 3*X2^2 - 1" or "2*T^3+1".  Whitespace only separates
+tokens.  A term is any number of signs ("--X0" is X0), then factors:
+integers, and variables each raised by ^ to an integer or not.  Factors
+next to each other multiply as if joined by *: "2 X0" is 2*X0 and
+"X1 2" is 2*X1.  X needs an index: "X" alone is an error.  Every
+PolyParseError names the offset in the text where it arose.  Read
+without an arity, a multivariate polynomial has its indices shifted down
+so the smallest one used is X0: "X1^2+X2^2" is a binary form.
 """
 
 import math
-from collections import Counter
+import re
+from collections import defaultdict
 from functools import lru_cache
 
 import numpy as np
@@ -90,8 +98,16 @@ class UniPoly:
         return max((abs(c) for c in self.coeffs), default=0)
 
     def to_text(self):
-        return _poly_text([((i,), c) for i, c in enumerate(self.coeffs) if c],
-                          names=lambda e: "T" if e else None)
+        return _poly_text([((i,), c) for i, c in enumerate(self.coeffs) if c], lambda i: "T")
+
+
+def _times(a, b, ring):
+    """Product of two polynomials held as {key: coeff}, keys adding as monomials multiply."""
+    out = defaultdict(int)
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            out[ka + kb] += ca * cb
+    return out if ring is None else {key: c % ring for key, c in out.items() if c % ring}
 
 
 def _iadd(a, b):
@@ -277,20 +293,32 @@ class MultiPoly:
         return out
 
     def substitute(self, vectors):
-        """self(sum_r y_r vectors[r]): a polynomial in len(vectors) variables y."""
-        k, out = len(vectors), Counter()
+        """self(sum_r y_r vectors[r]): a polynomial in len(vectors) variables y.
+
+        y^a is keyed by sum_r a_r D^r, D = deg + 1, so monomials multiply by adding keys;
+        each power of x_i = sum_r vectors[r][i] y_r that a term uses is built once, by
+        halving the exponent, and every product is reduced mod the ring.
+        """
+        k, ring, D = len(vectors), self.ring, max(self.total_degree, 0) + 1
+        powers = {(i, 1): {D**r: v[i] for r, v in enumerate(vectors) if v[i]}
+                  for i in range(self.n_vars)}
+
+        def power(i, e):
+            if (i, e) not in powers:
+                half = _times(power(i, e // 2), power(i, e // 2), ring)
+                powers[i, e] = _times(half, powers[i, 1], ring) if e % 2 else half
+            return powers[i, e]
+
+        out = defaultdict(int)
         for expo, c in self.terms.items():
-            acc = {(0,) * k: c}
+            acc = {0: c}
             for i, e in enumerate(expo):
-                for _ in range(e):  # times x_i = sum_r vectors[r][i] y_r
-                    nxt = Counter()
-                    for mono, a in acc.items():
-                        for r, v in enumerate(vectors):
-                            if v[i]:
-                                nxt[mono[:r] + (mono[r] + 1,) + mono[r + 1:]] += a * v[i]
-                    acc = nxt
-            out.update(acc)
-        return MultiPoly(k, out, self.ring)
+                if e:
+                    acc = _times(acc, power(i, e), ring)
+            for key, a in acc.items():
+                out[key] += a
+        return MultiPoly(k, {tuple(key // D**r % D for r in range(k)): c
+                             for key, c in out.items()}, ring)
 
     def as_diagonal(self):
         """(coeffs, d) when the form is sum_i c_i X_i^d with all c_i != 0."""
@@ -313,7 +341,7 @@ class MultiPoly:
 
     def to_text(self):
         ordered = sorted(self.terms.items(), key=lambda t: (-sum(t[0]), t[0]))
-        return _poly_text(ordered, names=lambda e: None)
+        return _poly_text(ordered, lambda i: f"X{i}")
 
 
 def broadcast_grid(sides):
@@ -339,167 +367,105 @@ def grid_slabs(N, k, cells=0, width=1):
         yield broadcast_grid([side[lo:lo + rows]][:k] + [side] * (k - 1))
 
 
-def _poly_text(terms, names):
-    """Render (exponent tuple, coeff) pairs; `names` unused for X-style vars."""
-    if not terms:
-        return "0"
-    parts = []
+def _poly_text(terms, var):
+    """Render (exponent tuple, coeff) pairs, var(i) naming variable i: "3*X0^2 - X1 + 1"."""
+    text = ""
     for expo, c in terms:
-        factors = []
-        for i, e in enumerate(expo):
-            if e == 0:
-                continue
-            var = "T" if len(expo) == 1 and names((1,)) == "T" else f"X{i}"
-            factors.append(var if e == 1 else f"{var}^{e}")
-        body = "*".join(factors)
-        if not body:
-            piece = str(c)
-        elif c == 1:
-            piece = body
-        elif c == -1:
-            piece = f"-{body}"
-        else:
-            piece = f"{c}*{body}"
-        parts.append(piece)
-    text = parts[0]
-    for piece in parts[1:]:
-        text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-    return text
+        body = "*".join([var(i) if e == 1 else f"{var(i)}^{e}" for i, e in enumerate(expo) if e])
+        piece = (str(c) if not body else body if c == 1 else f"-{body}" if c == -1
+                 else f"{c}*{body}")
+        text += piece if not text else f" - {piece[1:]}" if piece[0] == "-" else f" + {piece}"
+    return text or "0"
 
 
 # ---------------------------------------------------------------------------
-# text parsing
+# text parsing: tokens are (token, offset) pairs, a token an operator character,
+# ("num", n) or ("var", i), T as i = -1; _END closes the list
+
+_TOKEN = re.compile(r"(\d+)|X(\d*)|(T)|([-+*^()])|(\S)")
+_END = "end"
+
 
 def _tokenize(text):
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*^()":
-            tokens.append((ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append((("num", int(text[i:j])), i))
-            i = j
-            continue
-        if ch in "XT":
-            if ch == "T":
-                tokens.append((("var", -1), i))
-                i += 1
-                continue
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise PolyParseError("variable X needs an index", i)
-            tokens.append((("var", int(text[i + 1:j])), i))
-            i = j
-            continue
-        raise PolyParseError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN.finditer(text):
+        num, index, tee, op, other = m.groups()
+        if other:
+            raise PolyParseError(f"unexpected character {other!r}", m.start())
+        if index == "":
+            raise PolyParseError("variable X needs an index", m.start())
+        tok = op or (("num", int(num)) if num else ("var", -1 if tee else int(index)))
+        tokens.append((tok, m.start()))
     return tokens
 
 
 def _parse_terms(text):
-    """Yield (coeff, {var_index: exponent}) monomials; T is index -1."""
-    tokens = _tokenize(text)
-    if not tokens:
+    """[(coeff, {var_index: exponent})], one pair a monomial; T is index -1."""
+    tokens = _tokenize(text) + [(_END, len(text))]
+    if tokens[0][0] == _END:
         raise PolyParseError("empty polynomial", 0)
-    pos = 0
-    n = len(tokens)
-    terms = []
-    while pos < n:
-        sign = 1
-        while pos < n and tokens[pos][0] in ("+", "-"):
-            if tokens[pos][0] == "-":
-                sign = -sign
+    terms, pos = [], 0
+    while tokens[pos][0] != _END:
+        coeff, expos = 1, {}
+        while tokens[pos][0] in ("+", "-"):
+            coeff = -coeff if tokens[pos][0] == "-" else coeff
             pos += 1
-        if pos >= n:
-            raise PolyParseError("dangling sign", tokens[-1][1])
-        coeff = sign
-        expos = {}
-        expect_factor = True
-        while pos < n:
+        if tokens[pos][0] == _END:
+            raise PolyParseError("dangling sign", tokens[pos - 1][1])
+        while True:  # a factor, then a '*', another factor or the end of the term
             tok, at = tokens[pos]
-            if tok in ("+", "-") and not expect_factor:
-                break
-            if tok == "*":
-                raise PolyParseError("misplaced '*'", at)
-            if isinstance(tok, tuple) and tok[0] == "num":
+            if tok[0] == "num":  # an operator token is one character: never "num" or "var"
                 coeff *= tok[1]
-                pos += 1
-            elif isinstance(tok, tuple) and tok[0] == "var":
-                idx = tok[1]
+            elif tok[0] == "var":
                 e = 1
-                pos += 1
-                if pos < n and tokens[pos][0] == "^":
-                    pos += 1
-                    if pos >= n or not (isinstance(tokens[pos][0], tuple)
-                                        and tokens[pos][0][0] == "num"):
-                        raise PolyParseError("exponent must be an integer",
-                                             tokens[pos - 1][1])
+                if tokens[pos + 1][0] == "^":
+                    pos += 2
+                    if tokens[pos][0][0] != "num":
+                        raise PolyParseError("exponent must be an integer", tokens[pos - 1][1])
                     e = tokens[pos][0][1]
-                    pos += 1
-                expos[idx] = expos.get(idx, 0) + e
+                expos[tok[1]] = expos.get(tok[1], 0) + e
             else:
-                raise PolyParseError(f"unexpected token {tok!r}", at)
-            expect_factor = False
-            if pos < n and tokens[pos][0] == "*":
+                raise PolyParseError("misplaced '*'" if tok == "*" else f"unexpected token {tok!r}",
+                                     at)
+            pos += 1
+            if tokens[pos][0] == "*":
                 pos += 1
-                expect_factor = True
-                if pos >= n:
-                    raise PolyParseError("dangling '*'", tokens[-1][1])
+                if tokens[pos][0] == _END:
+                    raise PolyParseError("dangling '*'", tokens[pos - 1][1])
+            elif tokens[pos][0] in ("+", "-", _END):
+                break
         terms.append((coeff, expos))
     return terms
 
 
 def parse_unipoly(text):
     """Parse a polynomial in the single variable T."""
-    terms = _parse_terms(text)
-    coeffs = {}
-    for c, expos in terms:
+    coeffs = defaultdict(int)
+    for c, expos in _parse_terms(text):
         if any(idx != -1 for idx in expos):
             raise PolyParseError("univariate polynomials use the variable T", 0)
-        e = expos.get(-1, 0)
-        coeffs[e] = coeffs.get(e, 0) + c
-    size = max(coeffs, default=0) + 1
-    vec = [0] * size
+        coeffs[expos.get(-1, 0)] += c
+    vec = [0] * (max(coeffs) + 1)
     for e, c in coeffs.items():
         vec[e] = c
     return UniPoly(vec)
 
 
 def parse_multipoly(text, n_vars=None):
-    """Parse a polynomial in variables X0..Xk.
-
-    Without an explicit n_vars, indices are shifted so the smallest one
-    used becomes position 0 (so "X1^2+X2^2" is a 2-variable form), and
-    the arity is the largest shifted index + 1.
-    """
+    """Parse a polynomial in variables X0..Xk; without n_vars, the arity is the largest
+    index + 1 after the shift down to X0 (the module docstring)."""
     terms = _parse_terms(text)
-    used = set()
-    for _, expos in terms:
-        for idx in expos:
-            if idx == -1:
-                raise PolyParseError("multivariate polynomials use X<i> variables", 0)
-            used.add(idx)
-    shift = 0
+    used = {idx for _, expos in terms for idx in expos}
+    if -1 in used:
+        raise PolyParseError("multivariate polynomials use X<i> variables", 0)
+    shift = min(used, default=0) if n_vars is None else 0
     if n_vars is None:
-        shift = min(used, default=0)
-        n_vars = max((i - shift for i in used), default=0) + 1
-    else:
-        if used and max(used) >= n_vars:
-            raise PolyParseError(f"variable X{max(used)} exceeds arity {n_vars}", 0)
-    out = {}
+        n_vars = max(used, default=0) - shift + 1
+    elif used and max(used) >= n_vars:
+        raise PolyParseError(f"variable X{max(used)} exceeds arity {n_vars}", 0)
+    out = defaultdict(int)
     for c, expos in terms:
-        key = tuple(expos.get(i + shift, 0) for i in range(n_vars))
-        out[key] = out.get(key, 0) + c
+        out[tuple(expos.get(i + shift, 0) for i in range(n_vars))] += c
     return MultiPoly(n_vars, out)
 
 

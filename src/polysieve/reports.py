@@ -57,15 +57,6 @@ class ExperimentReport:
         }
 
 
-def _str_keys(obj):
-    """obj with every non-str dict key replaced by its str, through dicts and lists."""
-    if isinstance(obj, dict):
-        return {k if isinstance(k, str) else str(k): _str_keys(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_str_keys(v) for v in obj]
-    return obj
-
-
 def _json_default(obj):
     """What json cannot encode itself: complex as {"re", "im"}, sets sorted
     by repr, numpy scalars and arrays as Python values, the rest by repr."""
@@ -100,15 +91,12 @@ def _table_json(columns):
 def report_json(report):
     """Compact, key-sorted JSON of the report, by json's C encoder.
 
-    Only the blocks other than tables are walked for non-str keys; everything
-    is encoded as it stands, through _json_default.  The blocks sorted before
-    and after "tables" are one call each, and the tables go in between by
-    _table_json, with their names and column names as str.
+    Every dict key must be a str already; everything is encoded as it
+    stands, through _json_default.  The blocks sorted before and after
+    "tables" are one call each, and the tables go in between by _table_json.
     """
     body = report.to_dict()
-    tables = {str(name): {str(c): cells for c, cells in columns.items()}
-              for name, columns in body.pop("tables").items()}
-    body = _str_keys(body)
+    tables = body.pop("tables")
     head = _encode({k: v for k, v in body.items() if k < "tables"})
     tail = _encode({k: v for k, v in body.items() if k > "tables"})
     return head[:-1] + ', "tables": {' + ", ".join(

@@ -317,6 +317,8 @@ def _certify(form, p, j, k_max, spent=0, budget=DEFAULT_BUDGET):
         grid += _class_points(p**level, k)
         if grid >= 5 * N**3:
             break
+    if grid < N**3:  # no coordinate change fits: skip the N monomials of degree D too
+        return None, spent
     monos = [tuple(c.count(i) for i in range(k))
              for c in itertools.combinations_with_replacement(range(k), k * (d - 1) + 1)]
     where = {a: r for r, a in enumerate(monos)}

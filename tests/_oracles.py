@@ -8,6 +8,9 @@ nested loops.
 import cmath
 import itertools
 import math
+from collections import Counter
+
+from polysieve.errors import PolyParseError
 
 
 def mult_order(a, p):
@@ -728,4 +731,142 @@ def critical_values_by_gcd(coeffs, p):
             a, b = b, rem(a, b)
         if len(a) > 1:
             out.append(s)
+    return out
+
+
+# polynomial text: a character scanner, a term loop steered by a flag, a renderer
+
+def tokenize_scan(text):
+    """(token, offset) pairs of polynomial text, one character at a time."""
+    tokens = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*^()":
+            tokens.append((ch, i))
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            tokens.append((("num", int(text[i:j])), i))
+            i = j
+            continue
+        if ch in "XT":
+            if ch == "T":
+                tokens.append((("var", -1), i))
+                i += 1
+                continue
+            j = i + 1
+            while j < len(text) and text[j].isdigit():
+                j += 1
+            if j == i + 1:
+                raise PolyParseError("variable X needs an index", i)
+            tokens.append((("var", int(text[i + 1:j])), i))
+            i = j
+            continue
+        raise PolyParseError(f"unexpected character {ch!r}", i)
+    return tokens
+
+
+def parse_terms_loop(text):
+    """Yield (coeff, {var_index: exponent}) monomials; T is index -1."""
+    tokens = tokenize_scan(text)
+    if not tokens:
+        raise PolyParseError("empty polynomial", 0)
+    pos = 0
+    n = len(tokens)
+    terms = []
+    while pos < n:
+        sign = 1
+        while pos < n and tokens[pos][0] in ("+", "-"):
+            if tokens[pos][0] == "-":
+                sign = -sign
+            pos += 1
+        if pos >= n:
+            raise PolyParseError("dangling sign", tokens[-1][1])
+        coeff = sign
+        expos = {}
+        expect_factor = True
+        while pos < n:
+            tok, at = tokens[pos]
+            if tok in ("+", "-") and not expect_factor:
+                break
+            if tok == "*":
+                raise PolyParseError("misplaced '*'", at)
+            if isinstance(tok, tuple) and tok[0] == "num":
+                coeff *= tok[1]
+                pos += 1
+            elif isinstance(tok, tuple) and tok[0] == "var":
+                idx = tok[1]
+                e = 1
+                pos += 1
+                if pos < n and tokens[pos][0] == "^":
+                    pos += 1
+                    if pos >= n or not (isinstance(tokens[pos][0], tuple)
+                                        and tokens[pos][0][0] == "num"):
+                        raise PolyParseError("exponent must be an integer",
+                                             tokens[pos - 1][1])
+                    e = tokens[pos][0][1]
+                    pos += 1
+                expos[idx] = expos.get(idx, 0) + e
+            else:
+                raise PolyParseError(f"unexpected token {tok!r}", at)
+            expect_factor = False
+            if pos < n and tokens[pos][0] == "*":
+                pos += 1
+                expect_factor = True
+                if pos >= n:
+                    raise PolyParseError("dangling '*'", tokens[-1][1])
+        terms.append((coeff, expos))
+    return terms
+
+
+def poly_text_loop(terms, names):
+    """Render (exponent tuple, coeff) pairs; `names` tells T (names((1,)) == "T") from X<i>."""
+    if not terms:
+        return "0"
+    parts = []
+    for expo, c in terms:
+        factors = []
+        for i, e in enumerate(expo):
+            if e == 0:
+                continue
+            var = "T" if len(expo) == 1 and names((1,)) == "T" else f"X{i}"
+            factors.append(var if e == 1 else f"{var}^{e}")
+        body = "*".join(factors)
+        if not body:
+            piece = str(c)
+        elif c == 1:
+            piece = body
+        elif c == -1:
+            piece = f"-{body}"
+        else:
+            piece = f"{c}*{body}"
+        parts.append(piece)
+    text = parts[0]
+    for piece in parts[1:]:
+        text += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+    return text
+
+
+def substitute_loop(terms, vectors):
+    """{y exponent: coeff} of sum_e c_e prod_i x_i^e_i at x = sum_r y_r vectors[r], by
+    multiplying each term by x_i once per unit of e_i, over Z."""
+    k, out = len(vectors), Counter()
+    for expo, c in terms.items():
+        acc = {(0,) * k: c}
+        for i, e in enumerate(expo):
+            for _ in range(e):  # times x_i = sum_r vectors[r][i] y_r
+                nxt = Counter()
+                for mono, a in acc.items():
+                    for r, v in enumerate(vectors):
+                        if v[i]:
+                            nxt[mono[:r] + (mono[r] + 1,) + mono[r + 1:]] += a * v[i]
+                acc = nxt
+        out.update(acc)
     return out

@@ -260,6 +260,23 @@ class TestBoxHistogramFold:
                 box_histogram(F, 1)
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                           st.integers(-10**6, 10**6).filter(bool), min_size=1, max_size=4),
+           st.sampled_from([0, 1, 2, 3, 5, 1000, 2**20, 10**6]))
+    @example({(31, 31): 1}, 2)  # B^62 = 2^62: refused by bit length, as by the sum
+    @example({(30, 31): 1}, 2)  # B^61 = 2^61: under the bound
+    @example({(30, 31): 1, (0, 0): 2**62 - 2**61}, 2)  # at the bound only by the sum
+    def test_value_check_refuses_exactly_where_the_sum_reaches_2_62(self, terms, B):
+        F = MultiPoly(2, terms)
+        exact = sum(abs(c) * max(B, 1) ** sum(e) for e, c in F.terms.items()) >= 2**62
+        try:
+            boxes._check_values(F, B)
+        except OverflowError:
+            assert exact
+        else:
+            assert not exact
+
 class TestValueTable:
     def test_lookup_agrees_with_root_isolation(self):
         # spec invariant: table lookups match direct integer-root solving

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -651,12 +652,11 @@ _CELLS = st.one_of(
 @st.composite
 def report_tables(draw):
     """0-3 named tables of 0-50 rows and 1-4 columns, each column of one cell
-    kind or of any kind; table and column names str or int (JSON keys are str)."""
+    kind or of any kind; table and column names str, as every report key is."""
     tables = {}
-    names = st.one_of(st.text("abz_", max_size=3), st.integers(0, 3))  # names of CSV files
+    names = st.text("abz_0123", max_size=3)  # names of CSV files
     for name in draw(st.lists(names, max_size=3)):
-        keys = draw(st.lists(st.one_of(st.text(max_size=4), st.integers(0, 12)),
-                             min_size=1, max_size=4, unique_by=str))
+        keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True))
         n = draw(st.integers(0, 50))
         tables[name] = {key: draw(st.lists(draw(st.sampled_from(
             [st.integers(-2**70, 2**70), st.text(max_size=5), st.floats(), st.booleans(),
@@ -688,7 +688,7 @@ def csv_rows_direct(path, rows):
 
 class TestReports:
     @settings(max_examples=150, deadline=None)
-    @given(report_tables(), st.sampled_from([{}, {"a": np.int64(2), 3: (1, 2.5)}]))
+    @given(report_tables(), st.sampled_from([{}, {"a": np.int64(2), "3": (1, 2.5)}]))
     def test_column_encoder_is_the_c_encoder(self, tables, results):
         report = ExperimentReport("demo", {"B": 4}, results, tables=tables,
                                   timings={"total_s": 0.5}, seed=1)
@@ -778,19 +778,19 @@ class TestReports:
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
     def test_json_encoder_matches_the_walk(self):
-        # numpy scalars, complex values, sets, tuples and int and bool keys,
-        # in the blocks and in table cells
+        # numpy scalars, complex values, sets, tuples and nested dicts, in the
+        # blocks and in table cells; every key is a str, as in every report
         results = {"count": np.int64(7), "ratio": np.float64(0.25), "ok": np.bool_(True),
                    "sum": complex(1.5, -2), "g": np.complex128(3j), "primes": (5, 7),
                    "exc": {3, -1, 0}, "frozen": frozenset({"b", "a"}),
-                   "by_p": {5: "good", 7: (np.int64(1), 2.5)}, "flags": {True: 1, False: 0},
-                   "nested": [{1: {2: np.float64(-0.5)}}], "none": None,
+                   "by_p": {"5": "good", "7": (np.int64(1), 2.5)}, "flags": {"True": 1, "False": 0},
+                   "nested": [{"1": {"2": np.float64(-0.5)}}], "none": None,
                    "zero_d": np.array(4), "other": range(3)}
         tables = {"rows": {"k": [np.int64(-3), 4], "v": [complex(0, 1), np.float64(1e-300)],
                            "t": [(1, 2), frozenset({2})]}}
         report = ExperimentReport("demo", {"B": np.int64(9), "mode": "lemma"}, results,
                                   tables=tables, timings={"total_s": 0.125},
-                                  semi_decisions={2: "k_max"}, seed=3)
+                                  semi_decisions={"2": "k_max"}, seed=3)
         want = json_direct(report)
         assert json.loads(report_json(report)) == json.loads(want)
         assert report_json(report) == want
@@ -841,6 +841,20 @@ class TestProcess:
         proc = run_child(["-m", "polysieve.cli", *argv])
         assert proc.returncode == 1
         assert "is not prime" in proc.stderr
+
+    @pytest.mark.parametrize("argv, code, wall", [
+        # no power B^|e| past 2^62 is built to refuse the box values
+        ("boxcount --f T^2 --F X0^100000000+X1^100000000 --B 5", 1, 1.0),
+        # the section's powers of each x_i by squaring, reduced mod p
+        ("classify-u --p 5 --F X0^3000+X1^3000+X2^3000 --u 1,2,3", 0, 2.0),
+        ("mixsum --trace psi --p 7 --F X0^10000+X1^10000+X2^10000 --u 1,2,3", 0, 2.0),
+    ])
+    def test_large_exponents_are_quick(self, argv, code, wall):
+        start = time.perf_counter()
+        proc = run_child(["-m", "polysieve.cli", *argv.split()])
+        assert time.perf_counter() - start < wall
+        assert proc.returncode == code, proc.stderr
+        assert code == 0 or "box values would overflow" in proc.stderr
 
     def test_closed_stdout_exits_without_traceback(self):
         # the report (about 200 kB) overflows the pipe buffer, so the child

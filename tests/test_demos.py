@@ -36,3 +36,25 @@ def test_readme_lists_commands():
 @pytest.mark.parametrize("line", _readme_commands())
 def test_readme_command_runs(line, capsys):
     assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+def _keys(obj):
+    """Every dict key in obj, through dicts, lists and tuples."""
+    if isinstance(obj, dict):
+        yield from obj
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _keys(v)
+
+
+def test_readme_commands_cover_every_subcommand():
+    assert {shlex.split(line)[1] for line in _readme_commands()} == set(cli._HANDLERS)
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_command_report_keys_are_str(line):
+    # report_json encodes keys as they stand, so an int key from a handler would sort
+    # against str keys and fail, or reach the JSON as the encoder spells it
+    report = cli.run_experiment(cli.parse_config(shlex.split(line)[1:]))
+    assert [key for key in _keys(report.to_dict()) if not isinstance(key, str)] == []

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -14,9 +15,33 @@ from polysieve.polynomials import (MultiPoly, UniPoly, broadcast_grid,
                                    parse_multipoly, parse_unipoly,
                                    resultant_uni)
 
-from _oracles import (TupleField, coeffs_from_roots, eval_field_direct,
-                      poly_eval_everywhere, poly_eval_in_field,
-                      resultant_from_roots)
+from _oracles import (TupleField, coeffs_from_roots, eval_field_direct, parse_terms_loop,
+                      poly_eval_everywhere, poly_eval_in_field, poly_text_loop,
+                      resultant_from_roots, substitute_loop, tokenize_scan)
+
+
+# pieces of polynomial text, well formed and not: whitespace, X with and without an index,
+# T, ^ with and without an exponent, dangling signs and '*', parentheses, foreign characters
+_PIECES = st.sampled_from([" ", "\t", "\n", "X", "X0", "X1", "X12", "X007", "T", "^", "^2", "^0",
+                           "2", "0", "17", "123456789012345678901", "+", "-", "*", "(", ")",
+                           "~", "x", "é", "٣", "\u00a0", "**", "--"])
+_TEXT = st.lists(_PIECES, max_size=12).map("".join)
+
+
+def _outcome(parse, text):
+    """parse(text), or the message and offset of its PolyParseError."""
+    try:
+        return parse(text)
+    except PolyParseError as err:
+        return str(err), err.pos
+
+
+@st.composite
+def multipolys(draw, max_vars=4, max_exp=6):
+    n = draw(st.integers(1, max_vars))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, max_exp)] * n),
+                                 st.integers(-10**6, 10**6), max_size=8))
+    return MultiPoly(n, terms)
 
 
 class TestParsing:
@@ -47,6 +72,51 @@ class TestParsing:
         for bad in ("", "X", "T +", "3**T", "X1 ~ 2"):
             with pytest.raises(PolyParseError):
                 parse_unipoly(bad)
+
+
+    @settings(max_examples=3000, deadline=None)
+    @given(_TEXT)
+    @example("3 X0 X1^2 - -X2 * 4")
+    @example("X1 2 + T^")
+    def test_parse_terms_matches_the_scanner_oracle(self, text):
+        # the same (token, offset) pairs, and the same terms or the same message and offset
+        assert _outcome(polynomials._tokenize, text) == _outcome(tokenize_scan, text)
+        assert _outcome(polynomials._parse_terms, text) == _outcome(parse_terms_loop, text)
+
+    def test_grammar_of_the_module_docstring(self):
+        # signs repeat, adjacent factors multiply, X needs an index, errors name the offset
+        assert parse_multipoly("--X0 + -+-3") == parse_multipoly("X0 + 3")
+        assert parse_multipoly("2 X0") == parse_multipoly("2*X0")
+        assert parse_multipoly("X1 2", n_vars=2) == parse_multipoly("2*X1", n_vars=2)
+        for text, message, pos in (("X0 + X", "variable X needs an index", 5),
+                                   ("X0 +", "dangling sign", 3), ("X0 *", "dangling '*'", 3),
+                                   ("X0 ^ -1", "exponent must be an integer", 3),
+                                   ("X0 * + 1", "unexpected token '+'", 5)):
+            assert _outcome(parse_multipoly, text) == (f"{message} (at offset {pos})", pos)
+
+    def test_digits_that_are_not_decimal_are_unexpected(self):
+        # the scanner took '²' as a digit and int() refused it with a bare ValueError
+        for text, message, pos in (("X²", "variable X needs an index", 0),
+                                   ("X1²", "unexpected character '²'", 2),
+                                   ("3²*T", "unexpected character '²'", 1)):
+            with pytest.raises(ValueError, match="invalid literal"):
+                parse_terms_loop(text)
+            assert _outcome(polynomials._parse_terms, text) == (f"{message} (at offset {pos})", pos)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multipolys())
+    def test_multipoly_text_round_trip(self, P):
+        ordered = sorted(P.terms.items(), key=lambda t: (-sum(t[0]), t[0]))
+        assert P.to_text() == poly_text_loop(ordered, lambda e: None)
+        assert parse_multipoly(P.to_text(), n_vars=P.n_vars) == P
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(-10**6, 10**6), max_size=8))
+    def test_unipoly_text_round_trip(self, coeffs):
+        h = UniPoly(coeffs)
+        terms = [((i,), c) for i, c in enumerate(h.coeffs) if c]
+        assert h.to_text() == poly_text_loop(terms, lambda e: "T" if e else None)
+        assert parse_unipoly(h.to_text()) == h
 
 
 class TestEvaluation:
@@ -204,6 +274,30 @@ class TestCalculus:
         assert cube.gradient()[0].is_zero()
         assert [g.to_text() for g in parse_multipoly("X0*X1").gradient()] \
             == ["X1", "X0"]
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(multipolys(max_exp=12), st.integers(0, 3), st.sampled_from([None, 2, 5, 13]),
+           st.data())
+    def test_substitute_matches_the_unit_loop(self, P, k, ring, data):
+        # every x_i a linear form in k variables y, over Z and mod p
+        vectors = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=P.n_vars,
+                                              max_size=P.n_vars), min_size=k, max_size=k))
+        P = P if ring is None else P.reduce_mod(ring)
+        assert P.substitute(vectors) == MultiPoly(k, substitute_loop(P.terms, vectors), ring)
+
+    def test_substitute_at_large_exponents(self):
+        # X^e + Y^e + Z^e on the plane x + 2y + 3z = 0 mod 5: squaring, not e products
+        basis = [[-2, 1, 0], [-3, 0, 1]]
+        small = parse_multipoly("X0^60+X1^60+X2^60").reduce_mod(5)
+        assert small.substitute(basis) == MultiPoly(2, substitute_loop(small.terms, basis), 5)
+        F = parse_multipoly("X0^3000+X1^3000+X2^3000").reduce_mod(5)
+        start = time.perf_counter()
+        S = F.substitute(basis)
+        assert time.perf_counter() - start < 0.5
+        # L^3000 = (L^125)^24 and L^125(y) = L(y^125) mod 5, a linear form L over F_5
+        low = substitute_loop(parse_multipoly("X0^24+X1^24+X2^24").terms, basis)
+        assert S == MultiPoly(2, {(a * 125, b * 125): c for (a, b), c in low.items()}, 5)
 
 
 class TestResultants:
