@@ -19,7 +19,7 @@ import numpy as np
 from . import boxes, sieve, varieties
 from .errors import DEFAULT_BUDGET, InvariantViolation, PolysieveError, charge
 from .fields import EXT_DEGREE_CAP, cached_field, is_prime, mult_char, primes_in
-from .polynomials import MultiPoly, broadcast_grid, parse_multipoly, parse_unipoly
+from .polynomials import SLAB_POINTS, MultiPoly, broadcast_grid, parse_multipoly, parse_unipoly
 from .reports import ExperimentReport, emit_report, report_json
 from .tracefn import TraceFunction, constant_trace, kloosterman
 
@@ -80,16 +80,24 @@ def _witness(cls):  # a UClass's witness as a report block, where it has one
     return {} if w is None else {"witness": {"ext_degree": w.ext_degree, "point": list(w.point)}}
 
 
+def _primes_up_to(lo, pmax, budget):
+    """primes_in(lo, pmax), its sieve's pmax + 1 cells charged first ("prime search") where
+    they pass one slab: a smaller sieve costs less than a millisecond."""
+    if pmax >= SLAB_POINTS:
+        charge(0, pmax + 1, budget, "prime search")
+    return primes_in(lo, pmax)
+
+
 def _resolve_primes(policy, h, pmax, budget):
     """SievePrimeData for each prime the policy picks, each built once.
 
-    auto charges the p points of every prime in (deg h, pmax], then keeps
-    those on which h is not onto F_p; list:p1,p2,... checks the entries are
-    distinct primes and charges their p points before building any data, then
-    refuses one on which h is onto F_p.
+    auto lists the primes in (deg h, pmax] (_primes_up_to), charges their
+    p points, then keeps those on which h is not onto F_p; list:p1,p2,...
+    checks the entries are distinct primes and charges their p points before
+    building any data, then refuses one on which h is onto F_p.
     """
     if policy == "auto":
-        candidates = primes_in(h.degree + 1, pmax)
+        candidates = _primes_up_to(h.degree + 1, pmax, budget)
         charge(0, sum(candidates), budget, "prime data")
         out, _ = sieve.pick_primes(h, candidates)
         if not out:
@@ -370,7 +378,7 @@ def _run_crt_check(cfg):
         add(p=p, q=q, u=",".join(map(str, u)), error=rec["error"], rel_error=rec["rel_error"])
     else:
         rng = np.random.default_rng(cfg.seed)
-        ps = primes_in(3, o["pmax"])
+        ps = _primes_up_to(3, o["pmax"], cfg.budget)
         if len(ps) < 2:
             raise ValueError(f"fewer than two primes up to pmax = {o['pmax']}")
         for _ in range(o["draws"]):

@@ -3,11 +3,13 @@
 Elements are plain ints, the base-p digit encodings c_0 + c_1*p + ... of
 c_0 + c_1*T + ... in F_p[T]/(modulus).  A field precomputes exp/log tables of
 the cyclic unit group and digit, trace and psi tables, so products and powers
-are index arithmetic plus table gathers and sums are digit sums mod p.  Every
-table comes from the companion matrix of the modulus (ExtField._build_tables).
-Contexts are immutable after construction.
+are index arithmetic plus table gathers and sums are digit sums mod p.  The
+modulus is the least monic irreducible of degree k: no root in F_p (one pass),
+and for k = 4 C^(p^2) - C invertible for its companion matrix C.  Every table
+comes from C (ExtField._build_tables).  Contexts are immutable after construction.
 """
 
+import math
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -18,18 +20,7 @@ EXT_DEGREE_CAP = 4  # largest k for which ExtField(p, k) builds tables
 
 def is_prime(n):
     """Trial-division primality test, adequate below the table cap."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    i = 3
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 2
-    return True
+    return n == 2 or n > 2 and n % 2 == 1 and all(n % d for d in range(3, math.isqrt(n) + 1, 2))
 
 
 def prime_factors(n):
@@ -48,8 +39,13 @@ def prime_factors(n):
 
 
 def primes_in(lo, hi):
-    """Primes p with lo <= p <= hi."""
-    return [p for p in range(max(2, lo), hi + 1) if is_prime(p)]
+    """Primes p with lo <= p <= hi, as ints: a sieve of Eratosthenes over hi + 1 cells."""
+    sieve = np.ones(max(hi + 1, 2), dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(len(sieve) - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return (np.flatnonzero(sieve[max(lo, 2):]) + max(lo, 2)).tolist()
 
 
 def _matpow(m, e, p):
@@ -65,40 +61,30 @@ def _matpow(m, e, p):
     return out
 
 
-def _poly_divides(div, poly, p):
-    """Whether div divides poly over F_p (both coefficient tuples, ascending)."""
-    rem = list(poly)
-    dd = len(div) - 1
-    inv_lc = pow(div[-1], p - 2, p)
-    for i in range(len(rem) - 1, dd - 1, -1):
-        c = rem[i] * inv_lc % p
-        if c:
-            for j in range(dd + 1):
-                rem[i - dd + j] = (rem[i - dd + j] - c * div[j]) % p
-    return all(x % p == 0 for x in rem[:dd])
-
-
 def _digits(n, p, k):
     """The k base-p digits of n, least significant first."""
     return tuple(n // p**i % p for i in range(k))
 
 
+def _companion(modulus, p):
+    """The companion matrix of the monic modulus mod p (rows): times T on digit columns."""
+    k = len(modulus) - 1
+    return [[int(i == j + 1) if j < k - 1 else -modulus[i] % p for j in range(k)]
+            for i in range(k)]
+
+
 def _irreducible(coeffs, p):
-    """Exhaustive factor search: no monic factor of degree <= deg/2."""
-    k = len(coeffs) - 1
-    # degree-1 factors <=> roots
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    for d in range(2, k // 2 + 1):
-        for tail in range(p**d):
-            # only irreducible candidates matter, but divisibility is cheap
-            if _poly_divides(_digits(tail, p, d) + (1,), coeffs, p):
-                return False
-    return True
+    """Whether the monic f of degree 2 <= k <= 4 is irreducible mod p: no root in F_p, from
+    one pass over F_p, and for k = 4 no quadratic factor, gcd(f, T^(p^2) - T) = 1, that is
+    C^(p^2) - C invertible for the companion matrix C (Rabin's test)."""
+    from .polynomials import _det_bareiss
+
+    xs = np.arange(p, dtype=np.int64)
+    if not reduce(lambda acc, c: (acc * xs + c) % p, reversed(coeffs), 0 * xs).all():
+        return False
+    C = _companion(coeffs, p)
+    return len(C) < 4 or _det_bareiss(
+        [[x - y for x, y in zip(*rows)] for rows in zip(_matpow(C, p * p, p), C)], p) != 0
 
 
 class ExtField:
@@ -136,9 +122,7 @@ class ExtField:
         p, k, q = self.p, self.k, self.q
         # the companion matrix C of the modulus is times T on digit columns, so times the
         # element with digits d is sum_t d_t C^t, and Tr(T^t) = trace C^t
-        C = [[int(i == j + 1) if j < k - 1 else -self.modulus[i] % p for j in range(k)]
-             for i in range(k)]
-        powers = [_matpow(C, t, p) for t in range(k)]
+        powers = [_matpow(_companion(self.modulus, p), t, p) for t in range(k)]
 
         def times(x):
             return [[sum(d * c[i][j] for d, c in zip(_digits(x, p, k), powers)) % p

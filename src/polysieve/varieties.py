@@ -22,7 +22,7 @@ import numpy as np
 from .convolve import fold, fold_cells, wrap
 from .errors import DEFAULT_BUDGET, charge
 from .fields import EXT_DEGREE_CAP, cached_field, is_prime, prime_factors
-from .polynomials import SLAB_POINTS, MultiPoly, _det_bareiss, broadcast_grid, grid_slabs
+from .polynomials import SLAB_POINTS, MultiPoly, _det_bareiss, grid_slabs
 
 _INT64_SAFE = 2**62
 
@@ -170,7 +170,8 @@ def complete_sums(F, t_values, N, freqs, budget=DEFAULT_BUDGET):
     G_g the DFT of a group's twisted pushforward (group_pushforwards).  A
     largest group absorbs the s-sum: g(., x') is the DFT over its N^k grid
     of S(F_top(a)), S = t convolved with the other groups' pushforward at
-    x'.  A non-separable F is one N^m table.  Charged before any build.
+    x', gathered slab by slab (grid_slabs) and transformed on the slab's full
+    axes, then on its first.  Charged before any build.
     """
     if N * N >= _INT64_SAFE:
         raise OverflowError(f"products of residues mod {N} would overflow 64-bit integers")
@@ -182,10 +183,16 @@ def complete_sums(F, t_values, N, freqs, budget=DEFAULT_BUDGET):
         G = N * np.fft.ifft(group_pushforwards(sub, [freqs[i] for i in idx], N), axis=1)
         spec = (spec[:, :, None] * G.T[:, None, :]).reshape(N, -1)
     S = np.fft.ifft(np.fft.fft(t_values)[:, None] * spec, axis=0)
-    grid = broadcast_grid([np.arange(N, dtype=np.int64)] * len(top_idx))
-    g = S.T[:, np.ravel(top.eval_mod(grid, N))].reshape((-1,) + (N,) * len(top_idx))
-    for ax, i in reversed(list(enumerate(top_idx, 1))):  # axes x', top; DFT kept on freqs[i]
-        g = np.fft.ifft(g, axis=ax).take(np.asarray(freqs[i], dtype=np.int64) % N, ax) * N
+    xs = [np.asarray(freqs[i], dtype=np.int64) % N for i in top_idx]
+    # axes x', then the top group's: its first whole, the others on their freqs
+    g = np.empty((S.shape[1], N) + tuple(map(len, xs[1:])), dtype=np.complex128)
+    for axes in grid_slabs(N, len(top_idx), 0, S.shape[1]):
+        part = S.T[:, top.eval_mod(axes, N)]
+        for ax in range(len(top_idx), 1, -1):
+            part = np.fft.ifft(part, axis=ax).take(xs[ax - 1], ax) * N
+        g[:, axes[0].ravel()] = part
+        del part  # so the next slab reuses its memory
+    g = np.fft.ifft(g, axis=1).take(xs[0], 1) * N
     order = [i for idx, _ in others for i in idx] + list(top_idx)
     return g.reshape([len(freqs[i]) for i in order]).transpose(np.argsort(order))
 

@@ -870,3 +870,74 @@ def substitute_loop(terms, vectors):
                 acc = nxt
         out.update(acc)
     return out
+
+
+def complete_sums_one_pass(F, t_values, N, freqs):
+    """varieties.complete_sums with its top group's N^k table built in one pass: one gather
+    of S at the whole grid, then one FFT per axis, each kept on that axis's freqs."""
+    import numpy as np
+
+    from polysieve.polynomials import broadcast_grid
+    from polysieve.varieties import _sums_plan, group_pushforwards
+
+    (top_idx, top), *others = _sums_plan(F, N, freqs)[0]
+    spec = np.ones((N, 1), dtype=np.complex128)
+    for idx, sub in others:
+        G = N * np.fft.ifft(group_pushforwards(sub, [freqs[i] for i in idx], N), axis=1)
+        spec = (spec[:, :, None] * G.T[:, None, :]).reshape(N, -1)
+    S = np.fft.ifft(np.fft.fft(t_values)[:, None] * spec, axis=0)
+    grid = broadcast_grid([np.arange(N, dtype=np.int64)] * len(top_idx))
+    g = S.T[:, np.ravel(top.eval_mod(grid, N))].reshape((-1,) + (N,) * len(top_idx))
+    for ax, i in reversed(list(enumerate(top_idx, 1))):
+        g = np.fft.ifft(g, axis=ax).take(np.asarray(freqs[i], dtype=np.int64) % N, ax) * N
+    order = [i for idx, _ in others for i in idx] + list(top_idx)
+    return g.reshape([len(freqs[i]) for i in order]).transpose(np.argsort(order))
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive factor search that fields._irreducible replaced
+
+def _poly_divides(div, poly, p):
+    """Whether div divides poly over F_p (both coefficient tuples, ascending)."""
+    rem = list(poly)
+    dd = len(div) - 1
+    inv_lc = pow(div[-1], p - 2, p)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = rem[i] * inv_lc % p
+        if c:
+            for j in range(dd + 1):
+                rem[i - dd + j] = (rem[i - dd + j] - c * div[j]) % p
+    return all(x % p == 0 for x in rem[:dd])
+
+
+def irreducible_by_search(coeffs, p):
+    """No monic factor of degree <= deg/2: every root tried, then division by every monic
+    polynomial of degree 2 .. deg/2."""
+    k = len(coeffs) - 1
+    for x in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        if acc == 0:
+            return False
+    for d in range(2, k // 2 + 1):
+        for tail in range(p**d):
+            div = tuple(tail // p**i % p for i in range(d)) + (1,)
+            if _poly_divides(div, coeffs, p):
+                return False
+    return True
+
+
+def smallest_irreducible_by_search(p, k):
+    """The monic irreducible of degree k >= 2 whose tail has the least base-p encoding."""
+    for tail in range(p**k):
+        coeffs = tuple(tail // p**i % p for i in range(k)) + (1,)
+        if irreducible_by_search(coeffs, p):
+            return coeffs
+    raise AssertionError("no irreducible polynomial")
+
+
+def primes_by_trial_division(lo, hi):
+    """Primes p with lo <= p <= hi, each integer tried by every d with d^2 <= p."""
+    return [n for n in range(max(lo, 2), hi + 1)
+            if all(n % d for d in range(2, math.isqrt(n) + 1))]

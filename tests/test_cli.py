@@ -402,6 +402,14 @@ class TestSubcommands:
         assert run(["sieve-detect", "--h", "T^2", "--budget", "1057"]) == 1
         assert "prime data of 1058 points exceeds budget 1057" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["sieve-detect", "--h", "T^2"], ["crt-check"]])
+    def test_prime_sieve_is_charged_before_it_is_built(self, argv, capsys, monkeypatch):
+        # the pmax + 1 cells of the sieve, in a charge of their own
+        monkeypatch.setattr(cli, "primes_in", lambda *a: pytest.fail("listed primes"))
+        assert run(argv + ["--pmax", "1000000000"]) == 1
+        assert capsys.readouterr().err == \
+            "error: prime search of 1000000001 points exceeds budget 100000000\n"
+
     def test_sieve_check_is_charged_before_its_tables(self, capsys, monkeypatch):
         # d - 1 character tables of p values each, charged before the check runs
         monkeypatch.setattr(cli.sieve, "power_decomposition_check",
@@ -855,6 +863,16 @@ class TestProcess:
         assert time.perf_counter() - start < wall
         assert proc.returncode == code, proc.stderr
         assert code == 0 or "box values would overflow" in proc.stderr
+
+    @pytest.mark.parametrize("argv", ["sieve-detect --h T^2 --pmax 20000000",
+                                      "crt-check --pmax 20000000 --draws 1"])
+    def test_long_prime_lists_are_quick(self, argv):
+        # the primes up to 2*10^7 come from one sieve, then are refused with one error line
+        start = time.perf_counter()
+        proc = run_child(["-m", "polysieve.cli", *argv.split()])
+        assert time.perf_counter() - start < 2.0
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
     def test_closed_stdout_exits_without_traceback(self):
         # the report (about 200 kB) overflows the pipe buffer, so the child

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from polysieve import polynomials
-from polysieve.fields import ExtField, additive_char, cached_field, mult_char, primes_in
+from polysieve.fields import (_Q_CAP, ExtField, _irreducible, additive_char, cached_field,
+                              is_prime, mult_char, primes_in)
 from polysieve.polynomials import _exponent_tables, _lane_tables
 
 from _oracles import (TupleField, eval_field_direct, ext_exp_table_loop, frobenius_sum,
-                      poly_mul_mod, smallest_generator)
+                      irreducible_by_search, poly_mul_mod, primes_by_trial_division,
+                      smallest_generator, smallest_irreducible_by_search)
 
 
 class TestPrimitiveRoot:
@@ -331,3 +333,39 @@ class TestCompanionTables:
             assert gx == poly_mul_mod(x, g, f.modulus, p)
             trace = (f.trace_table[f.exp_table[i]],) + (0,) * (k - 1)
             assert frobenius_sum(x, f.modulus, p) == trace
+
+
+class TestModulusSearch:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+    def test_verdicts_match_the_factor_search(self, p):
+        # every monic polynomial of degree 2-4 over F_p
+        for k in (2, 3, 4):
+            for tail in range(p**k):
+                coeffs = _decode(tail, p, k) + (1,)
+                assert _irreducible(coeffs, p) == irreducible_by_search(coeffs, p), coeffs
+
+    @pytest.mark.parametrize("coeffs, p", [((1, 0, 2, 0, 1), 3),   # (T^2 + 1)^2
+                                           ((1, 0, 0, 0, 1), 3),   # (T^2 + T + 2)(T^2 + 2T + 2)
+                                           ((1, 0, 1, 0, 1), 2)])  # (T^2 + T + 1)^2
+    def test_rootless_reducible_quartics(self, coeffs, p):
+        # no root in F_p, yet a product of two quadratics: the matrix test refuses them
+        assert all(sum(c * x**i for i, c in enumerate(coeffs)) % p for x in range(p))
+        assert not _irreducible(coeffs, p) and not irreducible_by_search(coeffs, p)
+
+    def test_moduli_match_the_factor_search(self, monkeypatch):
+        # every (p, k) under the cap with k = 2-4; no table is built
+        monkeypatch.setattr(ExtField, "_build_tables", lambda self: pytest.fail("tables built"))
+        cases = [(p, k) for k in (2, 3, 4) for p in primes_in(2, 1500) if p**k <= _Q_CAP]
+        assert len(cases) == 265
+        for p, k in cases:
+            assert ExtField._smallest_irreducible(p, k) == smallest_irreducible_by_search(p, k)
+
+
+class TestPrimesIn:
+    @pytest.mark.parametrize("lo, hi", [(10, 3), (5, 1), (-7, 1), (-20, 40), (97, 97), (96, 96),
+                                        (2, 2), (1000, 2000), (2, 10**5)])
+    def test_matches_trial_division(self, lo, hi):
+        got = primes_in(lo, hi)
+        assert got == primes_by_trial_division(lo, hi)
+        assert got == [n for n in range(lo, hi + 1) if is_prime(n)]
+        assert all(type(p) is int for p in got)

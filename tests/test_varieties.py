@@ -20,7 +20,7 @@ from polysieve.varieties import (DEFAULT_BUDGET, ScanResult, UClass, Witness, _c
                                  smoothness_scan)
 
 from _oracles import (TupleField, classify_u_direct, complete_sum_table,
-                      diagonal_dual_oracle, fiber_histogram_direct, mixsum_grid,
+                      complete_sums_one_pass, diagonal_dual_oracle, fiber_histogram_direct, mixsum_grid,
                       pair_fiber_histogram_grid, smoothness_scan_direct)
 
 REDUCIBLE_QUARTIC = ("3*X0*X2^3+2*X0*X1*X2^2-3*X0*X1^2*X2+2*X0*X1^3+2*X0^2*X2^2+2*X0^3*X2"
@@ -163,6 +163,33 @@ class TestCompleteSums:
         want = complete_sum_table(F, t, p)[np.ix_(*[np.asarray(f) % p for f in freqs])]
         assert got.shape == tuple(len(f) for f in freqs)
         assert np.abs(got - want).max() <= 1e-9 * max(1, np.abs(want).max())
+
+    @pytest.mark.parametrize("form, N", [
+        ("X0^2+X0*X1+X1*X2+X2^2", 101),   # one group: 8 slabs of up to 13 rows
+        ("X0^2+X0*X1+X2^3", 101),         # a pair and a single
+        ("X0^2+2*X1^2+3*X2^2", 211),      # separable: the top group is one variable
+        ("X0^3+X1^3+X2^3+X0*X1*X2", 31),  # one slab
+    ])
+    def test_slabs_match_the_one_pass_table(self, form, N):
+        F = parse_multipoly(form)
+        rng = np.random.default_rng(N)
+        t = rng.normal(size=N) + 1j * rng.normal(size=N)
+        freqs = [rng.choice(N, size=17, replace=False).tolist() for _ in range(F.n_vars)]
+        got = complete_sums(F, t, N, freqs)
+        want = complete_sums_one_pass(F, t, N, freqs)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_top_group_is_streamed(self):
+        # the one-pass N^3 table at N = 211 traces about 300 MiB
+        F = parse_multipoly("X0^2+X0*X1+X1*X2+X2^2")
+        freqs = [list(range(-8, 9))] * 3
+        tracemalloc.start()
+        try:
+            complete_sums(F, mult_char(cached_field(211), 2, 1).values, 211, freqs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 @st.composite
