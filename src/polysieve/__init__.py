@@ -15,9 +15,8 @@ from .reports import ExperimentReport, emit_report, report_json
 from .sieve import (SieveConfig, SievePrimeData, build_prime_data, detector,
                     membership_filter, multiplicity_weight,
                     power_decomposition_check, power_sieve_rhs, sieve_bound_eval)
-from .tracefn import (TraceFunction, constant_trace, fourier_transform,
-                      kloosterman, pullback_power, pullback_scale,
-                      second_moment, te_transform)
+from .tracefn import (TraceFunction, constant_trace, kloosterman,
+                      pullback_power, second_moment)
 from .varieties import (UClass, Witness, classify_u, diagonal_u_classes, diagonal_witness_degree,
                         fiber_histogram, smoothness_scan)
 

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import boxes, sieve, varieties
 from .errors import DEFAULT_BUDGET, InvariantViolation, PolysieveError, charge
-from .fields import EXT_DEGREE_CAP, cached_field, is_prime, mult_char, primes_in
+from .fields import (_Q_CAP, EXT_DEGREE_CAP, _prime_sieve, cached_field, is_prime, mult_char,
+                     primes_in)
 from .polynomials import SLAB_POINTS, MultiPoly, broadcast_grid, parse_multipoly, parse_unipoly
 from .reports import ExperimentReport, emit_report, report_json
 from .tracefn import TraceFunction, constant_trace, kloosterman
@@ -80,26 +81,27 @@ def _witness(cls):  # a UClass's witness as a report block, where it has one
     return {} if w is None else {"witness": {"ext_degree": w.ext_degree, "point": list(w.point)}}
 
 
-def _primes_up_to(lo, pmax, budget):
-    """primes_in(lo, pmax), its sieve's pmax + 1 cells charged first ("prime search") where
-    they pass one slab: a smaller sieve costs less than a millisecond."""
+def _charge_prime_search(pmax, budget):
+    """Charge the pmax + 1 cells of a sieve up to pmax ("prime search") where they pass one
+    slab: a smaller sieve costs less than a millisecond."""
     if pmax >= SLAB_POINTS:
         charge(0, pmax + 1, budget, "prime search")
-    return primes_in(lo, pmax)
 
 
 def _resolve_primes(policy, h, pmax, budget):
     """SievePrimeData for each prime the policy picks, each built once.
 
-    auto lists the primes in (deg h, pmax] (_primes_up_to), charges their
-    p points, then keeps those on which h is not onto F_p; list:p1,p2,...
+    auto sieves the primes in (deg h, pmax] (_charge_prime_search), charges
+    their p points from the sieve's array, then lists them and keeps those on
+    which h is not onto F_p; list:p1,p2,...
     checks the entries are distinct primes and charges their p points before
     building any data, then refuses one on which h is onto F_p.
     """
     if policy == "auto":
-        candidates = _primes_up_to(h.degree + 1, pmax, budget)
-        charge(0, sum(candidates), budget, "prime data")
-        out, _ = sieve.pick_primes(h, candidates)
+        _charge_prime_search(pmax, budget)
+        candidates = _prime_sieve(h.degree + 1, pmax)
+        charge(0, int(candidates.sum()), budget, "prime data")
+        out, _ = sieve.pick_primes(h, candidates.tolist())
         if not out:
             raise ValueError(f"no non-surjective primes for h up to {pmax}")
         return out
@@ -363,35 +365,32 @@ def _run_crt_check(cfg):
     F = parse_multipoly(o["F"]) if o.get("F") else None
     table = {}
 
-    def add(**cells):  # one draw, cell by cell onto the table's columns
+    def check(p, q, form, u, **cells):  # one draw, cell by cell onto the table's columns
+        rec = boxes.crt_factor_check(form, u, p, q, _trace_for(o["trace"], p),
+                                     _trace_for(o["trace"], q), cfg.budget)
+        cells = {"p": p, "q": q, "u": ",".join(map(str, u)), **cells,
+                 "error": rec["error"], "rel_error": rec["rel_error"]}
         for key, cell in cells.items():
             table.setdefault(key, []).append(cell)
 
     if o.get("u"):
         if F is None or o["p"] is None or o["q"] is None:
             raise ValueError("explicit crt-check needs --F, --p and --q")
-        u = _int_list(o["u"])
-        p, q = o["p"], o["q"]
-        t_p = _trace_for(o["trace"], p)
-        t_q = _trace_for(o["trace"], q)
-        rec = boxes.crt_factor_check(F, u, p, q, t_p, t_q, cfg.budget)
-        add(p=p, q=q, u=",".join(map(str, u)), error=rec["error"], rel_error=rec["rel_error"])
+        check(o["p"], o["q"], F, _int_list(o["u"]))
     else:
-        rng = np.random.default_rng(cfg.seed)
-        ps = _primes_up_to(3, o["pmax"], cfg.budget)
+        _charge_prime_search(o["pmax"], cfg.budget)
+        if o["pmax"] > _Q_CAP:
+            raise ValueError(f"--pmax {o['pmax']} exceeds the field table cap {_Q_CAP}")
+        ps = primes_in(3, o["pmax"])
         if len(ps) < 2:
             raise ValueError(f"fewer than two primes up to pmax = {o['pmax']}")
+        rng = np.random.default_rng(cfg.seed)
         for _ in range(o["draws"]):
             p, q = map(int, rng.choice(ps, size=2, replace=False))
             Fr = MultiPoly(2, {(2, 0): int(rng.integers(1, 5)),
                                (0, 2): int(rng.integers(1, 5)),
                                (1, 1): int(rng.integers(0, 4))})
-            u = [int(x) for x in rng.integers(0, p * q, size=2)]
-            t_p = mult_char(cached_field(p), 2, 1)
-            t_q = mult_char(cached_field(q), 2, 1)
-            rec = boxes.crt_factor_check(Fr, u, p, q, t_p, t_q, cfg.budget)
-            add(p=p, q=q, u=",".join(map(str, u)), F=Fr.to_text(), error=rec["error"],
-                rel_error=rec["rel_error"])
+            check(p, q, Fr, [int(x) for x in rng.integers(0, p * q, size=2)], F=Fr.to_text())
     worst = max(table["rel_error"])
     if worst > 1e-6:
         raise InvariantViolation(f"CRT relative error {worst:.3e} exceeds 1e-6")

@@ -38,14 +38,19 @@ def prime_factors(n):
     return out
 
 
-def primes_in(lo, hi):
-    """Primes p with lo <= p <= hi, as ints: a sieve of Eratosthenes over hi + 1 cells."""
+def _prime_sieve(lo, hi):
+    """Primes p with lo <= p <= hi, as int64: a sieve of Eratosthenes over hi + 1 cells."""
     sieve = np.ones(max(hi + 1, 2), dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(len(sieve) - 1) + 1):
         if sieve[p]:
             sieve[p * p::p] = False
-    return (np.flatnonzero(sieve[max(lo, 2):]) + max(lo, 2)).tolist()
+    return np.flatnonzero(sieve[max(lo, 2):]) + max(lo, 2)
+
+
+def primes_in(lo, hi):
+    """Primes p with lo <= p <= hi, as ints (_prime_sieve)."""
+    return _prime_sieve(lo, hi).tolist()
 
 
 def _matpow(m, e, p):
@@ -189,10 +194,6 @@ class ExtField:
         la = self.log_table[a]
         out = self.exp_table[(la * int(e)) % (self.q - 1)]
         out = np.where(la < 0, 0 if e else 1, out)
-        return out if out.ndim else int(out)
-
-    def trace(self, x):
-        out = self.trace_table[np.asarray(x, dtype=np.int64)]
         return out if out.ndim else int(out)
 
 

@@ -1,9 +1,9 @@
-"""Complex-valued tables on F_q and the transforms acting on them.
+"""Complex-valued tables on F_q: the trace functions t that the sums weigh.
 
 A TraceFunction is a concrete table indexed by field elements, with a
-label recording provenance and a declared sup-norm bound.  All
-transforms are pure and return fresh tables; each is FFT-based,
-O(q log q) on any F_q, and builds no q x q kernel.
+label recording provenance and a declared sup-norm bound.  The tables
+here are the constant, Kl_m (built by one FFT power, no q x q kernel)
+and the pullbacks y -> t(y^d); a second moment reads any of them.
 """
 
 import csv
@@ -75,64 +75,11 @@ def kloosterman(m, field):
     return TraceFunction(q, table, f"Kl{m}(q={q})", float(m))
 
 
-def _transform(values, field, conjugate, label):
-    """y -> -q^(-1/2) sum_x psi(xy) values[x] (psi-bar when conjugate), O(q log q).
-
-    On base-p digit vectors Tr(xy) = x^T M y with M_ij = Tr(w_i w_j) for
-    the power basis w_i = T^i, so the sum is the k-dim DFT of the
-    digit-indexed table, read at M y mod p; on F_p it is one length-p DFT.
-    """
-    p, k, q = field.p, field.k, field.q
-    M = field.trace(field.mul(*np.ix_(p ** np.arange(k), p ** np.arange(k))))
-    cube = values.reshape((p,) * k).transpose()  # cube[c_0, ..., c_{k-1}]
-    spec = np.fft.fftn(cube) if conjugate else np.fft.ifftn(cube) * q
-    vals = -spec[tuple(M @ field.digit_table % p)] / np.sqrt(q)
-    return TraceFunction(q, vals, label, float(np.abs(vals).max()) + 1e-12)
-
-
-def fourier_transform(t, field, conjugate=False):
-    """FT(t)(y) = -q^(-1/2) sum_x psi(xy) t(x), by one k-dim DFT.
-
-    Applying with psi and then with the conjugated character recovers t
-    exactly.  conjugate=True uses psi-bar.  No q x q kernel is built.
-    """
-    if t.q != field.q:
-        raise ValueError("table size does not match the field")
-    tag = "FTbar" if conjugate else "FT"
-    return _transform(t.values, field, conjugate, f"{tag}({t.label})")
-
-
-def te_transform(t, e, field, conjugate=False):
-    """Power-twisted transform: y -> -q^(-1/2) sum_z psi(z^e y) t(z).
-
-    The transform of the pushforward x -> sum over z^e = x of t(z): one
-    bincount and one DFT.  e=1 coincides with fourier_transform.
-    """
-    if e < 1:
-        raise ValueError("e must be >= 1")
-    if t.q != field.q:
-        raise ValueError("table size does not match the field")
-    zpow = field.pow(field.elements(), e)
-    pushed = (np.bincount(zpow, t.values.real, field.q)
-              + 1j * np.bincount(zpow, t.values.imag, field.q))
-    return _transform(pushed, field, conjugate, f"T{e}({t.label})")
-
-
 def pullback_power(t, d, field):
     """y -> t(y^d)."""
     ys = field.elements()
     vals = t.values[field.pow(ys, d)]
     return TraceFunction(t.q, vals, f"[x^{d}]*({t.label})", t.sup_bound)
-
-
-def pullback_scale(t, alpha, field):
-    """y -> t(alpha * y); alpha must be a unit."""
-    alpha = int(alpha) % field.q
-    if alpha == 0:
-        raise ValueError("scale factor must be nonzero")
-    ys = field.elements()
-    vals = t.values[field.mul(np.full_like(ys, alpha), ys)]
-    return TraceFunction(t.q, vals, f"[x*{alpha}]*({t.label})", t.sup_bound)
 
 
 def second_moment(t):

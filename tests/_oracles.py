@@ -629,24 +629,6 @@ def poisson_direct_grid(F, p, q, tp_values, tq_values, B):
     return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
 
 
-def fourier_dense(values, field, conjugate=False):
-    """y -> sum_x psi(xy) values[x] through the q x q kernel psi(x y)."""
-    import numpy as np
-
-    xs = field.elements()
-    kernel = field.psi_table[field.mul(xs[None, :], xs[:, None])]
-    return (np.conj(kernel) if conjugate else kernel) @ np.asarray(values)
-
-
-def te_dense(values, e, field, conjugate=False):
-    """y -> sum_z psi(z^e y) values[z] through the q x q kernel psi(y z^e)."""
-    import numpy as np
-
-    xs = field.elements()
-    kernel = field.psi_table[field.mul(xs[:, None], field.pow(xs, e)[None, :])]
-    return (np.conj(kernel) if conjugate else kernel) @ np.asarray(values)
-
-
 def pair_fiber_histogram_grid(F, G, p):
     """h[a, b] = #{x : F(x) = a, G(x) = b}: one bincount over the full p^n grid."""
     import numpy as np

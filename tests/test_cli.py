@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 import polysieve
 from polysieve import boxes, cli, sieve, varieties
 from polysieve.errors import BudgetExceeded, InvariantViolation
-from polysieve.fields import primes_in
+from polysieve.fields import ExtField, additive_char, primes_in
 from polysieve.polynomials import parse_multipoly
 from polysieve.reports import ExperimentReport, _csv_cell, emit_report, report_json
+from polysieve.tracefn import TraceFunction
 
 from _oracles import diagonal_dual_oracle, jsonable
 
@@ -498,6 +499,45 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
 
+    def test_crt_check_draws_use_the_trace(self, capsys):
+        # each random draw's tables come from --trace, as in the explicit mode
+        argv = ["crt-check", "--draws", "4", "--pmax", "31", "--seed", "1"]
+        assert run(argv + ["--trace", "psi"]) == 0
+        rows = json.loads(capsys.readouterr().out)["tables"]["draws"]
+        assert run(argv) == 0
+        assert [r["error"] for r in rows] != [
+            r["error"] for r in json.loads(capsys.readouterr().out)["tables"]["draws"]]
+        for row in rows:
+            p, q = row["p"], row["q"]
+            psi = [TraceFunction(n, additive_char(ExtField(n), np.arange(n)), "psi", 1.0)
+                   for n in (p, q)]
+            u = [int(x) for x in row["u"].split(",")]
+            rec = boxes.crt_factor_check(parse_multipoly(row["F"]), u, p, q, *psi, 10**8)
+            assert (rec["error"], rec["rel_error"]) == (row["error"], row["rel_error"])
+
+    def test_crt_check_draws_refuse_a_trace_that_does_not_fit(self, capsys):
+        # chi of order 3 needs 3 | p - 1, and the first draw at seed 1 has q = 17
+        assert run(["crt-check", "--trace", "chi:3:1", "--pmax", "31", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("seed", ["1", "3"])
+    def test_crt_check_pmax_past_the_field_cap_is_refused_first(self, seed, capsys,
+                                                                monkeypatch):
+        monkeypatch.setattr(cli, "primes_in", lambda *a: pytest.fail("listed primes"))
+        monkeypatch.setattr(cli, "_trace_for", lambda *a: pytest.fail("built a table"))
+        assert run(["crt-check", "--pmax", "2000001", "--seed", seed]) == 1
+        assert capsys.readouterr().err == \
+            "error: --pmax 2000001 exceeds the field table cap 2000000\n"
+
+    def test_crt_check_pmax_at_the_field_cap_is_accepted(self, monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cli, "_trace_for", lambda spec, p: None)
+        monkeypatch.setattr(cli.boxes, "crt_factor_check", lambda F, u, p, q, *a: drawn.append(
+            (p, q)) or {"error": 0.0, "rel_error": 0.0})
+        assert run(["crt-check", "--pmax", "2000000", "--draws", "3"]) == 0
+        assert len(drawn) == 3 and all(max(pq) <= 2000000 for pq in drawn)
+
     def test_poisson_check(self, capsys):
         assert run(["poisson-check", "--F", "X0^2+X1^2+X2^2", "--p", "3",
                     "--q", "5", "--B", "8", "--cutoff", "6"]) == 0
@@ -873,6 +913,30 @@ class TestProcess:
         assert time.perf_counter() - start < 2.0
         assert proc.returncode == 1
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("argv, wall, mb", [
+        # refused on --pmax before any prime is listed or any field table is built
+        ("crt-check --pmax 20000000 --draws 1 --seed 1", 1.0, 45),
+        ("crt-check --pmax 20000000 --draws 1 --seed 3", 1.0, 45),
+        # the prime data's sum is read from the sieve's array before the primes are listed
+        ("sieve-detect --h T^2 --pmax 20000000", 2.0, 75),
+    ])
+    def test_cold_refusals_are_small(self, argv, wall, mb):
+        # a small parent starts the request: a child's peak RSS counts its parent's pages
+        # up to exec, so a child of this test process would read this process's peak
+        proc = run_child(["-c", "import os, subprocess, sys, time\n"
+                          "start = time.perf_counter()\n"
+                          "child = subprocess.Popen([sys.executable, '-m', 'polysieve.cli',"
+                          " *sys.argv[1:]], stdout=subprocess.DEVNULL)\n"
+                          "_, status, usage = os.wait4(child.pid, 0)\n"
+                          "print(os.waitstatus_to_exitcode(status), time.perf_counter() - start,"
+                          " usage.ru_maxrss / 1024)", *argv.split()])
+        code, seconds, peak_mb = proc.stdout.split()
+        assert int(code) == 1
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        assert ("--pmax 20000000 exceeds the field table cap" in proc.stderr
+                if argv.startswith("crt") else "prime data of 12272577818050 points" in proc.stderr)
+        assert float(seconds) < wall and float(peak_mb) < mb
 
     def test_closed_stdout_exits_without_traceback(self):
         # the report (about 200 kB) overflows the pipe buffer, so the child

@@ -114,7 +114,7 @@ class TestAdditiveChar:
         f9 = ExtField(3, 2)
         assert f9.modulus == (1, 0, 1)
         t_index = 3  # 0 + 1*T
-        assert f9.trace(t_index) == 0
+        assert f9.trace_table[t_index] == 0
         assert additive_char(f9, t_index) == pytest.approx(1.0)
 
 
