@@ -6,8 +6,7 @@ multiplicative characters, and the exact decomposition of the d-th
 power indicator into characters.
 """
 
-from polysieve import (ExtField, additive_char, mult_char,
-                       power_decomposition_check, primes_in)
+from polysieve import ExtField, mult_char, power_decomposition_check, primes_in
 
 print("=== prime fields ===")
 for p in (5, 7, 13):
@@ -15,17 +14,17 @@ for p in (5, 7, 13):
 
 f7 = ExtField(7)
 print(f"\ndlog table mod 7 (g={f7.g}):",
-      {u: f7.dlog(u) for u in range(1, 7)})
+      {u: int(f7.log_table[u]) for u in range(1, 7)})
 
 print("\n=== additive characters ===")
 f13 = ExtField(13)
-total = additive_char(f13, f13.elements()).sum()
+total = f13.psi_table.sum()
 print(f"sum of psi over F_13: {abs(total):.2e} (orthogonality)")
 
 f9 = ExtField(3, 2)
 print(f"F_9 built as F_3[T]/{f9.modulus} (coeffs low-to-high)")
 print(f"trace table: {list(f9.trace_table)}")
-print(f"psi(T) = {additive_char(f9, 3):.3f}  (Tr(T) = 0, so the value is 1)")
+print(f"psi(T) = {f9.psi_table[3]:.3f}  (Tr(T) = 0, so the value is 1)")
 
 print("\n=== multiplicative characters ===")
 chi = mult_char(ExtField(5), 4, 1)

@@ -11,8 +11,8 @@ import math
 import numpy as np
 
 from polysieve import (SieveConfig, build_prime_data, detector,
-                       membership_filter, multiplicity_weight, parse_unipoly,
-                       power_sieve_rhs, primes_in, sieve_bound_eval)
+                       membership_filter, parse_unipoly, power_sieve_rhs,
+                       primes_in, sieve_bound_eval)
 
 h = parse_unipoly("T^3-3*T")
 print(f"=== per-prime data for h = {h.to_text()} ===")
@@ -31,8 +31,8 @@ for n in (3, 4, 9, 10):
 print("\nmultiplicity weights alpha + (nu-1)(d-nu):")
 d5 = build_prime_data(parse_unipoly("T^2"), 5)
 for n in (0, 2, 4):
-    print(f"  n={n}: nu={int(d5.nu[n])}, weight(alpha=0) = "
-          f"{multiplicity_weight(d5, n, 0.0):+.0f}")
+    nu = int(d5.nu[n])
+    print(f"  n={n}: nu={nu}, weight(alpha=0) = {(nu - 1) * (d5.d - nu):+.0f}")
 
 print("\n=== membership filtering ===")
 hsq = parse_unipoly("T^2")

@@ -8,9 +8,10 @@ the classical exponents.
 """
 
 from polysieve import (BoxProblem, bound_ratio_scan, box_histogram,
-                       build_prime_data, discriminant_profile, exact_count,
+                       build_prime_data, critical_value_poly, exact_count,
                        exceptional_set, parse_multipoly, parse_unipoly,
                        select_primes, sieve_filtered_count)
+from polysieve.fields import prime_factors
 
 f = parse_unipoly("T^2")
 F = parse_multipoly("X0^2+X1^2+X2^2")
@@ -41,11 +42,14 @@ print(f"survivors checked exactly: {rec.verified_exactly}; "
 print("\n=== exceptional set ===")
 S = exceptional_set(f, data, hist.v_max)
 print(f"values hitting many critical residues: {S.tolist()}")
-print("discriminant profiles explain why S stays tiny:")
+print("R_f(k) = Res_T(f - k, f') explains why S stays tiny: for p prime to d lc(f),")
+print("k mod p is a critical value of f exactly when p | R_f(k), and R_f(k) has few")
+print("prime factors")
+R = critical_value_poly(f)  # the sieve's exceptional sets are its roots mod p
 for k in (0, 6, 48):
-    prof = discriminant_profile(f, k)
-    print(f"  disc(T^2 - {k}) = {prof['disc']}, omega = {prof['omega']}"
-          + ("  <- critical value" if prof["zero_disc"] else ""))
+    r = R.eval(k)
+    print(f"  R_f({k}) = {r}, omega = {len(prime_factors(abs(r)))}"
+          + ("  <- critical value" if r == 0 else ""))
 
 print("\n=== growth-rate scan ===")
 # B = 500 and 2000 fold the value histograms by FFT: the (2B+1)^3 boxes

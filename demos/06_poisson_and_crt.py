@@ -6,17 +6,20 @@ g over a product modulus pq splits exactly into a product of per-prime
 sums with CRT-adjusted frequencies.
 """
 
+import numpy as np
+
 from polysieve import (ExtField, SmoothWeight, complete_sum_g,
                        crt_factor_check, kloosterman, mult_char,
                        parse_multipoly, poisson_compare)
 
 print("=== the bump weight ===")
 W = SmoothWeight(10)
-print(f"W(0) = {W.weight([0.0]):.6f}  (= e^-1)")
-print(f"W at the box edge: {W.weight([10.0])}")
-gap, direct, dual = W.poisson_identity_gap()
+print(f"W(0) = {W.weight_1d(0.0):.6f}  (= e^-1)")
+print(f"W at the box edge: {W.weight_1d(10.0)}")
+direct = W.weight_1d(np.arange(-10, 11)).sum()  # sum_m w(m/B)
+dual = 10 * W.wh(10 * np.arange(-40, 41)).sum()  # sum_u B wh(B u), |u| <= 4 B
 print(f"1-d Poisson identity: {direct:.8f} vs {dual:.8f} "
-      f"(gap {gap:.2e})")
+      f"(gap {abs(direct - dual):.2e})")
 print("transform decay:", ", ".join(f"wh({x})={W.wh(x):.1e}"
                                     for x in (1, 5, 10)))
 

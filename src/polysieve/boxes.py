@@ -25,12 +25,12 @@ import numpy as np
 
 from .convolve import fold, fold_cells
 from .errors import DEFAULT_BUDGET, InvariantViolation, charge
-from .fields import prime_factors, primes_in
-from .polynomials import MultiPoly, UniPoly, broadcast_grid, discriminant_uni
+from .fields import primes_in
+from .polynomials import MultiPoly, UniPoly, broadcast_grid
 from .sieve import in_h_image, membership_filter, pick_primes, sieve_threshold
-from .varieties import (_INT64_SAFE, _diagonal_applies, _pushforward, _sums_plan,
-                        _variable_groups, complete_sums, fiber_histogram, mixed_sum,
-                        smoothness_scan)
+from .varieties import (_INT64_SAFE, _diagonal_applies, _pushforward, _pushforward_plan,
+                        _sums_plan, _variable_groups, complete_sums, fiber_histogram,
+                        mixed_sum, smoothness_scan)
 
 
 @dataclass(frozen=True)
@@ -262,14 +262,6 @@ def exceptional_set(f, prime_data, v_max, threshold_mode="lemma",
     return np.flatnonzero(counts >= threshold) - v_max
 
 
-def discriminant_profile(f, k):
-    """Exact discriminant of f(T) - k and its distinct prime factor count."""
-    g = f.sub_const(int(k))
-    disc = discriminant_uni(g)
-    return {"k": int(k), "disc": int(disc), "omega": len(prime_factors(abs(disc))),
-            "zero_disc": disc == 0}
-
-
 def complete_sum_g(F, t, u, p, budget=DEFAULT_BUDGET):
     """g(u, t) = sum over a in F_p^m of t(F(a)) e(<a, u>/p).
 
@@ -287,6 +279,16 @@ def complete_sum_g(F, t, u, p, budget=DEFAULT_BUDGET):
     return mixed_sum(F, ux, t.values, p, budget)
 
 
+def _crt_plan(F, u, p, q, budget=DEFAULT_BUDGET):
+    """crt_factor_check's refusals and mod-pq charge, none of which needs a trace table."""
+    if p == q:
+        raise ValueError("p and q must be distinct")
+    if len(u) != F.n_vars:
+        raise ValueError("u arity mismatch")
+    ux = MultiPoly(len(u), zip(np.eye(len(u), dtype=int), [int(c) % (p * q) for c in u]))
+    return _pushforward_plan(F, ux, p * q, budget)
+
+
 def crt_factor_check(F, u, p, q, t_p, t_q, budget=DEFAULT_BUDGET):
     """Compare the mod-pq complete sum against its CRT product form.
 
@@ -294,13 +296,8 @@ def crt_factor_check(F, u, p, q, t_p, t_q, budget=DEFAULT_BUDGET):
     F's pushforward twisted by <u, x> mod pq, built first, over grids (Z/pq is no field); rhs =
     g(qbar u, t_p) * g(pbar u, conj t_q), qbar = q^-1 mod p, pbar = p^-1 mod q.
     """
-    if p == q:
-        raise ValueError("p and q must be distinct")
-    if len(u) != F.n_vars:
-        raise ValueError("u arity mismatch")
     N = p * q
-    ux = MultiPoly(len(u), zip(np.eye(len(u), dtype=int), [int(c) % N for c in u]))
-    pushed = _pushforward(F, ux, N, budget)  # charged, then built, before the pq table
+    pushed = _pushforward(_crt_plan(F, u, p, q, budget), N)  # charged, then built, first
     table = t_p.values[np.arange(N) % p] * np.conj(t_q.values[np.arange(N) % q])
     lhs = complex((table * pushed).sum())
     qbar, pbar = pow(q, -1, p), pow(p, -1, q)
@@ -380,10 +377,6 @@ class SmoothWeight:
     def weight_1d(self, xs):
         return _bump(np.asarray(xs, dtype=float) / self.B)
 
-    def weight(self, x):
-        """W(x) for one point x (sequence of reals)."""
-        return float(np.prod(self.weight_1d(np.asarray(x, dtype=float))))
-
     def wh(self, xi):
         """1-d transform of the unit bump at a frequency or an array of them."""
         (xi, n), shape = _freqs(xi), np.shape(xi)
@@ -412,14 +405,6 @@ class SmoothWeight:
             out = np.minimum(_bump_derivative_l1(0),
                              _bump_derivative_l1(self.kappa) / (2 * math.pi * xi) ** self.kappa)
         return out if out.ndim else float(out)
-
-    def poisson_identity_gap(self, u_span=None):
-        """|sum_m w(m/B) - sum_u B wh(Bu)| over integer lattices (1-d)."""
-        direct = float(self.weight_1d(np.arange(-self.B, self.B + 1)).sum())
-        if u_span is None:
-            u_span = max(8, int(4 * self.B))
-        dual = float(self.B * self.wh(self.B * np.arange(-u_span, u_span + 1)).sum())
-        return abs(direct - dual), direct, dual
 
     def tail_sum_bound(self, scale, cutoff):
         """Upper bound for sum over |u| > cutoff of B * wh_bound(B u / scale)."""

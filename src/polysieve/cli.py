@@ -18,8 +18,7 @@ import numpy as np
 
 from . import boxes, sieve, varieties
 from .errors import DEFAULT_BUDGET, InvariantViolation, PolysieveError, charge
-from .fields import (_Q_CAP, EXT_DEGREE_CAP, _prime_sieve, cached_field, is_prime, mult_char,
-                     primes_in)
+from .fields import _Q_CAP, EXT_DEGREE_CAP, _prime_sieve, cached_field, is_prime, mult_char
 from .polynomials import SLAB_POINTS, MultiPoly, broadcast_grid, parse_multipoly, parse_unipoly
 from .reports import ExperimentReport, emit_report, report_json
 from .tracefn import TraceFunction, constant_trace, kloosterman
@@ -366,6 +365,7 @@ def _run_crt_check(cfg):
     table = {}
 
     def check(p, q, form, u, **cells):  # one draw, cell by cell onto the table's columns
+        boxes._crt_plan(form, u, p, q, cfg.budget)  # refuse the modulus before any table
         rec = boxes.crt_factor_check(form, u, p, q, _trace_for(o["trace"], p),
                                      _trace_for(o["trace"], q), cfg.budget)
         cells = {"p": p, "q": q, "u": ",".join(map(str, u)), **cells,
@@ -381,7 +381,7 @@ def _run_crt_check(cfg):
         _charge_prime_search(o["pmax"], cfg.budget)
         if o["pmax"] > _Q_CAP:
             raise ValueError(f"--pmax {o['pmax']} exceeds the field table cap {_Q_CAP}")
-        ps = primes_in(3, o["pmax"])
+        ps = _prime_sieve(3, o["pmax"])
         if len(ps) < 2:
             raise ValueError(f"fewer than two primes up to pmax = {o['pmax']}")
         rng = np.random.default_rng(cfg.seed)

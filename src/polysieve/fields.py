@@ -170,13 +170,6 @@ class ExtField:
     def embed(self, c):
         return int(c) % self.p
 
-    def dlog(self, u):
-        """Exponent e in [0, q-2] with g^e = u; u must be a unit in [1, q)."""
-        u = int(u)
-        if not 0 < u < self.q:
-            raise ValueError(f"dlog needs a unit of F_{self.q}, not {u}")
-        return int(self.log_table[u])
-
     def add(self, a, b):
         """Sum digit by digit mod p."""
         digits = (self.digit_table.T[a] + self.digit_table.T[b]) % self.p
@@ -209,12 +202,6 @@ def _residues(x, p):
 def cached_field(p, k=1):
     """Shared immutable field contexts; construction is the only mutation."""
     return ExtField(p, k)
-
-
-def additive_char(field, x):
-    """psi(x) = e(Tr(x)/p); accepts scalars or index arrays."""
-    out = field.psi_table[np.asarray(x, dtype=np.int64) % field.q]
-    return out if out.ndim else complex(out)
 
 
 def mult_char(field, r, j):

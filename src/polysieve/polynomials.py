@@ -178,9 +178,6 @@ class MultiPoly:
     def __repr__(self):
         return f"MultiPoly({self.to_text()!r}, n_vars={self.n_vars}, ring={self.ring})"
 
-    def is_zero(self):
-        return not self.terms
-
     @property
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=-1)
@@ -470,8 +467,7 @@ def parse_multipoly(text, n_vars=None):
 
 
 # ---------------------------------------------------------------------------
-# resultants and discriminants: every resultant is the Sylvester determinant,
-# taken by _det_bareiss (Bareiss over Z, modular elimination over F_p)
+# resultants: the Sylvester determinant by _det_bareiss (Bareiss over Z, elimination mod p)
 
 def sylvester_matrix(a, b):
     """Sylvester matrix: deg(b) shifted rows of a above deg(a) rows of b."""
@@ -544,25 +540,6 @@ def resultant_uni(a, b):
     if a.ring is not None and not is_prime(a.ring):
         raise ValueError(f"{a.ring} is not prime")
     return _det_bareiss(sylvester_matrix(a, b), a.ring)
-
-
-def discriminant_uni(a):
-    """(-1)^(d(d-1)/2) Res(a, a') / lc(a); zero iff a has a multiple root."""
-    if a.degree < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    if a.ring is not None and not is_prime(a.ring):
-        raise ValueError(f"{a.ring} is not prime")  # before the zero-derivative shortcut
-    da = a.derivative()
-    sign = -1 if (a.degree * (a.degree - 1) // 2) % 2 else 1
-    if da.is_zero():
-        return 0
-    res = resultant_uni(a, da)
-    if a.ring is not None:
-        return sign * res * pow(a.lc, a.ring - 2, a.ring) % a.ring
-    quo, rem = divmod(sign * res, a.lc)
-    if rem:
-        raise ArithmeticError("discriminant division was not exact")
-    return quo
 
 
 def critical_value_poly(h, p=None):

@@ -8,8 +8,8 @@ exceptional set of critical values, and the multiplicity table nu.  The detector
 
 is an exactly computable stand-in for the nontrivial part of the
 indicator decomposition: it has mean zero on F_p and is at least
-(p-1)/(dp) on every residue that h hits.  It, the membership filter and the
-multiplicity weight take one integer, or an array or list of any size.
+(p-1)/(dp) on every residue that h hits.  It and the membership filter take
+one integer, or an array or list of any size.
 """
 
 import math
@@ -178,12 +178,6 @@ def power_decomposition_check(d, p):
         chi = mult_char(field, d, j)
         rhs = rhs + chi.values[units] / d
     return float(np.abs(lhs - rhs).max())
-
-
-def multiplicity_weight(data, n, alpha):
-    """alpha + (nu(n) - 1)(d - nu(n)): the concrete per-residue sieve weight."""
-    nu = data.nu[_residues(n, data.p)]
-    return _scalar_or_array(alpha + (nu - 1) * (data.d - nu))
 
 
 def membership_filter(prime_data, n):

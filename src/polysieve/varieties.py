@@ -27,6 +27,11 @@ from .polynomials import SLAB_POINTS, MultiPoly, _det_bareiss, grid_slabs
 _INT64_SAFE = 2**62
 
 
+def _check_residue_products(N):  # refuse N where a product of two residues passes int64
+    if N * N >= _INT64_SAFE:
+        raise OverflowError(f"products of residues mod {N} would overflow 64-bit integers")
+
+
 @dataclass(frozen=True)
 class Witness:
     """A point found during a scan: element indices over F_{p^ext_degree}."""
@@ -173,8 +178,7 @@ def complete_sums(F, t_values, N, freqs, budget=DEFAULT_BUDGET):
     x', gathered slab by slab (grid_slabs) and transformed on the slab's full
     axes, then on its first.  Charged before any build.
     """
-    if N * N >= _INT64_SAFE:
-        raise OverflowError(f"products of residues mod {N} would overflow 64-bit integers")
+    _check_residue_products(N)
     groups, cost = _sums_plan(F, N, freqs)
     charge(0, cost, budget, "complete sums")
     (top_idx, top), *others = groups
@@ -241,18 +245,20 @@ def _scaling_pushforward(F, G, p, e):
     return P
 
 
-def _pushforward(F, G, N, budget=DEFAULT_BUDGET):
-    """P(v) = sum over x in (Z/N)^n with F(x) = v of e(G(x)/N): per joint variable group of
-    (F, G) one phase-weighted bincount over its N^|g| grid (group_pushforwards twisted by G_g)
-    or, where _scaling_degree holds, over the _class_points of P^(|g|-1) (_scaling_pushforward),
-    then the groups' cyclic convolution by one length-N FFT.  Grids, or classes, (d + 1) N
-    cells and two length-N tables, and N are charged before any build."""
-    if N * N >= _INT64_SAFE:
-        raise OverflowError(f"products of residues mod {N} would overflow 64-bit integers")
+def _pushforward_plan(F, G, N, budget=DEFAULT_BUDGET):
+    """_pushforward's joint variable groups (sub, twist, _scaling_degree) of (F, G), once N passes
+    the int64 guard and the charge for grids, or classes, (d + 1) N cells, two N-tables and N."""
+    _check_residue_products(N)
     groups = [(sub, tw, _scaling_degree(sub, tw, N)) for _, sub, tw in _variable_groups(F, G)]
     cost = N + sum(N**s.n_vars if e is None else _class_points(N, s.n_vars)
                    + (math.gcd(e, N - 1) + 3) * N for s, _, e in groups)
     charge(0, cost, budget, "complete sums")
+    return groups
+
+
+def _pushforward(groups, N):
+    """P(v) = sum over x in (Z/N)^n with F(x) = v of e(G(x)/N) from _pushforward_plan(F, G, N):
+    per group a twisted bincount (group_pushforwards, or _scaling_pushforward), one length-N FFT."""
     pushed = [group_pushforwards(sub, [[0]] * sub.n_vars, N, tw)[0] if e is None
               else _scaling_pushforward(sub, tw, N, e) for sub, tw, e in groups]
     if len(pushed) > 1:
@@ -261,13 +267,14 @@ def _pushforward(F, G, N, budget=DEFAULT_BUDGET):
 
 
 def mixed_sum(F, G, t_values, p, budget=DEFAULT_BUDGET):
-    """sum over x in F_p^n of t(F(x)) e(G(x)/p), p prime: t against _pushforward(F, G, p);
-    one frequency u is the linear twist G = <u, x> (boxes.complete_sum_g)."""
+    """sum over x in F_p^n of t(F(x)) e(G(x)/p), p prime: t against F's pushforward twisted
+    by G (_pushforward); one frequency u is the linear twist G = <u, x> (boxes.complete_sum_g)."""
     if F.n_vars != G.n_vars:
         raise ValueError("F and G must share arity")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return complex((np.asarray(t_values) * _pushforward(F, G, p, budget)).sum())
+    return complex((np.asarray(t_values)
+                    * _pushforward(_pushforward_plan(F, G, p, budget), p)).sum())
 
 
 def _zeros_of(poly, field, coords):
@@ -474,8 +481,7 @@ def diagonal_dual_zeros(coeffs, d, axes, p, budget=DEFAULT_BUDGET):
     charge(spent, len(D.terms) * math.prod(shape), budget, "dual polynomial")
     if lone:
         return D.eval([pow(x, d, p) * pow(c, -1, p) % p for c, x in zip(cred, axes)]) % p == 0
-    if p * p >= _INT64_SAFE:
-        raise OverflowError(f"products of residues mod {p} would overflow 64-bit integers")
+    _check_residue_products(p)
     a = [MultiPoly(1, {(d,): pow(c, -1, p)}).eval_mod([u], p) for c, u in zip(cred, axes)]
     rows = max(1, SLAB_POINTS * shape[0] // max(math.prod(shape), 1))
     return np.concatenate([D.eval_mod([x[lo:lo + rows] if len(x) > 1 else x for x in a], p) == 0

@@ -497,7 +497,7 @@ def diagonal_dual_oracle(coeffs, d, u, p):
     for i in live[1:]:
         b[i] = (cred[i0] * ured[i] % p) * pow(ured[i0] * cred[i] % p, p - 2, p) % p
     e = d - 1
-    ords = {i: (p - 1) // math.gcd(cached_field(p).dlog(bi), p - 1) for i, bi in b.items()}
+    ords = {i: (p - 1) // math.gcd(cached_field(p).log_table[bi], p - 1) for i, bi in b.items()}
     r = None
     for cand in range(1, EXT_DEGREE_CAP + 1):
         qq = p**cand - 1

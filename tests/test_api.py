@@ -2,9 +2,10 @@
 
 Every public module-level function and public method in src/polysieve
 must be named by some code in src/polysieve (outside __init__.py, whose
-re-exports are not uses), demos/ or perfbench/*.py: as a name, an
-attribute, an import, or a dotted string such as a tracing-hook key.
-A capability that only its own tests reach belongs in tests/.
+re-exports are not uses), perfbench/*.py or tests/test_acceptance.py: as
+a name, an attribute, an import, or a dotted string such as a
+tracing-hook key.  A demo is not a caller: a capability that only demos
+or its own tests reach belongs in the demo or in tests/.
 """
 
 import ast
@@ -34,7 +35,7 @@ def _public_definitions():
 def _names_used():
     """Every identifier that code outside the definitions' own lines refers to."""
     sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    sources += list((ROOT / "demos").glob("*.py")) + list((ROOT / "perfbench").glob("*.py"))
+    sources += list((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
     used = set()
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text())):

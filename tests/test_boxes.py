@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 from polysieve import boxes, convolve, sieve, varieties
 from polysieve.boxes import (BoxProblem, SmoothWeight, _bump_derivative_l1, _dense_length,
                              bound_ratio_scan, box_histogram, complete_sum_g,
-                             crt_factor_check, discriminant_profile, exact_count,
-                             exceptional_set,
-                             poisson_compare, select_primes,
-                             sieve_filtered_count)
+                             crt_factor_check, exact_count, exceptional_set,
+                             poisson_compare, select_primes, sieve_filtered_count)
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import ExtField, mult_char, primes_in
-from polysieve.polynomials import MultiPoly, parse_multipoly, parse_unipoly
+from polysieve.polynomials import MultiPoly, parse_multipoly, parse_unipoly, resultant_uni
 from polysieve.sieve import build_prime_data, in_h_image
 from polysieve.tracefn import TraceFunction, constant_trace, kloosterman
 
@@ -438,24 +436,16 @@ class TestExceptionalSet:
 
 
 class TestDiscriminantProfile:
-    def test_spec_examples(self):
-        f2 = parse_unipoly("T^2")
-        assert discriminant_profile(f2, 6) == {
-            "k": 6, "disc": 24, "omega": 2, "zero_disc": False}
-        assert discriminant_profile(f2, 0)["zero_disc"]
-        prof = discriminant_profile(parse_unipoly("T^3"), 1)
-        assert prof["disc"] == -27 and prof["omega"] == 1
-
     def test_exceptional_residues_divide_the_discriminant(self):
         # hitting the exceptional set mod p forces a repeated root of
-        # f - k mod p, so p divides disc(f - k); this is what keeps the
-        # exceptional set small relative to the value range
+        # f - k mod p, so p divides Res(f - k, f') = +-lc(f) disc(f - k); this
+        # is what keeps the exceptional set small relative to the value range
         for f_text in ("T^2", "T^3", "T^3-3*T", "2*T^3+1", "T^4+T"):
             f = parse_unipoly(f_text)
             data = prime_data_for(f, [p for p in primes_in(f.degree + 1, 40)
                                       if f.lc % p != 0])
             for k in range(-30, 31):
-                disc = discriminant_profile(f, k)["disc"]
+                disc = resultant_uni(f.sub_const(k), f.derivative())
                 for d in data:
                     if d.exceptional[k % d.p]:
                         assert disc % d.p == 0, (f_text, k, d.p)
@@ -576,17 +566,19 @@ class TestCrtFactorization:
 
 class TestSmoothWeight:
     def test_center_value(self):
-        assert SmoothWeight(10).weight([0.0]) == pytest.approx(math.exp(-1))
+        assert SmoothWeight(10).weight_1d(0.0) == pytest.approx(math.exp(-1))
 
     def test_support_boundary(self):
         W = SmoothWeight(10)
-        assert W.weight([10.0]) == 0.0
-        assert W.weight([0.0, -10.0, 3.0]) == 0.0
+        assert W.weight_1d(10.0) == 0.0
+        assert np.prod(W.weight_1d([0.0, -10.0, 3.0])) == 0.0
 
     def test_poisson_identity_1d(self):
+        # sum_m w(m/B) = sum_u B wh(B u) over the integers, the dual side cut at |u| <= 4 B
         W = SmoothWeight(10)
-        gap, direct, dual = W.poisson_identity_gap()
-        assert gap <= 1e-6 * abs(direct)
+        direct = W.weight_1d(np.arange(-10, 11)).sum()
+        dual = 10 * W.wh(10 * np.arange(-40, 41)).sum()
+        assert abs(direct - dual) <= 1e-6 * abs(direct)
 
     def test_envelope_dominates(self):
         W = SmoothWeight(10)
@@ -803,7 +795,7 @@ class TestGroupedSums:
         direct = 0j
         for x in itertools.product(range(-B, B + 1), repeat=3):
             v = F.eval(x)
-            direct += W.weight(x) * t_p.values[v % p] * np.conj(t_q.values[v % q])
+            direct += np.prod(W.weight_1d(x)) * t_p.values[v % p] * np.conj(t_q.values[v % q])
         assert abs(rec["direct"] - direct) <= 1e-9 * max(1, abs(direct))
 
     def test_diagonal_cubic_at_p_10007(self):

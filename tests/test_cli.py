@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import polysieve
 from polysieve import boxes, cli, sieve, varieties
 from polysieve.errors import BudgetExceeded, InvariantViolation
-from polysieve.fields import ExtField, additive_char, primes_in
+from polysieve.fields import ExtField, primes_in
 from polysieve.polynomials import parse_multipoly
 from polysieve.reports import ExperimentReport, _csv_cell, emit_report, report_json
 from polysieve.tracefn import TraceFunction
@@ -51,6 +51,23 @@ def run_child(args):
     """Run python with `args` in a fresh interpreter that imports ./src."""
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+
+
+def cold_run(argv):
+    """Run `polysieve.cli argv` cold, expecting exit code 1: the child process, its wall
+    time in seconds and its peak RSS in MB.  A small parent starts the request: a child's
+    peak RSS counts its parent's pages up to exec, so a child of the test process would
+    read the test process's peak."""
+    proc = run_child(["-c", "import os, subprocess, sys, time\n"
+                      "start = time.perf_counter()\n"
+                      "child = subprocess.Popen([sys.executable, '-m', 'polysieve.cli',"
+                      " *sys.argv[1:]], stdout=subprocess.DEVNULL)\n"
+                      "_, status, usage = os.wait4(child.pid, 0)\n"
+                      "print(os.waitstatus_to_exitcode(status), time.perf_counter() - start,"
+                      " usage.ru_maxrss / 1024)", *argv.split()])
+    code, seconds, peak_mb = proc.stdout.split()
+    assert int(code) == 1
+    return proc, float(seconds), float(peak_mb)
 
 
 class TestParsing:
@@ -406,7 +423,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv", [["sieve-detect", "--h", "T^2"], ["crt-check"]])
     def test_prime_sieve_is_charged_before_it_is_built(self, argv, capsys, monkeypatch):
         # the pmax + 1 cells of the sieve, in a charge of their own
-        monkeypatch.setattr(cli, "primes_in", lambda *a: pytest.fail("listed primes"))
+        monkeypatch.setattr(cli, "_prime_sieve", lambda *a: pytest.fail("listed primes"))
         assert run(argv + ["--pmax", "1000000000"]) == 1
         assert capsys.readouterr().err == \
             "error: prime search of 1000000001 points exceeds budget 100000000\n"
@@ -430,7 +447,7 @@ class TestSubcommands:
                             lambda h, p: built.append(p) or build(h, p))
         assert run(argv) == 0
         assert strip_timings(json.loads(capsys.readouterr().out)) == want
-        assert built == cli.primes_in(*want["results"]["window"])
+        assert built == primes_in(*want["results"]["window"])
 
     def test_boxcount_empty_prime_list(self, capsys):
         assert run(["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2",
@@ -509,7 +526,7 @@ class TestSubcommands:
             r["error"] for r in json.loads(capsys.readouterr().out)["tables"]["draws"]]
         for row in rows:
             p, q = row["p"], row["q"]
-            psi = [TraceFunction(n, additive_char(ExtField(n), np.arange(n)), "psi", 1.0)
+            psi = [TraceFunction(n, ExtField(n).psi_table, "psi", 1.0)
                    for n in (p, q)]
             u = [int(x) for x in row["u"].split(",")]
             rec = boxes.crt_factor_check(parse_multipoly(row["F"]), u, p, q, *psi, 10**8)
@@ -524,19 +541,36 @@ class TestSubcommands:
     @pytest.mark.parametrize("seed", ["1", "3"])
     def test_crt_check_pmax_past_the_field_cap_is_refused_first(self, seed, capsys,
                                                                 monkeypatch):
-        monkeypatch.setattr(cli, "primes_in", lambda *a: pytest.fail("listed primes"))
+        monkeypatch.setattr(cli, "_prime_sieve", lambda *a: pytest.fail("listed primes"))
         monkeypatch.setattr(cli, "_trace_for", lambda *a: pytest.fail("built a table"))
         assert run(["crt-check", "--pmax", "2000001", "--seed", seed]) == 1
         assert capsys.readouterr().err == \
             "error: --pmax 2000001 exceeds the field table cap 2000000\n"
 
-    def test_crt_check_pmax_at_the_field_cap_is_accepted(self, monkeypatch):
-        drawn = []
-        monkeypatch.setattr(cli, "_trace_for", lambda spec, p: None)
-        monkeypatch.setattr(cli.boxes, "crt_factor_check", lambda F, u, p, q, *a: drawn.append(
-            (p, q)) or {"error": 0.0, "rel_error": 0.0})
-        assert run(["crt-check", "--pmax", "2000000", "--draws", "3"]) == 0
-        assert len(drawn) == 3 and all(max(pq) <= 2000000 for pq in drawn)
+    def test_crt_check_pmax_at_the_field_cap_is_accepted(self, capsys, monkeypatch):
+        # the cap lets --pmax 2000000 through; its first draw's modulus pq then overflows
+        # int64, which is refused before any field or trace table is built
+        monkeypatch.setattr(cli, "_trace_for", lambda *a: pytest.fail("built a table"))
+        monkeypatch.setattr(cli, "cached_field", lambda *a: pytest.fail("built a field"))
+        assert run(["crt-check", "--pmax", "2000000", "--draws", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: products of residues mod ") and "table cap" not in err
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        ("--pmax 2000000 --draws 1 --seed 3", "would overflow 64-bit integers"),
+        ("--F X0^2+X1^2 --p 1999993 --q 1999957 --u 1,2",
+         "products of residues mod 3999900000301 would overflow 64-bit integers"),
+        ("--F X0^2+X1^2 --p 1999993 --q 1009 --u 1,2",
+         "complete sums of 6053978811 points exceeds budget 100000000"),
+    ])
+    def test_crt_check_refuses_the_modulus_before_any_table(self, argv, message, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(cli, "_trace_for", lambda *a: pytest.fail("built a table"))
+        monkeypatch.setattr(cli, "cached_field", lambda *a: pytest.fail("built a field"))
+        assert run(["crt-check", *argv.split()]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
 
     def test_poisson_check(self, capsys):
         assert run(["poisson-check", "--F", "X0^2+X1^2+X2^2", "--p", "3",
@@ -922,21 +956,26 @@ class TestProcess:
         ("sieve-detect --h T^2 --pmax 20000000", 2.0, 75),
     ])
     def test_cold_refusals_are_small(self, argv, wall, mb):
-        # a small parent starts the request: a child's peak RSS counts its parent's pages
-        # up to exec, so a child of this test process would read this process's peak
-        proc = run_child(["-c", "import os, subprocess, sys, time\n"
-                          "start = time.perf_counter()\n"
-                          "child = subprocess.Popen([sys.executable, '-m', 'polysieve.cli',"
-                          " *sys.argv[1:]], stdout=subprocess.DEVNULL)\n"
-                          "_, status, usage = os.wait4(child.pid, 0)\n"
-                          "print(os.waitstatus_to_exitcode(status), time.perf_counter() - start,"
-                          " usage.ru_maxrss / 1024)", *argv.split()])
-        code, seconds, peak_mb = proc.stdout.split()
-        assert int(code) == 1
+        proc, seconds, peak_mb = cold_run(argv)
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
         assert ("--pmax 20000000 exceeds the field table cap" in proc.stderr
                 if argv.startswith("crt") else "prime data of 12272577818050 points" in proc.stderr)
-        assert float(seconds) < wall and float(peak_mb) < mb
+        assert seconds < wall and peak_mb < mb
+
+    @pytest.mark.parametrize("argv, message", [
+        # random mode draws from the sieve's array; each draw's modulus pq is refused for
+        # int64 overflow or charged before either trace table is built
+        ("crt-check --pmax 2000000 --draws 1", "would overflow 64-bit integers"),
+        ("crt-check --pmax 2000000 --draws 1 --seed 3", "would overflow 64-bit integers"),
+        ("crt-check --F X0^2+X1^2 --p 1999993 --q 1999957 --u 1,2",
+         "would overflow 64-bit integers"),
+        ("crt-check --F X0^2+X1^2 --p 1999993 --q 1009 --u 1,2",
+         "complete sums of 6053978811 points exceeds budget"),
+    ])
+    def test_crt_check_modulus_refusals_are_small_cold(self, argv, message):
+        proc, seconds, peak_mb = cold_run(argv)
+        assert len(proc.stderr.splitlines()) == 1 and message in proc.stderr
+        assert seconds < 1.0 and peak_mb < 40
 
     def test_closed_stdout_exits_without_traceback(self):
         # the report (about 200 kB) overflows the pipe buffer, so the child

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from polysieve import polynomials
-from polysieve.fields import (_Q_CAP, ExtField, _irreducible, additive_char, cached_field,
-                              is_prime, mult_char, primes_in)
+from polysieve.fields import (_Q_CAP, ExtField, _irreducible, cached_field, is_prime,
+                              mult_char, primes_in)
 from polysieve.polynomials import _exponent_tables, _lane_tables
 
 from _oracles import (TupleField, eval_field_direct, ext_exp_table_loop, frobenius_sum,
@@ -36,26 +36,14 @@ class TestPrimeField:
     def test_dlog_examples(self):
         f5 = ExtField(5)
         assert f5.g == 2
-        assert f5.dlog(1) == 0
-        assert f5.dlog(4) == 2
-        assert ExtField(7).dlog(6) == 3
-
-    def test_dlog_zero_rejected(self):
-        with pytest.raises(ValueError):
-            ExtField(5).dlog(0)
-
-    @pytest.mark.parametrize("p, k", [(5, 1), (5, 2), (2, 3)])
-    def test_dlog_outside_the_field_rejected(self, p, k):
-        f = ExtField(p, k)
-        assert f.dlog(f.q - 1) == f.log_table[f.q - 1]
-        for u in (-1, f.q, f.q + 1):
-            with pytest.raises(ValueError, match="needs a unit"):
-                f.dlog(u)
+        assert f5.log_table[1] == 0
+        assert f5.log_table[4] == 2
+        assert ExtField(7).log_table[6] == 3
 
     def test_dlog_roundtrip_all_units(self):
         f = ExtField(13)
         for u in range(1, 13):
-            assert f.exp_table[f.dlog(u)] == u
+            assert f.exp_table[f.log_table[u]] == u
 
     def test_table_consistency(self):
         for p in (2, 3, 17, 101):
@@ -92,22 +80,22 @@ class TestPrimeField:
 class TestAdditiveChar:
     def test_values(self):
         f5 = ExtField(5)
-        assert additive_char(f5, 0) == pytest.approx(1.0)
-        assert additive_char(f5, 1) == pytest.approx(cmath.exp(2j * cmath.pi / 5))
+        assert f5.psi_table[0] == pytest.approx(1.0)
+        assert f5.psi_table[1] == pytest.approx(cmath.exp(2j * cmath.pi / 5))
 
     def test_homomorphism(self):
         for field in (ExtField(7), ExtField(3, 2)):
             xs = field.elements()
             for x in xs:
-                lhs = additive_char(field, field.add(x, xs))
-                rhs = additive_char(field, x) * additive_char(field, xs)
+                lhs = field.psi_table[field.add(x, xs)]
+                rhs = field.psi_table[x] * field.psi_table[xs]
                 assert np.abs(lhs - rhs).max() < 1e-12
 
     def test_full_sum_vanishes(self):
         for field in (ExtField(2), ExtField(3), ExtField(13),
                       ExtField(2, 2), ExtField(3, 2),
                       ExtField(5, 2)):
-            assert abs(additive_char(field, field.elements()).sum()) < 1e-9
+            assert abs(field.psi_table.sum()) < 1e-9
 
     def test_ext_field_trace_example(self):
         # F_9 = F_3[T]/(T^2+1): Tr(T) = T + T^3 = 0
@@ -115,7 +103,7 @@ class TestAdditiveChar:
         assert f9.modulus == (1, 0, 1)
         t_index = 3  # 0 + 1*T
         assert f9.trace_table[t_index] == 0
-        assert additive_char(f9, t_index) == pytest.approx(1.0)
+        assert f9.psi_table[t_index] == pytest.approx(1.0)
 
 
 class TestMultChar:

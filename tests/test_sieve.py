@@ -12,8 +12,7 @@ from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import ExtField, mult_char, primes_in
 from polysieve.polynomials import UniPoly, critical_value_poly, parse_unipoly
 from polysieve.sieve import (SieveConfig, SievePrimeData, build_prime_data,
-                             detector, in_h_image,
-                             membership_filter, multiplicity_weight,
+                             detector, in_h_image, membership_filter,
                              power_decomposition_check, power_sieve_rhs,
                              sieve_bound_eval)
 
@@ -183,17 +182,6 @@ class TestPowerDecomposition:
                 assert abs(expected.imag) < 1e-9
 
 
-class TestMultiplicityWeight:
-    def test_spec_values(self):
-        data = build_prime_data(parse_unipoly("T^2"), 5)
-        assert multiplicity_weight(data, 4, 0.0) == 0.0
-        assert multiplicity_weight(data, 2, 1.0) == -1.0
-
-    def test_single_preimage_gives_alpha(self):
-        data = build_prime_data(parse_unipoly("T^2"), 5)
-        assert multiplicity_weight(data, 0, 0.25) == 0.25  # nu(0) = 1
-
-
 class TestMembership:
     def test_spec_examples(self):
         h = parse_unipoly("T^2")
@@ -232,19 +220,14 @@ def _detector_1(data, n):
     return (1.0 if data.image[n % data.p] else 0.0) - data.image_size / data.p
 
 
-def _weight_1(data, n, alpha):
-    nu = int(data.nu[n % data.p])
-    return alpha + (nu - 1) * (data.d - nu)
-
-
 class TestArrayKernels:
     DATA = {text: [d for _, d in good_primes(parse_unipoly(text), 40)] for text in H_BANK}
 
     @settings(max_examples=60)
     @given(st.sampled_from(H_BANK), st.booleans(),
            st.lists(st.integers(-2**63, 2**63 - 1), max_size=12),
-           st.lists(st.integers(-10**40, 10**40), max_size=12), st.integers(-3, 3))
-    def test_array_equals_scalar_definition(self, text, as_int64, small, huge, alpha):
+           st.lists(st.integers(-10**40, 10**40), max_size=12))
+    def test_array_equals_scalar_definition(self, text, as_int64, small, huge):
         # int64 arrays, and lists holding ints past int64, both go elementwise
         prime_data = self.DATA[text]
         ns = small if as_int64 else small + huge
@@ -253,15 +236,12 @@ class TestArrayKernels:
             got = detector(data, arg)
             assert isinstance(got, np.ndarray)
             assert got.tolist() == [_detector_1(data, n) for n in ns]
-            assert multiplicity_weight(data, arg, alpha).tolist() == [
-                _weight_1(data, n, alpha) for n in ns]
         assert membership_filter(prime_data, arg).tolist() == [
             all(data.image[n % data.p] for data in prime_data) for n in ns]
 
     def test_scalar_input_gives_a_python_scalar(self):
         data = build_prime_data(parse_unipoly("T^2"), 7)
         assert type(detector(data, 10**30)) is float
-        assert type(multiplicity_weight(data, 3, 1)) is int
         assert membership_filter([data], 10) is False and membership_filter([], 10) is True
 
 

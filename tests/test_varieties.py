@@ -848,7 +848,7 @@ class TestScansAgainstNestedLoops:
     @pytest.mark.filterwarnings("ignore:p=")
     def test_verdicts_and_witnesses(self, case):
         F, p, k_max, u = case
-        if F.is_zero() or not F.is_homogeneous():
+        if not F.terms or not F.is_homogeneous():
             return
         fields = tuple_fields(p, k_max)
         smooth, j, pt = smoothness_scan_direct(F.terms, F.n_vars, fields)
@@ -935,7 +935,7 @@ class TestMacaulayCertificate:
     @pytest.mark.filterwarnings("ignore:p=")
     def test_public_scans_match_the_walk(self, case):
         F, p, k_max, u = case
-        if F.is_zero() or not F.is_homogeneous():
+        if not F.terms or not F.is_homogeneous():
             return
         assert smoothness_scan(F, p, k_max) == _smoothness_walk(F, p, k_max)
         if any(c % p for c in u):
