@@ -15,8 +15,9 @@ from polysieve.boxes import (BoxProblem, SmoothWeight, _bump_derivative_l1, _den
                              crt_factor_check, exact_count, exceptional_set,
                              poisson_compare, select_primes, sieve_filtered_count)
 from polysieve.errors import BudgetExceeded, InvariantViolation
-from polysieve.fields import ExtField, mult_char, primes_in
-from polysieve.polynomials import MultiPoly, parse_multipoly, parse_unipoly, resultant_uni
+from polysieve.fields import ExtField, mult_char, prime_factors, primes_in
+from polysieve.polynomials import (MultiPoly, critical_value_poly, parse_multipoly,
+                                   parse_unipoly, resultant_uni)
 from polysieve.sieve import build_prime_data, in_h_image
 from polysieve.tracefn import TraceFunction, constant_trace, kloosterman
 
@@ -436,6 +437,14 @@ class TestExceptionalSet:
 
 
 class TestDiscriminantProfile:
+    def test_spec_examples(self):
+        # R_f(k) = Res_T(f - k, f') from the sieve's kernel, with its prime count
+        R2 = critical_value_poly(parse_unipoly("T^2"))
+        assert R2.eval(6) == -24 and prime_factors(24) == [2, 3]
+        assert R2.eval(0) == 0  # 0 is the critical value of T^2
+        r = critical_value_poly(parse_unipoly("T^3")).eval(1)
+        assert r == 27 and prime_factors(r) == [3]
+
     def test_exceptional_residues_divide_the_discriminant(self):
         # hitting the exceptional set mod p forces a repeated root of
         # f - k mod p, so p divides Res(f - k, f') = +-lc(f) disc(f - k); this

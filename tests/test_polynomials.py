@@ -368,6 +368,40 @@ class TestResultants:
             assert (res == 0) == found, (a.coeffs, b.coeffs, p)
 
 
+def disc_from_resultant(a):
+    """disc(a) = (-1)^(d(d-1)/2) Res(a, a') / lc(a), the pairing critical_value_poly uses."""
+    res = (-1) ** (a.degree * (a.degree - 1) // 2) * resultant_uni(a, a.derivative())
+    if a.ring is not None:
+        return res * pow(a.lc, -1, a.ring) % a.ring
+    quo, rem = divmod(res, a.lc)
+    assert rem == 0
+    return quo
+
+
+class TestDiscriminant:
+    def test_spec_examples(self):
+        assert disc_from_resultant(UniPoly([1, 3, 1])) == 9 - 4  # T^2+3T+1
+        assert disc_from_resultant(UniPoly([-6, 0, 1])) == 24
+        assert disc_from_resultant(UniPoly([1, -2, 1])) == 0     # (T-1)^2
+        assert disc_from_resultant(parse_unipoly("T^3-1")) == -27
+
+    def test_double_root_detection(self):
+        rng = random.Random(2)
+        for _ in range(40):
+            r = rng.randint(-5, 5)
+            g = UniPoly([rng.randint(-4, 4), rng.choice([1, 2])])
+            doubled = UniPoly([r * r, -2 * r, 1])
+            prod_coeffs = [0] * (3 + g.degree)
+            for i, ci in enumerate(doubled.coeffs):
+                for j, cj in enumerate(g.coeffs):
+                    prod_coeffs[i + j] += ci * cj
+            a = UniPoly(prod_coeffs)
+            assert resultant_uni(a, a.derivative()) == 0
+
+    def test_mod_p(self):
+        assert disc_from_resultant(UniPoly([1, 3, 1], ring=7)) == 5  # 9 - 4 mod 7
+
+
 def roots_mod(r):
     """Every root in F_p of r over F_p, by enumeration."""
     return set(np.flatnonzero(r.eval(np.arange(r.ring)) == 0).tolist())
