@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, the budget charge and the field table caps."""
 
 
 class PolysieveError(Exception):
@@ -10,6 +10,8 @@ class BudgetExceeded(PolysieveError):
 
 
 DEFAULT_BUDGET = 10**8
+_Q_CAP = 2_000_000  # full dlog tables only; keep desk scale
+EXT_DEGREE_CAP = 4  # largest k for which ExtField(p, k) builds tables
 
 
 def charge(spent, points, budget, what):

@@ -14,8 +14,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-_Q_CAP = 2_000_000  # full dlog tables only; keep desk scale
-EXT_DEGREE_CAP = 4  # largest k for which ExtField(p, k) builds tables
+from .errors import _Q_CAP, EXT_DEGREE_CAP
 
 
 def is_prime(n):

@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .convolve import fold, fold_cells, wrap
-from .errors import DEFAULT_BUDGET, charge
-from .fields import EXT_DEGREE_CAP, cached_field, is_prime, prime_factors
+from .errors import DEFAULT_BUDGET, EXT_DEGREE_CAP, charge
+from .fields import cached_field, is_prime, prime_factors
 from .polynomials import SLAB_POINTS, MultiPoly, _det_bareiss, grid_slabs
 
 _INT64_SAFE = 2**62
@@ -93,18 +93,9 @@ def _variable_groups(*forms):
     return tuple(zip(map(tuple, groups), *subs))
 
 
-def fiber_histogram(F, p, G=None, budget=DEFAULT_BUDGET):
-    """Array h with h[a] = |{x in F_p^n : F(x) = a}|, or with G the matrix
-    h[a, b] = |{x in F_p^n : F(x) = a, G(x) = b}|.
-
-    With r forms (1 or 2), the joint variable groups (sharing no monomial
-    of any form) are packed, largest first, into blocks of at most r
-    variables or one group, each counted into a (p,)*r histogram over its
-    own grid, slab by slab (grid_slabs); h is their r-dim cyclic
-    convolution, folded pairwise (convolve.fold, wrapped).  A non-separable
-    F (or pair) is one block, no FFT.  Block grids, p^r per block and each
-    fold's padded cells are charged before any build.
-    """
+def _fiber_plan(F, p, G=None, budget=DEFAULT_BUDGET):
+    """fiber_histogram's refusals and charge, none of which needs a field table: its
+    blocks of joint variable groups and each block's variable count."""
     forms = (F,) if G is None else (F, G)
     r = len(forms)
     if G is not None and F.n_vars != G.n_vars:
@@ -122,6 +113,23 @@ def fiber_histogram(F, p, G=None, budget=DEFAULT_BUDGET):
     sizes = [sum(len(g[0]) for g in block) for block in blocks]
     cost = sum(p**k + p**r for k in sizes) + (len(blocks) - 1) * fold_cells([(p,) * r] * 2)
     charge(0, cost, budget, "fiber histogram")
+    return blocks, sizes
+
+
+def fiber_histogram(F, p, G=None, budget=DEFAULT_BUDGET):
+    """Array h with h[a] = |{x in F_p^n : F(x) = a}|, or with G the matrix
+    h[a, b] = |{x in F_p^n : F(x) = a, G(x) = b}|.
+
+    With r forms (1 or 2), the joint variable groups (sharing no monomial
+    of any form) are packed, largest first, into blocks of at most r
+    variables or one group, each counted into a (p,)*r histogram over its
+    own grid, slab by slab (grid_slabs); h is their r-dim cyclic
+    convolution, folded pairwise (convolve.fold, wrapped).  A non-separable
+    F (or pair) is one block, no FFT.  Block grids, p^r per block and each
+    fold's padded cells are charged before any build (_fiber_plan).
+    """
+    r = 1 if G is None else 2
+    blocks, sizes = _fiber_plan(F, p, G, budget)
     hists = []
     for block, k in zip(blocks, sizes):
         hists.append(np.zeros((p,) * r, dtype=np.int64))

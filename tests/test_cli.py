@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polysieve
-from polysieve import boxes, cli, sieve, varieties
+from polysieve import boxes, cli, commands, sieve, varieties
 from polysieve.errors import BudgetExceeded, InvariantViolation
 from polysieve.fields import ExtField, primes_in
 from polysieve.polynomials import parse_multipoly
@@ -390,7 +390,7 @@ class TestSubcommands:
     def test_boxcount_refuses_a_huge_box_before_the_prime_window(self, capsys, monkeypatch):
         # grids 2 * 600001, then the first fold's 300001^2 pairs: refused before
         # select_primes builds the data of the window's primes
-        monkeypatch.setattr(cli.sieve, "build_prime_data",
+        monkeypatch.setattr(commands.sieve, "build_prime_data",
                             lambda *a: pytest.fail("built prime data"))
         assert run(["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2", "--B", "300000"]) == 1
         assert "box histogram of 90001800003 points exceeds budget" in capsys.readouterr().err
@@ -400,7 +400,7 @@ class TestSubcommands:
         ["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X2^2", "--B", "0"],  # a 5-point histogram
     ])
     def test_listed_primes_are_charged_before_their_data(self, argv, capsys, monkeypatch):
-        monkeypatch.setattr(cli.sieve, "build_prime_data",
+        monkeypatch.setattr(commands.sieve, "build_prime_data",
                             lambda *a: pytest.fail("built prime data"))
         assert run(argv + ["--primes", "list:7,20000003", "--budget", "1000"]) == 1
         assert "prime data of 20000010 points exceeds budget 1000" in capsys.readouterr().err
@@ -410,7 +410,7 @@ class TestSubcommands:
 
     def test_auto_primes_are_charged_before_their_data(self, capsys, monkeypatch):
         # every prime in (deg h, pmax] is charged its p points before any data is built
-        monkeypatch.setattr(cli.sieve, "build_prime_data",
+        monkeypatch.setattr(commands.sieve, "build_prime_data",
                             lambda *a: pytest.fail("built prime data"))
         argv = ["sieve-detect", "--h", "T^2", "--pmax", "20000", "--budget", "1000"]
         assert run(argv) == 1
@@ -423,14 +423,14 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv", [["sieve-detect", "--h", "T^2"], ["crt-check"]])
     def test_prime_sieve_is_charged_before_it_is_built(self, argv, capsys, monkeypatch):
         # the pmax + 1 cells of the sieve, in a charge of their own
-        monkeypatch.setattr(cli, "_prime_sieve", lambda *a: pytest.fail("listed primes"))
+        monkeypatch.setattr(commands, "_prime_sieve", lambda *a: pytest.fail("listed primes"))
         assert run(argv + ["--pmax", "1000000000"]) == 1
         assert capsys.readouterr().err == \
             "error: prime search of 1000000001 points exceeds budget 100000000\n"
 
     def test_sieve_check_is_charged_before_its_tables(self, capsys, monkeypatch):
         # d - 1 character tables of p values each, charged before the check runs
-        monkeypatch.setattr(cli.sieve, "power_decomposition_check",
+        monkeypatch.setattr(commands.sieve, "power_decomposition_check",
                             lambda *a: pytest.fail("ran the check"))
         assert run(["sieve-check", "--d", "10006", "--p", "10007", "--budget", "1000"]) == 1
         assert capsys.readouterr().err == \
@@ -442,8 +442,8 @@ class TestSubcommands:
         argv = ["boxcount", "--f", "T^2", "--F", "X0^2+X1^2+X0*X1", "--B", "12"]
         assert run(argv) == 0
         want = strip_timings(json.loads(capsys.readouterr().out))
-        built, build = [], cli.sieve.build_prime_data
-        monkeypatch.setattr(cli.sieve, "build_prime_data",
+        built, build = [], commands.sieve.build_prime_data
+        monkeypatch.setattr(commands.sieve, "build_prime_data",
                             lambda h, p: built.append(p) or build(h, p))
         assert run(argv) == 0
         assert strip_timings(json.loads(capsys.readouterr().out)) == want
@@ -472,13 +472,13 @@ class TestSubcommands:
     ])
     def test_prime_data_built_once_per_prime(self, argv, want, capsys, monkeypatch):
         built = []
-        build = cli.sieve.build_prime_data
+        build = commands.sieve.build_prime_data
 
         def counting(h, p):
             built.append(p)
             return build(h, p)
 
-        monkeypatch.setattr(cli.sieve, "build_prime_data", counting)
+        monkeypatch.setattr(commands.sieve, "build_prime_data", counting)
         assert run(argv) == 0
         assert built == want
 
@@ -510,8 +510,8 @@ class TestSubcommands:
         (["--pmax", "3"], "fewer than two primes up to pmax"),
     ])
     def test_crt_check_input_errors(self, argv, message, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_trace_for", lambda *a: pytest.fail("built a table"))
-        monkeypatch.setattr(cli, "mult_char", lambda *a: pytest.fail("built a table"))
+        monkeypatch.setattr(commands, "_trace_for", lambda *a: pytest.fail("built a table"))
+        monkeypatch.setattr(commands, "mult_char", lambda *a: pytest.fail("built a table"))
         assert run(["crt-check", "--F", "X0^2+X1^2", *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
@@ -541,8 +541,8 @@ class TestSubcommands:
     @pytest.mark.parametrize("seed", ["1", "3"])
     def test_crt_check_pmax_past_the_field_cap_is_refused_first(self, seed, capsys,
                                                                 monkeypatch):
-        monkeypatch.setattr(cli, "_prime_sieve", lambda *a: pytest.fail("listed primes"))
-        monkeypatch.setattr(cli, "_trace_for", lambda *a: pytest.fail("built a table"))
+        monkeypatch.setattr(commands, "_prime_sieve", lambda *a: pytest.fail("listed primes"))
+        monkeypatch.setattr(commands, "_trace_for", lambda *a: pytest.fail("built a table"))
         assert run(["crt-check", "--pmax", "2000001", "--seed", seed]) == 1
         assert capsys.readouterr().err == \
             "error: --pmax 2000001 exceeds the field table cap 2000000\n"
@@ -550,8 +550,8 @@ class TestSubcommands:
     def test_crt_check_pmax_at_the_field_cap_is_accepted(self, capsys, monkeypatch):
         # the cap lets --pmax 2000000 through; its first draw's modulus pq then overflows
         # int64, which is refused before any field or trace table is built
-        monkeypatch.setattr(cli, "_trace_for", lambda *a: pytest.fail("built a table"))
-        monkeypatch.setattr(cli, "cached_field", lambda *a: pytest.fail("built a field"))
+        monkeypatch.setattr(commands, "_trace_for", lambda *a: pytest.fail("built a table"))
+        monkeypatch.setattr(commands, "cached_field", lambda *a: pytest.fail("built a field"))
         assert run(["crt-check", "--pmax", "2000000", "--draws", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: products of residues mod ") and "table cap" not in err
@@ -566,9 +566,29 @@ class TestSubcommands:
     ])
     def test_crt_check_refuses_the_modulus_before_any_table(self, argv, message, capsys,
                                                             monkeypatch):
-        monkeypatch.setattr(cli, "_trace_for", lambda *a: pytest.fail("built a table"))
-        monkeypatch.setattr(cli, "cached_field", lambda *a: pytest.fail("built a field"))
+        monkeypatch.setattr(commands, "_trace_for", lambda *a: pytest.fail("built a table"))
+        monkeypatch.setattr(commands, "cached_field", lambda *a: pytest.fail("built a field"))
         assert run(["crt-check", *argv.split()]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        ("klsum --m 2 --p 1999993 --F X0^3+X1^3+X2^3+X0*X1*X2",
+         "p^n = 7999916000293999657 fiber counts would overflow 64-bit integers"),
+        ("tracesum --trace chi:2:1 --p 1999993 --F X0^3+X1^3+X2^3+X0*X1*X2",
+         "fiber counts would overflow 64-bit integers"),
+        ("tracesum --trace kl:2 --p 1999993 --F X0^2+X1^2 --G X0",
+         "fiber histogram of 7999944000098 points exceeds budget 100000000"),
+        ("klsum --m 2 --p 2000003 --F X0*X1",
+         "fiber histogram of 4000014000012 points exceeds budget 100000000"),
+        ("klsum --m 2 --p 1001 --F X0^2+X1^2", "1001 is not prime"),
+        ("tracesum --trace one --p 1001 --F X0^2+X1^2 --G X0", "1001 is not prime"),
+    ])
+    def test_fiber_sums_refuse_p_before_any_table(self, argv, message, capsys, monkeypatch):
+        # klsum and tracesum check p and charge the fiber histogram before F_p's tables
+        monkeypatch.setattr(commands, "cached_field", lambda *a: pytest.fail("built a field"))
+        monkeypatch.setattr(commands, "_trace_for", lambda *a: pytest.fail("built a table"))
+        assert run(argv.split()) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
 
@@ -702,7 +722,7 @@ class TestSubcommands:
     def test_repeated_list_prime_is_input_error(self, argv, capsys, monkeypatch):
         # a repeated prime would count twice towards the threshold P/(2d)
         built = []
-        monkeypatch.setattr(cli.sieve, "build_prime_data", lambda h, p: built.append(p))
+        monkeypatch.setattr(commands.sieve, "build_prime_data", lambda h, p: built.append(p))
         assert run(argv) == 1
         assert capsys.readouterr().err == "error: --primes list entries must be distinct\n"
         assert built == []
@@ -710,7 +730,7 @@ class TestSubcommands:
     @pytest.mark.parametrize("policy", ["list:4", "list:3,4"])
     def test_prime_list_checked_up_front(self, policy, capsys, monkeypatch):
         built = []
-        monkeypatch.setattr(cli.sieve, "build_prime_data",
+        monkeypatch.setattr(commands.sieve, "build_prime_data",
                             lambda h, p: built.append(p))
         assert run(["sieve-detect", "--h", "T^2", "--primes", policy]) == 1
         assert "--primes list entry 4 is not prime" in capsys.readouterr().err
@@ -890,7 +910,7 @@ class TestReports:
         def boom(cfg):
             raise MemoryError("Unable to allocate 8.00 EiB")
 
-        monkeypatch.setitem(cli._HANDLERS, "sieve-check", boom)
+        monkeypatch.setitem(commands._HANDLERS, "sieve-check", boom)
         assert run(["sieve-check", "--d", "2", "--p", "5"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -904,7 +924,7 @@ class TestReports:
         def boom(cfg):
             raise InvariantViolation("forced failure")
 
-        monkeypatch.setitem(cli._HANDLERS, "sieve-check", boom)
+        monkeypatch.setitem(commands._HANDLERS, "sieve-check", boom)
         assert run(["sieve-check", "--d", "2", "--p", "5"]) == 2
         assert "invariant" in capsys.readouterr().err
 
@@ -996,10 +1016,19 @@ class TestProcess:
         assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_import_leaves_scipy_unloaded(self):
-        proc = run_child(["-c", "import sys, polysieve; "
-                                "print('scipy' in sys.modules, 'sympy' in sys.modules)"])
-        assert proc.returncode == 0
-        assert proc.stdout.strip() == "False False"
+        # neither the package, the parser nor a parse-time refusal loads numpy or a kernel
+        heavy = ["scipy", "sympy", "numpy"] + [f"polysieve.{name}" for name in (
+            "boxes", "sieve", "varieties", "convolve", "fields", "polynomials", "tracefn",
+            "commands")]
+        proc = run_child(["-c", "import sys, polysieve, polysieve.cli\n"
+                          "loaded = lambda: sorted(set(sys.argv[1:]) & set(sys.modules))\n"
+                          "polysieve.cli.build_parser()\n"
+                          "print(loaded())\n"
+                          "print(polysieve.cli.main(['boxcount', '--f', 'T^2', '--F', 'X0^2+X1^2',"
+                          " '--B', '3', '--kmax', '9']), loaded())", *heavy])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "1 []"]
+        assert proc.stderr == "error: argument --kmax: must be at most 4, got 9\n"
 
     def test_runs_without_scipy_or_sympy(self):
         blocked = "import sys; sys.modules['scipy'] = sys.modules['sympy'] = None; "

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from polysieve import cli
+from polysieve import cli, commands
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,7 +49,7 @@ def _keys(obj):
 
 
 def test_readme_commands_cover_every_subcommand():
-    assert {shlex.split(line)[1] for line in _readme_commands()} == set(cli._HANDLERS)
+    assert {shlex.split(line)[1] for line in _readme_commands()} == set(commands._HANDLERS)
 
 
 @pytest.mark.parametrize("line", _readme_commands())
